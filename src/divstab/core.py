@@ -161,6 +161,10 @@ class GeometryModel(ABC):
     canonical_class: DivisorClass
     named_valuations: dict[str, Valuation]
 
+    def __init__(self):
+        # pseudoeffective thresholds, keyed by (L coefficients, valuation, exact)
+        self._gamma_cache: dict[tuple, object] = {}
+
     @property
     def basis_id(self) -> str:
         return self.name
@@ -216,10 +220,6 @@ def _fraction_sqrt(x: Fraction) -> Optional[Fraction]:
     return None
 
 
-# cache of thresholds, keyed by (model id, L coefficients, valuation name)
-_GAMMA_CACHE: dict[tuple, object] = {}
-
-
 def gamma_threshold(
     model: GeometryModel,
     L: DivisorClass,
@@ -235,8 +235,8 @@ def gamma_threshold(
     """
     if v.is_trivial:
         raise GeometryError("pseudoeffective threshold undefined for the trivial valuation")
-    key = (id(model), L.coefficients, v.name, bool(exact))
-    hit = _GAMMA_CACHE.get(key)
+    key = (L.coefficients, v, bool(exact))
+    hit = model._gamma_cache.get(key)
     if hit is not None:
         return hit
     if not model.is_big(L):
@@ -266,7 +266,7 @@ def gamma_threshold(
         refined = _exact_threshold(model, L, v, lo, hi)
         if refined is not None:
             result = refined
-    _GAMMA_CACHE[key] = result
+    model._gamma_cache[key] = result
     return result
 
 

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from .core import GeometryError, GeometryModel, DivisorClass, Valuation, gamma_threshold
 from .quadrature import integrate
+from .surface import SurfaceModel
 from .toric import ToricModel
 
 
@@ -94,23 +95,28 @@ def expected_order_S(
     """Expected vanishing order of L along the filtration; translation equivariant.
 
     Surfaces integrate the piecewise-quadratic volume exactly chamber by
-    chamber; other backends (or method="quadrature") use adaptive composite
-    Gauss-Legendre seeded at the shift and threshold breakpoints.
+    chamber, on the model's compiled problem for (L, support), so repeated
+    calls with new shifts only walk chambers; other backends (or
+    method="quadrature") use adaptive composite Gauss-Legendre seeded at the
+    shift and threshold breakpoints.
     """
-    vol_L = model.volume(L)
+    if isinstance(model, SurfaceModel):
+        # compiling resolves the realization: a mixed support raises for every t
+        problem = model._compiled(L, spec.support)
+        vol_L = problem.volume
+    else:
+        vol_L = model.volume(L)
     if vol_L <= 0:
         raise GeometryError("expected vanishing order requires a big class")
+    if method == "auto" and isinstance(model, SurfaceModel):
+        t0, lam_max, iv, _ = problem.integrals(spec.shifts)
+        return t0 + iv / float(vol_L) if lam_max > t0 else t0
+
     t0, lam_max, nontrivial, breaks = integration_range(model, L, spec)
     if not nontrivial or lam_max <= t0:
         return t0
 
     shifts = [t for _, t in nontrivial]
-    if method == "auto" and hasattr(model, "twist_integrals"):
-        iv, _ = model.twist_integrals(
-            L, [v for v, _ in nontrivial], shifts, t0, lam_max
-        )
-        return t0 + iv / float(vol_L)
-
     evaluator = model.twist_evaluator(L, [v for v, _ in nontrivial])
 
     def integrand(lam: float) -> float:

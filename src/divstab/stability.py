@@ -24,7 +24,8 @@ from .core import (
     Valuation,
     gamma_threshold,
 )
-from .filtrations import FiltrationSpec, expected_order_S, integration_range
+from .filtrations import FiltrationSpec, expected_order_S
+from .surface import SurfaceModel
 
 PROBE_SEMANTICS = (
     "finite-instance evidence only: an instability witness is definitive, "
@@ -276,20 +277,13 @@ def norm_enlarged_support_check(
 def _grad_S_direction(model, L, support, shifts, H, quad_tol) -> float:
     """d/ds S_{L+sH}(t) at s=0 with t fixed."""
     spec = FiltrationSpec(tuple(support), tuple(shifts))
-    if hasattr(model, "twist_integrals"):
-        vol = float(model.volume(L))
-        t0, lam_max, nontrivial, _ = integration_range(model, L, spec)
-        if not nontrivial or lam_max <= t0:
+    if isinstance(model, SurfaceModel):
+        problem = model._compiled(L, spec.support)
+        t0, lam_max, iv, ih = problem.integrals(spec.shifts, direction=H)
+        if lam_max <= t0:
             return 0.0
-        iv, ih = model.twist_integrals(
-            L,
-            [v for v, _ in nontrivial],
-            [t for _, t in nontrivial],
-            t0,
-            lam_max,
-            direction=H,
-        )
-        plh = float(model.positive_product_against(L, H))
+        vol = float(problem.volume)
+        plh = float(problem.positive_product(H))
         return (2.0 / vol) * (ih - (plh / vol) * iv)
     # Richardson-extrapolated central differences in the L direction
     def diff(eps: Fraction) -> float:

@@ -22,6 +22,7 @@ from .core import (
     NotPseudoeffectiveError,
     Valuation,
     as_fraction,
+    gamma_threshold,
 )
 
 
@@ -58,6 +59,7 @@ class SurfaceModel(GeometryModel):
         canonical_class: Sequence = None,
         sample_curves: Sequence[Sequence] = (),
     ):
+        super().__init__()
         self.name = name
         self.matrix = tuple(
             tuple(as_fraction(x) for x in row) for row in intersection_matrix
@@ -93,6 +95,8 @@ class SurfaceModel(GeometryModel):
         self._check_vecs = self._curve_vecs + [
             np.array([float(x) for x in C.coefficients]) for C in self.sample_curves
         ]
+        # the last compiled (L, support); see `_compiled`
+        self._problem: Optional[_SurfaceProblem] = None
 
     def _check_signature(self):
         eig = np.linalg.eigvalsh(
@@ -396,31 +400,97 @@ class SurfaceModel(GeometryModel):
         when no direction is given.  Stops early once the path leaves the
         pseudoeffective cone (vol is then identically 0 onward).
         """
-        target, pull = self.resolve_realization(valuations)
-        base = np.array([float(x) for x in pull(L.coefficients)])
+        problem = self._compiled(L, valuations)
+        ts = [float(t) for v, t in zip(valuations, shifts) if not v.is_trivial]
+        return problem.walk(ts, lam0, lam1, direction)
+
+    def _compiled(self, L: DivisorClass, support: Sequence[Valuation]) -> "_SurfaceProblem":
+        """The compiled problem of (L, support), reusing the last one when
+        both compare equal; one slot, so memory does not grow with L."""
+        support = tuple(support)
+        problem = self._problem
+        if problem is None or problem.L != L or problem.support != support:
+            problem = self._problem = _SurfaceProblem(self, L, support)
+        return problem
+
+
+class _SurfaceProblem:
+    """One (L, support) on a surface, compiled once for repeated `S` calls.
+
+    Holds the exact Zariski decomposition of L (so vol(L) and <L>.H cost
+    nothing per call), the realization of the support with L pulled back to
+    float coordinates, and the float divisors of the non-trivial valuations.
+    Building it resolves the realization, so a support realised on several
+    birational models raises here, whatever the shifts.  The thresholds
+    gamma_i are computed on the first `integrals` call, which needs L big.
+    """
+
+    def __init__(self, model: SurfaceModel, L: DivisorClass, support: tuple):
+        self.model = model
+        self.L = L
+        self.support = support
+        try:
+            self.positive_part = model.zariski(L).positive_part
+            self.volume = model.pairing(self.positive_part, self.positive_part)
+        except NotPseudoeffectiveError:
+            self.positive_part = None
+            self.volume = Fraction(0)
+        self._nontrivial = [v for v in support if not v.is_trivial]
+        trivial = [i for i, v in enumerate(support) if v.is_trivial]
+        self._trivial = trivial[-1] if trivial else None
+        self._gammas: Optional[list[float]] = None
+        self.target, self._pull = model.resolve_realization(support)
+        self._base = np.array([float(x) for x in self._pull(L.coefficients)])
+        self._divs = [
+            np.array([float(x) for x in v.order_model.divisor.coefficients])
+            for v in self._nontrivial
+        ]
+
+    def positive_product(self, H: DivisorClass) -> Fraction:
+        """<L> . H, exact."""
+        return self.model.pairing(self.positive_part, H)
+
+    def integrals(self, shifts, direction=None):
+        """(t0, lam_max, integral of vol, integral of P . direction) over the
+        range [t0, lam_max] of the filtration with these shifts, one per
+        support valuation; both integrals are 0 when the range is empty.
+        """
+        ts = [float(t) for t in shifts]
+        t0 = min(ts)
+        if not self._nontrivial:
+            return t0, t0, 0.0, 0.0
+        if self._gammas is None:
+            self._gammas = [
+                float(gamma_threshold(self.model, self.L, v)) for v in self._nontrivial
+            ]
+        active = [t for v, t in zip(self.support, ts) if not v.is_trivial]
+        lam_max = min(g + t for g, t in zip(self._gammas, active))
+        # the trivial valuation admits no section past its shift: hard cutoff
+        if self._trivial is not None:
+            lam_max = min(lam_max, ts[self._trivial])
+        if lam_max <= t0:
+            return t0, lam_max, 0.0, 0.0
+        iv, ih = self.walk(active, t0, lam_max, direction)
+        return t0, lam_max, iv, ih
+
+    def walk(self, ts, lam0, lam1, direction=None):
+        """(integral of vol, integral of P . direction) over [lam0, lam1], with
+        `ts` the float shifts of the non-trivial valuations: one chamber walk
+        per piece between consecutive shifts."""
         hvec = None
         if direction is not None:
-            hvec = np.array([float(x) for x in pull(direction.coefficients)])
-        divs = []
-        ts = []
-        for vv, t in zip(valuations, shifts):
-            if vv.is_trivial:
-                continue
-            divs.append(
-                np.array([float(x) for x in vv.order_model.divisor.coefficients])
-            )
-            ts.append(float(t))
+            hvec = np.array([float(x) for x in self._pull(direction.coefficients)])
         cuts = sorted({lam0, lam1} | {t for t in ts if lam0 < t < lam1})
         total_v = 0.0
         total_h = 0.0
         for p, q in zip(cuts, cuts[1:]):
             active = [i for i, t in enumerate(ts) if t <= p + 1e-15]
-            b = base.copy()
-            d = np.zeros_like(base)
+            b = self._base.copy()
+            d = np.zeros_like(self._base)
             for i in active:
-                b += ts[i] * divs[i]
-                d -= divs[i]
-            iv, ih, alive = target._line_integrals(b, d, p, q, hvec)
+                b += ts[i] * self._divs[i]
+                d -= self._divs[i]
+            iv, ih, alive = self.target._line_integrals(b, d, p, q, hvec)
             total_v += iv
             total_h += ih
             if not alive:
@@ -488,11 +558,3 @@ def _det_exact(m) -> Fraction:
 
 def zariski(model: SurfaceModel, D: DivisorClass) -> ZariskiDecomposition:
     return model.zariski(D)
-
-
-def volume(model: SurfaceModel, D: DivisorClass) -> Fraction:
-    return model.volume(D)
-
-
-def positive_product_against(model: SurfaceModel, D: DivisorClass, H: DivisorClass) -> Fraction:
-    return model.positive_product_against(D, H)

@@ -77,6 +77,7 @@ class ToricModel(GeometryModel):
     """A smooth complete fan declared by its rays; divisors by ray coefficients."""
 
     def __init__(self, name: str, rays: Sequence[Sequence[int]]):
+        super().__init__()
         self.name = name
         self.rays = tuple(tuple(int(x) for x in r) for r in rays)
         if not self.rays:
@@ -368,15 +369,3 @@ def _shoelace(poly) -> float:
         x1, y1 = poly[(i + 1) % n]
         area += x0 * y1 - x1 * y0
     return abs(area) / 2.0
-
-
-def polytope_volume(model: ToricModel, D: DivisorClass) -> Fraction:
-    return model.volume(D)
-
-
-def constrained_volume(model: ToricModel, L: DivisorClass, constraints) -> Fraction:
-    return model.constrained_volume(L, constraints)
-
-
-def section_basis(model: ToricModel, L: DivisorClass, k: int):
-    return model.section_basis(L, k)

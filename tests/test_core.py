@@ -143,3 +143,22 @@ class TestVolumeMonotonicity:
         A = blp2.divisor([1, 0])
         vols = [blp2.volume(L + Fraction(s, 4) * A) for s in range(9)]
         assert all(b >= a for a, b in zip(vols, vols[1:]))
+
+
+class TestGammaCache:
+    def test_same_name_different_valuation_not_stale(self):
+        # two valuations share a name on one model: the cache keys by value
+        m = ds.SurfaceModel("p2x", [[1]], sample_curves=[[1]], canonical_class=[-3])
+        L = m.divisor([3])
+        a = m.curve_valuation("c", [1])
+        assert ds.gamma_threshold(m, L, a) == 3
+        b = m.curve_valuation("c", [2])
+        assert ds.gamma_threshold(m, L, b) == Fraction(3, 2)
+        assert ds.gamma_threshold(m, L, a) == 3
+
+    def test_cache_lives_on_the_model(self):
+        m1 = ds.SurfaceModel("p2x", [[1]], sample_curves=[[1]], canonical_class=[-3])
+        m2 = ds.SurfaceModel("p2x", [[1]], sample_curves=[[1]], canonical_class=[-3])
+        v1 = m1.curve_valuation("c", [1])
+        ds.gamma_threshold(m1, m1.divisor([3]), v1)
+        assert m1._gamma_cache and not m2._gamma_cache

@@ -58,6 +58,48 @@ class TestExpectedOrder:
         with pytest.raises(ds.GeometryError):
             expected_order_S(p2, p2.divisor([-1]), FiltrationSpec((LINE,), (0.0,)))
 
+    def test_mixed_realizations_rejected_for_every_shift(self):
+        # `line` lives on p2 itself, `point_blowup` on the blowup: no common model
+        support = (LINE, p2.named_valuations["point_blowup"], TRIVIAL_VALUATION)
+        for t in [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.0, 0.0, 1.0)]:
+            with pytest.raises(ds.GeometryError):
+                expected_order_S(p2, p2.divisor([3]), FiltrationSpec(support, t))
+
+    def test_compiled_problem_never_stale(self):
+        # interleaved (L, support) pairs on one model match fresh models bit for bit
+        def fresh_blp2():
+            m = ds.SurfaceModel(
+                "blp2",
+                intersection_matrix=[[1, 0], [0, -1]],
+                negative_curves=[[0, 1]],
+                canonical_class=[-3, 1],
+                sample_curves=[[1, 0], [1, -1]],
+            )
+            m.curve_valuation("ord_e", [0, 1])
+            m.curve_valuation("ord_line", [1, 0])
+            return m
+
+        def pairs(m):
+            e, line = m.named_valuations["ord_e"], m.named_valuations["ord_line"]
+            return [
+                (m.divisor([3, -1]), (e, line)),
+                (m.divisor([4, -1]), (e, line)),  # same support, other L
+                (m.divisor([3, -1]), (e, TRIVIAL_VALUATION)),  # same L, other support
+            ]
+
+        rng = random.Random(7)
+        shifts = [(rng.uniform(0, 2), rng.uniform(0, 2)) for _ in range(6)]
+        shared = fresh_blp2()
+        interleaved = {k: [] for k in range(3)}
+        for t in shifts:
+            for k, (L, support) in enumerate(pairs(shared)):
+                interleaved[k].append(expected_order_S(shared, L, FiltrationSpec(support, t)))
+        for k in range(3):
+            alone = fresh_blp2()
+            L, support = pairs(alone)[k]
+            values = [expected_order_S(alone, L, FiltrationSpec(support, t)) for t in shifts]
+            assert [v.hex() for v in values] == [v.hex() for v in interleaved[k]]
+
     def test_translation_equivariance(self):
         rng = random.Random(5)
         for model in surface_models():

@@ -76,6 +76,22 @@ class TestNorm:
         with pytest.raises(ds.GeometryError):
             ds.norm(p2, p2.divisor([-1]), dirac(LINE))
 
+    def test_exact_zariski_not_repeated_per_S(self, monkeypatch):
+        # hundreds of S calls on one (L, support) share one exact vol(L)
+        calls = []
+        zariski = ds.SurfaceModel.zariski
+
+        def counting(self, D):
+            calls.append(D)
+            return zariski(self, D)
+
+        monkeypatch.setattr(ds.SurfaceModel, "zariski", counting)
+        mu = DivisorialMeasure.make(
+            [(TRIVIAL_VALUATION, Fraction(1, 2)), (LINE, Fraction(1, 2))]
+        )
+        ds.norm(p2, L3, mu)
+        assert len(calls) <= 8
+
 
 class TestEnlargedSupport:
     def test_disjoint_extra_valuation(self):
