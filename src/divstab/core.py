@@ -197,6 +197,11 @@ class GeometryModel(ABC):
     def is_big(self, D: DivisorClass) -> bool:
         return self.volume(D) > 0
 
+    def closed_form_threshold(self, L: DivisorClass, v: Valuation) -> Optional[Fraction]:
+        """The exact pseudoeffective threshold of big L along v, or None when
+        the backend has no closed form and `gamma_threshold` must bisect."""
+        return None
+
     def _check_basis(self, D: DivisorClass) -> None:
         if D.basis_id != self.basis_id:
             raise BasisMismatchError(
@@ -207,6 +212,45 @@ class GeometryModel(ABC):
 def is_big(model: GeometryModel, D: DivisorClass) -> bool:
     """True iff vol(D) > 0."""
     return model.is_big(D)
+
+
+def solve_exact(matrix, rhs) -> Optional[list[Fraction]]:
+    """Gaussian elimination over Fraction entries; None when singular."""
+    n = len(matrix)
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = aug[col][col]
+        aug[col] = [x / inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [aug[i][n] for i in range(n)]
+
+
+def det_exact(m) -> Fraction:
+    """Determinant of a square matrix of Fraction entries."""
+    n = len(m)
+    m = [list(row) for row in m]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                f = m[r][col] / inv
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return det
 
 
 def _fraction_sqrt(x: Fraction) -> Optional[Fraction]:
@@ -229,7 +273,9 @@ def gamma_threshold(
 ):
     """Pseudoeffective threshold sup{g > 0 : twist(L, v, g) is big}.
 
-    Bisection on bigness down to `tol`, followed (when `exact` is set and the
+    A backend with a closed form answers exactly, whatever `exact` is: toric
+    models read max - min of <., w> off the vertices of P_L.  Otherwise
+    bisection on bigness down to `tol`, followed (when `exact` is set and the
     volume is locally polynomial of degree <= 2 in g) by an exact root solve;
     returns a Fraction in that case and a float otherwise.
     """
@@ -241,6 +287,10 @@ def gamma_threshold(
         return hit
     if not model.is_big(L):
         raise GeometryError("pseudoeffective threshold requires a big class")
+    closed = model.closed_form_threshold(L, v)
+    if closed is not None:
+        model._gamma_cache[key] = closed
+        return closed
 
     # float bracketing; the exact refinement below re-verifies with rationals
     evaluator = model.twist_evaluator(L, [v])

@@ -11,9 +11,12 @@ toric models.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .core import GeometryError, GeometryModel, DivisorClass, Valuation, gamma_threshold
 from .quadrature import integrate
@@ -62,23 +65,20 @@ def integration_range(
     """(t0, lam_max, nontrivial (valuation, shift) pairs, threshold breakpoints).
 
     lam_max is the smallest level at which the twisted volume vanishes: the
-    least gamma_i + t_i, capped by the trivial valuation's shift when present.
+    least gamma_i + t_i, capped by the least shift of a trivial valuation.
     """
     t0 = min(float(t) for t in spec.shifts)
     nontrivial = [
         (v, float(t)) for v, t in zip(spec.support, spec.shifts) if not v.is_trivial
     ]
-    trivial_shift: Optional[float] = None
-    for v, t in zip(spec.support, spec.shifts):
-        if v.is_trivial:
-            trivial_shift = float(t)
     if not nontrivial:
         return t0, t0, nontrivial, set()
     gammas = [float(gamma_threshold(model, L, v)) for v, _ in nontrivial]
     lam_max = min(g + t for g, (_, t) in zip(gammas, nontrivial))
-    # the trivial valuation admits no section past its shift: hard cutoff
-    if trivial_shift is not None:
-        lam_max = min(lam_max, trivial_shift)
+    # a trivial valuation admits no section past its shift: hard cutoff
+    for v, t in zip(spec.support, spec.shifts):
+        if v.is_trivial:
+            lam_max = min(lam_max, float(t))
     breaks = {t for _, t in nontrivial} | {
         g + t for g, (_, t) in zip(gammas, nontrivial)
     }
@@ -132,15 +132,22 @@ def _require_toric(model) -> ToricModel:
     return model
 
 
-def _jumping_values(model: ToricModel, L, spec: FiltrationSpec, k: int, basis):
-    values = []
-    for m in basis:
-        lam = min(
-            float(model.monomial_order(L, k, v, m)) + k * float(t)
-            for v, t in zip(spec.support, spec.shifts)
-        )
-        values.append(lam)
+def _jumping_values(model: ToricModel, L, spec: FiltrationSpec, k: int, basis) -> np.ndarray:
+    """min over the support of order + k t, per row of the integer `basis`."""
+    values = None
+    for v, t in zip(spec.support, spec.shifts):
+        lam = model.monomial_orders(L, k, v, basis) + k * float(t)
+        # np.minimum returns its second argument on ties, like min() its first
+        values = lam if values is None else np.minimum(lam, values)
     return values
+
+
+def _basis_array(model: ToricModel, L, k: int) -> np.ndarray:
+    basis = model.section_basis(L, k)
+    if not basis:
+        raise GeometryError("no sections at this level")
+    flat = itertools.chain.from_iterable(basis)
+    return np.fromiter(flat, np.int64, len(basis) * model.dimension).reshape(len(basis), -1)
 
 
 def filtration_volume_finite_k(
@@ -148,10 +155,8 @@ def filtration_volume_finite_k(
 ) -> JumpingProfile:
     """Jumping numbers of the level-k sections; k^{-1} volume converges to S."""
     toric = _require_toric(model)
-    basis = toric.section_basis(L, k)
-    if not basis:
-        raise GeometryError("no sections at this level")
-    values = sorted(_jumping_values(toric, L, spec, k, basis), reverse=True)
+    basis = _basis_array(toric, L, k)
+    values = sorted(_jumping_values(toric, L, spec, k, basis).tolist(), reverse=True)
     return JumpingProfile(k, tuple(values), sum(values) / len(values))
 
 
@@ -164,12 +169,10 @@ def d_infinity(
 ) -> float:
     """Max gap of jumping values over the shared monomial basis at level k."""
     toric = _require_toric(model)
-    basis = toric.section_basis(L, k)
-    if not basis:
-        raise GeometryError("no sections at this level")
+    basis = _basis_array(toric, L, k)
     va = _jumping_values(toric, L, spec_a, k, basis)
     vb = _jumping_values(toric, L, spec_b, k, basis)
-    return max(abs(a - b) for a, b in zip(va, vb))
+    return float(np.abs(va - vb).max())
 
 
 def restriction_inequality_check(

@@ -22,7 +22,9 @@ from .core import (
     NotPseudoeffectiveError,
     Valuation,
     as_fraction,
+    det_exact,
     gamma_threshold,
+    solve_exact,
 )
 
 
@@ -156,7 +158,7 @@ class SurfaceModel(GeometryModel):
                 [self.pairing(curves[i], curves[j]) for j in support] for i in support
             ]
             rhs = [self.pairing(D, curves[i]) for i in support]
-            sol = _solve_exact(gram, rhs)
+            sol = solve_exact(gram, rhs)
             if sol is None or not _negative_definite(gram):
                 raise NotPseudoeffectiveError(
                     f"no Zariski decomposition: Gram submatrix of curves "
@@ -436,8 +438,7 @@ class _SurfaceProblem:
             self.positive_part = None
             self.volume = Fraction(0)
         self._nontrivial = [v for v in support if not v.is_trivial]
-        trivial = [i for i, v in enumerate(support) if v.is_trivial]
-        self._trivial = trivial[-1] if trivial else None
+        self._trivial = [i for i, v in enumerate(support) if v.is_trivial]
         self._gammas: Optional[list[float]] = None
         self.target, self._pull = model.resolve_realization(support)
         self._base = np.array([float(x) for x in self._pull(L.coefficients)])
@@ -465,9 +466,9 @@ class _SurfaceProblem:
             ]
         active = [t for v, t in zip(self.support, ts) if not v.is_trivial]
         lam_max = min(g + t for g, t in zip(self._gammas, active))
-        # the trivial valuation admits no section past its shift: hard cutoff
-        if self._trivial is not None:
-            lam_max = min(lam_max, ts[self._trivial])
+        # a trivial valuation admits no section past its shift: hard cutoff
+        for i in self._trivial:
+            lam_max = min(lam_max, ts[i])
         if lam_max <= t0:
             return t0, lam_max, 0.0, 0.0
         iv, ih = self.walk(active, t0, lam_max, direction)
@@ -508,52 +509,14 @@ def _linear_root(c0: float, c1: float, x: float, x1: float, eps: float):
     return None
 
 
-def _solve_exact(gram, rhs) -> Optional[list[Fraction]]:
-    """Gaussian elimination over the rationals; None when singular."""
-    n = len(gram)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(gram)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 def _negative_definite(gram) -> bool:
     """Sylvester criterion: (-1)^k det_k > 0 for leading principal minors."""
     n = len(gram)
     for k in range(1, n + 1):
-        det = _det_exact([row[:k] for row in gram[:k]])
+        det = det_exact([row[:k] for row in gram[:k]])
         if ((-1) ** k) * det <= 0:
             return False
     return True
-
-
-def _det_exact(m) -> Fraction:
-    n = len(m)
-    m = [list(row) for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] / inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
 
 
 def zariski(model: SurfaceModel, D: DivisorClass) -> ZariskiDecomposition:

@@ -12,7 +12,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -23,44 +23,9 @@ from .core import (
     GeometryModel,
     Valuation,
     as_fraction,
+    det_exact,
+    solve_exact,
 )
-
-
-def _solve(matrix, rhs) -> Optional[list[Fraction]]:
-    """Exact rational linear solve; None when singular."""
-    n = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
-def _det(m) -> Fraction:
-    n = len(m)
-    m = [list(map(Fraction, row)) for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] / m[col][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
 
 
 # rational approximations of irrational cut levels are capped at this denominator
@@ -123,9 +88,9 @@ class ToricModel(GeometryModel):
         w = tuple(int(x) for x in w)
         for subset in itertools.combinations(range(len(self.rays)), self.dimension):
             mat = [[Fraction(self.rays[i][r]) for i in subset] for r in range(self.dimension)]
-            if abs(_det(mat)) != 1:
+            if abs(det_exact(mat)) != 1:
                 continue
-            sol = _solve(mat, [Fraction(x) for x in w])
+            sol = solve_exact(mat, [Fraction(x) for x in w])
             if sol is not None and all(c >= 0 for c in sol):
                 return sum(sol, Fraction(0))
         raise GeometryError(f"vector {w} lies in no declared smooth cone")
@@ -146,7 +111,7 @@ class ToricModel(GeometryModel):
         for subset in itertools.combinations(range(len(halfspaces)), n):
             mat = [halfspaces[i][0] for i in subset]
             rhs = [halfspaces[i][1] for i in subset]
-            pt = _solve(mat, rhs)
+            pt = solve_exact(mat, rhs)
             if pt is None:
                 continue
             if all(
@@ -185,7 +150,7 @@ class ToricModel(GeometryModel):
             mat = [
                 [verts[i][r] - p0[r] for r in range(n)] for i in simplex[1:]
             ]
-            total += abs(_det(mat)) / fact
+            total += abs(det_exact(mat)) / fact
         return total
 
     # -- GeometryModel contract --------------------------------------------
@@ -277,7 +242,8 @@ class ToricModel(GeometryModel):
     # -- section rings ------------------------------------------------------
 
     def section_basis(self, L: DivisorClass, k: int) -> list[tuple[int, ...]]:
-        """Lattice points of k P_L, the monomial basis of the degree-k sections."""
+        """Lattice points of k P_L, the monomial basis of the degree-k sections,
+        in `itertools.product` order over the bounding box."""
         if k <= 0:
             raise GeometryError("level k must be a positive integer")
         scaled = [tuple(k * x for x in v) for v in self.polytope_vertices(L)]
@@ -288,21 +254,67 @@ class ToricModel(GeometryModel):
             raise GeometryError(f"{k} L is not an integral class")
         lo = [math.ceil(min(v[i] for v in scaled)) for i in range(self.dimension)]
         hi = [math.floor(max(v[i] for v in scaled)) for i in range(self.dimension)]
-        pts = []
-        for m in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-            if all(
-                sum(r * x for r, x in zip(ray, m)) >= -a
-                for ray, a in zip(self.rays, coeffs)
-            ):
-                pts.append(m)
-        return pts
+        if any(b < a for a, b in zip(lo, hi)):
+            return []
+        # every prefix m[:-1] of the box, in product order; <m, ray> >= -a
+        # solved for m[-1] turns each ray into a bound c m[-1] >= need
+        shape = [b - a + 1 for a, b in zip(lo[:-1], hi[:-1])]
+        prefix = np.indices(shape, dtype=np.int64).reshape(len(shape), math.prod(shape)).T
+        prefix += np.array(lo[:-1], dtype=np.int64)
+        rays = np.array(self.rays, dtype=np.int64)
+        bound = np.array([-int(c) for c in coeffs], dtype=np.int64)
+        need = bound - prefix @ rays[:, :-1].T
+        c = rays[:, -1]
+        up, down = c > 0, c < 0
+        first = (-(-need[:, up] // c[up])).max(axis=1, initial=lo[-1])
+        last = (need[:, down] // c[down]).min(axis=1, initial=hi[-1])
+        last[(need[:, c == 0] > 0).any(axis=1)] = lo[-1] - 1
+        counts = np.maximum(last - first + 1, 0)
+        # prefix i repeated counts[i] times, with m[-1] running first..last
+        starts = np.repeat(first - np.cumsum(counts) + counts, counts)
+        tail = starts + np.arange(counts.sum(), dtype=np.int64)
+        points = np.column_stack((np.repeat(prefix, counts, axis=0), tail))
+        return list(zip(*points.T.tolist()))
+
+    def _order_numerators(self, L: DivisorClass, k: int, w, basis):
+        """(n, q) with n / q the exact orders along w of the rows of `basis` at
+        level k: <m, w> - k min_{P_L}<., w> over the common denominator q of
+        the anchor.  n is int64 while every |n| and q stay below 2^53, so a
+        float division of n by q is correctly rounded; Python ints otherwise.
+        """
+        basis = np.asarray(basis)
+        if basis.dtype.kind not in "iu":
+            raise GeometryError("monomials must be integer lattice points")
+        p, q = (k * self.order_anchor(L, w)).as_integer_ratio()
+        dots = basis.astype(np.int64, copy=False).reshape(-1, self.dimension) @ np.array(
+            w, dtype=np.int64
+        )
+        top = int(np.abs(dots).max(initial=0)) * q + abs(p)
+        if max(top, q) >= 2**53:
+            dots = dots.astype(object)
+        return dots * q - p, q
+
+    def monomial_orders(self, L: DivisorClass, k: int, v: Valuation, basis) -> np.ndarray:
+        """Vanishing orders along v of the monomial sections in the rows of the
+        integer array `basis` at level k, as floats equal to float(Fraction)."""
+        if v.is_trivial:
+            return np.zeros(len(basis))
+        n, q = self._order_numerators(L, k, self._valuation_vector(v), basis)
+        return np.asarray(n / q, dtype=float)
 
     def monomial_order(self, L: DivisorClass, k: int, v: Valuation, m: Sequence[int]) -> Fraction:
         """Vanishing order along v of the monomial section m at level k."""
         if v.is_trivial:
             return Fraction(0)
+        n, q = self._order_numerators(L, k, self._valuation_vector(v), [m])
+        return Fraction(int(n[0]), q)
+
+    def closed_form_threshold(self, L: DivisorClass, v: Valuation) -> Fraction:
+        """max - min of <., w> over the vertices of P_L: past it the cut
+        <m, w> - min >= g leaves P_L with no interior."""
         w = self._valuation_vector(v)
-        return sum(Fraction(a) * x for a, x in zip(w, m)) - k * self.order_anchor(L, w)
+        top = max(sum(Fraction(a) * x for a, x in zip(w, m)) for m in self.polytope_vertices(L))
+        return top - self.order_anchor(L, w)
 
 
 def _polygon_area(verts) -> Fraction:

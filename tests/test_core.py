@@ -136,6 +136,34 @@ class TestGammaThreshold:
         assert abs(float(g) - 3) < 1e-8
 
 
+class TestToricClosedFormThreshold:
+    def test_p2_toric_is_exact(self):
+        g = ds.gamma_threshold(p2t, p2t.divisor([0, 3, 0]), p2t.named_valuations["e1"])
+        assert isinstance(g, Fraction) and g == 3
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_p3_reads_the_vertices_without_bisection(self, monkeypatch, exact):
+        p3 = ds.ToricModel("p3", [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]])
+        v = p3.monomial_valuation("e12", [1, 1, 0])
+        L = p3.divisor([1, 0, 2, Fraction(1, 2)])
+
+        def no_bisection(*args, **kwargs):
+            raise AssertionError("gamma_threshold bisected")
+
+        monkeypatch.setattr(ds.ToricModel, "constrained_volume", no_bisection)
+        g = ds.gamma_threshold(p3, L, v, exact=exact)
+        values = [m[0] + m[1] for m in p3.polytope_vertices(L)]
+        assert isinstance(g, Fraction) and g == max(values) - min(values)
+
+    def test_bigness_checked_first(self, monkeypatch):
+        def no_closed_form(*args, **kwargs):
+            raise AssertionError("closed form asked for a non-big class")
+
+        monkeypatch.setattr(ds.ToricModel, "closed_form_threshold", no_closed_form)
+        with pytest.raises(ds.GeometryError, match="big"):
+            ds.gamma_threshold(p2t, p2t.divisor([0, 0, -1]), p2t.named_valuations["e1"])
+
+
 class TestVolumeMonotonicity:
     def test_nondecreasing_along_effective(self):
         # adding multiples of an effective class never shrinks the volume

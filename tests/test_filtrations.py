@@ -1,6 +1,8 @@
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import divstab as ds
@@ -57,6 +59,23 @@ class TestExpectedOrder:
     def test_requires_big(self):
         with pytest.raises(ds.GeometryError):
             expected_order_S(p2, p2.divisor([-1]), FiltrationSpec((LINE,), (0.0,)))
+
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    def test_least_trivial_shift_caps_the_range(self, method):
+        # no section survives past the smallest trivial shift, whatever the order
+        triv_a = ds.Valuation("triv_a", 0, is_trivial=True)
+        triv_b = ds.Valuation("triv_b", 0, is_trivial=True)
+        L = p2.divisor([3])
+
+        def S(support, t):
+            return expected_order_S(p2, L, FiltrationSpec(support, t), method=method)
+
+        ab = S((LINE, triv_a, triv_b), (0.0, 0.5, 5.0))
+        ba = S((LINE, triv_b, triv_a), (0.0, 5.0, 0.5))
+        alone = S((LINE, triv_a), (0.0, 0.5))
+        assert ab == ba == alone
+        # (1/9) int_0^{1/2} (3 - lam)^2 dlam
+        assert abs(ab - 91.0 / 216.0) < 1e-9
 
     def test_mixed_realizations_rejected_for_every_shift(self):
         # `line` lives on p2 itself, `point_blowup` on the blowup: no common model
@@ -196,6 +215,70 @@ class TestFiniteK:
         half = p2t.divisor([0, 0, Fraction(1, 2)])
         with pytest.raises(ds.GeometryError):
             filtration_volume_finite_k(p2t, half, FiltrationSpec((E1,), (0.0,)), 1)
+
+
+P3 = ds.ToricModel("p3", [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]])
+P3_E1 = P3.monomial_valuation("e1", [1, 0, 0])
+P3_E12 = P3.monomial_valuation("e12", [1, 1, 0])
+
+
+def _reference_jumping_values(model, L, spec, k):
+    """One monomial at a time from the exact scalar order, min() and floats."""
+    return [
+        min(
+            float(model.monomial_order(L, k, v, m)) + k * float(t)
+            for v, t in zip(spec.support, spec.shifts)
+        )
+        for m in model.section_basis(L, k)
+    ]
+
+
+class TestJumpingValuesBitIdentical:
+    CASES = [
+        (p2t, L3H, (E1,), (0.1,), (0.7,)),
+        (p2t, L3H, (E1, E2, TRIVIAL_VALUATION), (0.3, 1 / 3, 1.9), (1.1, 0.2, 0.7)),
+        (P3, P3.divisor([1, 0, 2, 1]), (P3_E1, P3_E12), (0.1, 2 / 3), (0.7, 0.3)),
+    ]
+
+    @pytest.mark.parametrize("k", [1, 4, 10])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_finite_k_and_d_infinity(self, case, k):
+        model, L, support, t, t_other = self.CASES[case]
+        spec, other = FiltrationSpec(support, t), FiltrationSpec(support, t_other)
+        ref = sorted(_reference_jumping_values(model, L, spec, k), reverse=True)
+        prof = filtration_volume_finite_k(model, L, spec, k)
+        assert [x.hex() for x in prof.jumping_values] == [x.hex() for x in ref]
+        assert prof.volume.hex() == (sum(ref) / len(ref)).hex()
+        ref_other = _reference_jumping_values(model, L, other, k)
+        gap = max(
+            abs(a - b)
+            for a, b in zip(_reference_jumping_values(model, L, spec, k), ref_other)
+        )
+        d = d_infinity(model, L, spec, other, k)
+        assert type(d) is float and d.hex() == gap.hex()
+
+    def test_orders_over_a_non_dyadic_anchor(self):
+        # k min_P<., e3> = -1/3: one division by 3 per row, rounded like Fraction
+        L = p2t.divisor([0, 0, Fraction(1, 3)])
+        e3 = p2t.named_valuations["e3"]
+        rows = [(0, 0), (1, 2), (-5, 7), (40, -3)]
+        orders = p2t.monomial_orders(L, 1, e3, np.array(rows))
+        assert [x.hex() for x in orders.tolist()] == [
+            float(p2t.monomial_order(L, 1, e3, m)).hex() for m in rows
+        ]
+        assert p2t.monomial_order(L, 1, e3, (1, 2)) == Fraction(-8, 3)
+
+    def test_section_basis_in_product_order(self):
+        L, k = P3.divisor([1, 0, 2, 1]), 4
+        basis = P3.section_basis(L, k)
+        coeffs = [k * a for a in L.coefficients]
+        box = itertools.product(*(range(-20, 21) for _ in range(3)))
+        expected = [
+            m for m in box
+            if all(sum(r * x for r, x in zip(ray, m)) >= -a for ray, a in zip(P3.rays, coeffs))
+        ]
+        assert basis == expected
+        assert all(type(m) is tuple and all(type(x) is int for x in m) for m in basis)
 
 
 class TestDInfinity:

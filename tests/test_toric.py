@@ -128,6 +128,10 @@ class TestMonomialValuations:
             orders = [p2t.monomial_order(L3H, 1, v, m) for m in p2t.section_basis(L3H, 1)]
             assert min(orders) == 0
 
+    def test_non_lattice_monomial_rejected(self):
+        with pytest.raises(ds.GeometryError):
+            p2t.monomial_order(L3H, 1, E1, (0.5, 0))
+
     def test_twist_requires_nontrivial(self):
         from divstab.core import TRIVIAL_VALUATION
 
