@@ -82,7 +82,10 @@ def _parse_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(path, f"expected a number, got {value!r}")
     if isinstance(value, str):
-        return float(_parse_rational(value, path))
+        value = _parse_rational(value, path)
+    # false for nan, +-inf and numbers that overflow a float
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(path, f"expected a finite float, got {value!r}")
     return float(value)
 
 
@@ -449,10 +452,9 @@ def run(config_path, out, tolerance_overrides, seed):
                       "message": f"expected key=value, got {item!r}"}, out)
         key, _, value = item.partition("=")
         try:
-            overrides[key] = float(value)
-        except ValueError:
-            _fail(2, {"type": "schema", "path": f"--tolerance-override {key}",
-                      "message": f"not a number: {value!r}"}, out)
+            overrides[key] = _parse_number(value, f"--tolerance-override {key}")
+        except ConfigError as exc:
+            _fail(2, {"type": "schema", "path": exc.path, "message": exc.message}, out)
     try:
         payload = json.loads(raw)
     except json.JSONDecodeError as exc:

@@ -188,11 +188,9 @@ class GeometryModel(ABC):
     def twist_evaluator(
         self, L: DivisorClass, valuations: Sequence[Valuation]
     ) -> Callable[[Sequence[float]], float]:
-        """Fast float-valued closure c -> vol(L twisted by coefficients c).
-
-        Used inside quadrature and optimisation loops where exactness is not
-        required; the exact path stays available through `twisted_volume`.
-        """
+        """Float-valued closure c -> vol(L twisted by coefficients c), for the
+        quadrature reference (`expected_order_S` with method="quadrature") and
+        for threshold bisection; the exact path is `twisted_volume`."""
 
     def is_big(self, D: DivisorClass) -> bool:
         return self.volume(D) > 0

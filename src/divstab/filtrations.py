@@ -5,13 +5,14 @@ invariant is the expected vanishing order
 
     S(t) = t0 + vol(L)^{-1} Integral_{t0}^{lam_max} vol(L - Sum max(lam - t_i, 0) E_i) dlam
 
-with t0 = min t_i and lam_max = min_i (gamma_i + t_i).  The same quantity is
-approximated at finite level k from jumping numbers of the monomial basis on
-toric models.
+with t0 = min t_i and lam_max = min_i (gamma_i + t_i).  On a toric model it
+is the mean over the section polytope P_L of min_i (order_i + t_i), which
+is integrated exactly cell by cell.  The same quantity is approximated at
+finite level k from jumping numbers of the monomial basis on toric models.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -42,6 +43,8 @@ class FiltrationSpec:
             raise GeometryError("filtration support is empty")
         if len(self.support) != len(self.shifts):
             raise GeometryError("support and shift vector lengths differ")
+        if not all(map(math.isfinite, self.shifts)):
+            raise GeometryError(f"shifts must be finite, got {self.shifts}")
         names = [v.name for v in self.support]
         if len(set(names)) != len(names):
             raise GeometryError("filtration support contains repeated valuations")
@@ -94,12 +97,19 @@ def expected_order_S(
 ) -> float:
     """Expected vanishing order of L along the filtration; translation equivariant.
 
-    Surfaces integrate the piecewise-quadratic volume exactly chamber by
-    chamber, on the model's compiled problem for (L, support), so repeated
-    calls with new shifts only walk chambers; other backends (or
-    method="quadrature") use adaptive composite Gauss-Legendre seeded at the
-    shift and threshold breakpoints.
+    With method="auto", surfaces integrate the piecewise-quadratic volume
+    exactly chamber by chamber, on the model's compiled problem for
+    (L, support), so repeated calls with new shifts only walk chambers;
+    toric models integrate min_i of the shifted orders over the section
+    polytope cell by cell (`ToricModel.expected_order`) and return the exact
+    value rounded once to float.  method="quadrature" is the reference: it
+    runs adaptive composite Gauss-Legendre, seeded at the shift and threshold
+    breakpoints, over the model's `twist_evaluator`.
     """
+    if method not in ("auto", "quadrature"):
+        raise ValueError(f"unknown method {method!r}; expected 'auto' or 'quadrature'")
+    if method == "auto" and isinstance(model, ToricModel):
+        return float(model.expected_order(L, spec.support, spec.shifts))
     if isinstance(model, SurfaceModel):
         # compiling resolves the realization: a mixed support raises for every t
         problem = model._compiled(L, spec.support)
@@ -126,10 +136,14 @@ def expected_order_S(
     return t0 + value / float(vol_L)
 
 
-def _require_toric(model) -> ToricModel:
+def _toric_basis(model, L, k: int) -> np.ndarray:
+    """The lattice points of k P_L, one row each, on a toric model."""
     if not isinstance(model, ToricModel):
         raise GeometryError("finite-level jumping numbers need a toric model")
-    return model
+    basis = model.lattice_points(L, k)
+    if not len(basis):
+        raise GeometryError("no sections at this level")
+    return basis
 
 
 def _jumping_values(model: ToricModel, L, spec: FiltrationSpec, k: int, basis) -> np.ndarray:
@@ -142,21 +156,12 @@ def _jumping_values(model: ToricModel, L, spec: FiltrationSpec, k: int, basis) -
     return values
 
 
-def _basis_array(model: ToricModel, L, k: int) -> np.ndarray:
-    basis = model.section_basis(L, k)
-    if not basis:
-        raise GeometryError("no sections at this level")
-    flat = itertools.chain.from_iterable(basis)
-    return np.fromiter(flat, np.int64, len(basis) * model.dimension).reshape(len(basis), -1)
-
-
 def filtration_volume_finite_k(
     model: GeometryModel, L: DivisorClass, spec: FiltrationSpec, k: int
 ) -> JumpingProfile:
     """Jumping numbers of the level-k sections; k^{-1} volume converges to S."""
-    toric = _require_toric(model)
-    basis = _basis_array(toric, L, k)
-    values = sorted(_jumping_values(toric, L, spec, k, basis).tolist(), reverse=True)
+    basis = _toric_basis(model, L, k)
+    values = sorted(_jumping_values(model, L, spec, k, basis).tolist(), reverse=True)
     return JumpingProfile(k, tuple(values), sum(values) / len(values))
 
 
@@ -168,10 +173,9 @@ def d_infinity(
     k: int,
 ) -> float:
     """Max gap of jumping values over the shared monomial basis at level k."""
-    toric = _require_toric(model)
-    basis = _basis_array(toric, L, k)
-    va = _jumping_values(toric, L, spec_a, k, basis)
-    vb = _jumping_values(toric, L, spec_b, k, basis)
+    basis = _toric_basis(model, L, k)
+    va = _jumping_values(model, L, spec_a, k, basis)
+    vb = _jumping_values(model, L, spec_b, k, basis)
     return float(np.abs(va - vb).max())
 
 

@@ -28,16 +28,6 @@ from .core import (
 )
 
 
-# rational approximations of irrational cut levels are capped at this denominator
-_CUT_DENOMINATOR = 10**12
-
-
-def _rationalize(c) -> Fraction:
-    if isinstance(c, float):
-        return Fraction(c).limit_denominator(_CUT_DENOMINATOR)
-    return as_fraction(c)
-
-
 class ToricModel(GeometryModel):
     """A smooth complete fan declared by its rays; divisors by ray coefficients."""
 
@@ -60,6 +50,7 @@ class ToricModel(GeometryModel):
         self.named_valuations: dict[str, Valuation] = {}
         self._vertex_cache: dict[tuple, tuple] = {}
         self._anchor_cache: dict[tuple, Fraction] = {}
+        self._moment_cache: dict[tuple, tuple] = {}
 
     def _check_complete(self):
         """Section polytopes are bounded iff the rays positively span the lattice."""
@@ -129,35 +120,51 @@ class ToricModel(GeometryModel):
             self._vertex_cache[key] = hit
         return list(hit)
 
-    def _euclidean_volume(self, verts) -> Fraction:
+    def _mass_moment(self, verts) -> tuple[Fraction, tuple[Fraction, ...]]:
+        """Euclidean volume and first moment (integral of m) of the convex hull
+        of `verts`, summed exactly over a triangulation: the fan from one
+        vertex of the ordered polygon in 2-d, Delaunay in higher dimension."""
         n = self.dimension
+        simplices = []
         if len(verts) <= n:
-            return Fraction(0)
-        if n == 1:
-            return max(v[0] for v in verts) - min(v[0] for v in verts)
-        if n == 2:
-            return _polygon_area(verts)
-        pts = np.array([[float(x) for x in v] for v in verts])
-        if np.linalg.matrix_rank(pts - pts[0], tol=1e-9) < n:
-            return Fraction(0)
-        from scipy.spatial import Delaunay
+            pass  # too few vertices for an n-simplex: no volume
+        elif n == 1:
+            simplices = [(min(verts), max(verts))]
+        elif n == 2:
+            ordered = _order_polygon(verts)
+            simplices = [(ordered[0], p, q) for p, q in zip(ordered[1:], ordered[2:])]
+        else:
+            pts = np.array([[float(x) for x in v] for v in verts])
+            if np.linalg.matrix_rank(pts - pts[0], tol=1e-9) == n:
+                from scipy.spatial import Delaunay
 
-        tri = Delaunay(pts)
-        total = Fraction(0)
-        fact = Fraction(math.factorial(n))
-        for simplex in tri.simplices:
-            p0 = verts[simplex[0]]
-            mat = [
-                [verts[i][r] - p0[r] for r in range(n)] for i in simplex[1:]
-            ]
-            total += abs(det_exact(mat)) / fact
-        return total
+                simplices = [[verts[i] for i in s] for s in Delaunay(pts).simplices]
+        mass, moment = Fraction(0), [Fraction(0)] * n
+        fact = math.factorial(n)
+        for simplex in simplices:
+            p0 = simplex[0]
+            mat = [[p[r] - p0[r] for r in range(n)] for p in simplex[1:]]
+            vol = abs(det_exact(mat)) / fact
+            mass += vol
+            # the centroid of a simplex is the mean of its vertices
+            for r in range(n):
+                moment[r] += vol * sum(p[r] for p in simplex) / (n + 1)
+        return mass, tuple(moment)
+
+    def _moments(self, L: DivisorClass) -> tuple[Fraction, tuple[Fraction, ...]]:
+        """(mass, first moment) of P_L, computed once per class."""
+        self._check_basis(L)
+        key = L.coefficients
+        hit = self._moment_cache.get(key)
+        if hit is None:
+            hit = self._mass_moment(self.polytope_vertices(L))
+            self._moment_cache[key] = hit
+        return hit
 
     # -- GeometryModel contract --------------------------------------------
 
     def volume(self, D: DivisorClass) -> Fraction:
-        verts = self.polytope_vertices(D)
-        return math.factorial(self.dimension) * self._euclidean_volume(verts)
+        return math.factorial(self.dimension) * self._moments(D)[0]
 
     def order_anchor(self, L: DivisorClass, w: Sequence[int]) -> Fraction:
         """min over P_L of <., w>; vanishing orders along w are measured from it."""
@@ -167,9 +174,7 @@ class ToricModel(GeometryModel):
             verts = self.polytope_vertices(L)
             if not verts:
                 raise GeometryError("empty section polytope has no order anchor")
-            hit = min(
-                sum(Fraction(a) * x for a, x in zip(w, v)) for v in verts
-            )
+            hit = min(_dot(w, v) for v in verts)
             self._anchor_cache[key] = hit
         return hit
 
@@ -179,9 +184,9 @@ class ToricModel(GeometryModel):
         for w, c in constraints:
             w = tuple(int(x) for x in w)
             anchor = self.order_anchor(L, w)
-            halfspaces.append(([Fraction(x) for x in w], anchor + _rationalize(c)))
-        verts = self._vertices(halfspaces)
-        return math.factorial(self.dimension) * self._euclidean_volume(verts)
+            halfspaces.append(([Fraction(x) for x in w], anchor + as_fraction(c)))
+        mass, _ = self._mass_moment(self._vertices(halfspaces))
+        return math.factorial(self.dimension) * mass
 
     def _valuation_vector(self, v: Valuation) -> tuple[int, ...]:
         w = v.order_model
@@ -198,9 +203,6 @@ class ToricModel(GeometryModel):
         return self.constrained_volume(L, cuts)
 
     def twist_evaluator(self, L, valuations) -> Callable[[Sequence[float]], float]:
-        if self.dimension == 2:
-            return self._twist_evaluator_2d(L, valuations)
-
         vecs = [
             None if v.is_trivial else self._valuation_vector(v) for v in valuations
         ]
@@ -213,49 +215,66 @@ class ToricModel(GeometryModel):
 
         return evaluate
 
-    def _twist_evaluator_2d(self, L, valuations):
-        # float polygon clipping; exact path stays available via twisted_volume
-        base = _order_polygon(self.polytope_vertices(L))
-        poly0 = [(float(x), float(y)) for x, y in base]
-        cut_data = []
-        for v in valuations:
+    def expected_order(self, L: DivisorClass, support, shifts) -> Fraction:
+        """Exact S of L along shifted monomial valuations: the mean over P_L of
+        min_i f_i, f_i = <., w_i> - min_{P_L}<., w_i> + t_i, where a trivial
+        valuation has w = 0.
+
+        Pieces with equal w keep the least constant.  The first piece
+        integrates over all of P_L; every other piece i adds the integral of
+        f_i - f_1 over its cell, the part of P_L where f_i is least.  Each
+        integral is exact from a (mass, first moment) pair.
+        """
+        mass, moment = self._moments(L)
+        if mass <= 0:
+            raise GeometryError("expected vanishing order requires a big class")
+        pieces: dict[tuple[int, ...], Fraction] = {}
+        for v, t in zip(support, shifts):
             if v.is_trivial:
-                cut_data.append(None)
-                continue
-            w = self._valuation_vector(v)
-            anchor = float(self.order_anchor(L, w))
-            cut_data.append((float(w[0]), float(w[1]), anchor))
-
-        def evaluate(cs: Sequence[float]) -> float:
-            poly = poly0
-            for data, c in zip(cut_data, cs):
-                if data is None or c <= 0:
-                    continue
-                wx, wy, anchor = data
-                poly = _clip(poly, wx, wy, anchor + c)
-                if len(poly) < 3:
-                    return 0.0
-            return 2.0 * _shoelace(poly)
-
-        return evaluate
+                w, c = (0,) * self.dimension, Fraction(t)
+            else:
+                w = self._valuation_vector(v)
+                c = Fraction(t) - self.order_anchor(L, w)
+            if w not in pieces or c < pieces[w]:
+                pieces[w] = c
+        (w1, c1), *rest = pieces.items()
+        total = _dot(w1, moment) + c1 * mass
+        for wi, ci in rest:
+            # the cell of piece i: f_j - f_i >= 0 for every other piece j
+            cuts = [
+                ([Fraction(a - b) for a, b in zip(wj, wi)], ci - cj)
+                for wj, cj in pieces.items()
+                if wj != wi
+            ]
+            cell_mass, cell_moment = self._mass_moment(
+                self._vertices(self._halfspaces(L) + cuts)
+            )
+            diff = [a - b for a, b in zip(wi, w1)]
+            total += _dot(diff, cell_moment) + (ci - c1) * cell_mass
+        return total / mass
 
     # -- section rings ------------------------------------------------------
 
     def section_basis(self, L: DivisorClass, k: int) -> list[tuple[int, ...]]:
         """Lattice points of k P_L, the monomial basis of the degree-k sections,
         in `itertools.product` order over the bounding box."""
+        return list(zip(*self.lattice_points(L, k).T.tolist()))
+
+    def lattice_points(self, L: DivisorClass, k: int) -> np.ndarray:
+        """The rows of `section_basis(L, k)` as one int64 array."""
         if k <= 0:
             raise GeometryError("level k must be a positive integer")
+        empty = np.empty((0, self.dimension), dtype=np.int64)
         scaled = [tuple(k * x for x in v) for v in self.polytope_vertices(L)]
         if not scaled:
-            return []
+            return empty
         coeffs = [k * a for a in L.coefficients]
         if any(c.denominator != 1 for c in coeffs):
             raise GeometryError(f"{k} L is not an integral class")
         lo = [math.ceil(min(v[i] for v in scaled)) for i in range(self.dimension)]
         hi = [math.floor(max(v[i] for v in scaled)) for i in range(self.dimension)]
         if any(b < a for a, b in zip(lo, hi)):
-            return []
+            return empty
         # every prefix m[:-1] of the box, in product order; <m, ray> >= -a
         # solved for m[-1] turns each ray into a bound c m[-1] >= need
         shape = [b - a + 1 for a, b in zip(lo[:-1], hi[:-1])]
@@ -273,8 +292,7 @@ class ToricModel(GeometryModel):
         # prefix i repeated counts[i] times, with m[-1] running first..last
         starts = np.repeat(first - np.cumsum(counts) + counts, counts)
         tail = starts + np.arange(counts.sum(), dtype=np.int64)
-        points = np.column_stack((np.repeat(prefix, counts, axis=0), tail))
-        return list(zip(*points.T.tolist()))
+        return np.column_stack((np.repeat(prefix, counts, axis=0), tail))
 
     def _order_numerators(self, L: DivisorClass, k: int, w, basis):
         """(n, q) with n / q the exact orders along w of the rows of `basis` at
@@ -313,18 +331,8 @@ class ToricModel(GeometryModel):
         """max - min of <., w> over the vertices of P_L: past it the cut
         <m, w> - min >= g leaves P_L with no interior."""
         w = self._valuation_vector(v)
-        top = max(sum(Fraction(a) * x for a, x in zip(w, m)) for m in self.polytope_vertices(L))
+        top = max(_dot(w, m) for m in self.polytope_vertices(L))
         return top - self.order_anchor(L, w)
-
-
-def _polygon_area(verts) -> Fraction:
-    ordered = _order_polygon(verts)
-    if len(ordered) < 3:
-        return Fraction(0)
-    area = Fraction(0)
-    for (x0, y0), (x1, y1) in zip(ordered, ordered[1:] + ordered[:1]):
-        area += x0 * y1 - x1 * y0
-    return abs(area) / 2
 
 
 def _order_polygon(verts):
@@ -353,31 +361,5 @@ def _order_polygon(verts):
     return sorted(verts, key=cmp_to_key(compare))
 
 
-def _clip(poly, wx, wy, rhs):
-    """Keep the part of the polygon with wx*x + wy*y >= rhs."""
-    out = []
-    n = len(poly)
-    for i in range(n):
-        px, py = poly[i]
-        qx, qy = poly[(i + 1) % n]
-        pin = wx * px + wy * py - rhs
-        qin = wx * qx + wy * qy - rhs
-        if pin >= 0:
-            out.append((px, py))
-            if qin < 0:
-                s = pin / (pin - qin)
-                out.append((px + s * (qx - px), py + s * (qy - py)))
-        elif qin >= 0:
-            s = pin / (pin - qin)
-            out.append((px + s * (qx - px), py + s * (qy - py)))
-    return out
-
-
-def _shoelace(poly) -> float:
-    area = 0.0
-    n = len(poly)
-    for i in range(n):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % n]
-        area += x0 * y1 - x1 * y0
-    return abs(area) / 2.0
+def _dot(w, m) -> Fraction:
+    return sum((a * x for a, x in zip(w, m)), Fraction(0))

@@ -128,6 +128,15 @@ class TestOverrides:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_override_rejected(self, tmp_path, value):
+        result, _ = run_to_report(
+            tmp_path,
+            [config_path("f1_volumes.json"), "--tolerance-override", f"quadrature={value}"],
+        )
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["error"]["path"] == "--tolerance-override quadrature"
+
 
 class TestSchemaErrors:
     def write(self, tmp_path, payload):
@@ -179,6 +188,40 @@ class TestSchemaErrors:
         result = run_cli(["run", cfg])
         assert result.exit_code == 2
         assert json.loads(result.stderr)["error"]["path"] == "tasks[0].valuation"
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "huge-int"],
+    )
+    @pytest.mark.parametrize(
+        "task, path",
+        [
+            ({"kind": "S", "support": ["line"], "shifts": ["@"]}, "tasks[0].shifts[0]"),
+            (
+                {"kind": "probe", "epsilon": "@",
+                 "measures": [{"atoms": [{"valuation": "line", "mass": 1}]}]},
+                "tasks[0].epsilon",
+            ),
+        ],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, literal, task, path):
+        # json.loads reads NaN and Infinity; a 400-digit integer overflows a float
+        payload = {"model": {"name": "p2"}, "line_bundle": [3], "tasks": [task]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload).replace('"@"', literal))
+        result = run_cli(["run", str(cfg)])
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["error"]["path"] == path
+
+    def test_non_finite_tolerance_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"model": {"name": "p2"}, "line_bundle": [3], "tolerances": {"quadrature": NaN}}'
+        )
+        result = run_cli(["run", str(cfg)])
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["error"]["path"] == "tolerances.quadrature"
 
     def test_wrong_rank_line_bundle(self, tmp_path):
         cfg = self.write(tmp_path, {"model": {"name": "blp2"}, "line_bundle": [3]})

@@ -27,6 +27,10 @@ E1 = p2t.named_valuations["e1"]
 E2 = p2t.named_valuations["e2"]
 L3H = p2t.divisor([0, 0, 3])
 
+P3 = ds.ToricModel("p3", [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]])
+P3_E1 = P3.monomial_valuation("e1", [1, 0, 0])
+P3_E12 = P3.monomial_valuation("e12", [1, 1, 0])
+
 
 class TestSpecValidation:
     def test_repeated_support_rejected(self):
@@ -36,6 +40,11 @@ class TestSpecValidation:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ds.GeometryError):
             FiltrationSpec((LINE,), (0.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_shift_rejected(self, bad):
+        with pytest.raises(ds.GeometryError):
+            FiltrationSpec((LINE, TRIVIAL_VALUATION), (0.0, bad))
 
 
 class TestExpectedOrder:
@@ -172,6 +181,47 @@ class TestExpectedOrder:
         s = expected_order_S(p2t, L3H, FiltrationSpec((E1,), (0.0,)))
         assert abs(s - 1.0) < 1e-8
 
+    @pytest.mark.parametrize("method", ["Auto", "exact", "chamber"])
+    def test_unknown_method_rejected(self, method):
+        with pytest.raises(ValueError, match="'auto'.*'quadrature'"):
+            expected_order_S(p2, p2.divisor([3]), FiltrationSpec((LINE,), (0.0,)), method=method)
+
+
+class TestToricCells:
+    def test_two_valuations_exact(self):
+        # mean of min(x, y) over the triangle x, y >= 0, x + y <= 3
+        s = expected_order_S(p2t, L3H, FiltrationSpec((E1, E2), (0.0, 0.0)))
+        assert type(s) is float and s == 0.5
+
+    def test_close_shifts_on_the_quadric(self):
+        # the kink of the volume near the end of the range is not a
+        # quadrature breakpoint; the cells need none
+        ppt = ds.bundled_model("p1xp1_toric")
+        spec = FiltrationSpec(
+            (ppt.named_valuations["diag"], ppt.named_valuations["e1"]),
+            (0.7253862189848015, 0.7293297450877823),
+        )
+        s = expected_order_S(ppt, ppt.divisor([0, 2, 3, -1]), spec)
+        assert abs(s - 1.729325857238251) < 1e-12
+
+    def test_three_dimensional_agrees_with_quadrature(self):
+        L = P3.divisor([1, 0, 2, 1])
+        for t in [(0.1, 0.6, 1.3), (0.5, 0.2, 0.9)]:
+            spec = FiltrationSpec((P3_E1, P3_E12, TRIVIAL_VALUATION), t)
+            cells = expected_order_S(P3, L, spec)
+            reference = expected_order_S(P3, L, spec, method="quadrature")
+            assert abs(cells - reference) < 1e-8
+
+    def test_two_trivial_atoms_in_either_order(self):
+        triv_a = ds.Valuation("triv_a", 0, is_trivial=True)
+        triv_b = ds.Valuation("triv_b", 0, is_trivial=True)
+        ab = expected_order_S(p2t, L3H, FiltrationSpec((E1, triv_a, triv_b), (0.0, 0.5, 5.0)))
+        ba = expected_order_S(p2t, L3H, FiltrationSpec((E1, triv_b, triv_a), (0.0, 5.0, 0.5)))
+        alone = expected_order_S(p2t, L3H, FiltrationSpec((E1, triv_a), (0.0, 0.5)))
+        # (1/9) int_0^{1/2} (3 - lam)^2 dlam, as on the surface p2
+        assert ab == ba == alone
+        assert abs(ab - 91.0 / 216.0) < 1e-15
+
 
 class TestFiniteK:
     def test_trivial_profile(self):
@@ -215,11 +265,6 @@ class TestFiniteK:
         half = p2t.divisor([0, 0, Fraction(1, 2)])
         with pytest.raises(ds.GeometryError):
             filtration_volume_finite_k(p2t, half, FiltrationSpec((E1,), (0.0,)), 1)
-
-
-P3 = ds.ToricModel("p3", [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]])
-P3_E1 = P3.monomial_valuation("e1", [1, 0, 0])
-P3_E12 = P3.monomial_valuation("e12", [1, 1, 0])
 
 
 def _reference_jumping_values(model, L, spec, k):
