@@ -1,16 +1,17 @@
 """Divisor-class arithmetic and the volume-oracle contract shared by all backends.
 
 Class coordinates and intersection-theoretic quantities are exact rationals
-(`fractions.Fraction`); only integrals, suprema over shift vectors, and
-bisection thresholds use floating point, each with an explicit tolerance.
+(`fractions.Fraction`); only integrals, suprema over shift vectors and
+irrational surface thresholds use floating point, each with an explicit
+tolerance or a stated rounding.
 """
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Sequence
 
 
 class GeometryError(Exception):
@@ -159,10 +160,11 @@ class GeometryModel(ABC):
     dimension: int
     class_rank: int
     canonical_class: DivisorClass
-    named_valuations: dict[str, Valuation]
+    named_valuations: Mapping[str, Valuation]  # read-only on bundled models
 
     def __init__(self):
-        # pseudoeffective thresholds, keyed by (L coefficients, valuation, exact)
+        self.named_valuations = {}
+        # pseudoeffective thresholds, keyed by (L coefficients, valuation)
         self._gamma_cache: dict[tuple, object] = {}
 
     @property
@@ -189,16 +191,22 @@ class GeometryModel(ABC):
         self, L: DivisorClass, valuations: Sequence[Valuation]
     ) -> Callable[[Sequence[float]], float]:
         """Float-valued closure c -> vol(L twisted by coefficients c), for the
-        quadrature reference (`expected_order_S` with method="quadrature") and
-        for threshold bisection; the exact path is `twisted_volume`."""
+        quadrature reference (`expected_order_S` with method="quadrature")
+        only; the exact path is `twisted_volume`."""
+
+    @abstractmethod
+    def closed_form_threshold(self, L: DivisorClass, v: Valuation):
+        """The exact pseudoeffective threshold of big L along v, which
+        `gamma_threshold` caches."""
 
     def is_big(self, D: DivisorClass) -> bool:
         return self.volume(D) > 0
 
-    def closed_form_threshold(self, L: DivisorClass, v: Valuation) -> Optional[Fraction]:
-        """The exact pseudoeffective threshold of big L along v, or None when
-        the backend has no closed form and `gamma_threshold` must bisect."""
-        return None
+    def add_valuation(self, v: Valuation) -> Valuation:
+        if isinstance(self.named_valuations, MappingProxyType):
+            raise GeometryError(f"model {self.name!r} is shared and read-only; add {v.name!r} to a new one")
+        self.named_valuations[v.name] = v
+        return v
 
     def _check_basis(self, D: DivisorClass) -> None:
         if D.basis_id != self.basis_id:
@@ -251,17 +259,6 @@ def det_exact(m) -> Fraction:
     return det
 
 
-def _fraction_sqrt(x: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None."""
-    if x < 0:
-        return None
-    n, d = x.numerator, x.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
 def gamma_threshold(
     model: GeometryModel,
     L: DivisorClass,
@@ -269,88 +266,22 @@ def gamma_threshold(
     tol: float = 1e-9,
     exact: bool = True,
 ):
-    """Pseudoeffective threshold sup{g > 0 : twist(L, v, g) is big}.
+    """Pseudoeffective threshold sup{g > 0 : twist(L, v, g) is big}, cached
+    on the model by (L, v).
 
-    A backend with a closed form answers exactly, whatever `exact` is: toric
-    models read max - min of <., w> off the vertices of P_L.  Otherwise
-    bisection on bigness down to `tol`, followed (when `exact` is set and the
-    volume is locally polynomial of degree <= 2 in g) by an exact root solve;
-    returns a Fraction in that case and a float otherwise.
+    Every backend answers exactly through `closed_form_threshold`: toric
+    models read max - min of <., w> off the vertices of P_L, surfaces walk
+    the Zariski chambers of L - g E_v.  The result is a Fraction, or a float
+    where a surface threshold is an irrational quadratic root.  `tol` and
+    `exact` have no effect; they stay for existing callers.
     """
     if v.is_trivial:
         raise GeometryError("pseudoeffective threshold undefined for the trivial valuation")
-    key = (L.coefficients, v, bool(exact))
+    key = (L.coefficients, v)
     hit = model._gamma_cache.get(key)
     if hit is not None:
         return hit
     if not model.is_big(L):
         raise GeometryError("pseudoeffective threshold requires a big class")
-    closed = model.closed_form_threshold(L, v)
-    if closed is not None:
-        model._gamma_cache[key] = closed
-        return closed
-
-    # float bracketing; the exact refinement below re-verifies with rationals
-    evaluator = model.twist_evaluator(L, [v])
-
-    def big(g) -> bool:
-        return evaluator([float(g)]) > 0
-
-    hi = Fraction(1)
-    while big(hi):
-        hi *= 2
-        if hi > 2**40:
-            raise ConvergenceError(f"threshold of {v.name!r} appears unbounded")
-    lo = Fraction(0)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if big(mid):
-            lo = mid
-        else:
-            hi = mid
-
-    result = float((lo + hi) / 2)
-    if exact:
-        refined = _exact_threshold(model, L, v, lo, hi)
-        if refined is not None:
-            result = refined
-    model._gamma_cache[key] = result
-    return result
-
-
-def _exact_threshold(model, L, v, lo: Fraction, hi: Fraction) -> Optional[Fraction]:
-    """Fit the volume's polynomial piece just below the bracket and solve it.
-
-    Only attempted for models of dimension <= 2, where the piece is at most
-    quadratic.  Returns None when the fit cannot be certified.
-    """
-    if model.dimension > 2:
-        return None
-    width = hi - lo
-    samples = [lo - k * width for k in (1, 2, 3)]
-    if samples[-1] < 0:
-        return None
-    vols = [model.twisted_volume(L, [(v, s)]) for s in samples]
-    x0, x1, x2 = samples
-    y0, y1, y2 = vols
-    # exact quadratic through three points (divided differences)
-    d01 = (y1 - y0) / (x1 - x0)
-    d12 = (y2 - y1) / (x2 - x1)
-    a = (d12 - d01) / (x2 - x0)
-    b = d01 - a * (x0 + x1)
-    c = y0 - a * x0 * x0 - b * x0
-    roots: list[Fraction] = []
-    if a == 0:
-        if b != 0:
-            roots = [-c / b]
-    else:
-        disc = b * b - 4 * a * c
-        r = _fraction_sqrt(disc)
-        if r is None:
-            return None
-        roots = [(-b + r) / (2 * a), (-b - r) / (2 * a)]
-    for root in roots:
-        if lo - width <= root <= hi + width:
-            if model.twisted_volume(L, [(v, root)]) == 0:
-                return root
-    return None
+    model._gamma_cache[key] = hit = model.closed_form_threshold(L, v)
+    return hit

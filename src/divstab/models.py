@@ -9,14 +9,13 @@ are exact on the whole pseudoeffective cone.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from types import MappingProxyType
 
 from .core import GeometryModel, Valuation
 from .surface import SurfaceModel, SurfaceRealization
 from .toric import ToricModel
 
 
-@lru_cache(maxsize=None)
 def _blp2() -> SurfaceModel:
     # basis (H, E): H pullback of a line, E the exceptional curve
     m = SurfaceModel(
@@ -32,7 +31,6 @@ def _blp2() -> SurfaceModel:
     return m
 
 
-@lru_cache(maxsize=None)
 def _p2() -> SurfaceModel:
     m = SurfaceModel(
         "p2",
@@ -45,7 +43,7 @@ def _p2() -> SurfaceModel:
     m.curve_valuation("conic", [2])
     # the exceptional divisor over a point, realised on the blowup;
     # log discrepancy 2 = 1 + multiplicity of the exceptional in K_blp2 - pull(K_p2)
-    bl = _blp2()
+    bl = bundled_model("blp2")
     realization = SurfaceRealization(
         bl,
         bl.divisor([0, 1]),
@@ -58,7 +56,6 @@ def _p2() -> SurfaceModel:
     return m
 
 
-@lru_cache(maxsize=None)
 def _p1xp1() -> SurfaceModel:
     # basis (F1, F2), the two ruling fibers
     m = SurfaceModel(
@@ -74,7 +71,6 @@ def _p1xp1() -> SurfaceModel:
     return m
 
 
-@lru_cache(maxsize=None)
 def _f1() -> SurfaceModel:
     # basis (S, F): S the -1 section, F the fiber
     m = SurfaceModel(
@@ -90,7 +86,6 @@ def _f1() -> SurfaceModel:
     return m
 
 
-@lru_cache(maxsize=None)
 def _p2_toric() -> ToricModel:
     m = ToricModel("p2_toric", rays=[[1, 0], [0, 1], [-1, -1]])
     m.monomial_valuation("e1", [1, 0])
@@ -100,7 +95,6 @@ def _p2_toric() -> ToricModel:
     return m
 
 
-@lru_cache(maxsize=None)
 def _p1xp1_toric() -> ToricModel:
     m = ToricModel("p1xp1_toric", rays=[[1, 0], [-1, 0], [0, 1], [0, -1]])
     m.monomial_valuation("e1", [1, 0])
@@ -109,7 +103,6 @@ def _p1xp1_toric() -> ToricModel:
     return m
 
 
-@lru_cache(maxsize=None)
 def _f1_toric() -> ToricModel:
     m = ToricModel("f1_toric", rays=[[1, 0], [0, 1], [-1, 1], [0, -1]])
     m.monomial_valuation("e1", [1, 0])
@@ -126,6 +119,7 @@ _BUILDERS = {
     "p1xp1_toric": _p1xp1_toric,
     "f1_toric": _f1_toric,
 }
+_SHARED: dict[str, GeometryModel] = {}
 
 
 def bundled_model_names() -> list[str]:
@@ -133,12 +127,19 @@ def bundled_model_names() -> list[str]:
 
 
 def bundled_model(name: str) -> GeometryModel:
-    try:
-        return _BUILDERS[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown bundled model {name!r}; available: {bundled_model_names()}"
-        ) from None
+    """The model `name`, built once per process and shared by every caller,
+    so its valuations are read-only."""
+    model = _SHARED.get(name)
+    if model is None:
+        try:
+            model = _BUILDERS[name]()
+        except KeyError:
+            raise KeyError(
+                f"unknown bundled model {name!r}; available: {bundled_model_names()}"
+            ) from None
+        model.named_valuations = MappingProxyType(model.named_valuations)
+        _SHARED[name] = model
+    return model
 
 
 SURFACE_MODEL_NAMES = ("p2", "blp2", "p1xp1", "f1")

@@ -7,6 +7,7 @@ models carry the full known lists.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -22,9 +23,7 @@ from .core import (
     NotPseudoeffectiveError,
     Valuation,
     as_fraction,
-    det_exact,
     gamma_threshold,
-    solve_exact,
 )
 
 
@@ -86,8 +85,10 @@ class SurfaceModel(GeometryModel):
         if canonical_class is None:
             canonical_class = [0] * self.class_rank
         self.canonical_class = self.divisor(canonical_class)
-        self.named_valuations: dict[str, Valuation] = {}
 
+        # exact M C for the negative curves, then the sample curves
+        self._duals = [self._image(C.coefficients) for C in self.negative_curves + self.sample_curves]
+        self._gram = [[_dot(C.coefficients, c) for c in self._duals] for C in self.negative_curves]
         self._np_matrix = np.array(
             [[float(x) for x in row] for row in self.matrix], dtype=float
         )
@@ -117,17 +118,11 @@ class SurfaceModel(GeometryModel):
     def pairing(self, A: DivisorClass, B: DivisorClass) -> Fraction:
         self._check_basis(A)
         self._check_basis(B)
-        total = Fraction(0)
-        for i, a in enumerate(A.coefficients):
-            if a == 0:
-                continue
-            row = self.matrix[i]
-            total += a * sum(row[j] * b for j, b in enumerate(B.coefficients) if b != 0)
-        return total
+        return _dot(A.coefficients, self._image(B.coefficients))
 
-    def add_valuation(self, v: Valuation) -> Valuation:
-        self.named_valuations[v.name] = v
-        return v
+    def _image(self, coeffs) -> tuple:
+        """M coeffs, exactly, for the intersection matrix M."""
+        return tuple(_dot(row, coeffs) for row in self.matrix)
 
     def curve_valuation(self, name: str, curve_coeffs: Sequence, log_discrepancy=1) -> Valuation:
         """Valuation ord_C along a prime divisor C realised on this surface."""
@@ -139,46 +134,55 @@ class SurfaceModel(GeometryModel):
         negative-definite N-support orthogonal to P), by iterated support growth.
         """
         self._check_basis(D)
-        support: list[int] = []
-        coeffs: list[Fraction] = []
-        curves = self.negative_curves
-        while True:
-            P = D
-            for idx, a in zip(support, coeffs):
-                P = P - a * curves[idx]
-            violating = [
-                i
-                for i, C in enumerate(curves)
-                if i not in support and self.pairing(P, C) < 0
-            ]
-            if not violating:
-                break
-            support.extend(violating)
-            gram = [
-                [self.pairing(curves[i], curves[j]) for j in support] for i in support
-            ]
-            rhs = [self.pairing(D, curves[i]) for i in support]
-            sol = solve_exact(gram, rhs)
-            if sol is None or not _negative_definite(gram):
+        support, P, _ = self._chamber(D.coefficients, (0,) * self.class_rank, 0)
+        negative = tuple((self.negative_curves[i], a) for i, a, _ in support)
+        return ZariskiDecomposition(DivisorClass(P, self.basis_id), negative)
+
+    def _chamber(self, b, d, x):
+        """Zariski decomposition of b + lam d just right of lam = x, on
+        coefficient tuples: (support, p0, p1) with P = p0 + lam p1 and support
+        the (curve index, a0, a1) whose N-coefficient a0 + lam a1 is positive
+        there.  Each c0 + lam c1 is signed at x+: by its value at x, then by
+        its slope.  Raises NotPseudoeffectiveError off the psef cone at x+.
+        """
+        curves, duals = [C.coefficients for C in self.negative_curves], self._duals
+        support, a0, a1, p0, p1 = [], [], [], b, d
+
+        def sign(c0, c1):
+            return c0 + x * c1 or c1
+
+        def pairs(dual):
+            return sign(_dot(p0, dual), _dot(p1, dual))
+
+        while violating := [
+            i for i in range(len(curves)) if i not in support and pairs(duals[i]) < 0
+        ]:
+            support += violating
+            gram = [[self._gram[i][j] for j in support] for i in support]
+            rhs = [[_dot(v, duals[i]) for i in support] for v in (b, d)]
+            sol = _solve_negative_definite(gram, rhs)
+            if sol is None:
                 raise NotPseudoeffectiveError(
                     f"no Zariski decomposition: Gram submatrix of curves "
-                    f"{[curves[i].coefficients for i in support]} is not negative definite"
+                    f"{[curves[i] for i in support]} is not negative definite"
                 )
-            coeffs = sol
-        for C in self.sample_curves:
-            if self.pairing(P, C) < 0:
+            a0, a1 = sol
+            # P = v - sum a_i C_i for (v, a) = (b, a0) and (d, a1)
+            columns = list(zip(*(curves[i] for i in support)))
+            p0, p1 = (
+                tuple(vk - _dot(a, col) for vk, col in zip(v, columns)) for v, a in zip((b, d), sol)
+            )
+        for C, dual in zip(self.sample_curves, duals[len(curves):]):
+            if pairs(dual) < 0:
                 raise NotPseudoeffectiveError(
                     f"candidate positive part pairs negatively with declared curve "
                     f"{C.coefficients}"
                 )
-        if any(a < 0 for a in coeffs):
+        if any(sign(u, w) < 0 for u, w in zip(a0, a1)):
             raise NotPseudoeffectiveError(
                 "a negative-part coefficient is forced negative; class is not pseudoeffective"
             )
-        negative = tuple(
-            (curves[i], a) for i, a in zip(support, coeffs) if a > 0
-        )
-        return ZariskiDecomposition(P, negative)
+        return [(i, u, w) for i, u, w in zip(support, a0, a1) if sign(u, w) > 0], p0, p1
 
     def volume(self, D: DivisorClass) -> Fraction:
         try:
@@ -195,9 +199,6 @@ class SurfaceModel(GeometryModel):
         return self.pairing(dec.positive_part, H)
 
     # -- realization plumbing ---------------------------------------------
-
-    def _self_realization(self, divisor: DivisorClass) -> SurfaceRealization:
-        return SurfaceRealization(self, divisor, base_id=self.basis_id)
 
     def resolve_realization(self, valuations: Sequence[Valuation]):
         """Common birational model carrying all the given surface valuations.
@@ -234,13 +235,7 @@ class SurfaceModel(GeometryModel):
             if target is not self:
                 raise GeometryError("missing pullback map to the realization model")
             return self, lambda coeffs: coeffs
-
-        def pull(coeffs):
-            return tuple(
-                sum(row[j] * c for j, c in enumerate(coeffs)) for row in mat
-            )
-
-        return target, pull
+        return target, lambda coeffs: tuple(_dot(row, coeffs) for row in mat)
 
     def twisted_volume(self, L: DivisorClass, constraints):
         self._check_basis(L)
@@ -256,14 +251,11 @@ class SurfaceModel(GeometryModel):
     def twist_evaluator(self, L, valuations):
         target, pull = self.resolve_realization(valuations)
         base = np.array([float(x) for x in pull(L.coefficients)])
-        divs = []
-        for v in valuations:
-            if v.is_trivial:
-                divs.append(np.zeros_like(base))
-            else:
-                divs.append(
-                    np.array([float(x) for x in v.order_model.divisor.coefficients])
-                )
+        divs = [
+            np.zeros_like(base) if v.is_trivial
+            else np.array([float(x) for x in v.order_model.divisor.coefficients])
+            for v in valuations
+        ]
 
         def evaluate(cs: Sequence[float]) -> float:
             vec = base.copy()
@@ -275,11 +267,6 @@ class SurfaceModel(GeometryModel):
         return evaluate
 
     # -- float fast path ---------------------------------------------------
-
-    def positive_part_float(self, vec: np.ndarray) -> Optional[np.ndarray]:
-        """Float Zariski positive part, or None when not pseudoeffective."""
-        dec = self._zariski_float(vec)
-        return None if dec is None else dec[0]
 
     def _zariski_float(self, vec: np.ndarray):
         """(P, support indices, coefficients) or None when not pseudoeffective."""
@@ -320,9 +307,10 @@ class SurfaceModel(GeometryModel):
         return P, support, coeffs
 
     def volume_float(self, vec: np.ndarray) -> float:
-        P = self.positive_part_float(vec)
-        if P is None:
+        dec = self._zariski_float(vec)
+        if dec is None:
             return 0.0
+        P = dec[0]
         v = float(P @ self._np_matrix @ P)
         return v if v > 0.0 else 0.0
 
@@ -405,6 +393,35 @@ class SurfaceModel(GeometryModel):
         problem = self._compiled(L, valuations)
         ts = [float(t) for v, t in zip(valuations, shifts) if not v.is_trivial]
         return problem.walk(ts, lam0, lam1, direction)
+
+    def closed_form_threshold(self, L: DivisorClass, v: Valuation):
+        """Exact pseudoeffective threshold of big L along v: walk the Zariski
+        chambers of pull(L) - lam E_v up from 0, P linear and vol = P^2 on
+        each, until the next chamber is not pseudoeffective or vol reaches 0
+        before the wall (the first root of an N-coefficient or a pairing)."""
+        self._check_basis(L)
+        if v.is_trivial:
+            raise GeometryError("pseudoeffective threshold undefined for the trivial valuation")
+        target, pull = self.resolve_realization([v])
+        b, d = pull(L.coefficients), tuple(-c for c in v.order_model.divisor.coefficients)
+        x = Fraction(0)
+        while True:
+            try:
+                support, p0, p1 = target._chamber(b, d, x)
+            except NotPseudoeffectiveError:
+                return x
+            inside = {i for i, _, _ in support}
+            lines = [(u, w) for _, u, w in support] + [
+                (_dot(p0, c), _dot(p1, c)) for i, c in enumerate(target._duals) if i not in inside
+            ]
+            wall = min((-c0 / c1 for c0, c1 in lines if c1 < 0), default=None)
+            Mp0, Mp1 = target._image(p0), target._image(p1)
+            root = _first_root(_dot(p0, Mp0), 2 * _dot(p0, Mp1), _dot(p1, Mp1), x, wall)
+            if root is not None:
+                return root
+            if wall is None:
+                raise GeometryError(f"threshold of {v.name!r} is unbounded: no declared curve bounds it")
+            x = wall
 
     def _compiled(self, L: DivisorClass, support: Sequence[Valuation]) -> "_SurfaceProblem":
         """The compiled problem of (L, support), reusing the last one when
@@ -509,14 +526,50 @@ def _linear_root(c0: float, c1: float, x: float, x1: float, eps: float):
     return None
 
 
-def _negative_definite(gram) -> bool:
-    """Sylvester criterion: (-1)^k det_k > 0 for leading principal minors."""
+def _dot(a, b) -> Fraction:
+    return sum((x * y for x, y in zip(a, b) if x and y), Fraction(0))
+
+
+def _solve_negative_definite(gram, columns):
+    """The solutions of gram X = c, one per column c, by elimination without
+    row exchanges; None unless gram is negative definite (every pivot < 0)."""
     n = len(gram)
-    for k in range(1, n + 1):
-        det = det_exact([row[:k] for row in gram[:k]])
-        if ((-1) ** k) * det <= 0:
-            return False
-    return True
+    rows = [list(row) + [c[i] for c in columns] for i, row in enumerate(gram)]
+    for k in range(n):
+        if rows[k][k] >= 0:
+            return None
+        for r in range(n):
+            if r != k and rows[r][k]:
+                f = rows[r][k] / rows[k][k]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[k])]
+    return [[rows[i][n + j] / rows[i][i] for i in range(n)] for j in range(len(columns))]
+
+
+def _first_root(q0, q1, q2, x, wall):
+    """Least root in (x, wall] of q0 + q1 lam + q2 lam^2, given q(x) > 0 (wall
+    None: no wall); a Fraction when the discriminant is a rational square."""
+    disc = q1 * q1 - 4 * q2 * q0
+    # q must fall from x to a real root: not rising, not past a convex vertex;
+    # that root is at most the wall if q(wall) <= 0 or the vertex is
+    if disc < 0 or (q2 == 0 and q1 >= 0) or (q2 > 0 and -q1 <= 2 * q2 * x):
+        return None
+    if wall is not None and q0 + wall * (q1 + wall * q2) > 0:
+        if not (q2 > 0 and -q1 <= 2 * q2 * wall):
+            return None
+    if q2 == 0:
+        return -q0 / q1
+    s = _fraction_sqrt(disc)
+    if s is not None:
+        return (-q1 - s) / (2 * q2)
+    s = math.sqrt(disc)
+    # the same root, in the form without cancellation between q1 and s
+    return (-q1 - s) / (2 * q2) if q1 > 0 else 2 * q0 / (-q1 + s)
+
+
+def _fraction_sqrt(x: Fraction) -> Optional[Fraction]:
+    """Exact square root of a nonnegative rational, or None."""
+    rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    return Fraction(rn, rd) if Fraction(rn * rn, rd * rd) == x else None
 
 
 def zariski(model: SurfaceModel, D: DivisorClass) -> ZariskiDecomposition:

@@ -47,7 +47,6 @@ class ToricModel(GeometryModel):
         self._check_complete()
         # -K has coefficient 1 on every ray
         self.canonical_class = self.divisor([-1] * self.class_rank)
-        self.named_valuations: dict[str, Valuation] = {}
         self._vertex_cache: dict[tuple, tuple] = {}
         self._anchor_cache: dict[tuple, Fraction] = {}
         self._moment_cache: dict[tuple, tuple] = {}
@@ -70,15 +69,23 @@ class ToricModel(GeometryModel):
 
     def monomial_valuation(self, name: str, w: Sequence[int]) -> Valuation:
         w = tuple(int(x) for x in w)
-        v = Valuation(name, self.log_discrepancy(w), order_model=w)
-        self.named_valuations[name] = v
-        return v
+        return self.add_valuation(Valuation(name, self.log_discrepancy(w), order_model=w))
+
+    def _maximal_cones(self) -> list[tuple[tuple[int, ...], ...]]:
+        """The maximal cones as ray tuples: angularly adjacent pairs in 2-d,
+        every n-subset of n + 1 rays; no other fan is fixed by its rays."""
+        if self.dimension == 2:
+            ordered = _order_polygon(self.rays, center=(0, 0))
+            return list(zip(ordered, ordered[1:] + ordered[:1]))
+        if len(self.rays) != self.dimension + 1:
+            raise GeometryError(f"the cones of {self.name!r} are not determined by its rays")
+        return list(itertools.combinations(self.rays, self.dimension))
 
     def log_discrepancy(self, w: Sequence[int]) -> Fraction:
-        """Sum of the coordinates of w in the smooth cone that contains it."""
+        """Sum of the coordinates of w in the smooth cone of the fan holding it."""
         w = tuple(int(x) for x in w)
-        for subset in itertools.combinations(range(len(self.rays)), self.dimension):
-            mat = [[Fraction(self.rays[i][r]) for i in subset] for r in range(self.dimension)]
+        for cone in self._maximal_cones():
+            mat = [[Fraction(ray[r]) for ray in cone] for r in range(self.dimension)]
             if abs(det_exact(mat)) != 1:
                 continue
             sol = solve_exact(mat, [Fraction(x) for x in w])
@@ -335,13 +342,15 @@ class ToricModel(GeometryModel):
         return top - self.order_anchor(L, w)
 
 
-def _order_polygon(verts):
-    """Counterclockwise ordering of 2-d points by exact angular comparison."""
+def _order_polygon(verts, center=None):
+    """Counterclockwise ordering of 2-d points by exact angular comparison
+    about `center`, by default their centroid."""
     verts = list(verts)
     if len(verts) < 3:
         return verts
-    cx = sum(v[0] for v in verts) / len(verts)
-    cy = sum(v[1] for v in verts) / len(verts)
+    if center is None:
+        center = [sum(v[i] for v in verts) / len(verts) for i in (0, 1)]
+    cx, cy = center
 
     def half(p):
         dx, dy = p[0] - cx, p[1] - cy

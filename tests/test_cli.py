@@ -268,6 +268,26 @@ class TestRuntimeErrors:
         assert result.exit_code == 3
         assert report["tasks"][0]["error"]["type"] == "GeometryError"
 
+    def test_unbounded_threshold_exits_3(self, tmp_path):
+        # no declared curve bounds 3H + g H, so the chamber walk names the valuation
+        cfg = self.write(
+            tmp_path,
+            {
+                "model": {
+                    "type": "surface",
+                    "name": "open",
+                    "intersection_matrix": [[1]],
+                    "valuations": [{"name": "minus_h", "curve": [-1]}],
+                },
+                "line_bundle": [3],
+                "tasks": [{"kind": "gamma", "valuation": "minus_h"}],
+            },
+        )
+        result, report = run_to_report(tmp_path, [cfg])
+        assert result.exit_code == 3
+        assert report["tasks"][0]["error"]["type"] == "GeometryError"
+        assert "'minus_h'" in report["tasks"][0]["error"]["message"]
+
     def test_zariski_on_toric_model_exits_3(self, tmp_path):
         cfg = self.write(
             tmp_path,

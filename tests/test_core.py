@@ -1,3 +1,5 @@
+import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -136,6 +138,63 @@ class TestGammaThreshold:
         assert abs(float(g) - 3) < 1e-8
 
 
+class TestExactSurfaceThreshold:
+    @pytest.mark.parametrize("name", ds.SURFACE_MODEL_NAMES)
+    def test_random_big_classes_are_exact(self, name):
+        model = ds.bundled_model(name)
+        rng = random.Random(17)
+        checked = 0
+        while checked < 12:
+            L = model.divisor(
+                [Fraction(rng.randint(-12, 30), rng.randint(1, 4)) for _ in range(model.class_rank)]
+            )
+            if not model.is_big(L):
+                continue
+            checked += 1
+            for v in model.named_valuations.values():
+                g = ds.gamma_threshold(model, L, v)
+                assert isinstance(g, Fraction)
+                assert model.twisted_volume(L, [(v, g)]) == 0
+                assert model.twisted_volume(L, [(v, g * Fraction(999, 1000))]) > 0
+
+    def test_no_volume_evaluation(self, monkeypatch):
+        # a fresh model, so no threshold comes from a cache
+        m = ds.SurfaceModel(
+            "f1x", [[-1, 1], [1, 0]], negative_curves=[[1, 0]], sample_curves=[[0, 1]]
+        )
+        vals = [m.curve_valuation(n, c) for n, c in (("s", [1, 0]), ("f", [0, 1]), ("sf", [1, 1]))]
+
+        def no_volume(*args, **kwargs):
+            raise AssertionError("surface threshold evaluated a volume")
+
+        for attr in ("twist_evaluator", "volume_float", "twisted_volume"):
+            monkeypatch.setattr(ds.SurfaceModel, attr, no_volume)
+        L = m.divisor([3, 2])
+        assert [ds.gamma_threshold(m, L, v) for v in vals] == [3, 2, 2]
+
+    def test_irrational_root_is_a_close_float(self):
+        # vol(L - g C) = (3 - g)^2 - 2 vanishes first at 3 - sqrt 2
+        m = ds.SurfaceModel("irr", [[1, 0], [0, -2]])
+        g = ds.gamma_threshold(m, m.divisor([3, 1]), m.curve_valuation("c", [1, 0]))
+        assert isinstance(g, float)
+        exact = 3 - Decimal(2).sqrt()
+        assert abs(Decimal(g) - exact) < Decimal("1e-15")
+
+    def test_without_curve_data_the_quadratic_still_ends(self):
+        m = ds.SurfaceModel("open", [[1]])
+        assert ds.gamma_threshold(m, m.divisor([3]), m.curve_valuation("h", [1])) == 3
+
+    def test_closed_form_rejects_the_trivial_valuation(self):
+        for model, L in ((p2, p2.divisor([3])), (p2t, p2t.divisor([0, 0, 3]))):
+            with pytest.raises(ds.GeometryError):
+                model.closed_form_threshold(L, TRIVIAL_VALUATION)
+
+    def test_unbounded_threshold_names_the_valuation(self):
+        m = ds.SurfaceModel("open", [[1]])
+        with pytest.raises(ds.GeometryError, match="'minus_h'"):
+            ds.gamma_threshold(m, m.divisor([3]), m.curve_valuation("minus_h", [-1]))
+
+
 class TestToricClosedFormThreshold:
     def test_p2_toric_is_exact(self):
         g = ds.gamma_threshold(p2t, p2t.divisor([0, 3, 0]), p2t.named_valuations["e1"])
@@ -190,3 +249,20 @@ class TestGammaCache:
         v1 = m1.curve_valuation("c", [1])
         ds.gamma_threshold(m1, m1.divisor([3]), v1)
         assert m1._gamma_cache and not m2._gamma_cache
+
+
+class TestBundledModelsReadOnly:
+    def test_add_valuation_rejected(self):
+        with pytest.raises(ds.GeometryError, match="'p2'"):
+            p2.curve_valuation("line", [2])
+        with pytest.raises(ds.GeometryError, match="'p2_toric'"):
+            p2t.monomial_valuation("e1", [1, 1])
+        with pytest.raises(TypeError):
+            p2.named_valuations["extra"] = TRIVIAL_VALUATION
+        assert p2.named_valuations["line"].order_model.divisor == p2.divisor([1])
+        assert p2t.named_valuations["e1"].order_model == (1, 0)
+
+    def test_fresh_models_accept_valuations(self):
+        m = ds.SurfaceModel("p2x", [[1]], sample_curves=[[1]])
+        v = m.curve_valuation("c", [1])
+        assert m.named_valuations["c"] is v

@@ -123,6 +123,28 @@ class TestMonomialValuations:
         assert p2t.log_discrepancy((1, 1)) == 2
         assert p2t.log_discrepancy((2, 1)) == 3
 
+    def test_only_cones_of_the_fan_count(self):
+        # (-1, 2) lies in the cone of (0, 1) and (-1, 1); the unimodular pair
+        # (1, 0), (-1, 1) spans no cone of F1 and would give 3
+        assert f1t.log_discrepancy((-1, 2)) == 2
+        star = ToricModel("star", [[1, 0], [0, 1], [-1, -1], [1, 1]])
+        assert star.log_discrepancy((1, 1)) == 1
+        assert star.log_discrepancy((2, 1)) == 2
+        assert star.log_discrepancy((1, 2)) == 2
+        assert star.log_discrepancy((-1, 0)) == 2
+
+    def test_simplex_fans_use_every_subset(self):
+        p3 = ToricModel("p3", [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]])
+        assert p3.log_discrepancy((1, 1, 0)) == 2
+        assert p3.log_discrepancy((-1, 0, 0)) == 3
+
+    def test_fan_not_fixed_by_its_rays_rejected(self):
+        cube = ToricModel(
+            "p1_cubed", [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+        )
+        with pytest.raises(ds.GeometryError, match="not determined by its rays"):
+            cube.monomial_valuation("e1", [1, 0, 0])
+
     def test_orders_anchored_at_zero(self):
         for v in p2t.named_valuations.values():
             orders = [p2t.monomial_order(L3H, 1, v, m) for m in p2t.section_basis(L3H, 1)]
