@@ -28,6 +28,7 @@ from .filtrations import (
     JumpingProfile,
     d_infinity,
     expected_order_S,
+    expected_order_S_grad,
     filtration_volume_finite_k,
     restriction_inequality_check,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "delta_anticanonical",
     "divisorial_stability_probe",
     "expected_order_S",
+    "expected_order_S_grad",
     "filtration_volume_finite_k",
     "gamma_threshold",
     "is_big",

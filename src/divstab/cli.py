@@ -1,9 +1,9 @@
 """Batch front-end: JSON job configs in, JSON reports out.
 
 Configs declare a geometry model (bundled by name or inline), a line bundle,
-tolerances, a seed, and an ordered task list.  Reports echo inputs, embed the
-toolkit version and the config hash, and are deterministic for a fixed
-(config, seed) up to the per-task wall time field.
+tolerances, a seed (echoed; it has no effect), and an ordered task list.
+Reports echo inputs, embed the toolkit version and the config hash, and are
+deterministic for a fixed config up to the per-task wall time field.
 """
 from __future__ import annotations
 
@@ -139,31 +139,28 @@ def _parse_model(payload, path: str) -> GeometryModel:
                     for i, c in enumerate(payload.get("sample_curves", []))
                 ],
             )
-            for i, v in enumerate(payload.get("valuations", [])):
-                vp = f"{path}.valuations[{i}]"
-                _expect(isinstance(v, dict), vp, "expected an object")
-                vname = v.get("name")
-                _expect(isinstance(vname, str) and vname, f"{vp}.name", "expected a nonempty string")
-                model.curve_valuation(
-                    vname,
-                    _parse_rational_vector(v.get("curve"), f"{vp}.curve", rank),
-                    _parse_rational(v.get("log_discrepancy", 1), f"{vp}.log_discrepancy"),
+        else:
+            rays = payload.get("rays")
+            _expect(isinstance(rays, list) and rays, f"{path}.rays", "expected a nonempty array")
+            for i, ray in enumerate(rays):
+                _expect(
+                    isinstance(ray, list) and all(isinstance(x, int) for x in ray),
+                    f"{path}.rays[{i}]",
+                    "expected an integer vector",
                 )
-            return model
-        rays = payload.get("rays")
-        _expect(isinstance(rays, list) and rays, f"{path}.rays", "expected a nonempty array")
-        for i, ray in enumerate(rays):
-            _expect(
-                isinstance(ray, list) and all(isinstance(x, int) for x in ray),
-                f"{path}.rays[{i}]",
-                "expected an integer vector",
-            )
-        model = ToricModel(name, rays)
+            model = ToricModel(name, rays)
         for i, v in enumerate(payload.get("valuations", [])):
             vp = f"{path}.valuations[{i}]"
             _expect(isinstance(v, dict), vp, "expected an object")
             vname = v.get("name")
             _expect(isinstance(vname, str) and vname, f"{vp}.name", "expected a nonempty string")
+            if kind == "surface":
+                model.curve_valuation(
+                    vname,
+                    _parse_rational_vector(v.get("curve"), f"{vp}.curve", rank),
+                    _parse_rational(v.get("log_discrepancy", 1), f"{vp}.log_discrepancy"),
+                )
+                continue
             vec = v.get("vector")
             _expect(
                 isinstance(vec, list) and all(isinstance(x, int) for x in vec),
@@ -303,16 +300,11 @@ def _parse_task(model, line_bundle, task, path: str):
 # -- task execution ---------------------------------------------------------
 
 
-def _optimizer_options(tolerances) -> stability.OptimizerOptions:
-    t_tol = max(1e-7, 0.01 * tolerances["optimizer"] ** 0.5)
-    return stability.OptimizerOptions(t_tol=t_tol)
-
-
 def run_task(model, line_bundle, task, tolerances, seed):
     kind = task["kind"]
     quad = tolerances["quadrature"]
     grad = tolerances["gradient"]
-    opts = _optimizer_options(tolerances)
+    opts = stability.OptimizerOptions(tol=tolerances["optimizer"])
     if kind == "volume":
         return {"volume": model.volume(task["divisor"])}
     if kind == "zariski":
@@ -331,12 +323,8 @@ def run_task(model, line_bundle, task, tolerances, seed):
         return {
             "S": filtrations.expected_order_S(model, line_bundle, task["spec"], tol=quad)
         }
-    if kind == "norm":
-        return {"norm": stability.norm(
-            model, line_bundle, task["measure"], quad_tol=quad, seed=seed, options=opts
-        )}
-    if kind == "beta":
-        return {"beta": stability.beta(
+    if kind in ("norm", "beta"):
+        return {kind: getattr(stability, kind)(
             model, line_bundle, task["measure"], quad_tol=quad, seed=seed, options=opts
         )}
     if kind == "delta":
@@ -425,12 +413,19 @@ def main(ctx, list_examples):
         ctx.exit(0)
 
 
-def _fail(code: int, error: dict, out: Optional[str]):
-    body = json.dumps({"error": error}, indent=2, sort_keys=True)
+def _emit(payload, out: Optional[str], err: bool = False):
+    """Write the JSON payload to `out`, and echo it unless it went to a file
+    of a successful run."""
+    body = json.dumps(_jsonify(payload), indent=2, sort_keys=True)
     if out:
         with open(out, "w") as fh:
             fh.write(body + "\n")
-    click.echo(body, err=True)
+    if err or not out:
+        click.echo(body, err=err)
+
+
+def _fail(code: int, error: dict, out: Optional[str]):
+    _emit({"error": error}, out, err=True)
     sys.exit(code)
 
 
@@ -441,7 +436,7 @@ def _fail(code: int, error: dict, out: Optional[str]):
     "--tolerance-override", "tolerance_overrides", multiple=True,
     help="Override a tolerance, e.g. quadrature=1e-10; repeatable.",
 )
-@click.option("--seed", type=int, default=None, help="Override the config's optimizer seed.")
+@click.option("--seed", type=int, default=None, help="Override the config's seed (echoed; no effect).")
 def run(config_path, out, tolerance_overrides, seed):
     """Execute the task list of a JSON job config and emit a JSON report."""
     raw = open(config_path, "rb").read()
@@ -484,12 +479,7 @@ def run(config_path, out, tolerance_overrides, seed):
                 "inputs": _task_inputs(task),
                 "error": {"type": type(exc).__name__, "message": str(exc)},
             })
-            body = json.dumps(_jsonify(report), indent=2, sort_keys=True)
-            if out:
-                with open(out, "w") as fh:
-                    fh.write(body + "\n")
-            else:
-                click.echo(body)
+            _emit(report, out)
             click.echo(f"task {i} failed: {exc}", err=True)
             sys.exit(code)
         report["tasks"].append({
@@ -498,12 +488,7 @@ def run(config_path, out, tolerance_overrides, seed):
             "outputs": outputs,
             "wall_time_s": time.perf_counter() - start,
         })
-    body = json.dumps(_jsonify(report), indent=2, sort_keys=True)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(body + "\n")
-    else:
-        click.echo(body)
+    _emit(report, out)
     sys.exit(0)
 
 

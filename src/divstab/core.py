@@ -31,15 +31,11 @@ class ConvergenceError(Exception):
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact rational."""
+    """Coerce ints, Fractions, 'p/q' strings and floats (binary rationals, so
+    the conversion is exact) to an exact rational."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        # floats are binary rationals; the conversion is exact
+    if isinstance(x, (int, str, float)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
@@ -90,9 +86,6 @@ class DivisorClass:
 
     def __rmul__(self, c) -> "DivisorClass":
         return self.scale(c)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coefficients)
 
 
 @dataclass(frozen=True)

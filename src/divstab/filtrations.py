@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -109,18 +108,17 @@ def expected_order_S(
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}; expected 'auto' or 'quadrature'")
     if method == "auto" and isinstance(model, ToricModel):
-        return float(model.expected_order(L, spec.support, spec.shifts))
+        return float(model.expected_order(L, spec.support, spec.shifts)[0])
     if isinstance(model, SurfaceModel):
         # compiling resolves the realization: a mixed support raises for every t
         problem = model._compiled(L, spec.support)
+        if method == "auto":
+            return problem.expected_order(spec.shifts, gradient=False)[0]
         vol_L = problem.volume
     else:
         vol_L = model.volume(L)
     if vol_L <= 0:
         raise GeometryError("expected vanishing order requires a big class")
-    if method == "auto" and isinstance(model, SurfaceModel):
-        t0, lam_max, iv, _ = problem.integrals(spec.shifts)
-        return t0 + iv / float(vol_L) if lam_max > t0 else t0
 
     t0, lam_max, nontrivial, breaks = integration_range(model, L, spec)
     if not nontrivial or lam_max <= t0:
@@ -134,6 +132,22 @@ def expected_order_S(
 
     value = integrate(integrand, t0, lam_max, breaks, tol=tol)
     return t0 + value / float(vol_L)
+
+
+def expected_order_S_grad(
+    model: GeometryModel, L: DivisorClass, spec: FiltrationSpec
+) -> tuple[float, tuple[float, ...]]:
+    """(S, grad_t S) of L along the filtration from one exact evaluation: S
+    bit for bit `expected_order_S(model, L, spec)`, the gradient an exact
+    supergradient of the concave S rounded to floats, summing to 1 (see
+    `_SurfaceProblem.expected_order`, `ToricModel.expected_order`)."""
+    if isinstance(model, ToricModel):
+        value, grad = model.expected_order(L, spec.support, spec.shifts)
+        return float(value), tuple(float(x) for x in grad)
+    if not isinstance(model, SurfaceModel):
+        raise GeometryError("exact gradients of S need a surface or toric model")
+    value, grad = model._compiled(L, spec.support).expected_order(spec.shifts)
+    return value, tuple(grad)
 
 
 def _toric_basis(model, L, k: int) -> np.ndarray:

@@ -1,19 +1,23 @@
 """Stability layer: norms of divisorial measures, one-sided Danskin derivatives,
 beta and delta invariants, and the variational Monge-Ampere solver.
 
-Everything here maximizes the concave functional g(t) = S_L(t) - <xi, t> over
-the normalized box [0, max gamma + 1]^|support|; concavity makes any local
-optimum global, and translation invariance of g lets maximizers be reported
-with min t_i = 0.
+A norm is the Legendre transform sup_t g(t), g(t) = S_L(t) - <xi, t>.  g is
+concave and invariant under t -> t + c 1, so the engine works in the reduced
+shifts u = t[1:] - t[0] on the box [-hi, hi]^(d-1), hi = max gamma + 1:
+bounded L-BFGS-B on the exact value and supergradient of S
+(`expected_order_S_grad`), a stencil around its best point, then Kelley
+cutting-plane steps, until the certified bound is within the tolerance of
+the best value.  Maximizers are reported with min t_i = 0.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
+from scipy.optimize import linprog, minimize
 
 from .core import (
     ConvergenceError,
@@ -24,7 +28,7 @@ from .core import (
     Valuation,
     gamma_threshold,
 )
-from .filtrations import FiltrationSpec, expected_order_S
+from .filtrations import FiltrationSpec, expected_order_S, expected_order_S_grad
 from .surface import SurfaceModel
 
 PROBE_SEMANTICS = (
@@ -35,26 +39,25 @@ PROBE_SEMANTICS = (
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Budget of the multi-start ascent + coordinate golden-section engine."""
+    """Tolerance of the norm engine: a norm is converged when its certified
+    gap, the cutting-plane upper bound minus the value, is at most `tol`."""
 
-    n_starts: int = 3
-    max_iters: int = 30
-    golden_cycles: int = 3
-    t_tol: float = 1e-6
-    eps_argmax: float = 1e-5
-    cluster_radius: float = 1e-4
-    grad_step: float = 1e-5
+    tol: float = 1e-9
 
 
-# cheaper budget for large randomized property sweeps; fine to ~1e-8 in value
-FAST_OPTIONS = OptimizerOptions(n_starts=2, max_iters=12, golden_cycles=2, t_tol=1e-5)
+# looser tolerance for large randomized property sweeps
+FAST_OPTIONS = OptimizerOptions(tol=1e-8)
 
 
 @dataclass(frozen=True)
 class NormResult:
+    """The norm `value`, g at the one reported maximizer (min t_i = 0), and
+    `gap`, a certified bound on the true norm minus `value`."""
+
     value: float
     maximizers: tuple[tuple[float, ...], ...]
     box_bound: float
+    gap: float
     converged: bool
 
 
@@ -95,132 +98,102 @@ class ProbeReport:
 
 # -- concave maximization engine -------------------------------------------
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# budgets: L-BFGS-B crawls at a kink of g; Kelley steps follow; the stencil
+# points lie this far from the best point of L-BFGS-B
+_LBFGS_EVALS, _KELLEY_STEPS, _STENCIL = 50, 30, 1e-6
 
 
-def _golden(fun, lo, hi, tol):
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fun(d)
-    x = 0.5 * (a + b)
-    return x, fun(x)
+class _Certified(Exception):
+    """The planes certify the tolerance: no further evaluation is needed."""
 
 
-def _normalize(t: list[float], hi: float) -> list[float]:
-    m = min(t)
-    return [min(max(x - m, 0.0), hi) for x in t]
+class _Planes:
+    """The evaluations (u, g(u), supergradient s) of a concave g on the box
+    [-hi, hi]^dim, each a cutting plane g(u_k) + s_k . (u - u_k) >= g(u),
+    the best point, and the least bound on sup g certified so far; raises
+    _Certified once that bound is within `tol` of the best value.  Convex
+    weights on the planes bound g by the maximum of their combination over
+    the box, in closed form (`weigh`), whatever the rounding of the weights
+    or the LP's tolerances.
+    """
+
+    def __init__(self, g, hi, tol):
+        self.g, self.hi, self.tol = g, hi, tol
+        self.us, self.values, self.slopes, self.offsets = [], [], [], []
+        self.best, self.bound = 0, math.inf
+
+    def __call__(self, u):
+        value, grad = self.g(u)
+        self.us.append(np.array(u, dtype=float))
+        self.values.append(value)
+        self.slopes.append(grad)
+        self.offsets.append(value - grad @ u)
+        if value > self.values[self.best]:
+            self.best = len(self.values) - 1
+        self.weigh([len(self.values) - 1], np.ones(1))
+        return value, grad
+
+    def weigh(self, rows, lam):
+        lam = lam / lam.sum()
+        slope = lam @ np.array(self.slopes)[rows]
+        top = lam @ np.array(self.offsets)[rows] + self.hi * np.abs(slope).sum()
+        self.bound = min(self.bound, float(top))
+        if self.bound - self.values[self.best] <= self.tol:
+            raise _Certified
+
+    def balance(self, rows, free):
+        """Weigh the planes so that their slopes cancel off the box boundary."""
+        A = np.vstack([np.array(self.slopes)[rows][:, free].T, np.ones(len(rows))])
+        lam = np.linalg.lstsq(A, np.r_[np.zeros(free.sum()), 1.0], rcond=None)[0]
+        if lam.min() >= 0.0:
+            self.weigh(rows, lam)
+
+    def refine(self):
+        """Weigh by the LP's dual; return its maximizer, the next Kelley point."""
+        n, dim = len(self.us), len(self.us[0])
+        res = linprog(
+            np.r_[np.zeros(dim), -1.0],
+            A_ub=np.hstack([-np.array(self.slopes), np.ones((n, 1))]),
+            b_ub=self.offsets,
+            bounds=[(-self.hi, self.hi)] * dim + [(None, None)],
+            method="highs",
+        )
+        if res.status != 0:
+            raise ConvergenceError(f"cutting-plane LP failed: {res.message}")
+        self.weigh(list(range(n)), np.abs(res.ineqlin.marginals))
+        return res.x[:dim]
 
 
-def _ascend(g, t, hi, opts: OptimizerOptions):
-    """Projected supergradient ascent with backtracking steps."""
-    dim = len(t)
-    val = g(t)
-    step = hi / 4.0
-    h = opts.grad_step
-    for _ in range(opts.max_iters):
-        grad = []
-        for i in range(dim):
-            tp, tm = list(t), list(t)
-            tp[i] += h
-            tm[i] -= h
-            grad.append((g(tp) - g(tm)) / (2.0 * h))
-        gn = max(abs(x) for x in grad)
-        if gn < 1e-12:
-            break
-        moved = False
-        while step > opts.t_tol / 4.0:
-            cand = [
-                min(max(t[i] + step * grad[i] / gn, 0.0), hi) for i in range(dim)
-            ]
-            cv = g(cand)
-            if cv > val + 1e-14:
-                t, val = cand, cv
-                step *= 1.3
-                moved = True
-                break
-            step /= 2.0
-        if not moved:
-            break
-    return t, val
+def _certified_max(g, dim, hi, tol):
+    """(u, bound): the best evaluated point of the concave g on [-hi, hi]^dim
+    and a certified upper bound on sup g; `g(u)` returns the value and a
+    supergradient.  L-BFGS-B runs until the planes certify `tol`; then a
+    stencil of planes around its best point; then Kelley steps."""
+    planes = _Planes(g, hi, tol)
 
+    def negated(u):
+        value, grad = planes(u)
+        return -value, -grad
 
-def _refine(g, t, val, hi, opts: OptimizerOptions):
-    dim = len(t)
-    for _ in range(opts.golden_cycles):
-        before = val
-        for i in range(dim):
-
-            def fun(x, i=i):
-                cand = list(t)
-                cand[i] = x
-                return g(cand)
-
-            xi, vi = _golden(fun, 0.0, hi, opts.t_tol)
-            if vi >= val:
-                t = list(t)
-                t[i] = xi
-                val = vi
-        if val - before < 1e-13:
-            break
-    return t, val
-
-
-def _cluster(points, radius):
-    reps: list[list[float]] = []
-    for p in points:
-        if all(max(abs(a - b) for a, b in zip(p, r)) > radius for r in reps):
-            reps.append(p)
-    return reps
-
-
-def _maximize(g, dim, hi, rng, opts: OptimizerOptions):
-    starts = [[0.0] * dim, [hi / 2.0] * dim]
-    while len(starts) < opts.n_starts:
-        starts.append([float(x) for x in rng.uniform(0.0, hi, dim)])
-    finals = []
-    for s in starts[: max(opts.n_starts, 2)]:
-        t, val = _ascend(g, s, hi, opts)
-        t, val = _refine(g, t, val, hi, opts)
-        t = _normalize(t, hi)
-        finals.append((g(t), t))
-    finals.sort(key=lambda p: -p[0])
-    best = finals[0][0]
-    near = [t for v, t in finals if v >= best - opts.eps_argmax]
-    reps = _cluster(near, opts.cluster_radius)
-    return best, reps
+    try:
+        minimize(
+            negated, np.zeros(dim), jac=True, method="L-BFGS-B",
+            bounds=[(-hi, hi)] * dim, options={"ftol": 0.0, "gtol": 0.0, "maxfun": _LBFGS_EVALS},
+        )
+        # neighbours of the best point along directions that positively span
+        # the space: 0 is in the hull of their slopes at a maximizer
+        best, first = planes.us[planes.best], len(planes.us)
+        for d in np.vstack([np.eye(dim), -np.ones(dim)]):
+            planes(np.clip(best + _STENCIL * d, -hi, hi))
+        planes.balance(list(range(first, first + dim + 1)), np.abs(best) < hi)
+        for _ in range(_KELLEY_STEPS):
+            planes(planes.refine())
+    except _Certified:
+        pass
+    return planes.us[planes.best], planes.bound
 
 
 # -- norms ------------------------------------------------------------------
-
-
-def _box_bound(model, L, support) -> float:
-    gammas = [
-        float(gamma_threshold(model, L, v)) for v in support if not v.is_trivial
-    ]
-    return (max(gammas) + 1.0) if gammas else 1.0
-
-
-def _objective(model, L, mu: DivisorialMeasure, quad_tol: float):
-    support = mu.support
-    xi = [float(m) for m in mu.masses]
-
-    def g(t):
-        s = expected_order_S(
-            model, L, FiltrationSpec(support, tuple(t)), tol=quad_tol
-        )
-        return s - sum(x * ti for x, ti in zip(xi, t))
-
-    return g
 
 
 def norm(
@@ -231,18 +204,39 @@ def norm(
     seed: int = 0,
     options: OptimizerOptions = OptimizerOptions(),
 ) -> NormResult:
-    """sup over shifts t of S_L(t) - <xi, t>; nonnegative, zero on the trivial measure."""
+    """sup over shifts t of S_L(t) - <xi, t>; nonnegative, zero on the trivial measure.
+
+    `quad_tol` and `seed` have no effect: S is exact on both backends and
+    the engine is deterministic.
+    """
     if not model.is_big(L):
         raise GeometryError("norm requires a big class")
-    hi = _box_bound(model, L, mu.support)
-    g = _objective(model, L, mu, quad_tol)
-    rng = np.random.default_rng(seed)
-    best, reps = _maximize(g, len(mu.support), hi, rng, options)
+    gammas = [float(gamma_threshold(model, L, v)) for v in mu.support if not v.is_trivial]
+    hi = max(gammas, default=0.0) + 1.0
+    xi = np.array([float(m) for m in mu.masses])
+
+    def g(t):
+        s, grad = expected_order_S_grad(model, L, FiltrationSpec(mu.support, tuple(t.tolist())))
+        return s - float(xi @ t), np.array(grad) - xi
+
+    def reduced(u):
+        value, grad = g(np.r_[0.0, u])
+        return value, grad[1:]
+
+    t, bound = np.zeros(len(xi)), -math.inf
+    if len(xi) > 1:
+        u, bound = _certified_max(reduced, len(xi) - 1, hi, options.tol)
+        # past hi above the least shift a valuation is inactive, and lowering
+        # its shift to hi does not lower g
+        t = np.minimum(np.r_[0.0, u] - min(0.0, u.min()), hi)
+    value = float(g(t)[0])
+    gap = max(bound - value, 0.0)
     return NormResult(
-        value=best,
-        maximizers=tuple(tuple(r) for r in reps),
+        value=value,
+        maximizers=(tuple(float(x) for x in t),),
         box_bound=hi,
-        converged=True,
+        gap=gap,
+        converged=gap <= options.tol,
     )
 
 
@@ -264,9 +258,7 @@ def norm_enlarged_support_check(
     base = norm(model, L, mu, quad_tol=quad_tol, seed=seed, options=options)
     if not extra:
         return True
-    enlarged = DivisorialMeasure(
-        mu.atoms + tuple((v, Fraction(0)) for v in extra)
-    )
+    enlarged = DivisorialMeasure(mu.atoms + tuple((v, Fraction(0)) for v in extra))
     big = norm(model, L, enlarged, quad_tol=quad_tol, seed=seed, options=options)
     return abs(base.value - big.value) <= tol
 
@@ -279,12 +271,12 @@ def _grad_S_direction(model, L, support, shifts, H, quad_tol) -> float:
     spec = FiltrationSpec(tuple(support), tuple(shifts))
     if isinstance(model, SurfaceModel):
         problem = model._compiled(L, spec.support)
-        t0, lam_max, iv, ih = problem.integrals(spec.shifts, direction=H)
+        t0, lam_max, iv, ih = problem.integrals(spec.shifts, problem.pulled([H]))
         if lam_max <= t0:
             return 0.0
         vol = float(problem.volume)
         plh = float(problem.positive_product(H))
-        return (2.0 / vol) * (ih - (plh / vol) * iv)
+        return (2.0 / vol) * (float(ih[0]) - (plh / vol) * iv)
     # Richardson-extrapolated central differences in the L direction
     def diff(eps: Fraction) -> float:
         up = expected_order_S(model, L + eps * H, spec, tol=quad_tol)
@@ -305,13 +297,8 @@ def _danskin_from(model, L, mu, H, side, result: NormResult, quad_tol) -> float:
     eps = Fraction(1, 10**6)
     if not model.is_big(L + eps * H):
         raise GeometryError("direction leaves the big cone at first order")
-    if not result.maximizers:
-        raise ConvergenceError("no maximizers available for the Danskin derivative")
-    values = [
-        _grad_S_direction(model, L, mu.support, t, H, quad_tol)
-        for t in result.maximizers
-    ]
-    return max(values)
+    (t,) = result.maximizers
+    return _grad_S_direction(model, L, mu.support, t, H, quad_tol)
 
 
 def danskin_derivative(
@@ -324,7 +311,8 @@ def danskin_derivative(
     seed: int = 0,
     options: OptimizerOptions = OptimizerOptions(),
 ) -> float:
-    """One-sided derivative of ||mu||_{L+sH} at s=0: extremum of grad S over the argmax."""
+    """One-sided derivative of ||mu||_{L+sH} at s=0: grad S at the one
+    reported maximizer, exact when the argmax is that point."""
     result = norm(model, L, mu, quad_tol=quad_tol, seed=seed, options=options)
     return _danskin_from(model, L, mu, H, side, result, quad_tol)
 

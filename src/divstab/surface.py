@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -314,22 +314,21 @@ class SurfaceModel(GeometryModel):
         v = float(P @ self._np_matrix @ P)
         return v if v > 0.0 else 0.0
 
-    def _line_integrals(self, b, d, x0, x1, hvec):
-        """Integrals of vol(b + x d) and P_x . h over [x0, x1], by chamber walking.
+    def _line_integrals(self, b, d, x0, x1, rows=None):
+        """Integrals of vol(b + x d) and of P_x . h, for each row h of the
+        (k, n) float matrix `rows` (None: no h), over [x0, x1], by chamber walking.
 
         The positive part is linear in x on each chamber, so vol is quadratic
-        and both integrals are closed-form per chamber.  Assumes vol stays 0
+        and all integrals are closed-form per chamber.  Assumes vol stays 0
         past the first non-pseudoeffective point (true when -d is effective);
-        returns (vol_integral, h_integral, reached_end).
+        returns (vol_integral, h_integrals, reached_end).
         """
         M = self._np_matrix
         curves = self._curve_vecs
         checks = self._check_vecs
         total_v = 0.0
-        total_h = 0.0
+        total_h = None if rows is None else np.zeros(len(rows))
         span = x1 - x0
-        if span <= 0:
-            return 0.0, 0.0, True
         eps = 1e-12 * max(1.0, abs(x0), abs(x1))
         x = x0
         guard = 0
@@ -356,18 +355,13 @@ class SurfaceModel(GeometryModel):
                 u = v = np.zeros(0)
                 p0, p1 = b, d
             # next wall: a coefficient or an off-support pairing hits zero
-            wall = x1
-            for ui, vi in zip(u, v):
-                r = _linear_root(ui, vi, x, x1, eps)
-                if r is not None:
-                    wall = min(wall, r)
             Mp0, Mp1 = M @ p0, M @ p1
-            for i, C in enumerate(checks):
-                if i < len(curves) and i in support:
-                    continue
-                r = _linear_root(float(C @ Mp0), float(C @ Mp1), x, x1, eps)
-                if r is not None:
-                    wall = min(wall, r)
+            lines = list(zip(u, v)) + [
+                (float(C @ Mp0), float(C @ Mp1))
+                for i, C in enumerate(checks)
+                if not (i < len(curves) and i in support)
+            ]
+            wall = min([x1] + [_linear_root(c0, c1, x, x1, eps) for c0, c1 in lines])
             q0 = float(p0 @ Mp0)
             q1 = 2.0 * float(p0 @ Mp1)
             q2 = float(p1 @ Mp1)
@@ -376,10 +370,8 @@ class SurfaceModel(GeometryModel):
                 + q1 * (wall * wall - x * x) / 2.0
                 + q2 * (wall**3 - x**3) / 3.0
             )
-            if hvec is not None:
-                h0 = float(p0 @ (M @ hvec))
-                h1 = float(p1 @ (M @ hvec))
-                total_h += h0 * (wall - x) + h1 * (wall * wall - x * x) / 2.0
+            if rows is not None:
+                total_h += (rows @ Mp0) * (wall - x) + (rows @ Mp1) * ((wall * wall - x * x) / 2.0)
             x = wall
         return total_v, total_h, True
 
@@ -392,7 +384,10 @@ class SurfaceModel(GeometryModel):
         """
         problem = self._compiled(L, valuations)
         ts = [float(t) for v, t in zip(valuations, shifts) if not v.is_trivial]
-        return problem.walk(ts, lam0, lam1, direction)
+        if direction is None:
+            return problem.walk(ts, lam0, lam1)[0], 0.0
+        iv, ih = problem.walk(ts, lam0, lam1, problem.pulled([direction]), np.full(1, -math.inf))
+        return iv, float(ih[0])
 
     def closed_form_threshold(self, L: DivisorClass, v: Valuation):
         """Exact pseudoeffective threshold of big L along v: walk the Zariski
@@ -454,53 +449,75 @@ class _SurfaceProblem:
         except NotPseudoeffectiveError:
             self.positive_part = None
             self.volume = Fraction(0)
-        self._nontrivial = [v for v in support if not v.is_trivial]
+        self._nontrivial = [i for i, v in enumerate(support) if not v.is_trivial]
         self._trivial = [i for i, v in enumerate(support) if v.is_trivial]
         self._gammas: Optional[list[float]] = None
         self.target, self._pull = model.resolve_realization(support)
         self._base = np.array([float(x) for x in self._pull(L.coefficients)])
         self._divs = [
-            np.array([float(x) for x in v.order_model.divisor.coefficients])
-            for v in self._nontrivial
+            np.array([float(x) for x in support[i].order_model.divisor.coefficients])
+            for i in self._nontrivial
         ]
 
     def positive_product(self, H: DivisorClass) -> Fraction:
         """<L> . H, exact."""
         return self.model.pairing(self.positive_part, H)
 
-    def integrals(self, shifts, direction=None):
-        """(t0, lam_max, integral of vol, integral of P . direction) over the
-        range [t0, lam_max] of the filtration with these shifts, one per
-        support valuation; both integrals are 0 when the range is empty.
+    def pulled(self, classes) -> np.ndarray:
+        """The classes pulled back to the realization, one float row each."""
+        return np.array([[float(x) for x in self._pull(D.coefficients)] for D in classes])
+
+    def integrals(self, shifts, rows=None):
+        """(t0, lam_max, integral of vol, integrals of P . h) over the range
+        [t0, lam_max] of the filtration with these shifts, one per support
+        valuation; all 0 when the range is empty.  With the float matrix
+        `rows` (else there is no h), h runs over its rows, then over the
+        divisor E_i of each non-trivial valuation, integrated from t_i on.
         """
         ts = [float(t) for t in shifts]
         t0 = min(ts)
-        if not self._nontrivial:
-            return t0, t0, 0.0, 0.0
+        active = [ts[i] for i in self._nontrivial]
+        starts = None
+        if rows is not None:
+            rows, starts = np.vstack([rows, *self._divs]), np.r_[np.full(len(rows), -math.inf), active]
         if self._gammas is None:
             self._gammas = [
-                float(gamma_threshold(self.model, self.L, v)) for v in self._nontrivial
+                float(gamma_threshold(self.model, self.L, self.support[i])) for i in self._nontrivial
             ]
-        active = [t for v, t in zip(self.support, ts) if not v.is_trivial]
-        lam_max = min(g + t for g, t in zip(self._gammas, active))
         # a trivial valuation admits no section past its shift: hard cutoff
-        for i in self._trivial:
-            lam_max = min(lam_max, ts[i])
+        lam_max = min([g + t for g, t in zip(self._gammas, active)] + [ts[i] for i in self._trivial])
         if lam_max <= t0:
-            return t0, lam_max, 0.0, 0.0
-        iv, ih = self.walk(active, t0, lam_max, direction)
-        return t0, lam_max, iv, ih
+            return t0, lam_max, 0.0, None if rows is None else np.zeros(len(rows))
+        return (t0, lam_max, *self.walk(active, t0, lam_max, rows, starts))
 
-    def walk(self, ts, lam0, lam1, direction=None):
-        """(integral of vol, integral of P . direction) over [lam0, lam1], with
-        `ts` the float shifts of the non-trivial valuations: one chamber walk
-        per piece between consecutive shifts."""
-        hvec = None
-        if direction is not None:
-            hvec = np.array([float(x) for x in self._pull(direction.coefficients)])
+    def expected_order(self, shifts, gradient=True):
+        """(S, grad S) at these shifts from one walk (grad None without
+        `gradient`).  For a non-trivial v_i, dS/dt_i = (2 / vol L) times the
+        integral of P . E_i from t_i to lam_max.  The least-shifted trivial
+        valuation, whose cap binds when the range is empty, takes 1 minus the
+        others; other trivial ones 0.
+        """
+        if self.volume <= 0:
+            raise GeometryError("expected vanishing order requires a big class")
+        t0, lam_max, iv, ih = self.integrals(shifts, np.zeros((0, len(self._base))) if gradient else None)
+        vol = float(self.volume)
+        value = float(t0 + iv / vol) if lam_max > t0 else t0
+        if not gradient:
+            return value, None
+        grad = [0.0] * len(self.support)
+        for i, x in zip(self._nontrivial, ih):
+            grad[i] = 2.0 * float(x) / vol
+        if self._trivial:
+            grad[min(self._trivial, key=lambda i: float(shifts[i]))] = 1.0 - math.fsum(grad)
+        return value, grad
+
+    def walk(self, ts, lam0, lam1, rows=None, starts=None):
+        """(integral of vol, integrals of P . h) over [lam0, lam1], with `ts`
+        the float shifts of the non-trivial valuations and h the rows of the
+        float matrix `rows` (None: no h), row j integrated from `starts[j]`
+        on: one chamber walk per piece between consecutive shifts."""
         cuts = sorted({lam0, lam1} | {t for t in ts if lam0 < t < lam1})
-        total_v = 0.0
-        total_h = 0.0
+        total_v, total_h = 0.0, None if rows is None else np.zeros(len(rows))
         for p, q in zip(cuts, cuts[1:]):
             active = [i for i, t in enumerate(ts) if t <= p + 1e-15]
             b = self._base.copy()
@@ -508,22 +525,19 @@ class _SurfaceProblem:
             for i in active:
                 b += ts[i] * self._divs[i]
                 d -= self._divs[i]
-            iv, ih, alive = self.target._line_integrals(b, d, p, q, hvec)
+            iv, ih, alive = self.target._line_integrals(b, d, p, q, rows)
             total_v += iv
-            total_h += ih
+            if rows is not None:
+                total_h += np.where(starts <= p + 1e-15, ih, 0.0)
             if not alive:
                 break
         return total_v, total_h
 
 
 def _linear_root(c0: float, c1: float, x: float, x1: float, eps: float):
-    """Root of c0 + c1 t strictly inside (x, x1), or None."""
-    if abs(c1) < 1e-14:
-        return None
-    r = -c0 / c1
-    if x + eps < r < x1 - eps:
-        return r
-    return None
+    """Root of c0 + c1 t strictly inside (x, x1), or x1."""
+    r = -c0 / c1 if abs(c1) >= 1e-14 else x1
+    return r if x + eps < r < x1 - eps else x1
 
 
 def _dot(a, b) -> Fraction:

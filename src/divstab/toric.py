@@ -222,35 +222,37 @@ class ToricModel(GeometryModel):
 
         return evaluate
 
-    def expected_order(self, L: DivisorClass, support, shifts) -> Fraction:
-        """Exact S of L along shifted monomial valuations: the mean over P_L of
-        min_i f_i, f_i = <., w_i> - min_{P_L}<., w_i> + t_i, where a trivial
-        valuation has w = 0.
+    def expected_order(self, L: DivisorClass, support, shifts) -> tuple[Fraction, list[Fraction]]:
+        """Exact S of L along shifted monomial valuations, the mean over P_L
+        of min_i f_i, f_i = <., w_i> - min_{P_L}<., w_i> + t_i (w = 0 for a
+        trivial valuation), and dS/dt_i, the share of P_L in the cell of i.
 
-        Pieces with equal w keep the least constant.  The first piece
-        integrates over all of P_L; every other piece i adds the integral of
-        f_i - f_1 over its cell, the part of P_L where f_i is least.  Each
-        integral is exact from a (mass, first moment) pair.
+        Pieces with equal w keep the first least constant (the others get
+        dS/dt_i = 0).  The first piece integrates over all of P_L; every other
+        piece i adds the integral of f_i - f_1 over its cell, where f_i is
+        least, and the first cell is what they leave.  Each integral is exact
+        from a (mass, first moment) pair.
         """
         mass, moment = self._moments(L)
         if mass <= 0:
             raise GeometryError("expected vanishing order requires a big class")
-        pieces: dict[tuple[int, ...], Fraction] = {}
-        for v, t in zip(support, shifts):
+        pieces: dict[tuple[int, ...], tuple[Fraction, int]] = {}
+        for i, (v, t) in enumerate(zip(support, shifts)):
             if v.is_trivial:
                 w, c = (0,) * self.dimension, Fraction(t)
             else:
                 w = self._valuation_vector(v)
                 c = Fraction(t) - self.order_anchor(L, w)
-            if w not in pieces or c < pieces[w]:
-                pieces[w] = c
-        (w1, c1), *rest = pieces.items()
+            if w not in pieces or c < pieces[w][0]:
+                pieces[w] = (c, i)
+        (w1, (c1, i1)), *rest = pieces.items()
         total = _dot(w1, moment) + c1 * mass
-        for wi, ci in rest:
+        grad = [Fraction(int(i == i1)) for i in range(len(support))]
+        for wi, (ci, i) in rest:
             # the cell of piece i: f_j - f_i >= 0 for every other piece j
             cuts = [
                 ([Fraction(a - b) for a, b in zip(wj, wi)], ci - cj)
-                for wj, cj in pieces.items()
+                for wj, (cj, _) in pieces.items()
                 if wj != wi
             ]
             cell_mass, cell_moment = self._mass_moment(
@@ -258,7 +260,9 @@ class ToricModel(GeometryModel):
             )
             diff = [a - b for a, b in zip(wi, w1)]
             total += _dot(diff, cell_moment) + (ci - c1) * cell_mass
-        return total / mass
+            grad[i] = cell_mass / mass
+            grad[i1] -= grad[i]
+        return total / mass, grad
 
     # -- section rings ------------------------------------------------------
 

@@ -1,12 +1,15 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import divstab as ds
 from divstab.core import TRIVIAL_VALUATION, DivisorialMeasure
 from divstab.filtrations import FiltrationSpec, expected_order_S
+from divstab import stability
 from divstab.stability import FAST_OPTIONS
 
 from _cases import random_big_class, random_masses, random_measure, surface_models
@@ -91,6 +94,99 @@ class TestNorm:
         )
         ds.norm(p2, L3, mu)
         assert len(calls) <= 8
+
+
+class TestNormWork:
+    """Evaluations of (S, grad S) per norm, counted at the engine's one
+    call site, and the certified gap."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        primitive = stability.expected_order_S_grad
+
+        def counting(model, L, spec):
+            calls.append(spec.shifts)
+            return primitive(model, L, spec)
+
+        monkeypatch.setattr(stability, "expected_order_S_grad", counting)
+        return calls
+
+    def test_dirac_norm_is_one_evaluation_of_S_at_zero(self, evaluations):
+        r = ds.norm(blp2, LBL, dirac(ORD_E))
+        assert len(evaluations) == 1
+        assert r.value == expected_order_S(blp2, LBL, FiltrationSpec((ORD_E,), (0.0,)))
+        assert r.gap == 0.0 and r.converged
+
+    def test_p2_half_line_is_certified(self, evaluations):
+        mu = DivisorialMeasure.make(
+            [(TRIVIAL_VALUATION, Fraction(1, 2)), (LINE, Fraction(1, 2))]
+        )
+        r = ds.norm(p2, L3, mu)
+        exact = (math.sqrt(2.0) - 1.0) / 2.0
+        assert len(evaluations) <= 40
+        # value is g at a point, evaluated in floating point: a lower bound
+        # on the norm up to the rounding of S
+        assert r.value - 1e-15 <= exact <= r.value + r.gap
+        assert r.gap <= 1e-9 and r.converged
+        assert type(r.value) is float and type(r.gap) is float
+
+    def test_p2_toric_two_coordinates(self, evaluations):
+        p2t = ds.bundled_model("p2_toric")
+        mu = DivisorialMeasure.make(
+            [(p2t.named_valuations["e1"], Fraction(1, 2)), (p2t.named_valuations["e2"], Fraction(1, 2))]
+        )
+        r = ds.norm(p2t, p2t.divisor([0, 0, 3]), mu)
+        assert len(evaluations) <= 40
+        assert abs(r.value - 0.5) < 1e-9
+        assert r.converged
+
+    def test_gap_bounds_the_norm_on_three_atoms(self):
+        # a three-atom norm against a fine grid of g around its maximizer
+        f1 = ds.bundled_model("f1")
+        L = f1.divisor([2, 3])
+        atoms = [(f1.named_valuations[n], Fraction(m, 6)) for n, m in (("ord_s", 1), ("ord_f", 2), ("ord_sf", 3))]
+        mu = DivisorialMeasure.make(atoms)
+        r = ds.norm(f1, L, mu)
+        assert r.converged and r.gap <= 1e-9
+        xi = [float(m) for m in mu.masses]
+        t_star = r.maximizers[0]
+
+        def g(t):
+            s = expected_order_S(f1, L, FiltrationSpec(mu.support, t))
+            return s - sum(x * v for x, v in zip(xi, t))
+
+        assert abs(r.value - g(t_star)) <= 1e-15
+        for step in itertools.product((-1e-3, 0.0, 1e-3), repeat=3):
+            assert g(tuple(a + b for a, b in zip(t_star, step))) <= r.value + r.gap + 1e-15
+
+
+class TestEngine:
+    """The certified maximizer on concave functions with kinks at the top,
+    where L-BFGS-B stalls and the cutting planes must finish."""
+
+    @staticmethod
+    def kinked(u):
+        # max 1 at (0.3, -0.2)
+        value = 1.0 - abs(u[0] - 0.3) - 2.0 * abs(u[1] + 0.2)
+        return value, np.array([-np.sign(u[0] - 0.3), -2.0 * np.sign(u[1] + 0.2)])
+
+    @staticmethod
+    def ridge(u):
+        # max -0.04 at (0.3, -0.3), on a kink along u0 + u1 = 0
+        value = -abs(u[0] - 0.3) - 0.5 * abs(u[0] + u[1]) - (u[1] + 0.1) ** 2
+        s = 0.5 * np.sign(u[0] + u[1])
+        return value, np.array([-np.sign(u[0] - 0.3) - s, -s - 2.0 * (u[1] + 0.1)])
+
+    def test_kinked_maximum_is_certified(self):
+        u, bound = stability._certified_max(self.kinked, 2, 4.0, 1e-9)
+        assert bound >= 1.0
+        assert bound - self.kinked(u)[0] <= 1e-9
+
+    def test_bound_holds_whatever_the_budget(self):
+        for tol in (1e-3, 1e-9):
+            u, bound = stability._certified_max(self.ridge, 2, 4.0, tol)
+            assert self.ridge(u)[0] <= -0.04 <= bound
 
 
 class TestEnlargedSupport:
