@@ -5,10 +5,11 @@ invariant is the expected vanishing order
 
     S(t) = t0 + vol(L)^{-1} Integral_{t0}^{lam_max} vol(L - Sum max(lam - t_i, 0) E_i) dlam
 
-with t0 = min t_i and lam_max = min_i (gamma_i + t_i).  On a toric model it
-is the mean over the section polytope P_L of min_i (order_i + t_i), which
-is integrated exactly cell by cell.  The same quantity is approximated at
-finite level k from jumping numbers of the monomial basis on toric models.
+with t0 = min t_i and lam_max = min_i (gamma_i + t_i).  On a surface the
+volume is quadratic on each Zariski chamber and integrated chamber by chamber;
+on a toric model S is the mean over the section polytope P_L of
+min_i (order_i + t_i), integrated exactly cell by cell.  The same quantity is
+approximated at finite level k from jumping numbers of toric monomial bases.
 """
 from __future__ import annotations
 
@@ -96,9 +97,9 @@ def expected_order_S(
 ) -> float:
     """Expected vanishing order of L along the filtration; translation equivariant.
 
-    With method="auto", surfaces integrate the piecewise-quadratic volume
-    exactly chamber by chamber, on the model's compiled problem for
-    (L, support), so repeated calls with new shifts only walk chambers;
+    With method="auto", surfaces integrate the volume in closed form on each
+    Zariski chamber, walked in floats by the routine that gives gamma exactly,
+    on the compiled problem for (L, support), so new shifts only walk chambers;
     toric models integrate min_i of the shifted orders over the section
     polytope cell by cell (`ToricModel.expected_order`) and return the exact
     value rounded once to float.  method="quadrature" is the reference: it

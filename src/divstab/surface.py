@@ -4,13 +4,17 @@ The user declares the intersection form, the negative curves relevant to the
 explored region, and extra `sample_curves` certifying nefness.  Wrong or
 incomplete curve lists give wrong volumes; the bundled del Pezzo / Hirzebruch
 models carry the full known lists.
+
+One routine, `SurfaceModel._chamber`, finds the Zariski chamber of b + lam d
+right of a point, where P is linear and vol = P^2 quadratic in lam: on
+Fractions for `zariski` and the thresholds, on floats for S and its gradients.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -86,18 +90,11 @@ class SurfaceModel(GeometryModel):
             canonical_class = [0] * self.class_rank
         self.canonical_class = self.divisor(canonical_class)
 
-        # exact M C for the negative curves, then the sample curves
-        self._duals = [self._image(C.coefficients) for C in self.negative_curves + self.sample_curves]
-        self._gram = [[_dot(C.coefficients, c) for c in self._duals] for C in self.negative_curves]
-        self._np_matrix = np.array(
-            [[float(x) for x in row] for row in self.matrix], dtype=float
-        )
-        self._curve_vecs = [
-            np.array([float(x) for x in C.coefficients]) for C in self.negative_curves
-        ]
-        self._check_vecs = self._curve_vecs + [
-            np.array([float(x) for x in C.coefficients]) for C in self.sample_curves
-        ]
+        curves = tuple(C.coefficients for C in self.negative_curves)
+        duals = tuple(self._image(C.coefficients) for C in self.negative_curves + self.sample_curves)
+        gram = tuple(tuple(_dot(c, u) for u in duals) for c in curves)
+        self._exact = _Lattice(curves, duals, gram, self.matrix, Fraction(0), 0)
+        self._float = _Lattice(*(_floats(x) for x in self._exact[:4]), 0.0, 0.0)
         # the last compiled (L, support); see `_compiled`
         self._problem: Optional[_SurfaceProblem] = None
 
@@ -134,43 +131,46 @@ class SurfaceModel(GeometryModel):
         negative-definite N-support orthogonal to P), by iterated support growth.
         """
         self._check_basis(D)
-        support, P, _ = self._chamber(D.coefficients, (0,) * self.class_rank, 0)
+        support, P, _ = self._chamber(self._exact, D.coefficients, (0,) * self.class_rank, 0)
         negative = tuple((self.negative_curves[i], a) for i, a, _ in support)
         return ZariskiDecomposition(DivisorClass(P, self.basis_id), negative)
 
-    def _chamber(self, b, d, x):
+    def _chamber(self, lat, b, d, x):
         """Zariski decomposition of b + lam d just right of lam = x, on
-        coefficient tuples: (support, p0, p1) with P = p0 + lam p1 and support
-        the (curve index, a0, a1) whose N-coefficient a0 + lam a1 is positive
-        there.  Each c0 + lam c1 is signed at x+: by its value at x, then by
-        its slope.  Raises NotPseudoeffectiveError off the psef cone at x+.
+        coefficient tuples of the number type of the lattice data `lat`:
+        (support, p0, p1) with P = p0 + lam p1 and support the (curve index,
+        a0, a1) whose N-coefficient a0 + lam a1 is positive there.  Each
+        c0 + lam c1 is signed at x+: by its value at x, then by its slope,
+        each counting as 0 within lat.tol.  Raises NotPseudoeffectiveError
+        off the psef cone at x+.
         """
-        curves, duals = [C.coefficients for C in self.negative_curves], self._duals
+        curves, duals, zero, tol = lat.curves, lat.duals, lat.zero, lat.tol
         support, a0, a1, p0, p1 = [], [], [], b, d
 
         def sign(c0, c1):
-            return c0 + x * c1 or c1
+            c = c0 + x * c1
+            return c if c > tol or c < -tol else (c1 if c1 > tol or c1 < -tol else 0)
 
         def pairs(dual):
-            return sign(_dot(p0, dual), _dot(p1, dual))
+            return sign(_dot(p0, dual, zero), _dot(p1, dual, zero))
 
         while violating := [
             i for i in range(len(curves)) if i not in support and pairs(duals[i]) < 0
         ]:
             support += violating
-            gram = [[self._gram[i][j] for j in support] for i in support]
-            rhs = [[_dot(v, duals[i]) for i in support] for v in (b, d)]
-            sol = _solve_negative_definite(gram, rhs)
+            gram = [[lat.gram[i][j] for j in support] for i in support]
+            rhs = [[_dot(v, duals[i], zero) for i in support] for v in (b, d)]
+            sol = _solve_negative_definite(gram, rhs, tol)
             if sol is None:
                 raise NotPseudoeffectiveError(
                     f"no Zariski decomposition: Gram submatrix of curves "
-                    f"{[curves[i] for i in support]} is not negative definite"
+                    f"{[self.negative_curves[i].coefficients for i in support]} is not negative definite"
                 )
             a0, a1 = sol
             # P = v - sum a_i C_i for (v, a) = (b, a0) and (d, a1)
             columns = list(zip(*(curves[i] for i in support)))
             p0, p1 = (
-                tuple(vk - _dot(a, col) for vk, col in zip(v, columns)) for v, a in zip((b, d), sol)
+                tuple(vk - _dot(a, col, zero) for vk, col in zip(v, columns)) for v, a in zip((b, d), sol)
             )
         for C, dual in zip(self.sample_curves, duals[len(curves):]):
             if pairs(dual) < 0:
@@ -183,6 +183,23 @@ class SurfaceModel(GeometryModel):
                 "a negative-part coefficient is forced negative; class is not pseudoeffective"
             )
         return [(i, u, w) for i, u, w in zip(support, a0, a1) if sign(u, w) > 0], p0, p1
+
+    def _step(self, lat, b, d, x):
+        """(p0, p1, M p0, M p1, wall) on the chamber of b + lam d just right
+        of x (`_chamber`), with wall the least root past x of an N-coefficient
+        or an off-support curve pairing (None: no wall); None when b + lam d
+        is not pseudoeffective at x+."""
+        try:
+            support, p0, p1 = self._chamber(lat, b, d, x)
+        except NotPseudoeffectiveError:
+            return None
+        zero, inside = lat.zero, {i for i, _, _ in support}
+        lines = [(u, w) for _, u, w in support] + [
+            (_dot(p0, c, zero), _dot(p1, c, zero)) for i, c in enumerate(lat.duals) if i not in inside
+        ]
+        wall = min((-c0 / c1 for c0, c1 in lines if c1 < -lat.tol), default=None)
+        Mp0, Mp1 = (tuple(_dot(row, p, zero) for row in lat.matrix) for p in (p0, p1))
+        return p0, p1, Mp0, Mp1, wall
 
     def volume(self, D: DivisorClass) -> Fraction:
         try:
@@ -250,130 +267,59 @@ class SurfaceModel(GeometryModel):
 
     def twist_evaluator(self, L, valuations):
         target, pull = self.resolve_realization(valuations)
-        base = np.array([float(x) for x in pull(L.coefficients)])
-        divs = [
-            np.zeros_like(base) if v.is_trivial
-            else np.array([float(x) for x in v.order_model.divisor.coefficients])
-            for v in valuations
-        ]
+        base = _floats(pull(L.coefficients))
+        divs = [None if v.is_trivial else _floats(v.order_model.divisor.coefficients) for v in valuations]
 
         def evaluate(cs: Sequence[float]) -> float:
-            vec = base.copy()
-            for c, dvec in zip(cs, divs):
-                if c:
-                    vec -= c * dvec
+            vec = base
+            for c, e in zip(cs, divs):
+                if c and e:
+                    vec = tuple(u - c * w for u, w in zip(vec, e))
             return target.volume_float(vec)
 
         return evaluate
 
-    # -- float fast path ---------------------------------------------------
+    # -- float chamber walk ------------------------------------------------
 
-    def _zariski_float(self, vec: np.ndarray):
-        """(P, support indices, coefficients) or None when not pseudoeffective."""
-        M = self._np_matrix
-        curves = self._curve_vecs
-        support: list[int] = []
-        coeffs = np.zeros(0)
-        scale = max(1.0, float(np.max(np.abs(vec))))
-        tol = 1e-11 * scale
-        while True:
-            P = vec.copy()
-            for idx, a in zip(support, coeffs):
-                P -= a * curves[idx]
-            MP = M @ P
-            violating = [
-                i
-                for i, C in enumerate(curves)
-                if i not in support and C @ MP < -tol
-            ]
-            if not violating:
-                break
-            support.extend(violating)
-            vecs = [curves[i] for i in support]
-            gram = np.array([[u @ M @ w for w in vecs] for u in vecs])
-            rhs = np.array([vec @ M @ u for u in vecs])
-            try:
-                coeffs = np.linalg.solve(gram, rhs)
-            except np.linalg.LinAlgError:
-                return None
-            if np.max(np.linalg.eigvalsh(gram)) > -1e-12:
-                return None
-        MP = M @ P
-        for C in self._check_vecs:
-            if C @ MP < -tol:
-                return None
-        if len(coeffs) and np.min(coeffs) < -tol:
-            return None
-        return P, support, coeffs
+    def _float_lattice(self, *vectors) -> "_Lattice":
+        """The float lattice data, 0 within 1e-12 of the largest coordinate (or 1)."""
+        scale = max(1.0, *(abs(c) for vec in vectors for c in vec))
+        return self._float._replace(tol=1e-12 * scale)
 
-    def volume_float(self, vec: np.ndarray) -> float:
-        dec = self._zariski_float(vec)
-        if dec is None:
-            return 0.0
-        P = dec[0]
-        v = float(P @ self._np_matrix @ P)
-        return v if v > 0.0 else 0.0
+    def volume_float(self, vec) -> float:
+        """vol of the class with these float coordinates: `_step` at d = 0."""
+        b = _floats(vec)
+        step = self._step(self._float_lattice(b), b, (0.0,) * len(b), 0.0)
+        return 0.0 if step is None else max(_dot(step[0], step[2], 0.0), 0.0)
 
     def _line_integrals(self, b, d, x0, x1, rows=None):
-        """Integrals of vol(b + x d) and of P_x . h, for each row h of the
-        (k, n) float matrix `rows` (None: no h), over [x0, x1], by chamber walking.
+        """Integrals of vol(b + x d) and of P_x . h, for each float tuple h in
+        `rows` (None: no h), over [x0, x1], by the float chamber walk (`_step`).
 
         The positive part is linear in x on each chamber, so vol is quadratic
-        and all integrals are closed-form per chamber.  Assumes vol stays 0
-        past the first non-pseudoeffective point (true when -d is effective);
-        returns (vol_integral, h_integrals, reached_end).
+        and all integrals are closed-form per chamber.  Stops at the first
+        non-pseudoeffective point, past which vol stays 0 when -d is effective.
         """
-        M = self._np_matrix
-        curves = self._curve_vecs
-        checks = self._check_vecs
-        total_v = 0.0
-        total_h = None if rows is None else np.zeros(len(rows))
-        span = x1 - x0
-        eps = 1e-12 * max(1.0, abs(x0), abs(x1))
+        lat = self._float_lattice(b, [c * max(abs(x0), abs(x1)) for c in d])
+        total_v, total_h = 0.0, None if rows is None else [0.0] * len(rows)
         x = x0
-        guard = 0
-        while x < x1 - eps:
-            guard += 1
-            if guard > 64:
-                raise ConvergenceError("chamber walk failed to terminate")
-            probe = min(x + 1e-9 * span, 0.5 * (x + x1))
-            vec = b + probe * d
-            dec = self._zariski_float(vec)
-            if dec is None:
-                return total_v, total_h, False
-            _, sup, coeffs = dec
-            support = [i for i, a in zip(sup, coeffs) if a > 1e-12]
-            # linear-in-x negative-part coefficients on this chamber
-            if support:
-                vecs = [curves[i] for i in support]
-                gram = np.array([[u @ M @ w for w in vecs] for u in vecs])
-                u = np.linalg.solve(gram, np.array([b @ M @ c for c in vecs]))
-                v = np.linalg.solve(gram, np.array([d @ M @ c for c in vecs]))
-                p0 = b - sum(ui * ci for ui, ci in zip(u, vecs))
-                p1 = d - sum(vi * ci for vi, ci in zip(v, vecs))
-            else:
-                u = v = np.zeros(0)
-                p0, p1 = b, d
-            # next wall: a coefficient or an off-support pairing hits zero
-            Mp0, Mp1 = M @ p0, M @ p1
-            lines = list(zip(u, v)) + [
-                (float(C @ Mp0), float(C @ Mp1))
-                for i, C in enumerate(checks)
-                if not (i < len(curves) and i in support)
-            ]
-            wall = min([x1] + [_linear_root(c0, c1, x, x1, eps) for c0, c1 in lines])
-            q0 = float(p0 @ Mp0)
-            q1 = 2.0 * float(p0 @ Mp1)
-            q2 = float(p1 @ Mp1)
-            total_v += (
-                q0 * (wall - x)
-                + q1 * (wall * wall - x * x) / 2.0
-                + q2 * (wall**3 - x**3) / 3.0
-            )
+        while x < x1:
+            step = self._step(lat, b, d, x)
+            if step is None:
+                break
+            p0, p1, Mp0, Mp1, wall = step
+            wall = x1 if wall is None or wall > x1 else wall
+            if wall <= x:
+                raise ConvergenceError(f"chamber walk stalled at lam = {x!r}")
+            q0, q1, q2 = _dot(p0, Mp0, 0.0), 2.0 * _dot(p0, Mp1, 0.0), _dot(p1, Mp1, 0.0)
+            total_v += q0 * (wall - x) + q1 * (wall * wall - x * x) / 2.0 + q2 * (wall**3 - x**3) / 3.0
             if rows is not None:
-                total_h += (rows @ Mp0) * (wall - x) + (rows @ Mp1) * ((wall * wall - x * x) / 2.0)
+                total_h = [
+                    acc + (_dot(r, Mp0, 0.0) * (wall - x) + _dot(r, Mp1, 0.0) * ((wall * wall - x * x) / 2.0))
+                    for acc, r in zip(total_h, rows)
+                ]
             x = wall
-        return total_v, total_h, True
+        return total_v, total_h
 
     def twist_integrals(self, L, valuations, shifts, lam0, lam1, direction=None):
         """Exact integrals along lam -> L - sum max(lam - t_i, 0) D_i over [lam0, lam1].
@@ -386,8 +332,8 @@ class SurfaceModel(GeometryModel):
         ts = [float(t) for v, t in zip(valuations, shifts) if not v.is_trivial]
         if direction is None:
             return problem.walk(ts, lam0, lam1)[0], 0.0
-        iv, ih = problem.walk(ts, lam0, lam1, problem.pulled([direction]), np.full(1, -math.inf))
-        return iv, float(ih[0])
+        iv, ih = problem.walk(ts, lam0, lam1, problem.pulled([direction]), [-math.inf])
+        return iv, ih[0]
 
     def closed_form_threshold(self, L: DivisorClass, v: Valuation):
         """Exact pseudoeffective threshold of big L along v: walk the Zariski
@@ -400,23 +346,15 @@ class SurfaceModel(GeometryModel):
         target, pull = self.resolve_realization([v])
         b, d = pull(L.coefficients), tuple(-c for c in v.order_model.divisor.coefficients)
         x = Fraction(0)
-        while True:
-            try:
-                support, p0, p1 = target._chamber(b, d, x)
-            except NotPseudoeffectiveError:
-                return x
-            inside = {i for i, _, _ in support}
-            lines = [(u, w) for _, u, w in support] + [
-                (_dot(p0, c), _dot(p1, c)) for i, c in enumerate(target._duals) if i not in inside
-            ]
-            wall = min((-c0 / c1 for c0, c1 in lines if c1 < 0), default=None)
-            Mp0, Mp1 = target._image(p0), target._image(p1)
+        while (step := target._step(target._exact, b, d, x)) is not None:
+            p0, p1, Mp0, Mp1, wall = step
             root = _first_root(_dot(p0, Mp0), 2 * _dot(p0, Mp1), _dot(p1, Mp1), x, wall)
             if root is not None:
                 return root
             if wall is None:
                 raise GeometryError(f"threshold of {v.name!r} is unbounded: no declared curve bounds it")
             x = wall
+        return x
 
     def _compiled(self, L: DivisorClass, support: Sequence[Valuation]) -> "_SurfaceProblem":
         """The compiled problem of (L, support), reusing the last one when
@@ -453,33 +391,30 @@ class _SurfaceProblem:
         self._trivial = [i for i, v in enumerate(support) if v.is_trivial]
         self._gammas: Optional[list[float]] = None
         self.target, self._pull = model.resolve_realization(support)
-        self._base = np.array([float(x) for x in self._pull(L.coefficients)])
-        self._divs = [
-            np.array([float(x) for x in support[i].order_model.divisor.coefficients])
-            for i in self._nontrivial
-        ]
+        self._base = _floats(self._pull(L.coefficients))
+        self._divs = [_floats(support[i].order_model.divisor.coefficients) for i in self._nontrivial]
 
     def positive_product(self, H: DivisorClass) -> Fraction:
         """<L> . H, exact."""
         return self.model.pairing(self.positive_part, H)
 
-    def pulled(self, classes) -> np.ndarray:
-        """The classes pulled back to the realization, one float row each."""
-        return np.array([[float(x) for x in self._pull(D.coefficients)] for D in classes])
+    def pulled(self, classes) -> list:
+        """The classes pulled back to the realization, one float tuple each."""
+        return [_floats(self._pull(D.coefficients)) for D in classes]
 
     def integrals(self, shifts, rows=None):
         """(t0, lam_max, integral of vol, integrals of P . h) over the range
         [t0, lam_max] of the filtration with these shifts, one per support
-        valuation; all 0 when the range is empty.  With the float matrix
-        `rows` (else there is no h), h runs over its rows, then over the
-        divisor E_i of each non-trivial valuation, integrated from t_i on.
+        valuation; all 0 when the range is empty.  With the list of float
+        tuples `rows` (else there is no h), h runs over its rows, then over
+        the divisor E_i of each non-trivial valuation, integrated from t_i on.
         """
         ts = [float(t) for t in shifts]
         t0 = min(ts)
         active = [ts[i] for i in self._nontrivial]
         starts = None
         if rows is not None:
-            rows, starts = np.vstack([rows, *self._divs]), np.r_[np.full(len(rows), -math.inf), active]
+            rows, starts = [*rows, *self._divs], [-math.inf] * len(rows) + active
         if self._gammas is None:
             self._gammas = [
                 float(gamma_threshold(self.model, self.L, self.support[i])) for i in self._nontrivial
@@ -487,7 +422,7 @@ class _SurfaceProblem:
         # a trivial valuation admits no section past its shift: hard cutoff
         lam_max = min([g + t for g, t in zip(self._gammas, active)] + [ts[i] for i in self._trivial])
         if lam_max <= t0:
-            return t0, lam_max, 0.0, None if rows is None else np.zeros(len(rows))
+            return t0, lam_max, 0.0, None if rows is None else [0.0] * len(rows)
         return (t0, lam_max, *self.walk(active, t0, lam_max, rows, starts))
 
     def expected_order(self, shifts, gradient=True):
@@ -499,58 +434,70 @@ class _SurfaceProblem:
         """
         if self.volume <= 0:
             raise GeometryError("expected vanishing order requires a big class")
-        t0, lam_max, iv, ih = self.integrals(shifts, np.zeros((0, len(self._base))) if gradient else None)
+        t0, lam_max, iv, ih = self.integrals(shifts, [] if gradient else None)
         vol = float(self.volume)
         value = float(t0 + iv / vol) if lam_max > t0 else t0
         if not gradient:
             return value, None
         grad = [0.0] * len(self.support)
         for i, x in zip(self._nontrivial, ih):
-            grad[i] = 2.0 * float(x) / vol
+            grad[i] = 2.0 * x / vol
         if self._trivial:
             grad[min(self._trivial, key=lambda i: float(shifts[i]))] = 1.0 - math.fsum(grad)
         return value, grad
 
     def walk(self, ts, lam0, lam1, rows=None, starts=None):
         """(integral of vol, integrals of P . h) over [lam0, lam1], with `ts`
-        the float shifts of the non-trivial valuations and h the rows of the
-        float matrix `rows` (None: no h), row j integrated from `starts[j]`
-        on: one chamber walk per piece between consecutive shifts."""
+        the float shifts of the non-trivial valuations and h the float
+        tuples in `rows` (None: no h), row j integrated from `starts[j]` on:
+        one chamber walk per piece between consecutive cuts, which are the
+        shifts themselves, so `t <= p` is exact."""
         cuts = sorted({lam0, lam1} | {t for t in ts if lam0 < t < lam1})
-        total_v, total_h = 0.0, None if rows is None else np.zeros(len(rows))
+        total_v, total_h = 0.0, None if rows is None else [0.0] * len(rows)
         for p, q in zip(cuts, cuts[1:]):
-            active = [i for i, t in enumerate(ts) if t <= p + 1e-15]
-            b = self._base.copy()
-            d = np.zeros_like(self._base)
-            for i in active:
-                b += ts[i] * self._divs[i]
-                d -= self._divs[i]
-            iv, ih, alive = self.target._line_integrals(b, d, p, q, rows)
+            b, d = self._base, (0.0,) * len(self._base)
+            for t, e in zip(ts, self._divs):
+                if t <= p:
+                    b = tuple(u + t * w for u, w in zip(b, e))
+                    d = tuple(u - w for u, w in zip(d, e))
+            iv, ih = self.target._line_integrals(b, d, p, q, rows)
             total_v += iv
             if rows is not None:
-                total_h += np.where(starts <= p + 1e-15, ih, 0.0)
-            if not alive:
-                break
+                total_h = [acc + (x if s <= p else 0.0) for acc, x, s in zip(total_h, ih, starts)]
         return total_v, total_h
 
 
-def _linear_root(c0: float, c1: float, x: float, x1: float, eps: float):
-    """Root of c0 + c1 t strictly inside (x, x1), or x1."""
-    r = -c0 / c1 if abs(c1) >= 1e-14 else x1
-    return r if x + eps < r < x1 - eps else x1
+class _Lattice(NamedTuple):
+    """The data `SurfaceModel._chamber` works on, in one number type: negative
+    curves C, M C for them and then for the sample curves, the C_i . C_j, the
+    matrix M, the zero, and `tol`, within which a quantity counts as 0."""
+
+    curves: tuple
+    duals: tuple
+    gram: tuple
+    matrix: tuple
+    zero: object
+    tol: float
 
 
-def _dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b) if x and y), Fraction(0))
+def _floats(x):
+    """A tuple of numbers, or of such tuples, as floats."""
+    return tuple(_floats(y) if isinstance(y, tuple) else float(y) for y in x)
 
 
-def _solve_negative_definite(gram, columns):
+def _dot(a, b, zero=Fraction(0)):
+    # the zero start keeps an all-zero product in the number type: exact
+    # data gives Fraction(0), never the int 0
+    return sum((x * y for x, y in zip(a, b) if x and y), zero)
+
+
+def _solve_negative_definite(gram, columns, tol):
     """The solutions of gram X = c, one per column c, by elimination without
-    row exchanges; None unless gram is negative definite (every pivot < 0)."""
+    row exchanges; None unless gram is negative definite (every pivot < -tol)."""
     n = len(gram)
     rows = [list(row) + [c[i] for c in columns] for i, row in enumerate(gram)]
     for k in range(n):
-        if rows[k][k] >= 0:
+        if rows[k][k] >= -tol:
             return None
         for r in range(n):
             if r != k and rows[r][k]:

@@ -180,3 +180,41 @@ class TestLineIntegrals:
                 fast = expected_order_S(model, L, spec)
                 slow = expected_order_S(model, L, spec, method="quadrature")
                 assert abs(fast - slow) < 1e-7
+
+    def test_two_valuation_walls_match_quadrature(self):
+        # two-valuation supports; the references are perfbench/oracle.surface_S
+        from divstab.filtrations import FiltrationSpec, expected_order_S
+
+        p1xp1 = ds.bundled_model("p1xp1")
+        cases = [
+            (p1xp1, (Fraction(5657, 1000), Fraction(79, 50)), ("ord_f2", "ord_diag"),
+             (0.11349, 1.6753), 0.9034376181295564),
+            (f1, (Fraction(673, 100), Fraction(1683, 250)), ("ord_f", "ord_sf"),
+             (1.9249439806819584, 1.9475909931596436), 3.058229536379357),
+            (f1, (Fraction(184, 125), Fraction(5807, 1000)), ("ord_s", "ord_sf"),
+             (1.5543478626120022, 0.09613104163666941), 0.7964960039696699),
+        ]
+        for model, L, names, shifts, reference in cases:
+            spec = FiltrationSpec(tuple(model.named_valuations[n] for n in names), shifts)
+            fast = expected_order_S(model, model.divisor(L), spec)
+            slow = expected_order_S(model, model.divisor(L), spec, method="quadrature")
+            assert abs(fast - slow) < 1e-9
+            assert abs(fast - reference) < 1e-9
+
+
+class TestExactTypes:
+    def test_zero_positive_part_stays_fraction(self):
+        E = blp2.divisor([0, 1])
+        dec = blp2.zariski(E)
+        assert type(blp2.volume(E)) is Fraction
+        assert type(blp2.pairing(dec.positive_part, dec.positive_part)) is Fraction
+        assert all(type(c) is Fraction for c in dec.positive_part.coefficients)
+        assert [type(a) for _, a in dec.negative_part] == [Fraction]
+
+    def test_gamma_stays_fraction(self):
+        rng = random.Random(43)
+        for model in surface_models():
+            for _ in range(10):
+                L = random_big_class(model, rng)
+                for v in model.named_valuations.values():
+                    assert type(ds.gamma_threshold(model, L, v)) is Fraction
