@@ -11,7 +11,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Sequence
 
 
 class GeometryError(Exception):
@@ -211,45 +211,6 @@ class GeometryModel(ABC):
 def is_big(model: GeometryModel, D: DivisorClass) -> bool:
     """True iff vol(D) > 0."""
     return model.is_big(D)
-
-
-def solve_exact(matrix, rhs) -> Optional[list[Fraction]]:
-    """Gaussian elimination over Fraction entries; None when singular."""
-    n = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
-def det_exact(m) -> Fraction:
-    """Determinant of a square matrix of Fraction entries."""
-    n = len(m)
-    m = [list(row) for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] / inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
 
 
 def gamma_threshold(

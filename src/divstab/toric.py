@@ -2,7 +2,9 @@
 
 Divisor classes are ray-coefficient vectors a_rho; the section polytope is
 P_D = {m : <m, v_rho> >= -a_rho}.  Volumes are n! times the Euclidean volume
-of P_D, computed by exact vertex enumeration and triangulation.  Valuations
+of P_D.  One kernel, `ToricModel._polytope`, enumerates the vertices of P_D or
+of a cell cut from it and triangulates it from facet incidences, all in
+integer arithmetic; volumes, thresholds and S derive from it.  Valuations
 are monomial: primitive lattice vectors w, whose order function is linear on
 the monomial basis, anchored so that min over P_L is order 0.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Callable, Sequence
@@ -23,8 +26,6 @@ from .core import (
     GeometryModel,
     Valuation,
     as_fraction,
-    det_exact,
-    solve_exact,
 )
 
 
@@ -47,9 +48,8 @@ class ToricModel(GeometryModel):
         self._check_complete()
         # -K has coefficient 1 on every ray
         self.canonical_class = self.divisor([-1] * self.class_rank)
-        self._vertex_cache: dict[tuple, tuple] = {}
+        self._polytope_cache: dict[tuple, tuple] = {}
         self._anchor_cache: dict[tuple, Fraction] = {}
-        self._moment_cache: dict[tuple, tuple] = {}
 
     def _check_complete(self):
         """Section polytopes are bounded iff the rays positively span the lattice."""
@@ -75,7 +75,7 @@ class ToricModel(GeometryModel):
         """The maximal cones as ray tuples: angularly adjacent pairs in 2-d,
         every n-subset of n + 1 rays; no other fan is fixed by its rays."""
         if self.dimension == 2:
-            ordered = _order_polygon(self.rays, center=(0, 0))
+            ordered = _order_polygon(self.rays)
             return list(zip(ordered, ordered[1:] + ordered[:1]))
         if len(self.rays) != self.dimension + 1:
             raise GeometryError(f"the cones of {self.name!r} are not determined by its rays")
@@ -85,12 +85,13 @@ class ToricModel(GeometryModel):
         """Sum of the coordinates of w in the smooth cone of the fan holding it."""
         w = tuple(int(x) for x in w)
         for cone in self._maximal_cones():
-            mat = [[Fraction(ray[r]) for ray in cone] for r in range(self.dimension)]
-            if abs(det_exact(mat)) != 1:
+            det = _det(cone)
+            if abs(det) != 1:
                 continue
-            sol = solve_exact(mat, [Fraction(x) for x in w])
-            if sol is not None and all(c >= 0 for c in sol):
-                return sum(sol, Fraction(0))
+            # Cramer: the coordinate on ray j swaps ray j for w
+            sol = [det * _det(cone[:j] + (w,) + cone[j + 1:]) for j in range(len(cone))]
+            if all(c >= 0 for c in sol):
+                return Fraction(sum(sol))
         raise GeometryError(f"vector {w} lies in no declared smooth cone")
 
     # -- polytope machinery -------------------------------------------------
@@ -98,80 +99,90 @@ class ToricModel(GeometryModel):
     def _halfspaces(self, D: DivisorClass):
         """Constraints <m, normal> >= rhs for the section polytope of D."""
         self._check_basis(D)
-        return [
-            ([Fraction(x) for x in ray], -a)
-            for ray, a in zip(self.rays, D.coefficients)
-        ]
+        return [(ray, -a) for ray, a in zip(self.rays, D.coefficients)]
 
-    def _vertices(self, halfspaces) -> list[tuple[Fraction, ...]]:
+    def _polytope(self, halfspaces):
+        """(vertices, mass, first moment) of {m : <m, normal> >= rhs}, for
+        integer normals and rational rhs, in Python ints.
+
+        The rhs are scaled to one denominator; each n-subset of halfspaces is
+        solved by integer Cramer, the point kept in lowest homogeneous form
+        (y, q) with m = y / q if it is feasible, with its tight constraints.
+        The polytope is triangulated by coning each face from its first
+        vertex over its facets, the maximal proper sets of face vertices
+        tight at one constraint; simplices of fewer than n + 1 points (a flat
+        polytope) are dropped.  Vertices are sorted Fraction tuples.
+        """
         n = self.dimension
-        verts: set[tuple[Fraction, ...]] = set()
-        for subset in itertools.combinations(range(len(halfspaces)), n):
-            mat = [halfspaces[i][0] for i in subset]
-            rhs = [halfspaces[i][1] for i in subset]
-            pt = solve_exact(mat, rhs)
-            if pt is None:
+        den = math.lcm(*(r.denominator for _, r in halfspaces))
+        normals = [a for a, _ in halfspaces]
+        rhs = [r.numerator * (den // r.denominator) for _, r in halfspaces]
+        tight = {}
+        for subset in itertools.combinations(range(len(normals)), n):
+            cols = list(zip(*(normals[i] for i in subset)))
+            det = _det(cols)
+            if det == 0:
                 continue
-            if all(
-                sum(a * x for a, x in zip(normal, pt)) >= r
-                for normal, r in halfspaces
-            ):
-                verts.add(tuple(pt))
-        return sorted(verts)
+            b = tuple(rhs[i] for i in subset)
+            y = [_det(cols[:j] + [b] + cols[j + 1:]) for j in range(n)]
+            g = math.gcd(det * den, *y) * (1 if det > 0 else -1)
+            key = (tuple(x // g for x in y), det * den // g)
+            if key not in tight:
+                y, q = key
+                slack = [den * sum(map(operator.mul, a, y)) - r * q for a, r in zip(normals, rhs)]
+                feasible = min(slack) >= 0
+                tight[key] = frozenset(i for i, s in enumerate(slack) if s == 0) if feasible else None
+        verts = [key for key, t in tight.items() if t is not None]
+        common = math.lcm(*(q for _, q in verts))
+        points = [[x * (common // q) for x in y] for y, q in verts]
+        faces = {}
+
+        def simplices(face):
+            if len(face) == 1:
+                return [face]
+            if face not in faces:
+                by_constraint = {}
+                for v in face:
+                    for i in tight[verts[v]]:
+                        by_constraint.setdefault(i, []).append(v)
+                facets = []
+                for f in sorted({tuple(f) for f in by_constraint.values() if len(f) < len(face)},
+                                key=len, reverse=True):
+                    if not any(set(f) <= set(g) for g in facets):
+                        facets.append(f)
+                faces[face] = [(face[0],) + s for f in facets if face[0] not in f for s in simplices(f)]
+            return faces[face]
+
+        # points are ints over `common`: a simplex has volume |d| / (common^n n!)
+        # and centroid the mean of its n + 1 points; divide once at the end
+        mass, moment = 0, [0] * n
+        for s in simplices(tuple(range(len(verts)))):
+            if len(s) == n + 1:
+                p0 = points[s[0]]
+                d = abs(_det([[a - b for a, b in zip(points[i], p0)] for i in s[1:]]))
+                mass += d
+                for r in range(n):
+                    moment[r] += d * sum(points[i][r] for i in s)
+        scale = common**n * math.factorial(n)
+        vertices = sorted(tuple(Fraction(x, q) for x in y) for y, q in verts)
+        return vertices, Fraction(mass, scale), tuple(Fraction(m, scale * common * (n + 1)) for m in moment)
 
     def polytope_vertices(self, D: DivisorClass) -> list[tuple[Fraction, ...]]:
-        key = D.coefficients
-        hit = self._vertex_cache.get(key)
-        if hit is None:
-            hit = tuple(self._vertices(self._halfspaces(D)))
-            self._vertex_cache[key] = hit
-        return list(hit)
+        return list(self._section_polytope(D)[0])
 
-    def _mass_moment(self, verts) -> tuple[Fraction, tuple[Fraction, ...]]:
-        """Euclidean volume and first moment (integral of m) of the convex hull
-        of `verts`, summed exactly over a triangulation: the fan from one
-        vertex of the ordered polygon in 2-d, Delaunay in higher dimension."""
-        n = self.dimension
-        simplices = []
-        if len(verts) <= n:
-            pass  # too few vertices for an n-simplex: no volume
-        elif n == 1:
-            simplices = [(min(verts), max(verts))]
-        elif n == 2:
-            ordered = _order_polygon(verts)
-            simplices = [(ordered[0], p, q) for p, q in zip(ordered[1:], ordered[2:])]
-        else:
-            pts = np.array([[float(x) for x in v] for v in verts])
-            if np.linalg.matrix_rank(pts - pts[0], tol=1e-9) == n:
-                from scipy.spatial import Delaunay
-
-                simplices = [[verts[i] for i in s] for s in Delaunay(pts).simplices]
-        mass, moment = Fraction(0), [Fraction(0)] * n
-        fact = math.factorial(n)
-        for simplex in simplices:
-            p0 = simplex[0]
-            mat = [[p[r] - p0[r] for r in range(n)] for p in simplex[1:]]
-            vol = abs(det_exact(mat)) / fact
-            mass += vol
-            # the centroid of a simplex is the mean of its vertices
-            for r in range(n):
-                moment[r] += vol * sum(p[r] for p in simplex) / (n + 1)
-        return mass, tuple(moment)
-
-    def _moments(self, L: DivisorClass) -> tuple[Fraction, tuple[Fraction, ...]]:
-        """(mass, first moment) of P_L, computed once per class."""
+    def _section_polytope(self, L: DivisorClass):
+        """`_polytope` of P_L, computed once per class."""
         self._check_basis(L)
         key = L.coefficients
-        hit = self._moment_cache.get(key)
+        hit = self._polytope_cache.get(key)
         if hit is None:
-            hit = self._mass_moment(self.polytope_vertices(L))
-            self._moment_cache[key] = hit
+            hit = self._polytope_cache[key] = self._polytope(self._halfspaces(L))
         return hit
 
     # -- GeometryModel contract --------------------------------------------
 
     def volume(self, D: DivisorClass) -> Fraction:
-        return math.factorial(self.dimension) * self._moments(D)[0]
+        return math.factorial(self.dimension) * self._section_polytope(D)[1]
 
     def order_anchor(self, L: DivisorClass, w: Sequence[int]) -> Fraction:
         """min over P_L of <., w>; vanishing orders along w are measured from it."""
@@ -191,9 +202,8 @@ class ToricModel(GeometryModel):
         for w, c in constraints:
             w = tuple(int(x) for x in w)
             anchor = self.order_anchor(L, w)
-            halfspaces.append(([Fraction(x) for x in w], anchor + as_fraction(c)))
-        mass, _ = self._mass_moment(self._vertices(halfspaces))
-        return math.factorial(self.dimension) * mass
+            halfspaces.append((w, anchor + as_fraction(c)))
+        return math.factorial(self.dimension) * self._polytope(halfspaces)[1]
 
     def _valuation_vector(self, v: Valuation) -> tuple[int, ...]:
         w = v.order_model
@@ -233,7 +243,7 @@ class ToricModel(GeometryModel):
         least, and the first cell is what they leave.  Each integral is exact
         from a (mass, first moment) pair.
         """
-        mass, moment = self._moments(L)
+        _, mass, moment = self._section_polytope(L)
         if mass <= 0:
             raise GeometryError("expected vanishing order requires a big class")
         pieces: dict[tuple[int, ...], tuple[Fraction, int]] = {}
@@ -251,13 +261,11 @@ class ToricModel(GeometryModel):
         for wi, (ci, i) in rest:
             # the cell of piece i: f_j - f_i >= 0 for every other piece j
             cuts = [
-                ([Fraction(a - b) for a, b in zip(wj, wi)], ci - cj)
+                (tuple(a - b for a, b in zip(wj, wi)), ci - cj)
                 for wj, (cj, _) in pieces.items()
                 if wj != wi
             ]
-            cell_mass, cell_moment = self._mass_moment(
-                self._vertices(self._halfspaces(L) + cuts)
-            )
+            _, cell_mass, cell_moment = self._polytope(self._halfspaces(L) + cuts)
             diff = [a - b for a, b in zip(wi, w1)]
             total += _dot(diff, cell_moment) + (ci - c1) * cell_mass
             grad[i] = cell_mass / mass
@@ -346,32 +354,40 @@ class ToricModel(GeometryModel):
         return top - self.order_anchor(L, w)
 
 
-def _order_polygon(verts, center=None):
-    """Counterclockwise ordering of 2-d points by exact angular comparison
-    about `center`, by default their centroid."""
-    verts = list(verts)
-    if len(verts) < 3:
-        return verts
-    if center is None:
-        center = [sum(v[i] for v in verts) / len(verts) for i in (0, 1)]
-    cx, cy = center
+def _order_polygon(vectors):
+    """Counterclockwise ordering of 2-d vectors by exact angular comparison
+    about the origin."""
 
     def half(p):
-        dx, dy = p[0] - cx, p[1] - cy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+        return 0 if (p[1] > 0 or (p[1] == 0 and p[0] > 0)) else 1
 
     def compare(p, q):
         hp, hq = half(p), half(q)
         if hp != hq:
             return -1 if hp < hq else 1
-        cross = (p[0] - cx) * (q[1] - cy) - (q[0] - cx) * (p[1] - cy)
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
+        cross = p[0] * q[1] - q[0] * p[1]
+        return -1 if cross > 0 else (1 if cross < 0 else 0)
 
-    return sorted(verts, key=cmp_to_key(compare))
+    return sorted(vectors, key=cmp_to_key(compare))
+
+
+def _det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact."""
+    m = [list(r) for r in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev = pivot
+    return sign * m[-1][-1]
 
 
 def _dot(w, m) -> Fraction:

@@ -7,6 +7,8 @@ import divstab as ds
 from divstab.filtrations import FiltrationSpec, expected_order_S
 from divstab.toric import ToricModel
 
+import _reference as reference
+
 p2t = ds.bundled_model("p2_toric")
 ppt = ds.bundled_model("p1xp1_toric")
 f1t = ds.bundled_model("f1_toric")
@@ -193,3 +195,108 @@ class TestCrossBackendAgreement:
                 [(f1.named_valuations["ord_s"], c_s), (f1.named_valuations["ord_f"], c_f)],
             )
             assert toric == surf
+
+
+# models for the reference comparison, beside the bundled 2-d ones
+EXTRA_MODELS = {
+    "p3": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+    "p4": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -1]],
+    "cube": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+}
+
+
+def p3_model():
+    p3 = ToricModel("p3", EXTRA_MODELS["p3"])
+    for name, w in (("e1", (1, 0, 0)), ("e2", (0, 1, 0)), ("e123", (1, 1, 1))):
+        p3.monomial_valuation(name, w)
+    return p3
+
+
+class TestSmallScaleExactness:
+    @pytest.mark.parametrize("c", [Fraction(1, 10**10), Fraction(1, 10**12), Fraction(10**6)])
+    def test_p3_scaled_hyperplane(self, c):
+        # the simplex c * {m >= 0, m1 + m2 + m3 <= 1}: volume c^3, centroid c/4
+        p3 = p3_model()
+        L = p3.divisor([0, 0, 0, c])
+        assert p3.volume(L) == c**3 * p3.volume(p3.divisor([0, 0, 0, 1])) == c**3
+        assert ds.is_big(p3, L)
+        spec = FiltrationSpec((p3.named_valuations["e1"],), (0.0,))
+        assert expected_order_S(p3, L, spec) == float(c / 4)
+
+
+class TestPolytopeKernelMatchesReference:
+    def test_random_systems(self):
+        # section polytopes of random unit-scale classes, cut by 0-3 random
+        # halfspaces with rational or Fraction(float) right-hand sides; the
+        # reference's float flatness test is reliable at this scale
+        models = [p2t, ppt, f1t] + [ToricModel(n, r) for n, r in EXTRA_MODELS.items()]
+        rng = random.Random(2024)
+        kinds = {"empty": 0, "flat": 0, "full": 0}
+        for _ in range(1000):
+            model = rng.choice(models)
+            n = model.dimension
+            a = [Fraction(rng.randint(-1, 3), rng.randint(1, 3)) for _ in model.rays]
+            halfspaces = model._halfspaces(model.divisor(a))
+            for _ in range(rng.randint(0, 3)):
+                w = tuple(rng.randint(-2, 2) for _ in range(n))
+                if rng.random() < 0.5:
+                    rhs = Fraction(rng.uniform(-1, 1))
+                else:
+                    rhs = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                if any(w):
+                    halfspaces.append((w, rhs))
+            verts, mass, moment = model._polytope(halfspaces)
+            ref_verts = reference.vertices(n, halfspaces)
+            assert verts == ref_verts
+            assert (mass, moment) == reference.mass_moment(n, ref_verts)
+            kinds["empty" if not verts else "full" if mass > 0 else "flat"] += 1
+        assert min(kinds.values()) >= 50, kinds
+
+
+class TestDegenerateCells:
+    def test_cut_through_one_vertex(self):
+        # only the vertex (3, 0[, 0]) has m1 - m2 >= 3, which is 6 above the
+        # least value of m1 - m2
+        p3 = p3_model()
+        L3 = p3.divisor([0, 0, 0, 3])
+        assert p2t.constrained_volume(L3H, [((1, -1), 6)]) == 0
+        assert p3.constrained_volume(L3, [((1, -1, 0), 6)]) == 0
+        for model, L, mean in ((p2t, L3H, 1), (p3, L3, Fraction(3, 4))):
+            support = (model.named_valuations["e1"], model.named_valuations["e2"])
+            assert model.expected_order(L, support, (0, 3)) == (mean, [1, 0])
+
+    def test_cut_along_an_edge(self):
+        # m1 + m2 >= 3 leaves only the edge from (3, 0[, 0]) to (0, 3[, 0])
+        p3 = p3_model()
+        L3 = p3.divisor([0, 0, 0, 3])
+        assert p2t.constrained_volume(L3H, [((1, 1), 3)]) == 0
+        assert p3.constrained_volume(L3, [((1, 1, 0), 3)]) == 0
+        # the cell where diag = e1 + e2 is least is the edge m2 = 0 of 3H
+        e1, diag = p2t.named_valuations["e1"], p2t.named_valuations["diag"]
+        assert p2t.expected_order(L3H, (e1, diag), (0, 0)) == (1, [1, 0])
+        assert p2t.expected_order(L3H, (diag, e1), (0, 0)) == (1, [0, 1])
+        # on P^3 the cell of e123 is the edge m2 = m3 = 0
+        support = (p3.named_valuations["e1"], p3.named_valuations["e123"])
+        assert p3.expected_order(L3, support, (0, 0)) == (Fraction(3, 4), [1, 0])
+
+    def test_cut_duplicating_a_ray_inequality(self):
+        p3 = p3_model()
+        cube = ToricModel("cube", EXTRA_MODELS["cube"])
+        for model, L in ((p2t, L3H), (f1t, -f1t.canonical_class), (p3, p3.divisor([1, 0, 2, 1])),
+                         (cube, cube.divisor([1, 0, 1, 2, 0, 1]))):
+            halfspaces = model._halfspaces(L)
+            expected = model._polytope(halfspaces)
+            for ray, rhs in halfspaces:
+                assert model._polytope(halfspaces + [(ray, rhs)]) == expected
+                assert model._polytope(halfspaces + [(tuple(2 * x for x in ray), 2 * rhs)]) == expected
+                assert model.constrained_volume(L, [(ray, 0)]) == model.volume(L)
+
+    def test_empty_polytope(self):
+        p3 = p3_model()
+        for model, L in ((p2t, p2t.divisor([0, 0, -1])), (p3, p3.divisor([0, 0, 0, -1]))):
+            assert model.polytope_vertices(L) == []
+            assert model.volume(L) == 0
+            assert not ds.is_big(model, L)
+            w = model.named_valuations["e1"].order_model
+            with pytest.raises(ds.GeometryError, match="^empty section polytope has no order anchor$"):
+                model.order_anchor(L, w)
