@@ -275,7 +275,7 @@ def _grad_S_direction(model, L, support, shifts, H, quad_tol) -> float:
         if lam_max <= t0:
             return 0.0
         vol = float(problem.volume)
-        plh = float(problem.positive_product(H))
+        plh = float(model.positive_product_against(L, H))
         return (2.0 / vol) * (float(ih[0]) - (plh / vol) * iv)
     # Richardson-extrapolated central differences in the L direction
     def diff(eps: Fraction) -> float:

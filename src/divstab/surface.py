@@ -6,17 +6,17 @@ incomplete curve lists give wrong volumes; the bundled del Pezzo / Hirzebruch
 models carry the full known lists.
 
 One routine, `SurfaceModel._chamber`, finds the Zariski chamber of b + lam d
-right of a point, where P is linear and vol = P^2 quadratic in lam: on
-Fractions for `zariski` and the thresholds, on floats for S and its gradients.
+right of a point, where P is linear and vol = P^2 quadratic in lam.  It runs
+fraction-free on a tuple over one positive scale, with the lattice data in
+ints: on ints for `zariski` and the thresholds, on floats for S and its gradients.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from .core import (
     BasisMismatchError,
@@ -26,6 +26,7 @@ from .core import (
     GeometryModel,
     NotPseudoeffectiveError,
     Valuation,
+    _det,
     as_fraction,
     gamma_threshold,
 )
@@ -77,49 +78,36 @@ class SurfaceModel(GeometryModel):
             for j in range(self.class_rank):
                 if self.matrix[i][j] != self.matrix[j][i]:
                     raise GeometryError("intersection matrix is not symmetric")
-        self._check_signature()
+        matrix, sigma = _integral(self.matrix)
+        signature = _signature(matrix)
+        if signature != (1, self.class_rank - 1):
+            raise GeometryError(f"intersection form has signature {signature}; expected (1, {self.class_rank - 1})")
 
         self.negative_curves = tuple(self.divisor(c) for c in negative_curves)
-        for C in self.negative_curves:
-            if self.pairing(C, C) >= 0:
-                raise GeometryError(
-                    f"declared negative curve {C.coefficients} has self-intersection >= 0"
-                )
         self.sample_curves = tuple(self.divisor(c) for c in sample_curves)
+        curves, kappa = _integral([C.coefficients for C in self.negative_curves + self.sample_curves])
+        duals = tuple(_image(matrix, c) for c in curves)
+        curves = curves[: len(self.negative_curves)]
+        gram = tuple(tuple(_dot(c, u) for u in duals[: len(curves)]) for c in curves)
+        for i, C in enumerate(self.negative_curves):
+            if gram[i][i] >= 0:
+                raise GeometryError(f"declared negative curve {C.coefficients} has self-intersection >= 0")
         if canonical_class is None:
             canonical_class = [0] * self.class_rank
         self.canonical_class = self.divisor(canonical_class)
 
-        curves = tuple(C.coefficients for C in self.negative_curves)
-        duals = tuple(self._image(C.coefficients) for C in self.negative_curves + self.sample_curves)
-        gram = tuple(tuple(_dot(c, u) for u in duals) for c in curves)
-        self._exact = _Lattice(curves, duals, gram, self.matrix, Fraction(0), 0)
-        self._float = _Lattice(*(_floats(x) for x in self._exact[:4]), 0.0, 0.0)
+        self._exact = _Lattice(curves, duals, gram, matrix, sigma, kappa, Fraction, 0)
         # the last compiled (L, support); see `_compiled`
         self._problem: Optional[_SurfaceProblem] = None
-
-    def _check_signature(self):
-        eig = np.linalg.eigvalsh(
-            np.array([[float(x) for x in row] for row in self.matrix])
-        )
-        pos = int(np.sum(eig > 1e-9))
-        neg = int(np.sum(eig < -1e-9))
-        if pos != 1 or neg != self.class_rank - 1:
-            raise GeometryError(
-                f"intersection form has signature ({pos}, {neg}); "
-                f"expected (1, {self.class_rank - 1})"
-            )
+        self._last: tuple = (None, None)  # see `_decomposition`
 
     # -- exact pairing and Zariski decomposition ---------------------------
 
     def pairing(self, A: DivisorClass, B: DivisorClass) -> Fraction:
         self._check_basis(A)
         self._check_basis(B)
-        return _dot(A.coefficients, self._image(B.coefficients))
-
-    def _image(self, coeffs) -> tuple:
-        """M coeffs, exactly, for the intersection matrix M."""
-        return tuple(_dot(row, coeffs) for row in self.matrix)
+        (a, b), q = _integral((A.coefficients, B.coefficients))
+        return Fraction(_dot(a, _image(self._exact.matrix, b)), q * q * self._exact.sigma)
 
     def curve_valuation(self, name: str, curve_coeffs: Sequence, log_discrepancy=1) -> Valuation:
         """Valuation ord_C along a prime divisor C realised on this surface."""
@@ -130,47 +118,65 @@ class SurfaceModel(GeometryModel):
         """Unique decomposition D = P + N (P nef against the declared curves,
         negative-definite N-support orthogonal to P), by iterated support growth.
         """
-        self._check_basis(D)
-        support, P, _ = self._chamber(self._exact, D.coefficients, (0,) * self.class_rank, 0)
-        negative = tuple((self.negative_curves[i], a) for i, a, _ in support)
-        return ZariskiDecomposition(DivisorClass(P, self.basis_id), negative)
+        return self._decomposition(D)[0]
 
-    def _chamber(self, lat, b, d, x):
-        """Zariski decomposition of b + lam d just right of lam = x, on
-        coefficient tuples of the number type of the lattice data `lat`:
-        (support, p0, p1) with P = p0 + lam p1 and support the (curve index,
-        a0, a1) whose N-coefficient a0 + lam a1 is positive there.  Each
-        c0 + lam c1 is signed at x+: by its value at x, then by its slope,
-        each counting as 0 within lat.tol.  Raises NotPseudoeffectiveError
-        off the psef cone at x+.
-        """
-        curves, duals, zero, tol = lat.curves, lat.duals, lat.zero, lat.tol
-        support, a0, a1, p0, p1 = [], [], [], b, d
+    def _decomposition(self, D: DivisorClass):
+        """(Zariski decomposition, vol) of D, kept for the last class asked; off
+        the psef cone, its error message, raised afresh on each query."""
+        self._check_basis(D)
+        if self._last[0] != D.coefficients:
+            lat, ((b,), q) = self._exact, _integral((D.coefficients,))
+            try:
+                support, p0, _, scale = self._chamber(lat, b, (0,) * len(b), q, (0, 1))
+                P = DivisorClass(tuple(Fraction(c, scale) for c in p0), self.basis_id)
+                N = tuple((self.negative_curves[i], Fraction(lat.kappa * a, scale)) for i, a, _ in support)
+                hit = ZariskiDecomposition(P, N), Fraction(_dot(p0, _image(lat.matrix, p0)), scale**2 * lat.sigma)
+            except NotPseudoeffectiveError as e:
+                hit = str(e)
+            self._last = D.coefficients, hit
+        hit = self._last[1]
+        if isinstance(hit, str):
+            raise NotPseudoeffectiveError(hit)
+        return hit
+
+    def _chamber(self, lat, b, d, q, x):
+        """Zariski decomposition of (b + lam d) / q right of lam = xn / xd, for
+        int or float tuples b, d, x = (xn, xd) and q, xd > 0: (support, p0,
+        p1, scale) with P = (p0 + lam p1) / scale and support the (curve index,
+        a0, a1) whose N-coefficient lat.kappa (a0 + lam a1) / scale is positive
+        at x+, where each (c0 + lam c1) / scale is signed by its value, then
+        its slope, 0 within lat.tol.  Raises NotPseudoeffectiveError off the
+        psef cone at x+."""
+        curves, duals = lat.curves, lat.duals
+        xn, xd = x
+        support, a0, a1, p0, p1, scale = [], [], [], b, d, q
+        tol = lat.tol * q
 
         def sign(c0, c1):
-            c = c0 + x * c1
-            return c if c > tol or c < -tol else (c1 if c1 > tol or c1 < -tol else 0)
+            c = xd * c0 + xn * c1
+            return c if abs(c) > tol * xd else (c1 if abs(c1) > tol else 0)
 
         def pairs(dual):
-            return sign(_dot(p0, dual, zero), _dot(p1, dual, zero))
+            return sign(_dot(p0, dual), _dot(p1, dual))
 
         while violating := [
             i for i in range(len(curves)) if i not in support and pairs(duals[i]) < 0
         ]:
             support += violating
             gram = [[lat.gram[i][j] for j in support] for i in support]
-            rhs = [[_dot(v, duals[i], zero) for i in support] for v in (b, d)]
-            sol = _solve_negative_definite(gram, rhs, tol)
+            rhs = [[_dot(v, duals[i]) for i in support] for v in (b, d)]
+            sol = _solve_negative_definite(gram, rhs)
             if sol is None:
                 raise NotPseudoeffectiveError(
                     f"no Zariski decomposition: Gram submatrix of curves "
                     f"{[self.negative_curves[i].coefficients for i in support]} is not negative definite"
                 )
-            a0, a1 = sol
-            # P = v - sum a_i C_i for (v, a) = (b, a0) and (d, a1)
+            g, (a0, a1) = sol
+            scale, tol = q * g, lat.tol * q * g
+            # P = (g v - sum a_i C_i) / scale for (v, a) = (b, a0) and (d, a1)
             columns = list(zip(*(curves[i] for i in support)))
             p0, p1 = (
-                tuple(vk - _dot(a, col, zero) for vk, col in zip(v, columns)) for v, a in zip((b, d), sol)
+                tuple(g * vk - _dot(a, col) for vk, col in zip(v, columns)) for v, a in zip((b, d), (a0, a1))
             )
         for C, dual in zip(self.sample_curves, duals[len(curves):]):
             if pairs(dual) < 0:
@@ -182,31 +188,29 @@ class SurfaceModel(GeometryModel):
             raise NotPseudoeffectiveError(
                 "a negative-part coefficient is forced negative; class is not pseudoeffective"
             )
-        return [(i, u, w) for i, u, w in zip(support, a0, a1) if sign(u, w) > 0], p0, p1
+        return [(i, u, w) for i, u, w in zip(support, a0, a1) if sign(u, w) > 0], p0, p1, scale
 
-    def _step(self, lat, b, d, x):
-        """(p0, p1, M p0, M p1, wall) on the chamber of b + lam d just right
-        of x (`_chamber`), with wall the least root past x of an N-coefficient
-        or an off-support curve pairing (None: no wall); None when b + lam d
-        is not pseudoeffective at x+."""
+    def _step(self, lat, b, d, q, x):
+        """(p0, p1, M p0, M p1, scale, wall) on the chamber of (b + lam d) / q
+        right of x (`_chamber`), M = lat.matrix, and wall the least root past
+        x of an N-coefficient or an off-support curve pairing, by lat.div
+        (None: no wall); None when the class is not psef at x+."""
         try:
-            support, p0, p1 = self._chamber(lat, b, d, x)
+            support, p0, p1, scale = self._chamber(lat, b, d, q, x)
         except NotPseudoeffectiveError:
             return None
-        zero, inside = lat.zero, {i for i, _, _ in support}
+        inside, tol = {i for i, _, _ in support}, lat.tol * scale
         lines = [(u, w) for _, u, w in support] + [
-            (_dot(p0, c, zero), _dot(p1, c, zero)) for i, c in enumerate(lat.duals) if i not in inside
+            (_dot(p0, c), _dot(p1, c)) for i, c in enumerate(lat.duals) if i not in inside
         ]
-        wall = min((-c0 / c1 for c0, c1 in lines if c1 < -lat.tol), default=None)
-        Mp0, Mp1 = (tuple(_dot(row, p, zero) for row in lat.matrix) for p in (p0, p1))
-        return p0, p1, Mp0, Mp1, wall
+        wall = min((lat.div(-c0, c1) for c0, c1 in lines if c1 < -tol), default=None)
+        return p0, p1, _image(lat.matrix, p0), _image(lat.matrix, p1), scale, wall
 
     def volume(self, D: DivisorClass) -> Fraction:
         try:
-            dec = self.zariski(D)
+            return self._decomposition(D)[1]
         except NotPseudoeffectiveError:
             return Fraction(0)
-        return self.pairing(dec.positive_part, dec.positive_part)
 
     def positive_product_against(self, D: DivisorClass, H: DivisorClass) -> Fraction:
         """<D> . H = positive part of D paired with H.  Requires D big."""
@@ -282,15 +286,15 @@ class SurfaceModel(GeometryModel):
     # -- float chamber walk ------------------------------------------------
 
     def _float_lattice(self, *vectors) -> "_Lattice":
-        """The float lattice data, 0 within 1e-12 of the largest coordinate (or 1)."""
+        """The lattice data for float classes: 0 within 1e-12 of the largest coordinate (or 1)."""
         scale = max(1.0, *(abs(c) for vec in vectors for c in vec))
-        return self._float._replace(tol=1e-12 * scale)
+        return self._exact._replace(div=operator.truediv, tol=1e-12 * scale)
 
     def volume_float(self, vec) -> float:
         """vol of the class with these float coordinates: `_step` at d = 0."""
         b = _floats(vec)
-        step = self._step(self._float_lattice(b), b, (0.0,) * len(b), 0.0)
-        return 0.0 if step is None else max(_dot(step[0], step[2], 0.0), 0.0)
+        step = self._step(self._float_lattice(b), b, (0.0,) * len(b), 1, (0.0, 1))
+        return 0.0 if step is None else max(_dot(step[0], step[2]) / (step[4] ** 2 * self._exact.sigma), 0.0)
 
     def _line_integrals(self, b, d, x0, x1, rows=None):
         """Integrals of vol(b + x d) and of P_x . h, for each float tuple h in
@@ -304,18 +308,20 @@ class SurfaceModel(GeometryModel):
         total_v, total_h = 0.0, None if rows is None else [0.0] * len(rows)
         x = x0
         while x < x1:
-            step = self._step(lat, b, d, x)
+            step = self._step(lat, b, d, 1, (x, 1))
             if step is None:
                 break
-            p0, p1, Mp0, Mp1, wall = step
+            p0, p1, Mp0, Mp1, scale, wall = step
             wall = x1 if wall is None or wall > x1 else wall
             if wall <= x:
                 raise ConvergenceError(f"chamber walk stalled at lam = {x!r}")
-            q0, q1, q2 = _dot(p0, Mp0, 0.0), 2.0 * _dot(p0, Mp1, 0.0), _dot(p1, Mp1, 0.0)
+            # P = (p0 + lam p1) / scale, and M = lat.matrix / sigma
+            unit = 1.0 / (scale * lat.sigma)
+            q0, q1, q2 = (u * unit / scale for u in (_dot(p0, Mp0), 2.0 * _dot(p0, Mp1), _dot(p1, Mp1)))
             total_v += q0 * (wall - x) + q1 * (wall * wall - x * x) / 2.0 + q2 * (wall**3 - x**3) / 3.0
             if rows is not None:
                 total_h = [
-                    acc + (_dot(r, Mp0, 0.0) * (wall - x) + _dot(r, Mp1, 0.0) * ((wall * wall - x * x) / 2.0))
+                    acc + unit * (_dot(r, Mp0) * (wall - x) + _dot(r, Mp1) * ((wall * wall - x * x) / 2.0))
                     for acc, r in zip(total_h, rows)
                 ]
             x = wall
@@ -344,11 +350,12 @@ class SurfaceModel(GeometryModel):
         if v.is_trivial:
             raise GeometryError("pseudoeffective threshold undefined for the trivial valuation")
         target, pull = self.resolve_realization([v])
-        b, d = pull(L.coefficients), tuple(-c for c in v.order_model.divisor.coefficients)
+        lat = target._exact
+        (b, d), q = _integral((pull(L.coefficients), [-c for c in v.order_model.divisor.coefficients]))
         x = Fraction(0)
-        while (step := target._step(target._exact, b, d, x)) is not None:
-            p0, p1, Mp0, Mp1, wall = step
-            root = _first_root(_dot(p0, Mp0), 2 * _dot(p0, Mp1), _dot(p1, Mp1), x, wall)
+        while (step := target._step(lat, b, d, q, x.as_integer_ratio())) is not None:
+            p0, p1, Mp0, Mp1, scale, wall = step
+            root = _first_root(_dot(p0, Mp0), 2 * _dot(p0, Mp1), _dot(p1, Mp1), scale**2 * lat.sigma, x, wall)
             if root is not None:
                 return root
             if wall is None:
@@ -369,9 +376,8 @@ class SurfaceModel(GeometryModel):
 class _SurfaceProblem:
     """One (L, support) on a surface, compiled once for repeated `S` calls.
 
-    Holds the exact Zariski decomposition of L (so vol(L) and <L>.H cost
-    nothing per call), the realization of the support with L pulled back to
-    float coordinates, and the float divisors of the non-trivial valuations.
+    Holds the exact vol(L), the realization of the support with L pulled back
+    to float coordinates, and the float divisors of the non-trivial valuations.
     Building it resolves the realization, so a support realised on several
     birational models raises here, whatever the shifts.  The thresholds
     gamma_i are computed on the first `integrals` call, which needs L big.
@@ -381,22 +387,13 @@ class _SurfaceProblem:
         self.model = model
         self.L = L
         self.support = support
-        try:
-            self.positive_part = model.zariski(L).positive_part
-            self.volume = model.pairing(self.positive_part, self.positive_part)
-        except NotPseudoeffectiveError:
-            self.positive_part = None
-            self.volume = Fraction(0)
+        self.volume = model.volume(L)
         self._nontrivial = [i for i, v in enumerate(support) if not v.is_trivial]
         self._trivial = [i for i, v in enumerate(support) if v.is_trivial]
         self._gammas: Optional[list[float]] = None
         self.target, self._pull = model.resolve_realization(support)
         self._base = _floats(self._pull(L.coefficients))
         self._divs = [_floats(support[i].order_model.divisor.coefficients) for i in self._nontrivial]
-
-    def positive_product(self, H: DivisorClass) -> Fraction:
-        """<L> . H, exact."""
-        return self.model.pairing(self.positive_part, H)
 
     def pulled(self, classes) -> list:
         """The classes pulled back to the realization, one float tuple each."""
@@ -468,47 +465,76 @@ class _SurfaceProblem:
 
 
 class _Lattice(NamedTuple):
-    """The data `SurfaceModel._chamber` works on, in one number type: negative
-    curves C, M C for them and then for the sample curves, the C_i . C_j, the
-    matrix M, the zero, and `tol`, within which a quantity counts as 0."""
+    """`SurfaceModel._chamber`'s data in ints, for M = sigma (intersection matrix)
+    and C = kappa (curve) with least common denominators sigma, kappa: negative
+    curves C, M C for them and the sample curves, C_i M C_j, M, sigma, kappa;
+    `div` divides in the classes' field, and within `tol` over scale 1 is 0."""
 
     curves: tuple
     duals: tuple
     gram: tuple
     matrix: tuple
-    zero: object
+    sigma: int
+    kappa: int
+    div: object
     tol: float
 
 
 def _floats(x):
-    """A tuple of numbers, or of such tuples, as floats."""
-    return tuple(_floats(y) if isinstance(y, tuple) else float(y) for y in x)
+    return tuple(map(float, x))
 
 
-def _dot(a, b, zero=Fraction(0)):
-    # the zero start keeps an all-zero product in the number type: exact
-    # data gives Fraction(0), never the int 0
-    return sum((x * y for x, y in zip(a, b) if x and y), zero)
+def _integral(vectors):
+    """(int tuples, q): rational tuples over their least common denominator q."""
+    q = math.lcm(*(c.denominator for v in vectors for c in v))
+    return tuple(tuple(c.numerator * (q // c.denominator) for c in v) for v in vectors), q
 
 
-def _solve_negative_definite(gram, columns, tol):
-    """The solutions of gram X = c, one per column c, by elimination without
-    row exchanges; None unless gram is negative definite (every pivot < -tol)."""
+def _dot(a, b):
+    return sum(map(operator.mul, a, b))
+
+
+def _image(matrix, v) -> tuple:
+    return tuple(_dot(row, v) for row in matrix)
+
+
+def _signature(m) -> tuple[int, int]:
+    """(positive, negative) inertia of a symmetric int matrix: count the sign of
+    a pivot p, go on with |p| times its Schur complement; on a zero diagonal,
+    row_k += row_j and col_k += col_j first, for m_kj != 0 (pivot 2 m_kj)."""
+    pos = neg = 0
+    while m:
+        k = next((i for i, row in enumerate(m) if row[i]), None)
+        if k is None:
+            k, j = next(((i, j) for i, row in enumerate(m) for j, a in enumerate(row) if a), (None, None))
+            if k is None:
+                break
+            m = [[a + (r == k) * m[j][c] + (c == k) * row[j] for c, a in enumerate(row)] for r, row in enumerate(m)]
+        p = m[k][k]
+        pos, neg, s = pos + (p > 0), neg + (p < 0), 1 if p > 0 else -1
+        m = [[s * (p * a - row[k] * m[k][c]) for c, a in enumerate(row) if c != k] for r, row in enumerate(m) if r != k]
+    return pos, neg
+
+
+def _solve_negative_definite(gram, columns):
+    """(g, xs) with g > 0 and gram x = g c for each column c and its x in xs,
+    by Cramer's rule on the int matrix gram, so x keeps the type of c; None
+    unless gram is negative definite: its leading minors alternate in sign."""
     n = len(gram)
-    rows = [list(row) + [c[i] for c in columns] for i, row in enumerate(gram)]
-    for k in range(n):
-        if rows[k][k] >= -tol:
-            return None
-        for r in range(n):
-            if r != k and rows[r][k]:
-                f = rows[r][k] / rows[k][k]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[k])]
-    return [[rows[i][n + j] / rows[i][i] for i in range(n)] for j in range(len(columns))]
+    minors = [(-1) ** k * _det([row[:k] for row in gram[:k]]) for k in range(1, n + 1)]
+    if min(minors) <= 0:
+        return None
+    # cof[j][i] = (-1)^n det(gram with column j replaced by the unit vector e_i)
+    cof = [
+        [(-1) ** n * _det([[*row[:j], int(r == i), *row[j + 1:]] for r, row in enumerate(gram)]) for i in range(n)]
+        for j in range(n)
+    ]
+    return minors[-1], [[_dot(row, c) for row in cof] for c in columns]
 
 
-def _first_root(q0, q1, q2, x, wall):
-    """Least root in (x, wall] of q0 + q1 lam + q2 lam^2, given q(x) > 0 (wall
-    None: no wall); a Fraction when the discriminant is a rational square."""
+def _first_root(q0, q1, q2, unit, x, wall):
+    """Least root in (x, wall] of (q0 + q1 lam + q2 lam^2) / unit, ints q, unit > 0,
+    given q(x) > 0 (wall None: no wall); a Fraction if the discriminant is a square."""
     disc = q1 * q1 - 4 * q2 * q0
     # q must fall from x to a real root: not rising, not past a convex vertex;
     # that root is at most the wall if q(wall) <= 0 or the vertex is
@@ -518,19 +544,14 @@ def _first_root(q0, q1, q2, x, wall):
         if not (q2 > 0 and -q1 <= 2 * q2 * wall):
             return None
     if q2 == 0:
-        return -q0 / q1
-    s = _fraction_sqrt(disc)
-    if s is not None:
-        return (-q1 - s) / (2 * q2)
-    s = math.sqrt(disc)
-    # the same root, in the form without cancellation between q1 and s
+        return Fraction(-q0, q1)
+    s = math.isqrt(disc)
+    if s * s == disc:
+        return Fraction(-q1 - s, 2 * q2)
+    # in floats from the exact q / unit, in the form without cancellation
+    q0, q1, q2 = (Fraction(c, unit) for c in (q0, q1, q2))
+    s = math.sqrt(Fraction(disc, unit * unit))
     return (-q1 - s) / (2 * q2) if q1 > 0 else 2 * q0 / (-q1 + s)
-
-
-def _fraction_sqrt(x: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None."""
-    rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    return Fraction(rn, rd) if Fraction(rn * rn, rd * rd) == x else None
 
 
 def zariski(model: SurfaceModel, D: DivisorClass) -> ZariskiDecomposition:

@@ -25,6 +25,7 @@ from .core import (
     GeometryError,
     GeometryModel,
     Valuation,
+    _det,
     as_fraction,
 )
 
@@ -50,6 +51,7 @@ class ToricModel(GeometryModel):
         self.canonical_class = self.divisor([-1] * self.class_rank)
         self._polytope_cache: dict[tuple, tuple] = {}
         self._anchor_cache: dict[tuple, Fraction] = {}
+        self._lattice_points: tuple = (None, None)  # see `lattice_points`
 
     def _check_complete(self):
         """Section polytopes are bounded iff the rays positively span the lattice."""
@@ -280,9 +282,16 @@ class ToricModel(GeometryModel):
         return list(zip(*self.lattice_points(L, k).T.tolist()))
 
     def lattice_points(self, L: DivisorClass, k: int) -> np.ndarray:
-        """The rows of `section_basis(L, k)` as one int64 array."""
+        """`section_basis(L, k)` as one read-only int64 array, kept for the last (L, k)."""
         if k <= 0:
             raise GeometryError("level k must be a positive integer")
+        if self._lattice_points[0] != (L, k):
+            self._lattice_points = (L, k), self._box_points(L, k)
+            self._lattice_points[1].flags.writeable = False
+        return self._lattice_points[1]
+
+    def _box_points(self, L: DivisorClass, k: int) -> np.ndarray:
+        """The lattice points of k P_L, scanned over its bounding box."""
         empty = np.empty((0, self.dimension), dtype=np.int64)
         scaled = [tuple(k * x for x in v) for v in self.polytope_vertices(L)]
         if not scaled:
@@ -369,25 +378,6 @@ def _order_polygon(vectors):
         return -1 if cross > 0 else (1 if cross < 0 else 0)
 
     return sorted(vectors, key=cmp_to_key(compare))
-
-
-def _det(rows) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination: every division is exact."""
-    m = [list(r) for r in rows]
-    n, sign, prev = len(m), 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap], sign = m[swap], m[k], -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-        prev = pivot
-    return sign * m[-1][-1]
 
 
 def _dot(w, m) -> Fraction:

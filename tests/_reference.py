@@ -1,10 +1,15 @@
-"""Independent reference for the toric polytope kernel: vertices by `Fraction`
-Gaussian elimination on every n-subset of halfspaces, and (mass, first
-moment) summed over a triangulation, the fan of the angularly ordered polygon
-in 2-d and scipy's Delaunay in higher dimension.
+"""Independent references for the exact kernels.
 
-The Delaunay route decides flatness with a float rank test (tolerance 1e-9),
-so it is only trustworthy for polytopes of about unit size.
+Toric: vertices by `Fraction` Gaussian elimination on every n-subset of
+halfspaces, and (mass, first moment) summed over a triangulation, the fan of
+the angularly ordered polygon in 2-d and scipy's Delaunay in higher
+dimension.  The Delaunay route decides flatness with a float rank test
+(tolerance 1e-9), so it is only trustworthy for polytopes of about unit size.
+
+Surface: the Zariski chamber walk on `Fraction`s, with elimination on the
+Gram matrix of the support, read off a model's declared intersection matrix
+and curves; it gives the Zariski decomposition, the volume and the
+pseudoeffective threshold.
 """
 import itertools
 import math
@@ -13,6 +18,8 @@ from functools import cmp_to_key
 
 import numpy as np
 from scipy.spatial import Delaunay
+
+from divstab import GeometryError, NotPseudoeffectiveError
 
 
 def solve_exact(matrix, rhs):
@@ -113,3 +120,131 @@ def mass_moment(n, verts):
         for r in range(n):
             moment[r] += vol * sum(p[r] for p in simplex) / (n + 1)
     return mass, tuple(moment)
+
+
+# -- surface: the Zariski chamber walk on Fractions ---------------------------
+
+
+def _fdot(a, b):
+    return sum((x * y for x, y in zip(a, b) if x and y), Fraction(0))
+
+
+def _surface_solve(gram, columns):
+    """The solutions of gram X = c, one per column c, by elimination without
+    row exchanges; None unless gram is negative definite (every pivot < 0)."""
+    n = len(gram)
+    rows = [list(row) + [c[i] for c in columns] for i, row in enumerate(gram)]
+    for k in range(n):
+        if rows[k][k] >= 0:
+            return None
+        for r in range(n):
+            if r != k and rows[r][k]:
+                f = rows[r][k] / rows[k][k]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[k])]
+    return [[rows[i][n + j] / rows[i][i] for i in range(n)] for j in range(len(columns))]
+
+
+def surface_chamber(model, b, d, x):
+    """Zariski decomposition of b + lam d just right of lam = x, for Fraction
+    tuples b, d and a Fraction x: (support, p0, p1) with P = p0 + lam p1 and
+    support the (curve index, a0, a1) whose N-coefficient a0 + lam a1 is
+    positive there; NotPseudoeffectiveError off the psef cone at x+."""
+    matrix = model.matrix
+    curves = [C.coefficients for C in model.negative_curves]
+    duals = [
+        tuple(_fdot(row, C.coefficients) for row in matrix)
+        for C in model.negative_curves + model.sample_curves
+    ]
+    support, a0, a1, p0, p1 = [], [], [], b, d
+
+    def sign(c0, c1):
+        c = c0 + x * c1
+        return c if c else c1
+
+    def pairs(dual):
+        return sign(_fdot(p0, dual), _fdot(p1, dual))
+
+    while violating := [
+        i for i in range(len(curves)) if i not in support and pairs(duals[i]) < 0
+    ]:
+        support += violating
+        gram = [[_fdot(curves[i], duals[j]) for j in support] for i in support]
+        rhs = [[_fdot(v, duals[i]) for i in support] for v in (b, d)]
+        sol = _surface_solve(gram, rhs)
+        if sol is None:
+            raise NotPseudoeffectiveError("Gram submatrix of the support is not negative definite")
+        a0, a1 = sol
+        columns = list(zip(*(curves[i] for i in support)))
+        p0, p1 = (
+            tuple(vk - _fdot(a, col) for vk, col in zip(v, columns)) for v, a in zip((b, d), sol)
+        )
+    for dual in duals[len(curves):]:
+        if pairs(dual) < 0:
+            raise NotPseudoeffectiveError("positive part pairs negatively with a sample curve")
+    if any(sign(u, w) < 0 for u, w in zip(a0, a1)):
+        raise NotPseudoeffectiveError("a negative-part coefficient is forced negative")
+    return [(i, u, w) for i, u, w in zip(support, a0, a1) if sign(u, w) > 0], p0, p1
+
+
+def surface_zariski(model, D):
+    """(P, ((curve index, coefficient), ...)) of the Zariski decomposition of D."""
+    zero = (Fraction(0),) * model.class_rank
+    support, P, _ = surface_chamber(model, D.coefficients, zero, Fraction(0))
+    return P, tuple((i, a) for i, a, _ in support)
+
+
+def surface_volume(model, D):
+    try:
+        P, _ = surface_zariski(model, D)
+    except NotPseudoeffectiveError:
+        return Fraction(0)
+    return _fdot(P, [_fdot(row, P) for row in model.matrix])
+
+
+def surface_threshold(model, L, v):
+    """The pseudoeffective threshold of big L along v: walk the chambers of
+    pull(L) - lam E_v from 0 until vol = P^2 reaches 0 before the next wall,
+    or the next chamber is not pseudoeffective."""
+    target, pull = model.resolve_realization([v])
+    b, d = pull(L.coefficients), tuple(-c for c in v.order_model.divisor.coefficients)
+    matrix = target.matrix
+    duals = [
+        tuple(_fdot(row, C.coefficients) for row in matrix)
+        for C in target.negative_curves + target.sample_curves
+    ]
+    x = Fraction(0)
+    while True:
+        try:
+            support, p0, p1 = surface_chamber(target, b, d, x)
+        except NotPseudoeffectiveError:
+            return x
+        inside = {i for i, _, _ in support}
+        lines = [(u, w) for _, u, w in support] + [
+            (_fdot(p0, c), _fdot(p1, c)) for i, c in enumerate(duals) if i not in inside
+        ]
+        wall = min((-c0 / c1 for c0, c1 in lines if c1 < 0), default=None)
+        Mp0, Mp1 = ([_fdot(row, p) for row in matrix] for p in (p0, p1))
+        root = _first_root(_fdot(p0, Mp0), 2 * _fdot(p0, Mp1), _fdot(p1, Mp1), x, wall)
+        if root is not None:
+            return root
+        if wall is None:
+            raise GeometryError("threshold is unbounded")
+        x = wall
+
+
+def _first_root(q0, q1, q2, x, wall):
+    """Least root in (x, wall] of q0 + q1 lam + q2 lam^2, given q(x) > 0 (wall
+    None: no wall); a Fraction when the discriminant is a rational square."""
+    disc = q1 * q1 - 4 * q2 * q0
+    if disc < 0 or (q2 == 0 and q1 >= 0) or (q2 > 0 and -q1 <= 2 * q2 * x):
+        return None
+    if wall is not None and q0 + wall * (q1 + wall * q2) > 0:
+        if not (q2 > 0 and -q1 <= 2 * q2 * wall):
+            return None
+    if q2 == 0:
+        return -q0 / q1
+    rn, rd = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+    if Fraction(rn * rn, rd * rd) == disc:
+        return (-q1 - Fraction(rn, rd)) / (2 * q2)
+    s = math.sqrt(disc)
+    return (-q1 - s) / (2 * q2) if q1 > 0 else 2 * q0 / (-q1 + s)

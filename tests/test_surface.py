@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import _reference as reference
 import divstab as ds
+from divstab.filtrations import FiltrationSpec, expected_order_S
 from divstab.surface import SurfaceModel
 
 from _cases import random_big_class, surface_models
@@ -26,6 +28,17 @@ class TestModelValidation:
             SurfaceModel(
                 "bad", [[1, 0], [0, -1]], negative_curves=[[1, 0]]
             )
+
+    def test_exact_signature(self):
+        # decided exactly: a tiny positive form, and zero diagonals that need
+        # a congruence step before the first pivot
+        tiny = SurfaceModel("tiny", [[Fraction(1, 10**12)]], sample_curves=[[1]])
+        assert tiny.volume(tiny.divisor([1])) == Fraction(1, 10**12)
+        SurfaceModel("hyperbolic", [[0, 2], [2, 0]])
+        SurfaceModel("zero_diagonal", [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        for degenerate in ([[1, 1], [1, 1]], [[0, 1, 0], [1, 0, 0], [0, 0, 0]]):
+            with pytest.raises(ds.GeometryError, match="signature"):
+                SurfaceModel("bad", degenerate)
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ds.GeometryError):
@@ -218,3 +231,172 @@ class TestExactTypes:
                 L = random_big_class(model, rng)
                 for v in model.named_valuations.values():
                     assert type(ds.gamma_threshold(model, L, v)) is Fraction
+
+
+def _fresh_blp2():
+    model = SurfaceModel(
+        "blp2_fresh",
+        [[1, 0], [0, -1]],
+        negative_curves=[[0, 1]],
+        canonical_class=[-3, 1],
+        sample_curves=[[1, 0], [1, -1]],
+    )
+    model.curve_valuation("ord_e", [0, 1])
+    return model
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ds.GeometryError as e:
+        return type(e)
+
+
+class TestKernelMatchesReference:
+    """The int chamber kernel against the Fraction walk of tests/_reference.py."""
+
+    @staticmethod
+    def models():
+        perm_a = SurfaceModel(
+            "perm_a",
+            [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+            negative_curves=[[0, 1, 0], [0, 0, 1], [1, -1, -1]],
+            canonical_class=[-3, 1, 1],
+            sample_curves=[[1, 0, 0], [1, -1, 0], [1, 0, -1]],
+        )
+        for name, coeffs in [("e1", [0, 1, 0]), ("e2", [0, 0, 1]), ("l12", [1, -1, -1]), ("h", [1, 0, 0])]:
+            perm_a.curve_valuation(name, coeffs)
+        # blp2 in the basis (2H, E/3): rational matrix and rational curves
+        scaled = SurfaceModel(
+            "blp2_scaled",
+            [[4, 0], [0, Fraction(-1, 9)]],
+            negative_curves=[[0, 3]],
+            sample_curves=[[Fraction(1, 2), 0], [Fraction(1, 2), -3]],
+        )
+        scaled.curve_valuation("ord_e", [0, 3])
+        scaled.curve_valuation("ord_line", [Fraction(1, 2), 0])
+        # no negative curves: irrational thresholds, and an unbounded one
+        open_ = SurfaceModel("open", [[1, 0], [0, -2]], sample_curves=[[1, 0]])
+        for name, coeffs in [("h", [1, 0]), ("e", [0, 1]), ("he", [1, 1]), ("minus_h", [-1, 0])]:
+            open_.curve_valuation(name, coeffs)
+        return surface_models() + [perm_a, scaled, open_]
+
+    def test_zariski_volume_gamma(self):
+        rng = random.Random(2024)
+        models = self.models()
+        seen = {"big": 0, "not_psef": 0, "gamma": 0}
+        for n in range(1200):
+            model = models[n % len(models)]
+            if rng.random() < 0.3 and model.name in ("p2", "blp2", "p1xp1", "f1"):
+                D = random_big_class(model, rng)
+            else:
+                D = model.divisor([Fraction(rng.randint(-9, 18), rng.randint(1, 4)) for _ in range(model.class_rank)])
+            try:
+                P, N = reference.surface_zariski(model, D)
+            except ds.NotPseudoeffectiveError as ref_error:
+                seen["not_psef"] += 1
+                with pytest.raises(ds.NotPseudoeffectiveError) as caught:
+                    model.zariski(D)
+                # the same check fails: the Gram submatrix test or another one
+                assert ("negative definite" in str(caught.value)) == ("negative definite" in str(ref_error))
+                assert model.volume(D) == 0
+                continue
+            dec = model.zariski(D)
+            assert dec.positive_part.coefficients == P
+            assert [(model.negative_curves.index(c), a) for c, a in dec.negative_part] == list(N)
+            volume = model.volume(D)
+            assert volume == reference.surface_volume(model, D)
+            if volume <= 0:
+                continue
+            seen["big"] += 1
+            for v in model.named_valuations.values():
+                expected = _outcome(reference.surface_threshold, model, D, v)
+                assert _outcome(model.closed_form_threshold, D, v) == expected
+                seen["gamma"] += 1
+        assert seen["not_psef"] >= 200 and seen["big"] >= 500 and seen["gamma"] >= 1500, seen
+
+
+    def test_semidefinite_support_rejected(self):
+        # E1 and the line through both blown-up points: Gram determinant 0
+        model = SurfaceModel("pair", [[1, 0, 0], [0, -1, 0], [0, 0, -1]], negative_curves=[[0, 1, 0], [1, -1, -1]])
+        D = model.divisor([0, 6, -3])
+        for zariski in (model.zariski, lambda D: reference.surface_zariski(model, D)):
+            with pytest.raises(ds.NotPseudoeffectiveError, match="not negative definite"):
+                zariski(D)
+
+
+class TestRationalLattice:
+    """blp2 in the basis (H/2, E): the class (a, b) there is (a/2, b) on blp2."""
+
+    @pytest.mark.parametrize(
+        "coeffs, volume, gamma",
+        [
+            ((6, -1), 8, 2),
+            ((2, 2), 1, 3),
+            ((Fraction(7, 3), Fraction(1, 2)), Fraction(49, 36), Fraction(5, 3)),
+            ((6, Fraction(-5, 2)), Fraction(11, 4), Fraction(1, 2)),
+        ],
+    )
+    def test_matches_blp2(self, coeffs, volume, gamma):
+        half = SurfaceModel(
+            "blp2_half",
+            [[Fraction(1, 4), 0], [0, -1]],
+            negative_curves=[[0, 1]],
+            sample_curves=[[2, 0], [2, -1]],
+        )
+        e = half.curve_valuation("ord_e", [0, 1])
+        a, b = (Fraction(c) for c in coeffs)
+        L, base = half.divisor([a, b]), blp2.divisor([a / 2, b])
+        assert half.volume(L) == blp2.volume(base) == volume
+        assert ds.gamma_threshold(half, L, e) == ds.gamma_threshold(blp2, base, blp2.named_valuations["ord_e"]) == gamma
+        # the float walk on the int-scaled data agrees too
+        assert abs(half.volume_float([float(a), float(b)]) - float(volume)) < 1e-12
+        S_half = expected_order_S(half, L, FiltrationSpec((e,), (0.25,)))
+        S_base = expected_order_S(blp2, base, FiltrationSpec((blp2.named_valuations["ord_e"],), (0.25,)))
+        assert abs(S_half - S_base) < 1e-12
+
+
+class TestDecompositionMemo:
+    def test_interleaved_classes(self):
+        model = _fresh_blp2()
+        big_a, big_b, off = model.divisor([1, 2]), model.divisor([3, -1]), model.divisor([1, -2])
+        expected = {
+            big_a: ((1, 0), [((0, 1), 2)], 1),
+            big_b: ((3, -1), [], 8),
+        }
+        messages = []
+        for D in [big_a, big_b, off, big_a, off, off, big_b, big_a, big_b]:
+            if D is off:
+                with pytest.raises(ds.NotPseudoeffectiveError) as caught:
+                    model.zariski(D)
+                messages.append(caught.value)
+                assert model.volume(D) == 0 and not model.is_big(D)
+                continue
+            P, N, volume = expected[D]
+            dec = model.zariski(D)
+            assert dec.positive_part.coefficients == P
+            assert [(c.coefficients, a) for c, a in dec.negative_part] == N
+            assert model.volume(D) == volume
+        assert len({id(e) for e in messages}) == len(messages) == 3
+        assert len({str(e) for e in messages}) == 1
+
+    def test_one_class_is_decomposed_once(self, monkeypatch):
+        # volume, gamma, S and zariski on one fresh L run the exact d = 0
+        # chamber once between them
+        calls = []
+        chamber = SurfaceModel._chamber
+
+        def counting(self, lat, b, d, q, x):
+            if lat is self._exact and not any(d):
+                calls.append(b)
+            return chamber(self, lat, b, d, q, x)
+
+        monkeypatch.setattr(SurfaceModel, "_chamber", counting)
+        model = _fresh_blp2()
+        e = model.named_valuations["ord_e"]
+        L = model.divisor([5, 2])
+        assert model.volume(L) == 25
+        assert ds.gamma_threshold(model, L, e) == 7
+        assert abs(expected_order_S(model, L, FiltrationSpec((e,), (0.0,))) - 16 / 3) < 1e-12
+        assert model.zariski(L).positive_part.coefficients == (5, 0)
+        assert len(calls) == 1

@@ -114,6 +114,18 @@ class TestSectionBasis:
         with pytest.raises(ds.GeometryError):
             p2t.section_basis(L3H, 0)
 
+    def test_lattice_points_kept_read_only(self):
+        model = ToricModel("p2_fresh", [[1, 0], [0, 1], [-1, -1]])
+        L = model.divisor([0, 0, 3])
+        basis = model.section_basis(L, 2)
+        first = model.lattice_points(L, 2)
+        with pytest.raises(ValueError):
+            first[0, 0] = 99
+        assert model.lattice_points(L, 2).tolist() == first.tolist() == [list(m) for m in basis]
+        # another (L, k) takes the slot; the first comes back the same
+        assert len(model.section_basis(L, 1)) == 10
+        assert model.section_basis(L, 2) == basis
+
 
 class TestMonomialValuations:
     def test_ray_log_discrepancy_one(self):
