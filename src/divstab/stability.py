@@ -3,11 +3,12 @@ beta and delta invariants, and the variational Monge-Ampere solver.
 
 A norm is the Legendre transform sup_t g(t), g(t) = S_L(t) - <xi, t>.  g is
 concave and invariant under t -> t + c 1, so the engine works in the reduced
-shifts u = t[1:] - t[0] on the box [-hi, hi]^(d-1), hi = max gamma + 1:
-bounded L-BFGS-B on the exact value and supergradient of S
-(`expected_order_S_grad`), a stencil around its best point, then Kelley
-cutting-plane steps, until the certified bound is within the tolerance of
-the best value.  Maximizers are reported with min t_i = 0.
+shifts u = t[1:] - t[0] on the box [-hi, hi]^(d-1), hi = max gamma + 1, and
+evaluates g at min t_i = 0.  Each evaluation of the exact value and
+supergradient of S (`expected_order_S_grad`) is a cutting plane.  A projected
+BFGS ascent, a stencil around its best point and Kelley cutting-plane steps
+(a small simplex on numpy) run until the bound certified by convex weights on
+the planes is within the tolerance of the best value.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 
 from .core import (
     ConvergenceError,
@@ -98,9 +98,10 @@ class ProbeReport:
 
 # -- concave maximization engine -------------------------------------------
 
-# budgets: L-BFGS-B crawls at a kink of g; Kelley steps follow; the stencil
-# points lie this far from the best point of L-BFGS-B
-_LBFGS_EVALS, _KELLEY_STEPS, _STENCIL = 50, 30, 1e-6
+# budgets: evaluations of the ascent (it crawls at a kink of g), Kelley steps
+# after it, and simplex pivots per cutting-plane LP; the stencil points lie
+# this far from the best point of the ascent
+_ASCENT_EVALS, _KELLEY_STEPS, _PIVOTS, _STENCIL = 50, 30, 500, 1e-6
 
 
 class _Certified(Exception):
@@ -114,7 +115,7 @@ class _Planes:
     _Certified once that bound is within `tol` of the best value.  Convex
     weights on the planes bound g by the maximum of their combination over
     the box, in closed form (`weigh`), whatever the rounding of the weights
-    or the LP's tolerances.
+    or of the LP that found them.
     """
 
     def __init__(self, g, hi, tol):
@@ -149,37 +150,96 @@ class _Planes:
             self.weigh(rows, lam)
 
     def refine(self):
-        """Weigh by the LP's dual; return its maximizer, the next Kelley point."""
-        n, dim = len(self.us), len(self.us[0])
-        res = linprog(
-            np.r_[np.zeros(dim), -1.0],
-            A_ub=np.hstack([-np.array(self.slopes), np.ones((n, 1))]),
-            b_ub=self.offsets,
-            bounds=[(-self.hi, self.hi)] * dim + [(None, None)],
-            method="highs",
-        )
-        if res.status != 0:
-            raise ConvergenceError(f"cutting-plane LP failed: {res.message}")
-        self.weigh(list(range(n)), np.abs(res.ineqlin.marginals))
-        return res.x[:dim]
+        """Weigh by the optimal weights of the cutting-plane model and return
+        its maximizer on the box, the next Kelley point.
+
+        The weights solve min lam . offsets + hi |S^T lam|_1 over convex lam,
+        in standard form on dim + 1 rows: a column (s_k, 1) at cost offset_k
+        per plane, and columns (+-e_i, 0) at cost hi that carry |S^T lam|.
+        A revised simplex with Bland's rule starts from the best single plane;
+        the maximizer is minus the multipliers of the slope rows.
+        """
+        S = np.array(self.slopes)
+        n, dim = S.shape
+        eye = np.eye(dim)
+        A = np.vstack([np.hstack([S.T, eye, -eye]), np.r_[np.ones(n), np.zeros(2 * dim)]])
+        cost = np.r_[self.offsets, np.full(2 * dim, self.hi)]
+        rhs = np.r_[np.zeros(dim), 1.0]
+        k = int(np.argmin(cost[:n] + self.hi * np.abs(S).sum(axis=1)))
+        # e_i carries -s_ki for a slope below 0, -e_i for one above
+        basis = [k] + [n + i + dim * int(S[k, i] > 0) for i in range(dim)]
+        for _ in range(_PIVOTS):
+            B = A[:, basis]
+            x = np.linalg.solve(B, rhs)
+            y = np.linalg.solve(B.T, cost[basis])
+            entering = np.flatnonzero(cost - y @ A < -1e-13)
+            if not entering.size:
+                break
+            d = np.linalg.solve(B, A[:, entering[0]])
+            rows = np.flatnonzero(d > 1e-12)
+            if not rows.size:
+                raise ConvergenceError("cutting-plane LP is unbounded")
+            ratios = x[rows] / d[rows]
+            # Bland: of the rows that leave first, the least basic index
+            ties = rows[ratios <= ratios.min() + 1e-15]
+            basis[min(ties, key=basis.__getitem__)] = int(entering[0])
+        else:
+            raise ConvergenceError(f"cutting-plane LP took more than {_PIVOTS} pivots")
+        rows, lam = zip(*((j, xj) for j, xj in zip(basis, x) if j < n))
+        self.weigh(list(rows), np.maximum(lam, 0.0))
+        return np.clip(-y[:dim], -self.hi, self.hi)
+
+
+def _ascend(planes, dim, hi):
+    """Projected BFGS ascent on g from 0 until the planes certify, the
+    evaluation budget is spent or the step does not ascend.
+
+    A coordinate is free unless it sits at a bound with the supergradient s
+    pointing out of the box.  The step p moves the free coordinates along
+    H s and is clipped to the box.  It is accepted when
+    g(u + p) >= g(u) + 1e-4 s . p; else it is shortened to the secant root of
+    the directional supergradient, within [0.1, 0.5] of its length.  H is the
+    identity, scaled by p . y / y . y at the first update and then updated by
+    BFGS on -g.
+    """
+    u = np.zeros(dim)
+    value, s = planes(u)
+    H, scaled = np.eye(dim), False
+    while len(planes.us) < _ASCENT_EVALS:
+        free = ~(((u <= -hi) & (s < 0)) | ((u >= hi) & (s > 0)))
+        d = np.zeros(dim)
+        d[free] = H[np.ix_(free, free)] @ s[free]
+        p = np.clip(u + d, -hi, hi) - u
+        if s @ p <= 0:
+            return
+        while True:
+            slope = s @ p
+            new, s_new = planes(u + p)
+            if new >= value + 1e-4 * slope:
+                break
+            if len(planes.us) >= _ASCENT_EVALS:
+                return
+            # the secant root is past 0.5 of the step when the drop is below 2 slope
+            p *= max(slope / max(slope - s_new @ p, 2.0 * slope), 0.1)
+        y = s - s_new
+        py = p @ y
+        if py > 0:
+            if not scaled:
+                H, scaled = H * (py / (y @ y)), True
+            V = np.eye(dim) - np.outer(p, y) / py
+            H = V @ H @ V.T + np.outer(p, p) / py
+        u, value, s = u + p, new, s_new
 
 
 def _certified_max(g, dim, hi, tol):
     """(u, bound): the best evaluated point of the concave g on [-hi, hi]^dim
     and a certified upper bound on sup g; `g(u)` returns the value and a
-    supergradient.  L-BFGS-B runs until the planes certify `tol`; then a
-    stencil of planes around its best point; then Kelley steps."""
+    supergradient.  A projected BFGS ascent runs until the planes certify
+    `tol`; then a stencil of planes around its best point; then Kelley steps,
+    until their budget is spent or the cutting-plane LP fails."""
     planes = _Planes(g, hi, tol)
-
-    def negated(u):
-        value, grad = planes(u)
-        return -value, -grad
-
     try:
-        minimize(
-            negated, np.zeros(dim), jac=True, method="L-BFGS-B",
-            bounds=[(-hi, hi)] * dim, options={"ftol": 0.0, "gtol": 0.0, "maxfun": _LBFGS_EVALS},
-        )
+        _ascend(planes, dim, hi)
         # neighbours of the best point along directions that positively span
         # the space: 0 is in the hull of their slopes at a maximizer
         best, first = planes.us[planes.best], len(planes.us)
@@ -187,7 +247,12 @@ def _certified_max(g, dim, hi, tol):
             planes(np.clip(best + _STENCIL * d, -hi, hi))
         planes.balance(list(range(first, first + dim + 1)), np.abs(best) < hi)
         for _ in range(_KELLEY_STEPS):
-            planes(planes.refine())
+            try:
+                u = planes.refine()
+            except (ConvergenceError, np.linalg.LinAlgError):
+                # the LP failed: the planes still bound sup g, and the gap says how well
+                break
+            planes(u)
     except _Certified:
         pass
     return planes.us[planes.best], planes.bound
@@ -219,17 +284,28 @@ def norm(
         s, grad = expected_order_S_grad(model, L, FiltrationSpec(mu.support, tuple(t.tolist())))
         return s - float(xi @ t), np.array(grad) - xi
 
+    def lowest_at_zero(u):
+        return np.r_[0.0, u] - min(0.0, u.min())
+
+    # g is invariant under t -> t + c 1: it is evaluated where the result is
+    # reported, at min t_i = 0, so the value at the result is not recomputed
+    values = {}
+
     def reduced(u):
-        value, grad = g(np.r_[0.0, u])
+        value, grad = g(lowest_at_zero(u))
+        values[tuple(u)] = value
         return value, grad[1:]
 
-    t, bound = np.zeros(len(xi)), -math.inf
+    t, bound, value = np.zeros(len(xi)), -math.inf, None
     if len(xi) > 1:
         u, bound = _certified_max(reduced, len(xi) - 1, hi, options.tol)
+        t, value = lowest_at_zero(u), values[tuple(u)]
         # past hi above the least shift a valuation is inactive, and lowering
         # its shift to hi does not lower g
-        t = np.minimum(np.r_[0.0, u] - min(0.0, u.min()), hi)
-    value = float(g(t)[0])
+        if t.max() > hi:
+            t, value = np.minimum(t, hi), None
+    if value is None:
+        value = float(g(t)[0])
     gap = max(bound - value, 0.0)
     return NormResult(
         value=value,

@@ -18,7 +18,6 @@ from functools import cmp_to_key
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import (
     DivisorClass,
@@ -54,18 +53,15 @@ class ToricModel(GeometryModel):
         self._lattice_points: tuple = (None, None)  # see `lattice_points`
 
     def _check_complete(self):
-        """Section polytopes are bounded iff the rays positively span the lattice."""
-        A_ub = -np.array(self.rays, dtype=float)
-        b_ub = np.zeros(len(self.rays))
-        for i in range(self.dimension):
-            for sign in (1.0, -1.0):
-                c = np.zeros(self.dimension)
-                c[i] = -sign
-                res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(None, None))
-                if res.status == 3:
-                    raise GeometryError(
-                        "rays do not positively span the lattice; section polytopes unbounded"
-                    )
+        """Section polytopes are bounded iff the rays positively span the
+        lattice, that is iff the cone {u : <u, rho> >= 0 for every ray} is
+        {0}: cut by the box -1 <= u_i <= 1, its only vertex is then 0."""
+        n = self.dimension
+        box = [(tuple(sign * (i == j) for j in range(n)), -1) for i in range(n) for sign in (1, -1)]
+        if self._polytope([(ray, 0) for ray in self.rays] + box)[0] != [(0,) * n]:
+            raise GeometryError(
+                "rays do not positively span the lattice; section polytopes unbounded"
+            )
 
     # -- valuations ---------------------------------------------------------
 

@@ -6,6 +6,8 @@ the angularly ordered polygon in 2-d and scipy's Delaunay in higher
 dimension.  The Delaunay route decides flatness with a float rank test
 (tolerance 1e-9), so it is only trustworthy for polytopes of about unit size.
 
+Norm engine: the cutting-plane LP by HiGHS.
+
 Surface: the Zariski chamber walk on `Fraction`s, with elimination on the
 Gram matrix of the support, read off a model's declared intersection matrix
 and curves; it gives the Zariski decomposition, the volume and the
@@ -17,6 +19,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import numpy as np
+from scipy.optimize import linprog
 from scipy.spatial import Delaunay
 
 from divstab import GeometryError, NotPseudoeffectiveError
@@ -120,6 +123,22 @@ def mass_moment(n, verts):
         for r in range(n):
             moment[r] += vol * sum(p[r] for p in simplex) / (n + 1)
     return mass, tuple(moment)
+
+
+def kelley_lp(slopes, offsets, hi):
+    """max over u in [-hi, hi]^dim of min_k offsets_k + slopes_k . u, by
+    HiGHS on the variables (u, z)."""
+    n, dim = slopes.shape
+    res = linprog(
+        np.r_[np.zeros(dim), -1.0],
+        A_ub=np.hstack([-slopes, np.ones((n, 1))]),
+        b_ub=offsets,
+        bounds=[(-hi, hi)] * dim + [(None, None)],
+        method="highs",
+    )
+    if res.status != 0:
+        raise AssertionError(f"HiGHS failed: {res.message}")
+    return -res.fun
 
 
 # -- surface: the Zariski chamber walk on Fractions ---------------------------

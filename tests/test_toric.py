@@ -312,3 +312,17 @@ class TestDegenerateCells:
             w = model.named_valuations["e1"].order_model
             with pytest.raises(ds.GeometryError, match="^empty section polytope has no order anchor$"):
                 model.order_anchor(L, w)
+
+
+class TestCompleteness:
+    @pytest.mark.parametrize(
+        "rays", [[[1, 0], [0, 1]], [[1, 0], [-1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]
+    )
+    def test_rays_not_spanning_rejected(self, rays):
+        with pytest.raises(ds.GeometryError, match="do not positively span"):
+            ToricModel("bad", rays)
+
+    def test_bundled_fans_and_p3_accepted(self):
+        fans = [ds.bundled_model(name).rays for name in ("p2_toric", "p1xp1_toric", "f1_toric")]
+        for rays in fans + [[[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]]:
+            assert ToricModel("fan", rays).rays == tuple(map(tuple, rays))
