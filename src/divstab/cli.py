@@ -22,6 +22,7 @@ from . import __version__, filtrations, stability
 from .core import (
     TRIVIAL_VALUATION,
     ConvergenceError,
+    DivisorClass,
     DivisorialMeasure,
     GeometryError,
     GeometryModel,
@@ -360,9 +361,13 @@ def run_task(model, line_bundle, task, tolerances, seed):
 
 
 def _jsonify(obj):
-    from .core import DivisorClass
-    from .surface import ZariskiDecomposition
-
+    # containers and JSON scalars first: they are most of the nodes of a report
+    if isinstance(obj, dict):
+        return {k: _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(x) for x in obj]
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}" if obj.denominator != 1 else str(obj.numerator)
     if isinstance(obj, DivisorClass):
@@ -384,10 +389,6 @@ def _jsonify(obj):
         return {
             f.name: _jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)
         }
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(x) for x in obj]
     return obj
 
 

@@ -7,14 +7,18 @@ shifts u = t[1:] - t[0] on the box [-hi, hi]^(d-1), hi = max gamma + 1, and
 evaluates g at min t_i = 0.  Each evaluation of the exact value and
 supergradient of S (`expected_order_S_grad`) is a cutting plane.  A projected
 BFGS ascent, a stencil around its best point and Kelley cutting-plane steps
-(a small simplex on numpy) run until the bound certified by convex weights on
-the planes is within the tolerance of the best value.
+run until the bound certified by convex weights on the planes is within the
+tolerance of the best value.  The evaluations, the ascent, the stencil and
+the bound of each plane run on tuples of Python floats; numpy is used only
+where planes are weighed together: the least-squares weights of the stencil
+and the small simplex of the Kelley steps.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
 from typing import Optional, Sequence
 
 import numpy as np
@@ -104,6 +108,10 @@ class ProbeReport:
 _ASCENT_EVALS, _KELLEY_STEPS, _PIVOTS, _STENCIL = 50, 30, 500, 1e-6
 
 
+def _dot(a, b):
+    return sum(map(mul, a, b))
+
+
 class _Certified(Exception):
     """The planes certify the tolerance: no further evaluation is needed."""
 
@@ -112,10 +120,11 @@ class _Planes:
     """The evaluations (u, g(u), supergradient s) of a concave g on the box
     [-hi, hi]^dim, each a cutting plane g(u_k) + s_k . (u - u_k) >= g(u),
     the best point, and the least bound on sup g certified so far; raises
-    _Certified once that bound is within `tol` of the best value.  Convex
-    weights on the planes bound g by the maximum of their combination over
-    the box, in closed form (`weigh`), whatever the rounding of the weights
-    or of the LP that found them.
+    _Certified once that bound is within `tol` of the best value.  Points
+    and slopes are kept as tuples of floats.  Convex weights on the planes
+    bound g by the maximum of their combination over the box, in closed form
+    (`weigh`), whatever the rounding of the weights or of the LP that found
+    them; a single plane bounds it by offset + hi |s|_1.
     """
 
     def __init__(self, g, hi, tol):
@@ -124,26 +133,32 @@ class _Planes:
         self.best, self.bound = 0, math.inf
 
     def __call__(self, u):
+        u = tuple(map(float, u))
         value, grad = self.g(u)
-        self.us.append(np.array(u, dtype=float))
+        grad = tuple(map(float, grad))
+        offset = value - _dot(grad, u)
+        self.us.append(u)
         self.values.append(value)
         self.slopes.append(grad)
-        self.offsets.append(value - grad @ u)
+        self.offsets.append(offset)
         if value > self.values[self.best]:
             self.best = len(self.values) - 1
-        self.weigh([len(self.values) - 1], np.ones(1))
+        self.lower(offset + self.hi * sum(map(abs, grad)))
         return value, grad
+
+    def lower(self, top):
+        self.bound = min(self.bound, top)
+        if self.bound - self.values[self.best] <= self.tol:
+            raise _Certified
 
     def weigh(self, rows, lam):
         lam = lam / lam.sum()
         slope = lam @ np.array(self.slopes)[rows]
-        top = lam @ np.array(self.offsets)[rows] + self.hi * np.abs(slope).sum()
-        self.bound = min(self.bound, float(top))
-        if self.bound - self.values[self.best] <= self.tol:
-            raise _Certified
+        self.lower(float(lam @ np.array(self.offsets)[rows] + self.hi * np.abs(slope).sum()))
 
     def balance(self, rows, free):
         """Weigh the planes so that their slopes cancel off the box boundary."""
+        free = np.array(free, dtype=bool)
         A = np.vstack([np.array(self.slopes)[rows][:, free].T, np.ones(len(rows))])
         lam = np.linalg.lstsq(A, np.r_[np.zeros(free.sum()), 1.0], rcond=None)[0]
         if lam.min() >= 0.0:
@@ -170,11 +185,15 @@ class _Planes:
         basis = [k] + [n + i + dim * int(S[k, i] > 0) for i in range(dim)]
         for _ in range(_PIVOTS):
             B = A[:, basis]
-            x = np.linalg.solve(B, rhs)
-            y = np.linalg.solve(B.T, cost[basis])
+            try:
+                x = np.linalg.solve(B, rhs)
+                y = np.linalg.solve(B.T, cost[basis])
+            except np.linalg.LinAlgError as err:
+                raise ConvergenceError("cutting-plane LP basis is singular") from err
             entering = np.flatnonzero(cost - y @ A < -1e-13)
             if not entering.size:
                 break
+            # B is the matrix that was just solved with, so it is not singular
             d = np.linalg.solve(B, A[:, entering[0]])
             rows = np.flatnonzero(d > 1e-12)
             if not rows.size:
@@ -200,56 +219,70 @@ def _ascend(planes, dim, hi):
     g(u + p) >= g(u) + 1e-4 s . p; else it is shortened to the secant root of
     the directional supergradient, within [0.1, 0.5] of its length.  H is the
     identity, scaled by p . y / y . y at the first update and then updated by
-    BFGS on -g.
+    BFGS on -g.  Vectors are tuples of floats and H a list of rows: in the
+    dimensions of a norm, arrays cost more than the arithmetic.
     """
-    u = np.zeros(dim)
+    u = (0.0,) * dim
     value, s = planes(u)
-    H, scaled = np.eye(dim), False
+    H = [[float(i == j) for j in range(dim)] for i in range(dim)]
+    scaled = False
     while len(planes.us) < _ASCENT_EVALS:
-        free = ~(((u <= -hi) & (s < 0)) | ((u >= hi) & (s > 0)))
-        d = np.zeros(dim)
-        d[free] = H[np.ix_(free, free)] @ s[free]
-        p = np.clip(u + d, -hi, hi) - u
-        if s @ p <= 0:
+        free = [not ((x <= -hi and si < 0) or (x >= hi and si > 0)) for x, si in zip(u, s)]
+        sf = [si if f else 0.0 for si, f in zip(s, free)]
+        p = tuple(
+            min(max(x + _dot(row, sf), -hi), hi) - x if f else 0.0
+            for x, row, f in zip(u, H, free)
+        )
+        if _dot(s, p) <= 0:
             return
         while True:
-            slope = s @ p
-            new, s_new = planes(u + p)
+            slope = _dot(s, p)
+            trial = tuple(map(add, u, p))
+            new, s_new = planes(trial)
             if new >= value + 1e-4 * slope:
                 break
             if len(planes.us) >= _ASCENT_EVALS:
                 return
             # the secant root is past 0.5 of the step when the drop is below 2 slope
-            p *= max(slope / max(slope - s_new @ p, 2.0 * slope), 0.1)
-        y = s - s_new
-        py = p @ y
+            shrink = max(slope / max(slope - _dot(s_new, p), 2.0 * slope), 0.1)
+            p = tuple(shrink * x for x in p)
+        y = tuple(map(sub, s, s_new))
+        py = _dot(p, y)
         if py > 0:
             if not scaled:
-                H, scaled = H * (py / (y @ y)), True
-            V = np.eye(dim) - np.outer(p, y) / py
-            H = V @ H @ V.T + np.outer(p, p) / py
-        u, value, s = u + p, new, s_new
+                scale = py / _dot(y, y)
+                H, scaled = [[scale * h for h in row] for row in H], True
+            # H - (H y p' + p y' H) / py + (1 + y' H y / py) p p' / py
+            w = [_dot(row, y) for row in H]
+            c = 1.0 + _dot(y, w) / py
+            H = [
+                [h - (wi * pj + pi * wj) / py + c * pi * pj / py for h, wj, pj in zip(row, w, p)]
+                for row, wi, pi in zip(H, w, p)
+            ]
+        u, value, s = trial, new, s_new
 
 
 def _certified_max(g, dim, hi, tol):
     """(u, bound): the best evaluated point of the concave g on [-hi, hi]^dim
-    and a certified upper bound on sup g; `g(u)` returns the value and a
-    supergradient.  A projected BFGS ascent runs until the planes certify
-    `tol`; then a stencil of planes around its best point; then Kelley steps,
-    until their budget is spent or the cutting-plane LP fails."""
+    and a certified upper bound on sup g; `g(u)` takes a tuple of floats and
+    returns the value and a supergradient.  A projected BFGS ascent runs
+    until the planes certify `tol`; then a stencil of planes around its best
+    point; then Kelley steps, until their budget is spent or the
+    cutting-plane LP fails."""
     planes = _Planes(g, hi, tol)
     try:
         _ascend(planes, dim, hi)
         # neighbours of the best point along directions that positively span
-        # the space: 0 is in the hull of their slopes at a maximizer
+        # the space, e_i and -1: 0 is in the hull of their slopes at a maximizer
         best, first = planes.us[planes.best], len(planes.us)
-        for d in np.vstack([np.eye(dim), -np.ones(dim)]):
-            planes(np.clip(best + _STENCIL * d, -hi, hi))
-        planes.balance(list(range(first, first + dim + 1)), np.abs(best) < hi)
+        for i in range(dim):
+            planes(best[:i] + (min(best[i] + _STENCIL, hi),) + best[i + 1 :])
+        planes(tuple(max(x - _STENCIL, -hi) for x in best))
+        planes.balance(list(range(first, first + dim + 1)), [abs(x) < hi for x in best])
         for _ in range(_KELLEY_STEPS):
             try:
                 u = planes.refine()
-            except (ConvergenceError, np.linalg.LinAlgError):
+            except ConvergenceError:
                 # the LP failed: the planes still bound sup g, and the gap says how well
                 break
             planes(u)
@@ -278,14 +311,16 @@ def norm(
         raise GeometryError("norm requires a big class")
     gammas = [float(gamma_threshold(model, L, v)) for v in mu.support if not v.is_trivial]
     hi = max(gammas, default=0.0) + 1.0
-    xi = np.array([float(m) for m in mu.masses])
+    xi = [float(m) for m in mu.masses]
 
     def g(t):
-        s, grad = expected_order_S_grad(model, L, FiltrationSpec(mu.support, tuple(t.tolist())))
-        return s - float(xi @ t), np.array(grad) - xi
+        s, grad = expected_order_S_grad(model, L, FiltrationSpec(mu.support, t))
+        return s - _dot(xi, t), list(map(sub, grad, xi))
 
     def lowest_at_zero(u):
-        return np.r_[0.0, u] - min(0.0, u.min())
+        # 0.0 - low, not -low: the least shift is +0.0, and so is any other zero
+        shift = 0.0 - min(0.0, *u)
+        return (shift, *(shift + x for x in u))
 
     # g is invariant under t -> t + c 1: it is evaluated where the result is
     # reported, at min t_i = 0, so the value at the result is not recomputed
@@ -293,23 +328,23 @@ def norm(
 
     def reduced(u):
         value, grad = g(lowest_at_zero(u))
-        values[tuple(u)] = value
+        values[u] = value
         return value, grad[1:]
 
-    t, bound, value = np.zeros(len(xi)), -math.inf, None
+    t, bound, value = (0.0,) * len(xi), -math.inf, None
     if len(xi) > 1:
         u, bound = _certified_max(reduced, len(xi) - 1, hi, options.tol)
-        t, value = lowest_at_zero(u), values[tuple(u)]
+        t, value = lowest_at_zero(u), values[u]
         # past hi above the least shift a valuation is inactive, and lowering
         # its shift to hi does not lower g
-        if t.max() > hi:
-            t, value = np.minimum(t, hi), None
+        if max(t) > hi:
+            t, value = tuple(min(x, hi) for x in t), None
     if value is None:
-        value = float(g(t)[0])
+        value = g(t)[0]
     gap = max(bound - value, 0.0)
     return NormResult(
         value=value,
-        maximizers=(tuple(float(x) for x in t),),
+        maximizers=(t,),
         box_bound=hi,
         gap=gap,
         converged=gap <= options.tol,

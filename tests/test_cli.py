@@ -1,11 +1,15 @@
 import json
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 from click.testing import CliRunner
 
 import divstab
-from divstab.cli import main
+from divstab.cli import _jsonify, main
+from divstab.core import DivisorialMeasure
+from divstab.filtrations import FiltrationSpec
+from divstab.stability import NormResult
 
 CONFIG_NAMES = [
     "blp2_instability.json",
@@ -324,3 +328,35 @@ class TestRuntimeErrors:
         assert result.exit_code == 3
         assert report["tasks"][0]["outputs"]["volume"] == "9"
         assert report["tasks"][1]["error"]["type"] == "NotPseudoeffectiveError"
+
+
+class TestJsonify:
+    """Report serialization, one value per handled type: the JSON text is
+    fixed, so reports stay byte-identical."""
+
+    @staticmethod
+    def values():
+        p2 = divstab.bundled_model("p2")
+        line, conic = p2.named_valuations["line"], p2.named_valuations["conic"]
+        return [
+            (Fraction(4, 2), "2"),
+            (Fraction(-3, 7), "-3/7"),
+            (p2.divisor([Fraction(5, 2)]), {"basis": "p2", "coefficients": ["5/2"]}),
+            (line, "line"),
+            (
+                DivisorialMeasure.make([(line, Fraction(1, 3)), (conic, Fraction(2, 3))]),
+                {"atoms": [{"valuation": "line", "mass": "1/3"}, {"valuation": "conic", "mass": "2/3"}]},
+            ),
+            (FiltrationSpec((line, conic), (0.5, 1)), {"support": ["line", "conic"], "shifts": [0.5, 1.0]}),
+            (
+                NormResult(value=0.25, maximizers=((0.0, 1.5),), box_bound=4.0, gap=1e-12, converged=True),
+                {"value": 0.25, "maximizers": [[0.0, 1.5]], "box_bound": 4.0, "gap": 1e-12, "converged": True},
+            ),
+            ((1, (Fraction(1, 2), [2.5, None]), "x"), [1, ["1/2", [2.5, None]], "x"]),
+            (None, None),
+            (True, True),
+        ]
+
+    def test_each_type(self):
+        for value, expected in self.values():
+            assert json.dumps(_jsonify(value), sort_keys=True) == json.dumps(expected, sort_keys=True)

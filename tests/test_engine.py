@@ -1,19 +1,22 @@
 """The norm engine on its own: the native cutting-plane LP against HiGHS,
-the evaluation counts of the reference norms, and a library that runs
-without scipy."""
+the evaluation counts of the reference norms, maxima on the boundary of the
+box, plain float outputs, and a library that runs without scipy."""
 import math
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import divstab as ds
 from divstab import stability
+from divstab.cli import main
 from divstab.core import TRIVIAL_VALUATION, DivisorialMeasure
 
 from _reference import kelley_lp
@@ -153,3 +156,63 @@ assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+class TestBoxConstrainedMax:
+    """g(u) = -|u - c|^2 with its peak c outside the box in some coordinates:
+    the maximizer sits on the box there, at (2, -2, 0.3, 0)[:dim]."""
+
+    CENTER, TOP, HI = (5.0, -5.0, 0.3, 0.0), (2.0, -2.0, 0.3, 0.0), 2.0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_maximizer_on_the_box(self, dim):
+        center, points = self.CENTER[:dim], []
+
+        def g(u):
+            points.append(u)
+            return -sum((x - c) ** 2 for x, c in zip(u, center)), [-2.0 * (x - c) for x, c in zip(u, center)]
+
+        u, bound = stability._certified_max(g, dim, self.HI, 1e-9)
+        assert len(points) <= 6
+        assert all(type(x) is tuple for x in points)
+        top = self.TOP[:dim]
+        assert max(abs(x - t) for x, t in zip(u, top)) <= 1e-6
+        assert bound >= g(top)[0]
+        assert bound - g(u)[0] <= 1e-9
+
+
+def _reference_norms():
+    p2, f1, p2t = (ds.bundled_model(n) for n in ("p2", "f1", "p2_toric"))
+    yield p2, p2.divisor([3]), DivisorialMeasure.make(
+        [(TRIVIAL_VALUATION, Fraction(1, 2)), (p2.named_valuations["line"], Fraction(1, 2))]
+    )
+    yield f1, f1.divisor([2, 3]), DivisorialMeasure.make(
+        [(f1.named_valuations[n], Fraction(m, 6)) for n, m in (("ord_s", 1), ("ord_f", 2), ("ord_sf", 3))]
+    )
+    yield p2t, p2t.divisor([0, 0, 3]), DivisorialMeasure.make(
+        [(p2t.named_valuations["e1"], Fraction(1, 2)), (p2t.named_valuations["e2"], Fraction(1, 2))]
+    )
+
+
+class TestPlainFloatOutputs:
+    """Norms and Monge-Ampere solutions come out as Python floats, and the
+    least shift is +0.0, so a report never prints -0.0."""
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_norm_and_ma_solve(self, case):
+        model, L, mu = list(_reference_norms())[case]
+        r = ds.norm(model, L, mu)
+        (t,) = r.maximizers
+        for x in (r.value, r.gap, r.box_bound, *t):
+            assert type(x) is float
+        assert math.copysign(1.0, min(t)) == 1.0
+        sol = ds.ma_solve(model, L, mu)
+        for x in (*sol.t_star, *sol.measure_out):
+            assert type(x) is float
+        assert math.copysign(1.0, min(sol.t_star)) == 1.0
+
+    def test_p2_ma_report_has_no_negative_zero(self):
+        config = str(resources.files("divstab") / "configs" / "p2_ma.json")
+        result = CliRunner().invoke(main, ["run", config])
+        assert result.exit_code == 0
+        assert "-0.0" not in result.stdout
