@@ -1,7 +1,9 @@
 """Batch front-end: JSON job configs in, JSON reports out.
 
 Configs declare a geometry model (bundled by name or inline), a line bundle,
-tolerances, a seed (echoed; it has no effect), and an ordered task list.
+tolerances, a seed, and an ordered task list.  The seed and the quadrature
+tolerance are validated and echoed but have no effect: every task is exact
+or deterministic.
 Reports echo inputs, embed the toolkit version and the config hash, and are
 deterministic for a fixed config up to the per-task wall time field.
 """
@@ -301,10 +303,9 @@ def _parse_task(model, line_bundle, task, path: str):
 # -- task execution ---------------------------------------------------------
 
 
+# `seed` is unused; the signature stays for positional callers (perfbench/workloads.py)
 def run_task(model, line_bundle, task, tolerances, seed):
     kind = task["kind"]
-    quad = tolerances["quadrature"]
-    grad = tolerances["gradient"]
     opts = stability.OptimizerOptions(tol=tolerances["optimizer"])
     if kind == "volume":
         return {"volume": model.volume(task["divisor"])}
@@ -321,25 +322,19 @@ def run_task(model, line_bundle, task, tolerances, seed):
     if kind == "gamma":
         return {"gamma": gamma_threshold(model, line_bundle, task["valuation"])}
     if kind == "S":
-        return {
-            "S": filtrations.expected_order_S(model, line_bundle, task["spec"], tol=quad)
-        }
+        return {"S": filtrations.expected_order_S(model, line_bundle, task["spec"])}
     if kind in ("norm", "beta"):
-        return {kind: getattr(stability, kind)(
-            model, line_bundle, task["measure"], quad_tol=quad, seed=seed, options=opts
-        )}
+        return {kind: getattr(stability, kind)(model, line_bundle, task["measure"], options=opts)}
     if kind == "delta":
-        value, witness = stability.delta_anticanonical(model, task["candidates"], quad_tol=quad)
+        value, witness = stability.delta_anticanonical(model, task["candidates"])
         return {"delta": value, "witness": witness.name}
     if kind == "ma_solve":
         return {"solution": stability.ma_solve(
-            model, line_bundle, task["measure"],
-            quad_tol=quad, grad_tol=grad, seed=seed, options=opts,
+            model, line_bundle, task["measure"], grad_tol=tolerances["gradient"], options=opts
         )}
     if kind == "probe":
         return {"probe": stability.divisorial_stability_probe(
-            model, line_bundle, task["measures"], epsilon=task["epsilon"],
-            quad_tol=quad, seed=seed, options=opts,
+            model, line_bundle, task["measures"], epsilon=task["epsilon"], options=opts
         )}
     if kind == "finite_k":
         profile = filtrations.filtration_volume_finite_k(
@@ -435,12 +430,13 @@ def _fail(code: int, error: dict, out: Optional[str]):
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Report path (default: stdout).")
 @click.option(
     "--tolerance-override", "tolerance_overrides", multiple=True,
-    help="Override a tolerance, e.g. quadrature=1e-10; repeatable.",
+    help="Override a tolerance, e.g. optimizer=1e-10; repeatable.",
 )
 @click.option("--seed", type=int, default=None, help="Override the config's seed (echoed; no effect).")
 def run(config_path, out, tolerance_overrides, seed):
     """Execute the task list of a JSON job config and emit a JSON report."""
-    raw = open(config_path, "rb").read()
+    with open(config_path, "rb") as fh:
+        raw = fh.read()
     overrides = {}
     for item in tolerance_overrides:
         if "=" not in item:

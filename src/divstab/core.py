@@ -213,21 +213,14 @@ def is_big(model: GeometryModel, D: DivisorClass) -> bool:
     return model.is_big(D)
 
 
-def gamma_threshold(
-    model: GeometryModel,
-    L: DivisorClass,
-    v: Valuation,
-    tol: float = 1e-9,
-    exact: bool = True,
-):
+def gamma_threshold(model: GeometryModel, L: DivisorClass, v: Valuation):
     """Pseudoeffective threshold sup{g > 0 : twist(L, v, g) is big}, cached
     on the model by (L, v).
 
     Every backend answers exactly through `closed_form_threshold`: toric
     models read max - min of <., w> off the vertices of P_L, surfaces walk
     the Zariski chambers of L - g E_v.  The result is a Fraction, or a float
-    where a surface threshold is an irrational quadratic root.  `tol` and
-    `exact` have no effect; they stay for existing callers.
+    where a surface threshold is an irrational quadratic root.
     """
     if v.is_trivial:
         raise GeometryError("pseudoeffective threshold undefined for the trivial valuation")

@@ -103,8 +103,9 @@ def expected_order_S(
     toric models integrate min_i of the shifted orders over the section
     polytope cell by cell (`ToricModel.expected_order`) and return the exact
     value rounded once to float.  method="quadrature" is the reference: it
-    runs adaptive composite Gauss-Legendre, seeded at the shift and threshold
-    breakpoints, over the model's `twist_evaluator`.
+    runs adaptive composite Gauss-Legendre to `tol`, seeded at the shift and
+    threshold breakpoints, over the model's `twist_evaluator`; `tol` has no
+    other use.
     """
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}; expected 'auto' or 'quadrature'")
@@ -203,7 +204,8 @@ def restriction_inequality_check(
 ) -> tuple[bool, tuple[float, float]]:
     """Dropping constraints can only increase the expected order.
 
-    Returns (holds, (value with full support, value with the subset)).
+    Returns (holds, (value with full support, value with the subset)), where
+    `holds` allows the full value to exceed the subset's by `tol`.
     """
     by_name = {v.name: (v, t) for v, t in zip(superset_spec.support, superset_spec.shifts)}
     pairs = []
@@ -212,6 +214,6 @@ def restriction_inequality_check(
             raise GeometryError(f"valuation {v.name!r} is not in the filtration support")
         pairs.append(by_name[v.name])
     sub_spec = FiltrationSpec.make(pairs)
-    full = expected_order_S(model, L, superset_spec, tol=tol)
-    sub = expected_order_S(model, L, sub_spec, tol=tol)
+    full = expected_order_S(model, L, superset_spec)
+    sub = expected_order_S(model, L, sub_spec)
     return full <= sub + tol, (full, sub)

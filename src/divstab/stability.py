@@ -211,7 +211,8 @@ class _Planes:
 
 def _ascend(planes, dim, hi):
     """Projected BFGS ascent on g from 0 until the planes certify, the
-    evaluation budget is spent or the step does not ascend.
+    evaluation budget is spent, the step does not ascend or a shortened step
+    falls below the stencil spacing.
 
     A coordinate is free unless it sits at a bound with the supergradient s
     pointing out of the box.  The step p moves the free coordinates along
@@ -246,6 +247,10 @@ def _ascend(planes, dim, hi):
             # the secant root is past 0.5 of the step when the drop is below 2 slope
             shrink = max(slope / max(slope - _dot(s_new, p), 2.0 * slope), 0.1)
             p = tuple(shrink * x for x in p)
+            # the stencil probes this scale next; below it the Armijo test
+            # compares values that differ by the rounding of S
+            if max(map(abs, p)) < _STENCIL:
+                return
         y = tuple(map(sub, s, s_new))
         py = _dot(p, y)
         if py > 0:
@@ -298,15 +303,9 @@ def norm(
     model: GeometryModel,
     L: DivisorClass,
     mu: DivisorialMeasure,
-    quad_tol: float = 1e-9,
-    seed: int = 0,
     options: OptimizerOptions = OptimizerOptions(),
 ) -> NormResult:
-    """sup over shifts t of S_L(t) - <xi, t>; nonnegative, zero on the trivial measure.
-
-    `quad_tol` and `seed` have no effect: S is exact on both backends and
-    the engine is deterministic.
-    """
+    """sup over shifts t of S_L(t) - <xi, t>; nonnegative, zero on the trivial measure."""
     if not model.is_big(L):
         raise GeometryError("norm requires a big class")
     gammas = [float(gamma_threshold(model, L, v)) for v in mu.support if not v.is_trivial]
@@ -357,8 +356,6 @@ def norm_enlarged_support_check(
     mu: DivisorialMeasure,
     extra: Sequence[Valuation],
     tol: float = 1e-6,
-    quad_tol: float = 1e-9,
-    seed: int = 0,
     options: OptimizerOptions = OptimizerOptions(),
 ) -> bool:
     """The norm is unchanged by adding zero-mass valuations to the support."""
@@ -366,18 +363,18 @@ def norm_enlarged_support_check(
     for v in extra:
         if v.name in names:
             raise GeometryError(f"valuation {v.name!r} already supports the measure")
-    base = norm(model, L, mu, quad_tol=quad_tol, seed=seed, options=options)
+    base = norm(model, L, mu, options=options)
     if not extra:
         return True
     enlarged = DivisorialMeasure(mu.atoms + tuple((v, Fraction(0)) for v in extra))
-    big = norm(model, L, enlarged, quad_tol=quad_tol, seed=seed, options=options)
+    big = norm(model, L, enlarged, options=options)
     return abs(base.value - big.value) <= tol
 
 
 # -- Danskin derivatives ----------------------------------------------------
 
 
-def _grad_S_direction(model, L, support, shifts, H, quad_tol) -> float:
+def _grad_S_direction(model, L, support, shifts, H) -> float:
     """d/ds S_{L+sH}(t) at s=0 with t fixed."""
     spec = FiltrationSpec(tuple(support), tuple(shifts))
     if isinstance(model, SurfaceModel):
@@ -390,8 +387,8 @@ def _grad_S_direction(model, L, support, shifts, H, quad_tol) -> float:
         return (2.0 / vol) * (float(ih[0]) - (plh / vol) * iv)
     # Richardson-extrapolated central differences in the L direction
     def diff(eps: Fraction) -> float:
-        up = expected_order_S(model, L + eps * H, spec, tol=quad_tol)
-        dn = expected_order_S(model, L + (-eps) * H, spec, tol=quad_tol)
+        up = expected_order_S(model, L + eps * H, spec)
+        dn = expected_order_S(model, L + (-eps) * H, spec)
         return (up - dn) / (2.0 * float(eps))
 
     e = Fraction(1, 1000)
@@ -400,16 +397,16 @@ def _grad_S_direction(model, L, support, shifts, H, quad_tol) -> float:
     return (4.0 * d2 - d1) / 3.0
 
 
-def _danskin_from(model, L, mu, H, side, result: NormResult, quad_tol) -> float:
+def _danskin_from(model, L, mu, H, side, result: NormResult) -> float:
     if side == "left":
-        return -_danskin_from(model, L, mu, -H, "right", result, quad_tol)
+        return -_danskin_from(model, L, mu, -H, "right", result)
     if side != "right":
         raise ValueError("side must be 'left' or 'right'")
     eps = Fraction(1, 10**6)
     if not model.is_big(L + eps * H):
         raise GeometryError("direction leaves the big cone at first order")
     (t,) = result.maximizers
-    return _grad_S_direction(model, L, mu.support, t, H, quad_tol)
+    return _grad_S_direction(model, L, mu.support, t, H)
 
 
 def danskin_derivative(
@@ -418,14 +415,12 @@ def danskin_derivative(
     mu: DivisorialMeasure,
     H: DivisorClass,
     side: str = "right",
-    quad_tol: float = 1e-9,
-    seed: int = 0,
     options: OptimizerOptions = OptimizerOptions(),
 ) -> float:
     """One-sided derivative of ||mu||_{L+sH} at s=0: grad S at the one
     reported maximizer, exact when the argmax is that point."""
-    result = norm(model, L, mu, quad_tol=quad_tol, seed=seed, options=options)
-    return _danskin_from(model, L, mu, H, side, result, quad_tol)
+    result = norm(model, L, mu, options=options)
+    return _danskin_from(model, L, mu, H, side, result)
 
 
 # -- beta / delta -----------------------------------------------------------
@@ -435,18 +430,14 @@ def beta(
     model: GeometryModel,
     L: DivisorClass,
     mu: DivisorialMeasure,
-    quad_tol: float = 1e-9,
-    seed: int = 0,
     options: OptimizerOptions = OptimizerOptions(),
 ) -> BetaReport:
     """Entropy term plus the left derivative of the norm in the canonical direction."""
-    result = norm(model, L, mu, quad_tol=quad_tol, seed=seed, options=options)
+    result = norm(model, L, mu, options=options)
     entropy = sum(
         (m * v.log_discrepancy for v, m in mu.atoms), Fraction(0)
     )
-    derivative = _danskin_from(
-        model, L, mu, model.canonical_class, "left", result, quad_tol
-    )
+    derivative = _danskin_from(model, L, mu, model.canonical_class, "left", result)
     b = float(entropy) + derivative
     ratio = b / result.value if result.value > 1e-9 else None
     return BetaReport(
@@ -459,9 +450,7 @@ def beta(
 
 
 def delta_anticanonical(
-    model: GeometryModel,
-    candidates: Sequence[Valuation],
-    quad_tol: float = 1e-9,
+    model: GeometryModel, candidates: Sequence[Valuation]
 ) -> tuple[float, Valuation]:
     """min over candidates of A(E) / S_{-K}(E); below 1 certifies instability."""
     minus_k = -model.canonical_class
@@ -473,9 +462,7 @@ def delta_anticanonical(
     for v in candidates:
         if v.is_trivial:
             raise GeometryError("candidates must be non-trivial valuations")
-        s = expected_order_S(
-            model, minus_k, FiltrationSpec((v,), (0.0,)), tol=quad_tol
-        )
+        s = expected_order_S(model, minus_k, FiltrationSpec((v,), (0.0,)))
         if s <= 0:
             raise GeometryError(f"candidate {v.name!r} has nonpositive expected order")
         ratio = float(v.log_discrepancy) / s
@@ -491,9 +478,7 @@ def ma_solve(
     model: GeometryModel,
     L: DivisorClass,
     mu: DivisorialMeasure,
-    quad_tol: float = 1e-9,
     grad_tol: float = 1e-6,
-    seed: int = 0,
     options: OptimizerOptions = OptimizerOptions(),
 ) -> MASolution:
     """Prescribe mu as the gradient measure of S at the variational optimum.
@@ -502,15 +487,13 @@ def ma_solve(
     symmetric-difference gradient of S at the best shift vector, with kink
     coordinates (one-sided slopes disagreeing) flagged, not hidden.
     """
-    result = norm(model, L, mu, quad_tol=quad_tol, seed=seed, options=options)
+    result = norm(model, L, mu, options=options)
     t_star = list(result.maximizers[0])
     support = mu.support
     xi = [float(m) for m in mu.masses]
 
     def S(t):
-        return expected_order_S(
-            model, L, FiltrationSpec(support, tuple(t)), tol=quad_tol
-        )
+        return expected_order_S(model, L, FiltrationSpec(support, tuple(t)))
 
     h = 1e-5
     center = S(t_star)
@@ -543,8 +526,6 @@ def divisorial_stability_probe(
     L: DivisorClass,
     measures: Sequence[DivisorialMeasure],
     epsilon: float = 0.0,
-    quad_tol: float = 1e-9,
-    seed: int = 0,
     options: OptimizerOptions = OptimizerOptions(),
 ) -> ProbeReport:
     """beta versus epsilon * norm over a finite family of measures.
@@ -556,7 +537,7 @@ def divisorial_stability_probe(
     min_ratio: Optional[float] = None
     witness: Optional[str] = None
     for mu in measures:
-        rep = beta(model, L, mu, quad_tol=quad_tol, seed=seed, options=options)
+        rep = beta(model, L, mu, options=options)
         entries.append(ProbeEntry(measure=mu, norm=rep.norm, beta=rep))
         if rep.stability_ratio is None:
             continue

@@ -154,8 +154,8 @@ def test_criterion_5_property_suite_200_cases():
         L = random_big_class(model, rng)
         mu = random_measure(model, rng, max_size=2)
         s = 1 + Fraction(rng.randint(-3, 4), 8)
-        base = ds.norm(model, L, mu, options=FAST_OPTIONS, seed=i).value
-        scaled = ds.norm(model, s * L, mu, options=FAST_OPTIONS, seed=i).value
+        base = ds.norm(model, L, mu, options=FAST_OPTIONS).value
+        scaled = ds.norm(model, s * L, mu, options=FAST_OPTIONS).value
         check("homogeneity", i, abs(scaled - float(s) * base) < 1e-6)
 
     rng = random.Random(1005)
@@ -170,11 +170,11 @@ def test_criterion_5_property_suite_200_cases():
         theta = Fraction(rng.randint(1, 7), 8)
         mid = [theta * x + (1 - theta) * y for x, y in zip(xi_a, xi_b)]
         na = ds.norm(model, L, DivisorialMeasure.make(list(zip(support, xi_a))),
-                     options=FAST_OPTIONS, seed=i).value
+                     options=FAST_OPTIONS).value
         nb = ds.norm(model, L, DivisorialMeasure.make(list(zip(support, xi_b))),
-                     options=FAST_OPTIONS, seed=i).value
+                     options=FAST_OPTIONS).value
         nm = ds.norm(model, L, DivisorialMeasure.make(list(zip(support, mid))),
-                     options=FAST_OPTIONS, seed=i).value
+                     options=FAST_OPTIONS).value
         check(
             "convexity", i,
             nm <= float(theta) * na + (1 - float(theta)) * nb + 1e-7,
@@ -192,7 +192,7 @@ def test_criterion_5_property_suite_200_cases():
         check(
             "support_enlargement", i,
             ds.norm_enlarged_support_check(
-                model, L, mu, extras[:1], options=FAST_OPTIONS, seed=i
+                model, L, mu, extras[:1], options=FAST_OPTIONS
             ),
         )
 

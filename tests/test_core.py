@@ -200,8 +200,10 @@ class TestToricClosedFormThreshold:
         g = ds.gamma_threshold(p2t, p2t.divisor([0, 3, 0]), p2t.named_valuations["e1"])
         assert isinstance(g, Fraction) and g == 3
 
-    @pytest.mark.parametrize("exact", [True, False])
-    def test_p3_reads_the_vertices_without_bisection(self, monkeypatch, exact):
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_p3_reads_the_vertices_without_bisection(self, monkeypatch, cached):
+        # cached=True reads the answer back a second time from the model's
+        # gamma cache: it must be the same exact Fraction, still unbisected
         p3 = ds.ToricModel("p3", [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]])
         v = p3.monomial_valuation("e12", [1, 1, 0])
         L = p3.divisor([1, 0, 2, Fraction(1, 2)])
@@ -210,7 +212,9 @@ class TestToricClosedFormThreshold:
             raise AssertionError("gamma_threshold bisected")
 
         monkeypatch.setattr(ds.ToricModel, "constrained_volume", no_bisection)
-        g = ds.gamma_threshold(p3, L, v, exact=exact)
+        g = ds.gamma_threshold(p3, L, v)
+        if cached:
+            assert ds.gamma_threshold(p3, L, v) is g
         values = [m[0] + m[1] for m in p3.polytope_vertices(L)]
         assert isinstance(g, Fraction) and g == max(values) - min(values)
 

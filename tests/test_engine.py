@@ -137,6 +137,32 @@ class TestReferenceNormEvaluations:
         assert len(evaluations) <= 10
 
 
+class TestAscentStopsAtTheStencil:
+    """A rejected step shortened below the stencil spacing ends the ascent.
+    Without that, the line search on this norm halves a 1e-11 step while the
+    Armijo test compares values that differ by the rounding of S, and the
+    norm takes 53 evaluations."""
+
+    def test_p1xp1_three_atoms(self, monkeypatch):
+        calls = []
+        primitive = stability.expected_order_S_grad
+
+        def counting(model, L, spec):
+            calls.append(spec.shifts)
+            return primitive(model, L, spec)
+
+        monkeypatch.setattr(stability, "expected_order_S_grad", counting)
+        m = ds.bundled_model("p1xp1")
+        v = m.named_valuations
+        L = m.divisor([Fraction(529, 200), Fraction(3923, 500)])
+        mu = DivisorialMeasure.make(
+            [(v["ord_f2"], Fraction(5, 8)), (v["ord_f1"], Fraction(1, 8)), (v["ord_diag"], Fraction(1, 4))]
+        )
+        r = ds.norm(m, L, mu)
+        assert len(calls) <= 20
+        assert r.converged and r.gap <= 1e-9
+
+
 def test_library_runs_without_scipy():
     script = """
 import sys

@@ -247,7 +247,7 @@ class TestDanskin:
                 support = random_measure(model, rng).support
                 shifts = [rng.uniform(0, 1.5) for _ in support]
                 H = model.canonical_class
-                exact = _grad_S_direction(model, L, support, shifts, H, 1e-9)
+                exact = _grad_S_direction(model, L, support, shifts, H)
                 # S is only piecewise smooth in the bundle direction, so the
                 # central difference error is O(eps) near kinks; keep eps small
                 eps = Fraction(1, 2**18)
