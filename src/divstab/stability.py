@@ -382,8 +382,9 @@ def _grad_S_direction(model, L, support, shifts, H) -> float:
         t0, lam_max, iv, ih = problem.integrals(spec.shifts, problem.pulled([H]))
         if lam_max <= t0:
             return 0.0
-        vol = float(problem.volume)
-        plh = float(model.positive_product_against(L, H))
+        vol = problem.volume
+        # P_L . H from the decomposition the problem kept: L is not decomposed again
+        plh = float(model.pairing(problem.positive, H))
         return (2.0 / vol) * (float(ih[0]) - (plh / vol) * iv)
     # Richardson-extrapolated central differences in the L direction
     def diff(eps: Fraction) -> float:

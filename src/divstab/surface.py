@@ -6,9 +6,10 @@ incomplete curve lists give wrong volumes; the bundled del Pezzo / Hirzebruch
 models carry the full known lists.
 
 One routine, `SurfaceModel._chamber`, finds the Zariski chamber of b + lam d
-right of a point, where P is linear and vol = P^2 quadratic in lam.  It runs
-fraction-free on a tuple over one positive scale, with the lattice data in
-ints: on ints for `zariski` and the thresholds, on floats for S and its gradients.
+right of a point, where P is linear and vol = P^2 quadratic in lam, and the
+pairings of P that give its walls.  It runs fraction-free on a tuple over
+one positive scale, with the lattice data in ints: on ints for `zariski` and
+the thresholds, on floats for S and its gradients (`_SurfaceProblem.walk`).
 """
 from __future__ import annotations
 
@@ -127,7 +128,7 @@ class SurfaceModel(GeometryModel):
         if self._last[0] != D.coefficients:
             lat, ((b,), q) = self._exact, _integral((D.coefficients,))
             try:
-                support, p0, _, scale = self._chamber(lat, b, (0,) * len(b), q, (0, 1))
+                support, p0, _, scale, _ = self._chamber(lat, b, (0,) * len(b), q, (0, 1))
                 P = DivisorClass(tuple(Fraction(c, scale) for c in p0), self.basis_id)
                 N = tuple((self.negative_curves[i], Fraction(lat.kappa * a, scale)) for i, a, _ in support)
                 hit = ZariskiDecomposition(P, N), Fraction(_dot(p0, _image(lat.matrix, p0)), scale**2 * lat.sigma)
@@ -142,30 +143,28 @@ class SurfaceModel(GeometryModel):
     def _chamber(self, lat, b, d, q, x):
         """Zariski decomposition of (b + lam d) / q right of lam = xn / xd, for
         int or float tuples b, d, x = (xn, xd) and q, xd > 0: (support, p0,
-        p1, scale) with P = (p0 + lam p1) / scale and support the (curve index,
-        a0, a1) whose N-coefficient lat.kappa (a0 + lam a1) / scale is positive
-        at x+, where each (c0 + lam c1) / scale is signed by its value, then
-        its slope, 0 within lat.tol.  Raises NotPseudoeffectiveError off the
-        psef cone at x+."""
-        curves, duals = lat.curves, lat.duals
+        p1, scale, lines) with P = (p0 + lam p1) / scale, support the (curve
+        index, a0, a1) whose N-coefficient lat.kappa (a0 + lam a1) / scale is
+        positive at x+, and lines the pairings (p0 . u, p1 . u) with the dual
+        u of each curve outside the support, negative then sample curves.
+        Each (c0 + lam c1) / scale is signed by `_sign` at x+.  Raises
+        NotPseudoeffectiveError off the psef cone at x+."""
+        curves, duals, n = lat.curves, lat.duals, len(lat.curves)
         xn, xd = x
         support, a0, a1, p0, p1, scale = [], [], [], b, d, q
         tol = lat.tol * q
-
-        def sign(c0, c1):
-            c = xd * c0 + xn * c1
-            return c if abs(c) > tol * xd else (c1 if abs(c1) > tol else 0)
-
-        def pairs(dual):
-            return sign(_dot(p0, dual), _dot(p1, dual))
-
-        while violating := [
-            i for i in range(len(curves)) if i not in support and pairs(duals[i]) < 0
-        ]:
+        while True:
+            # P against each curve outside the support, once per support
+            outside = [i for i in range(n) if i not in support]
+            lines = [(_dot(p0, duals[i]), _dot(p1, duals[i])) for i in outside]
+            if not support:
+                first = lines  # b and d against each curve
+            violating = [i for i, (c0, c1) in zip(outside, lines) if _sign(c0, c1, xn, xd, tol) < 0]
+            if not violating:
+                break
             support += violating
             gram = [[lat.gram[i][j] for j in support] for i in support]
-            rhs = [[_dot(v, duals[i]) for i in support] for v in (b, d)]
-            sol = _solve_negative_definite(gram, rhs)
+            sol = _solve_negative_definite(gram, list(zip(*(first[i] for i in support))))
             if sol is None:
                 raise NotPseudoeffectiveError(
                     f"no Zariski decomposition: Gram submatrix of curves "
@@ -178,31 +177,32 @@ class SurfaceModel(GeometryModel):
             p0, p1 = (
                 tuple(g * vk - _dot(a, col) for vk, col in zip(v, columns)) for v, a in zip((b, d), (a0, a1))
             )
-        for C, dual in zip(self.sample_curves, duals[len(curves):]):
-            if pairs(dual) < 0:
+        for C, dual in zip(self.sample_curves, duals[n:]):
+            c0, c1 = _dot(p0, dual), _dot(p1, dual)
+            if _sign(c0, c1, xn, xd, tol) < 0:
                 raise NotPseudoeffectiveError(
                     f"candidate positive part pairs negatively with declared curve "
                     f"{C.coefficients}"
                 )
-        if any(sign(u, w) < 0 for u, w in zip(a0, a1)):
+            lines.append((c0, c1))
+        signs = [_sign(u, w, xn, xd, tol) for u, w in zip(a0, a1)]
+        if any(s < 0 for s in signs):
             raise NotPseudoeffectiveError(
                 "a negative-part coefficient is forced negative; class is not pseudoeffective"
             )
-        return [(i, u, w) for i, u, w in zip(support, a0, a1) if sign(u, w) > 0], p0, p1, scale
+        return [(i, u, w) for i, u, w, s in zip(support, a0, a1, signs) if s > 0], p0, p1, scale, lines
 
     def _step(self, lat, b, d, q, x):
         """(p0, p1, M p0, M p1, scale, wall) on the chamber of (b + lam d) / q
         right of x (`_chamber`), M = lat.matrix, and wall the least root past
-        x of an N-coefficient or an off-support curve pairing, by lat.div
-        (None: no wall); None when the class is not psef at x+."""
+        x of an N-coefficient or of a pairing in `lines`, by lat.div (None:
+        no wall); None when the class is not psef at x+."""
         try:
-            support, p0, p1, scale = self._chamber(lat, b, d, q, x)
+            support, p0, p1, scale, lines = self._chamber(lat, b, d, q, x)
         except NotPseudoeffectiveError:
             return None
-        inside, tol = {i for i, _, _ in support}, lat.tol * scale
-        lines = [(u, w) for _, u, w in support] + [
-            (_dot(p0, c), _dot(p1, c)) for i, c in enumerate(lat.duals) if i not in inside
-        ]
+        tol = lat.tol * scale
+        lines += [(u, w) for _, u, w in support]
         wall = min((lat.div(-c0, c1) for c0, c1 in lines if c1 < -tol), default=None)
         return p0, p1, _image(lat.matrix, p0), _image(lat.matrix, p1), scale, wall
 
@@ -285,47 +285,15 @@ class SurfaceModel(GeometryModel):
 
     # -- float chamber walk ------------------------------------------------
 
-    def _float_lattice(self, *vectors) -> "_Lattice":
-        """The lattice data for float classes: 0 within 1e-12 of the largest coordinate (or 1)."""
-        scale = max(1.0, *(abs(c) for vec in vectors for c in vec))
-        return self._exact._replace(div=operator.truediv, tol=1e-12 * scale)
+    def _float_lattice(self, size: float) -> "_Lattice":
+        """The lattice data for float classes of this size: 0 within 1e-12 times it (at least 1)."""
+        return _Lattice(*self._exact[:6], operator.truediv, 1e-12 * max(1.0, size))
 
     def volume_float(self, vec) -> float:
         """vol of the class with these float coordinates: `_step` at d = 0."""
         b = _floats(vec)
-        step = self._step(self._float_lattice(b), b, (0.0,) * len(b), 1, (0.0, 1))
+        step = self._step(self._float_lattice(max(map(abs, b))), b, (0.0,) * len(b), 1, (0.0, 1))
         return 0.0 if step is None else max(_dot(step[0], step[2]) / (step[4] ** 2 * self._exact.sigma), 0.0)
-
-    def _line_integrals(self, b, d, x0, x1, rows=None):
-        """Integrals of vol(b + x d) and of P_x . h, for each float tuple h in
-        `rows` (None: no h), over [x0, x1], by the float chamber walk (`_step`).
-
-        The positive part is linear in x on each chamber, so vol is quadratic
-        and all integrals are closed-form per chamber.  Stops at the first
-        non-pseudoeffective point, past which vol stays 0 when -d is effective.
-        """
-        lat = self._float_lattice(b, [c * max(abs(x0), abs(x1)) for c in d])
-        total_v, total_h = 0.0, None if rows is None else [0.0] * len(rows)
-        x = x0
-        while x < x1:
-            step = self._step(lat, b, d, 1, (x, 1))
-            if step is None:
-                break
-            p0, p1, Mp0, Mp1, scale, wall = step
-            wall = x1 if wall is None or wall > x1 else wall
-            if wall <= x:
-                raise ConvergenceError(f"chamber walk stalled at lam = {x!r}")
-            # P = (p0 + lam p1) / scale, and M = lat.matrix / sigma
-            unit = 1.0 / (scale * lat.sigma)
-            q0, q1, q2 = (u * unit / scale for u in (_dot(p0, Mp0), 2.0 * _dot(p0, Mp1), _dot(p1, Mp1)))
-            total_v += q0 * (wall - x) + q1 * (wall * wall - x * x) / 2.0 + q2 * (wall**3 - x**3) / 3.0
-            if rows is not None:
-                total_h = [
-                    acc + unit * (_dot(r, Mp0) * (wall - x) + _dot(r, Mp1) * ((wall * wall - x * x) / 2.0))
-                    for acc, r in zip(total_h, rows)
-                ]
-            x = wall
-        return total_v, total_h
 
     def twist_integrals(self, L, valuations, shifts, lam0, lam1, direction=None):
         """Exact integrals along lam -> L - sum max(lam - t_i, 0) D_i over [lam0, lam1].
@@ -376,8 +344,9 @@ class SurfaceModel(GeometryModel):
 class _SurfaceProblem:
     """One (L, support) on a surface, compiled once for repeated `S` calls.
 
-    Holds the exact vol(L), the realization of the support with L pulled back
-    to float coordinates, and the float divisors of the non-trivial valuations.
+    Holds vol(L) as a float and the positive part of L (None unless L is
+    big), the realization of the support with L pulled back to float
+    coordinates, and the float divisors of the non-trivial valuations.
     Building it resolves the realization, so a support realised on several
     birational models raises here, whatever the shifts.  The thresholds
     gamma_i are computed on the first `integrals` call, which needs L big.
@@ -387,13 +356,17 @@ class _SurfaceProblem:
         self.model = model
         self.L = L
         self.support = support
-        self.volume = model.volume(L)
+        self.volume = float(model.volume(L))
+        # read from the decomposition `volume` just kept: L is decomposed once
+        self.positive = model.zariski(L).positive_part if self.volume > 0 else None
         self._nontrivial = [i for i, v in enumerate(support) if not v.is_trivial]
         self._trivial = [i for i, v in enumerate(support) if v.is_trivial]
         self._gammas: Optional[list[float]] = None
         self.target, self._pull = model.resolve_realization(support)
         self._base = _floats(self._pull(L.coefficients))
         self._divs = [_floats(support[i].order_model.divisor.coefficients) for i in self._nontrivial]
+        # the walk's size, given the range of lam: see `walk`
+        self._size, self._span = max(map(abs, self._base)), sum(max(map(abs, e)) for e in self._divs)
 
     def pulled(self, classes) -> list:
         """The classes pulled back to the realization, one float tuple each."""
@@ -429,11 +402,11 @@ class _SurfaceProblem:
         valuation, whose cap binds when the range is empty, takes 1 minus the
         others; other trivial ones 0.
         """
-        if self.volume <= 0:
+        vol = self.volume
+        if vol <= 0:
             raise GeometryError("expected vanishing order requires a big class")
         t0, lam_max, iv, ih = self.integrals(shifts, [] if gradient else None)
-        vol = float(self.volume)
-        value = float(t0 + iv / vol) if lam_max > t0 else t0
+        value = t0 + iv / vol if lam_max > t0 else t0
         if not gradient:
             return value, None
         grad = [0.0] * len(self.support)
@@ -444,23 +417,50 @@ class _SurfaceProblem:
         return value, grad
 
     def walk(self, ts, lam0, lam1, rows=None, starts=None):
-        """(integral of vol, integrals of P . h) over [lam0, lam1], with `ts`
-        the float shifts of the non-trivial valuations and h the float
-        tuples in `rows` (None: no h), row j integrated from `starts[j]` on:
-        one chamber walk per piece between consecutive cuts, which are the
-        shifts themselves, so `t <= p` is exact."""
-        cuts = sorted({lam0, lam1} | {t for t in ts if lam0 < t < lam1})
+        """(integral of vol, integrals of P . h) over [lam0, lam1] along
+        lam -> L - sum max(lam - t_i, 0) E_i, `ts` the float shifts of the
+        non-trivial valuations, h the float tuples in `rows` (None: no h),
+        row j integrated from `starts[j]` on.  One pass: E_i joins the line
+        b + lam d when lam reaches t_i, so `t <= lam` is exact, and each
+        chamber (`SurfaceModel._step`) is integrated in closed form up to its
+        wall or the next shift.  The path only subtracts effective divisors,
+        so past the first point off the psef cone, or a wall where P is 0 by
+        `_sign`'s zero test, vol and P stay 0: the walk ends there.  Zero is
+        within 1e-12 times the walk's size (at least 1): the largest
+        coordinate of L, or max(|lam0|, |lam1|) times the sum of the largest
+        coordinates of the E_i."""
+        target = self.target
+        lat = target._float_lattice(max(self._size, max(abs(lam0), abs(lam1)) * self._span))
+        events = [*sorted((t, i) for i, t in enumerate(ts) if t < lam1), (lam1, None)]
+        b, d = self._base, (0.0,) * len(self._base)
         total_v, total_h = 0.0, None if rows is None else [0.0] * len(rows)
-        for p, q in zip(cuts, cuts[1:]):
-            b, d = self._base, (0.0,) * len(self._base)
-            for t, e in zip(ts, self._divs):
-                if t <= p:
-                    b = tuple(u + t * w for u, w in zip(b, e))
-                    d = tuple(u - w for u, w in zip(d, e))
-            iv, ih = self.target._line_integrals(b, d, p, q, rows)
-            total_v += iv
+        x, k = lam0, 0
+        while x < lam1:
+            while events[k][0] <= x:
+                t, e = events[k][0], self._divs[events[k][1]]
+                b = tuple(u + t * w for u, w in zip(b, e))
+                d = tuple(u - w for u, w in zip(d, e))
+                k += 1
+            step = target._step(lat, b, d, 1, (x, 1))
+            if step is None:
+                break
+            p0, p1, Mp0, Mp1, scale, wall = step
+            end = events[k][0] if wall is None else min(events[k][0], wall)
+            if end <= x:
+                raise ConvergenceError(f"chamber walk stalled at lam = {x!r}")
+            # P = (p0 + lam p1) / scale, and M = lat.matrix / sigma
+            unit = 1.0 / (scale * lat.sigma)
+            q0, q1, q2 = (u * unit / scale for u in (_dot(p0, Mp0), 2.0 * _dot(p0, Mp1), _dot(p1, Mp1)))
+            total_v += q0 * (end - x) + q1 * (end * end - x * x) / 2.0 + q2 * (end**3 - x**3) / 3.0
             if rows is not None:
-                total_h = [acc + (x if s <= p else 0.0) for acc, x, s in zip(total_h, ih, starts)]
+                span, half = end - x, (end * end - x * x) / 2.0
+                total_h = [
+                    acc + unit * (_dot(r, Mp0) * span + _dot(r, Mp1) * half) if s <= x else acc
+                    for acc, r, s in zip(total_h, rows, starts)
+                ]
+            if end == wall and all(abs(u + end * w) <= lat.tol * scale for u, w in zip(p0, p1)):
+                break
+            x = end
         return total_v, total_h
 
 
@@ -492,6 +492,13 @@ def _integral(vectors):
 
 def _dot(a, b):
     return sum(map(operator.mul, a, b))
+
+
+def _sign(c0, c1, xn, xd, tol):
+    """Sign of c0 + lam c1 just right of lam = xn / xd, xd > 0: of its value,
+    else of its slope, each 0 within tol."""
+    c = xd * c0 + xn * c1
+    return c if abs(c) > tol * xd else (c1 if abs(c1) > tol else 0)
 
 
 def _image(matrix, v) -> tuple:
@@ -534,14 +541,16 @@ def _solve_negative_definite(gram, columns):
 
 def _first_root(q0, q1, q2, unit, x, wall):
     """Least root in (x, wall] of (q0 + q1 lam + q2 lam^2) / unit, ints q, unit > 0,
-    given q(x) > 0 (wall None: no wall); a Fraction if the discriminant is a square."""
+    given q(x) > 0, for Fractions x and wall (None: no wall); a Fraction if the
+    discriminant is a square."""
     disc = q1 * q1 - 4 * q2 * q0
     # q must fall from x to a real root: not rising, not past a convex vertex;
     # that root is at most the wall if q(wall) <= 0 or the vertex is
-    if disc < 0 or (q2 == 0 and q1 >= 0) or (q2 > 0 and -q1 <= 2 * q2 * x):
+    if disc < 0 or (q2 == 0 and q1 >= 0) or (q2 > 0 and -q1 * x.denominator <= 2 * q2 * x.numerator):
         return None
-    if wall is not None and q0 + wall * (q1 + wall * q2) > 0:
-        if not (q2 > 0 and -q1 <= 2 * q2 * wall):
+    if wall is not None:
+        wn, wd = wall.numerator, wall.denominator
+        if q0 * wd * wd + wn * (q1 * wd + wn * q2) > 0 and not (q2 > 0 and -q1 * wd <= 2 * q2 * wn):
             return None
     if q2 == 0:
         return Fraction(-q0, q1)

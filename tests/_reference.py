@@ -10,8 +10,9 @@ Norm engine: the cutting-plane LP by HiGHS.
 
 Surface: the Zariski chamber walk on `Fraction`s, with elimination on the
 Gram matrix of the support, read off a model's declared intersection matrix
-and curves; it gives the Zariski decomposition, the volume and the
-pseudoeffective threshold.
+and curves; it gives the Zariski decomposition, the volume, the
+pseudoeffective threshold, and `S` with its gradient in the shifts for
+rational shifts.
 """
 import itertools
 import math
@@ -249,6 +250,73 @@ def surface_threshold(model, L, v):
         if wall is None:
             raise GeometryError("threshold is unbounded")
         x = wall
+
+
+def surface_S_grad(model, L, support, shifts):
+    """(S, grad_t S, chambers) of L along the filtration of these support
+    valuations at these shifts, exactly: shifts enter as `Fraction(t)`.
+
+    Walks the chambers of lam -> L - sum max(lam - t_i, 0) E_i up from the
+    least shift, on the realization of the support, by `surface_chamber`.
+    On each, P = p0 + lam p1, so vol = P^2 and P . E_i are polynomials and
+    integrate exactly.  The walk stops at the least trivial shift, or where
+    the class stops being big: the path only subtracts effective divisors,
+    so vol stays 0 past it.  S = t0 + (integral of vol) / vol L; for
+    non-trivial v_i, dS/dt_i = (2 / vol L) times the integral of P . E_i
+    from t_i, the least-shifted trivial valuation takes 1 minus the rest,
+    and other trivial ones 0.  `chambers` lists (lam, lam', the indices of
+    the negative curves in N), one per chamber walked.
+    """
+    ts = [Fraction(t) for t in shifts]
+    t0 = min(ts)
+    target, pull = model.resolve_realization(support)
+    base = tuple(Fraction(c) for c in pull(L.coefficients))
+    divs = {i: v.order_model.divisor.coefficients for i, v in enumerate(support) if not v.is_trivial}
+    trivial = [i for i, v in enumerate(support) if v.is_trivial]
+    cap = min((ts[i] for i in trivial), default=None)
+    matrix = target.matrix
+    duals = [
+        tuple(_fdot(row, C.coefficients) for row in matrix)
+        for C in target.negative_curves + target.sample_curves
+    ]
+    vol_L = surface_volume(model, L)
+    integral, moments, chambers = Fraction(0), {i: Fraction(0) for i in divs}, []
+    x = t0
+    while cap is None or x < cap:
+        active = [i for i in divs if ts[i] <= x]
+        b = tuple(c + sum(ts[i] * divs[i][k] for i in active) for k, c in enumerate(base))
+        d = tuple(-sum(divs[i][k] for i in active) for k in range(len(base)))
+        try:
+            chamber, p0, p1 = surface_chamber(target, b, d, x)
+        except NotPseudoeffectiveError:
+            break
+        Mp0, Mp1 = ([_fdot(row, p) for row in matrix] for p in (p0, p1))
+        q0, q1, q2 = _fdot(p0, Mp0), 2 * _fdot(p0, Mp1), _fdot(p1, Mp1)
+        if q0 + x * (q1 + x * q2) == 0:
+            break
+        inside = {i for i, _, _ in chamber}
+        lines = [(u, w) for _, u, w in chamber] + [
+            (_fdot(p0, c), _fdot(p1, c)) for i, c in enumerate(duals) if i not in inside
+        ]
+        ends = [-c0 / c1 for c0, c1 in lines if c1 < 0] + [t for t in ts if t > x]
+        end = min(ends, default=None)
+        if end is None:
+            raise AssertionError("the walk has no end: no declared curve bounds it")
+        if cap is not None:
+            end = min(end, cap)
+        if q0 + end * (q1 + end * q2) < 0:
+            raise AssertionError("vol < 0 inside a chamber: the declared curves are incomplete")
+        integral += q0 * (end - x) + q1 * (end**2 - x**2) / 2 + q2 * (end**3 - x**3) / 3
+        for i in active:
+            moments[i] += _fdot(divs[i], Mp0) * (end - x) + _fdot(divs[i], Mp1) * (end**2 - x**2) / 2
+        chambers.append((x, end, sorted(inside)))
+        x = end
+    grad = [Fraction(0)] * len(support)
+    for i, m in moments.items():
+        grad[i] = 2 * m / vol_L
+    if trivial:
+        grad[min(trivial, key=lambda i: ts[i])] = 1 - sum(grad)
+    return t0 + integral / vol_L, grad, chambers
 
 
 def _first_root(q0, q1, q2, x, wall):

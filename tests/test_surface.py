@@ -6,10 +6,11 @@ import pytest
 
 import _reference as reference
 import divstab as ds
-from divstab.filtrations import FiltrationSpec, expected_order_S
+from divstab.core import NotPseudoeffectiveError
+from divstab.filtrations import FiltrationSpec, expected_order_S, expected_order_S_grad
 from divstab.surface import SurfaceModel
 
-from _cases import random_big_class, surface_models
+from _cases import random_big_class, random_support, surface_models
 
 p2 = ds.bundled_model("p2")
 blp2 = ds.bundled_model("blp2")
@@ -215,6 +216,101 @@ class TestLineIntegrals:
             assert abs(fast - reference) < 1e-9
 
 
+def _tied_shifts(rng, size):
+    """Shifts in [0, 2]: uniform floats, with quarters and repeats mixed in."""
+    ts = []
+    for _ in range(size):
+        r = rng.random()
+        if ts and r < 0.15:
+            ts.append(rng.choice(ts))
+        elif r < 0.35:
+            ts.append(rng.randint(0, 8) / 4)
+        else:
+            ts.append(rng.uniform(0, 2))
+    return tuple(ts)
+
+
+class TestExpectedOrderMatchesExactWalk:
+    """Surface S and grad_t S against the exact walk of tests/_reference.py."""
+
+    def test_random_cases(self):
+        rng = random.Random(1729)
+        models = surface_models()
+        seen = dict.fromkeys(("non_nef", "trivial", "three", "pieces", "e_in_n"), 0)
+        for n in range(320):
+            model = models[n % len(models)]
+            L = random_big_class(model, rng)
+            if model.negative_curves and rng.random() < 0.5:
+                # often not nef: a negative curve in the fixed part from the start
+                L = L + Fraction(rng.randint(1, 8), 2) * rng.choice(model.negative_curves)
+            support = random_support(model, rng, max_size=3)
+            shifts = _tied_shifts(rng, len(support))
+            value, grad = expected_order_S_grad(model, L, FiltrationSpec(support, shifts))
+            ref_value, ref_grad, chambers = reference.surface_S_grad(model, L, support, shifts)
+            bound = 1e-12 * max(1.0, abs(float(ref_value)))
+            assert abs(value - float(ref_value)) <= bound, (model.name, L, support, shifts)
+            for g, r in zip(grad, ref_grad):
+                assert abs(g - float(r)) <= bound, (model.name, L, support, shifts)
+            # what the cases cover
+            target = model.resolve_realization(support)[0]
+            shifted = {Fraction(t) for v, t in zip(support, shifts) if not v.is_trivial}
+            divisors = {v.order_model.divisor.coefficients for v in support if not v.is_trivial}
+            seen["non_nef"] += bool(model.zariski(L).negative_part)
+            seen["trivial"] += any(v.is_trivial for v in support)
+            seen["three"] += len(support) == 3
+            seen["pieces"] += any(start in shifted and start > chambers[0][0] for start, _, _ in chambers)
+            seen["e_in_n"] += any(
+                target.negative_curves[i].coefficients in divisors for _, _, inside in chambers for i in inside
+            )
+        assert min(seen.values()) >= 20, seen
+
+
+class TestWalkWork:
+    """The float walk searches one chamber per piece and per wall crossed,
+    and at most once more, where the class leaves the psef cone."""
+
+    @pytest.mark.parametrize(
+        "name, L, valuations, shifts, pieces, walls, leaves",
+        [
+            # 3H - E minus lam (H - E): E joins N at the wall lam = 1
+            ("blp2", (3, -1), ("ord_line_p",), (0.0,), 1, 1, 0),
+            # the trivial cap at 2 ends the second chamber
+            ("blp2", (3, -1), ("ord_line_p", None), (0.0, 2.0), 1, 1, 0),
+            # ord_e from 2 on: E stays in N on the second piece
+            ("blp2", (3, -1), ("ord_line_p", "ord_e"), (0.0, 2.0), 2, 1, 0),
+            # 2F1 + 3F2 leaves the psef cone at lam = 1, before the thresholds
+            ("p1xp1", (2, 3), ("ord_f1", "ord_diag"), (0.0, 0.0), 1, 0, 1),
+            # ... and the piece that would start at 1.5 is never searched
+            ("p1xp1", (2, 3), ("ord_f1", "ord_diag", "ord_f2"), (0.0, 0.0, 1.5), 1, 0, 1),
+            # 3H minus lam 3H: P = 0 at the wall lam = 1 ends the walk there
+            ("p2", (3,), ("line", "conic"), (0.0, 0.0), 1, 0, 0),
+        ],
+    )
+    def test_searches_per_walk(self, monkeypatch, name, L, valuations, shifts, pieces, walls, leaves):
+        searches, failed = [], []
+        chamber = SurfaceModel._chamber
+
+        def counting(self, lat, b, d, q, x):
+            if lat is self._exact:
+                return chamber(self, lat, b, d, q, x)
+            searches.append(x)
+            try:
+                return chamber(self, lat, b, d, q, x)
+            except NotPseudoeffectiveError:
+                failed.append(x)
+                raise
+
+        model = ds.bundled_model(name)
+        support = tuple(ds.TRIVIAL_VALUATION if v is None else model.named_valuations[v] for v in valuations)
+        spec = FiltrationSpec(support, shifts)
+        expected_order_S_grad(model, model.divisor(L), spec)  # compiles the problem: gamma, vol
+        monkeypatch.setattr(SurfaceModel, "_chamber", counting)
+        value, _ = expected_order_S_grad(model, model.divisor(L), spec)
+        assert len(searches) == pieces + walls + leaves
+        assert len(failed) == leaves
+        assert value == pytest.approx(float(reference.surface_S_grad(model, model.divisor(L), support, shifts)[0]))
+
+
 class TestExactTypes:
     def test_zero_positive_part_stays_fraction(self):
         E = blp2.divisor([0, 1])
@@ -400,3 +496,22 @@ class TestDecompositionMemo:
         assert abs(expected_order_S(model, L, FiltrationSpec((e,), (0.0,))) - 16 / 3) < 1e-12
         assert model.zariski(L).positive_part.coefficients == (5, 0)
         assert len(calls) == 1
+
+    def test_beta_decomposes_its_class_once(self, monkeypatch):
+        # the Danskin term pairs H with the positive part the compiled problem
+        # kept, so beta runs the exact d = 0 chamber on L once
+        calls = []
+        chamber = SurfaceModel._chamber
+
+        def counting(self, lat, b, d, q, x):
+            if lat is self._exact and not any(d):
+                calls.append(b)
+            return chamber(self, lat, b, d, q, x)
+
+        monkeypatch.setattr(SurfaceModel, "_chamber", counting)
+        model = _fresh_blp2()
+        L = model.divisor([Fraction(7, 2), Fraction(-1, 3)])
+        mu = ds.DivisorialMeasure.make([(model.named_valuations["ord_e"], Fraction(1, 2)), (ds.TRIVIAL_VALUATION, Fraction(1, 2))])
+        report = ds.beta(model, L, mu)
+        assert calls.count((21, -2)) == 1
+        assert report.norm > 0
