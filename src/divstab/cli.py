@@ -35,18 +35,27 @@ from .models import bundled_model, bundled_model_names
 from .surface import SurfaceModel
 from .toric import ToricModel
 
-TASK_KINDS = (
-    "volume",
-    "zariski",
-    "gamma",
-    "S",
-    "norm",
-    "beta",
-    "delta",
-    "ma_solve",
-    "probe",
-    "finite_k",
-)
+# the fields each task kind reads besides "kind"
+TASK_FIELDS = {
+    "volume": ("divisor",),
+    "zariski": ("divisor",),
+    "gamma": ("valuation",),
+    "S": ("support", "shifts"),
+    "norm": ("measure",),
+    "beta": ("measure",),
+    "delta": ("candidates",),
+    "ma_solve": ("measure",),
+    "probe": ("measures", "epsilon"),
+    "finite_k": ("support", "shifts", "k"),
+}
+TASK_KINDS = tuple(TASK_FIELDS)
+# the fields of an inline model of each type, and of each of its valuations
+MODEL_FIELDS = {
+    "surface": ("type", "name", "intersection_matrix", "negative_curves", "canonical_class",
+                "sample_curves", "valuations"),
+    "toric": ("type", "name", "rays", "valuations"),
+}
+VALUATION_FIELDS = {"surface": ("name", "curve", "log_discrepancy"), "toric": ("name", "vector")}
 
 DEFAULT_TOLERANCES = {"quadrature": 1e-9, "optimizer": 1e-8, "gradient": 1e-6}
 
@@ -66,6 +75,19 @@ class ConfigError(Exception):
 def _expect(cond: bool, path: str, message: str):
     if not cond:
         raise ConfigError(path, message)
+
+
+def _expect_fields(payload: dict, known, path: str):
+    unknown = set(payload).difference(known)
+    if unknown:
+        raise ConfigError(path, f"unknown fields {sorted(unknown)}; known: {sorted(known)}")
+
+
+def _array(payload: dict, key: str, path: str) -> list:
+    """payload[key], an array; [] when absent."""
+    value = payload.get(key, [])
+    _expect(isinstance(value, list), f"{path}.{key}", "expected an array")
+    return value
 
 
 def _parse_rational(value, path: str) -> Fraction:
@@ -116,6 +138,7 @@ def _parse_model(payload, path: str) -> GeometryModel:
     )
     name = payload.get("name")
     _expect(isinstance(name, str) and name, f"{path}.name", "expected a nonempty string")
+    _expect_fields(payload, MODEL_FIELDS[kind], path)
     try:
         if kind == "surface":
             matrix = payload.get("intersection_matrix")
@@ -130,7 +153,7 @@ def _parse_model(payload, path: str) -> GeometryModel:
                 rows,
                 negative_curves=[
                     _parse_rational_vector(c, f"{path}.negative_curves[{i}]", rank)
-                    for i, c in enumerate(payload.get("negative_curves", []))
+                    for i, c in enumerate(_array(payload, "negative_curves", path))
                 ],
                 canonical_class=_parse_rational_vector(
                     payload.get("canonical_class", [0] * rank),
@@ -139,7 +162,7 @@ def _parse_model(payload, path: str) -> GeometryModel:
                 ),
                 sample_curves=[
                     _parse_rational_vector(c, f"{path}.sample_curves[{i}]", rank)
-                    for i, c in enumerate(payload.get("sample_curves", []))
+                    for i, c in enumerate(_array(payload, "sample_curves", path))
                 ],
             )
         else:
@@ -152,9 +175,10 @@ def _parse_model(payload, path: str) -> GeometryModel:
                     "expected an integer vector",
                 )
             model = ToricModel(name, rays)
-        for i, v in enumerate(payload.get("valuations", [])):
+        for i, v in enumerate(_array(payload, "valuations", path)):
             vp = f"{path}.valuations[{i}]"
             _expect(isinstance(v, dict), vp, "expected an object")
+            _expect_fields(v, VALUATION_FIELDS[kind], vp)
             vname = v.get("name")
             _expect(isinstance(vname, str) and vname, f"{vp}.name", "expected a nonempty string")
             if kind == "surface":
@@ -193,12 +217,14 @@ def _lookup_valuation(model: GeometryModel, name, path: str) -> Valuation:
 
 def _parse_measure(model, payload, path: str) -> DivisorialMeasure:
     _expect(isinstance(payload, dict), path, "expected an object")
+    _expect_fields(payload, ("atoms",), path)
     atoms = payload.get("atoms")
     _expect(isinstance(atoms, list) and atoms, f"{path}.atoms", "expected a nonempty array")
     pairs = []
     for i, atom in enumerate(atoms):
         ap = f"{path}.atoms[{i}]"
         _expect(isinstance(atom, dict), ap, "expected an object")
+        _expect_fields(atom, ("valuation", "mass"), ap)
         v = _lookup_valuation(model, atom.get("valuation"), f"{ap}.valuation")
         mass = _parse_rational(atom.get("mass"), f"{ap}.mass")
         pairs.append((v, mass))
@@ -230,8 +256,7 @@ def _parse_spec(model, task, path: str) -> filtrations.FiltrationSpec:
 def parse_config(payload, overrides=None, seed_override=None):
     """Validate a raw config payload; schema errors carry JSON field paths."""
     _expect(isinstance(payload, dict), "$", "config root must be an object")
-    unknown = set(payload) - {"model", "line_bundle", "tasks", "tolerances", "seed"}
-    _expect(not unknown, "$", f"unknown top-level fields: {sorted(unknown)}")
+    _expect_fields(payload, ("model", "line_bundle", "tasks", "tolerances", "seed"), "$")
     model = _parse_model(payload.get("model"), "model")
     lb = payload.get("line_bundle")
     _expect(lb is not None, "line_bundle", "missing")
@@ -259,6 +284,7 @@ def parse_config(payload, overrides=None, seed_override=None):
         _expect(isinstance(task, dict), tp, "expected an object")
         kind = task.get("kind")
         _expect(kind in TASK_KINDS, f"{tp}.kind", f"unknown task kind {kind!r}; known: {list(TASK_KINDS)}")
+        _expect_fields(task, ("kind", *TASK_FIELDS[kind]), tp)
         tasks.append(_parse_task(model, line_bundle, task, tp))
     return model, line_bundle, tasks, tolerances, seed
 

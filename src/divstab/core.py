@@ -3,13 +3,15 @@
 Class coordinates and intersection-theoretic quantities are exact rationals
 (`fractions.Fraction`); only integrals, suprema over shift vectors and
 irrational surface thresholds use floating point, each with an explicit
-tolerance or a stated rounding.
+tolerance or a stated rounding.  What a model derives from a class depends
+on that class alone, so a model keeps one memo: that of the last class asked.
 """
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -147,7 +149,8 @@ class DivisorialMeasure:
 
 
 class GeometryModel(ABC):
-    """Abstract volume oracle against a concrete variety model."""
+    """Abstract volume oracle against a concrete variety model, with one memo
+    (`_memo_of`): the results derived from the last class asked, by name."""
 
     name: str
     dimension: int
@@ -157,8 +160,7 @@ class GeometryModel(ABC):
 
     def __init__(self):
         self.named_valuations = {}
-        # pseudoeffective thresholds, keyed by (L coefficients, valuation)
-        self._gamma_cache: dict[tuple, object] = {}
+        self._memo: tuple[tuple, dict] = ((), {})
 
     @property
     def basis_id(self) -> str:
@@ -190,7 +192,7 @@ class GeometryModel(ABC):
     @abstractmethod
     def closed_form_threshold(self, L: DivisorClass, v: Valuation):
         """The exact pseudoeffective threshold of big L along v, which
-        `gamma_threshold` caches."""
+        `gamma_threshold` keeps in the memo of L."""
 
     def is_big(self, D: DivisorClass) -> bool:
         return self.volume(D) > 0
@@ -207,6 +209,13 @@ class GeometryModel(ABC):
                 f"class in lattice {D.basis_id!r} queried against model {self.basis_id!r}"
             )
 
+    def _memo_of(self, L: DivisorClass) -> dict:
+        """The memo of L, emptied first unless L was the last class asked."""
+        self._check_basis(L)
+        if self._memo[0] != L.coefficients:
+            self._memo = L.coefficients, {}
+        return self._memo[1]
+
 
 def is_big(model: GeometryModel, D: DivisorClass) -> bool:
     """True iff vol(D) > 0."""
@@ -214,8 +223,8 @@ def is_big(model: GeometryModel, D: DivisorClass) -> bool:
 
 
 def gamma_threshold(model: GeometryModel, L: DivisorClass, v: Valuation):
-    """Pseudoeffective threshold sup{g > 0 : twist(L, v, g) is big}, cached
-    on the model by (L, v).
+    """Pseudoeffective threshold sup{g > 0 : twist(L, v, g) is big}, kept in
+    the model's memo of L.
 
     Every backend answers exactly through `closed_form_threshold`: toric
     models read max - min of <., w> off the vertices of P_L, surfaces walk
@@ -224,14 +233,17 @@ def gamma_threshold(model: GeometryModel, L: DivisorClass, v: Valuation):
     """
     if v.is_trivial:
         raise GeometryError("pseudoeffective threshold undefined for the trivial valuation")
-    key = (L.coefficients, v)
-    hit = model._gamma_cache.get(key)
-    if hit is not None:
-        return hit
-    if not model.is_big(L):
-        raise GeometryError("pseudoeffective threshold requires a big class")
-    model._gamma_cache[key] = hit = model.closed_form_threshold(L, v)
+    memo = model._memo_of(L)
+    hit = memo.get(("gamma", v))
+    if hit is None:
+        if not model.is_big(L):
+            raise GeometryError("pseudoeffective threshold requires a big class")
+        memo["gamma", v] = hit = model.closed_form_threshold(L, v)
     return hit
+
+
+def _dot(a, b):
+    return sum(map(mul, a, b))
 
 
 def _det(rows) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,6 +30,7 @@ from .core import (
     GeometryError,
     GeometryModel,
     Valuation,
+    _dot,
     gamma_threshold,
 )
 from .filtrations import FiltrationSpec, expected_order_S, expected_order_S_grad
@@ -106,10 +107,6 @@ class ProbeReport:
 # after it, and simplex pivots per cutting-plane LP; the stencil points lie
 # this far from the best point of the ascent
 _ASCENT_EVALS, _KELLEY_STEPS, _PIVOTS, _STENCIL = 50, 30, 500, 1e-6
-
-
-def _dot(a, b):
-    return sum(map(mul, a, b))
 
 
 class _Certified(Exception):
@@ -398,16 +395,19 @@ def _grad_S_direction(model, L, support, shifts, H) -> float:
     return (4.0 * d2 - d1) / 3.0
 
 
-def _danskin_from(model, L, mu, H, side, result: NormResult) -> float:
-    if side == "left":
-        return -_danskin_from(model, L, mu, -H, "right", result)
-    if side != "right":
+def _danskin(model, L, mu, H, side, options) -> tuple[NormResult, float]:
+    """The norm of mu and its one-sided derivative along H.  The check on
+    L +- eps H runs first, so the derivative reads the memo the norm left."""
+    if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    eps = Fraction(1, 10**6)
-    if not model.is_big(L + eps * H):
+    sign = 1 if side == "right" else -1
+    if not model.is_big(L + Fraction(sign, 10**6) * H):
+        if not model.is_big(L):
+            raise GeometryError("norm requires a big class")
         raise GeometryError("direction leaves the big cone at first order")
+    result = norm(model, L, mu, options=options)
     (t,) = result.maximizers
-    return _grad_S_direction(model, L, mu.support, t, H)
+    return result, sign * _grad_S_direction(model, L, mu.support, t, sign * H)
 
 
 def danskin_derivative(
@@ -420,8 +420,7 @@ def danskin_derivative(
 ) -> float:
     """One-sided derivative of ||mu||_{L+sH} at s=0: grad S at the one
     reported maximizer, exact when the argmax is that point."""
-    result = norm(model, L, mu, options=options)
-    return _danskin_from(model, L, mu, H, side, result)
+    return _danskin(model, L, mu, H, side, options)[1]
 
 
 # -- beta / delta -----------------------------------------------------------
@@ -434,11 +433,10 @@ def beta(
     options: OptimizerOptions = OptimizerOptions(),
 ) -> BetaReport:
     """Entropy term plus the left derivative of the norm in the canonical direction."""
-    result = norm(model, L, mu, options=options)
+    result, derivative = _danskin(model, L, mu, model.canonical_class, "left", options)
     entropy = sum(
         (m * v.log_discrepancy for v, m in mu.atoms), Fraction(0)
     )
-    derivative = _danskin_from(model, L, mu, model.canonical_class, "left", result)
     b = float(entropy) + derivative
     ratio = b / result.value if result.value > 1e-9 else None
     return BetaReport(

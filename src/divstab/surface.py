@@ -28,6 +28,7 @@ from .core import (
     NotPseudoeffectiveError,
     Valuation,
     _det,
+    _dot,
     as_fraction,
     gamma_threshold,
 )
@@ -98,9 +99,6 @@ class SurfaceModel(GeometryModel):
         self.canonical_class = self.divisor(canonical_class)
 
         self._exact = _Lattice(curves, duals, gram, matrix, sigma, kappa, Fraction, 0)
-        # the last compiled (L, support); see `_compiled`
-        self._problem: Optional[_SurfaceProblem] = None
-        self._last: tuple = (None, None)  # see `_decomposition`
 
     # -- exact pairing and Zariski decomposition ---------------------------
 
@@ -122,10 +120,11 @@ class SurfaceModel(GeometryModel):
         return self._decomposition(D)[0]
 
     def _decomposition(self, D: DivisorClass):
-        """(Zariski decomposition, vol) of D, kept for the last class asked; off
-        the psef cone, its error message, raised afresh on each query."""
-        self._check_basis(D)
-        if self._last[0] != D.coefficients:
+        """(Zariski decomposition, vol) of D, kept in the memo of D; off the
+        psef cone, its error message, raised afresh on each query."""
+        memo = self._memo_of(D)
+        hit = memo.get("zariski")
+        if hit is None:
             lat, ((b,), q) = self._exact, _integral((D.coefficients,))
             try:
                 support, p0, _, scale, _ = self._chamber(lat, b, (0,) * len(b), q, (0, 1))
@@ -134,8 +133,7 @@ class SurfaceModel(GeometryModel):
                 hit = ZariskiDecomposition(P, N), Fraction(_dot(p0, _image(lat.matrix, p0)), scale**2 * lat.sigma)
             except NotPseudoeffectiveError as e:
                 hit = str(e)
-            self._last = D.coefficients, hit
-        hit = self._last[1]
+            memo["zariski"] = hit
         if isinstance(hit, str):
             raise NotPseudoeffectiveError(hit)
         return hit
@@ -332,12 +330,13 @@ class SurfaceModel(GeometryModel):
         return x
 
     def _compiled(self, L: DivisorClass, support: Sequence[Valuation]) -> "_SurfaceProblem":
-        """The compiled problem of (L, support), reusing the last one when
-        both compare equal; one slot, so memory does not grow with L."""
+        """The compiled problem of (L, support), kept in the memo of L for the
+        last support, which is compared, not hashed."""
         support = tuple(support)
-        problem = self._problem
-        if problem is None or problem.L != L or problem.support != support:
-            problem = self._problem = _SurfaceProblem(self, L, support)
+        memo = self._memo_of(L)
+        problem = memo.get("problem")
+        if problem is None or problem.support != support:
+            problem = memo["problem"] = _SurfaceProblem(self, L, support)
         return problem
 
 
@@ -488,10 +487,6 @@ def _integral(vectors):
     """(int tuples, q): rational tuples over their least common denominator q."""
     q = math.lcm(*(c.denominator for v in vectors for c in v))
     return tuple(tuple(c.numerator * (q // c.denominator) for c in v) for v in vectors), q
-
-
-def _dot(a, b):
-    return sum(map(operator.mul, a, b))
 
 
 def _sign(c0, c1, xn, xd, tol):

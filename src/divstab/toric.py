@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Callable, Sequence
@@ -25,6 +24,7 @@ from .core import (
     GeometryModel,
     Valuation,
     _det,
+    _dot,
     as_fraction,
 )
 
@@ -48,9 +48,6 @@ class ToricModel(GeometryModel):
         self._check_complete()
         # -K has coefficient 1 on every ray
         self.canonical_class = self.divisor([-1] * self.class_rank)
-        self._polytope_cache: dict[tuple, tuple] = {}
-        self._anchor_cache: dict[tuple, Fraction] = {}
-        self._lattice_points: tuple = (None, None)  # see `lattice_points`
 
     def _check_complete(self):
         """Section polytopes are bounded iff the rays positively span the
@@ -127,7 +124,7 @@ class ToricModel(GeometryModel):
             key = (tuple(x // g for x in y), det * den // g)
             if key not in tight:
                 y, q = key
-                slack = [den * sum(map(operator.mul, a, y)) - r * q for a, r in zip(normals, rhs)]
+                slack = [den * _dot(a, y) - r * q for a, r in zip(normals, rhs)]
                 feasible = min(slack) >= 0
                 tight[key] = frozenset(i for i, s in enumerate(slack) if s == 0) if feasible else None
         verts = [key for key, t in tight.items() if t is not None]
@@ -169,12 +166,11 @@ class ToricModel(GeometryModel):
         return list(self._section_polytope(D)[0])
 
     def _section_polytope(self, L: DivisorClass):
-        """`_polytope` of P_L, computed once per class."""
-        self._check_basis(L)
-        key = L.coefficients
-        hit = self._polytope_cache.get(key)
+        """`_polytope` of P_L, kept in the memo of L."""
+        memo = self._memo_of(L)
+        hit = memo.get("polytope")
         if hit is None:
-            hit = self._polytope_cache[key] = self._polytope(self._halfspaces(L))
+            hit = memo["polytope"] = self._polytope(self._halfspaces(L))
         return hit
 
     # -- GeometryModel contract --------------------------------------------
@@ -184,14 +180,13 @@ class ToricModel(GeometryModel):
 
     def order_anchor(self, L: DivisorClass, w: Sequence[int]) -> Fraction:
         """min over P_L of <., w>; vanishing orders along w are measured from it."""
-        key = (L.coefficients, tuple(w))
-        hit = self._anchor_cache.get(key)
+        memo = self._memo_of(L)
+        hit = memo.get(("anchor", tuple(w)))
         if hit is None:
             verts = self.polytope_vertices(L)
             if not verts:
                 raise GeometryError("empty section polytope has no order anchor")
-            hit = min(_dot(w, v) for v in verts)
-            self._anchor_cache[key] = hit
+            memo["anchor", tuple(w)] = hit = min(_dot(w, v) for v in verts)
         return hit
 
     def constrained_volume(self, L: DivisorClass, constraints) -> Fraction:
@@ -278,13 +273,15 @@ class ToricModel(GeometryModel):
         return list(zip(*self.lattice_points(L, k).T.tolist()))
 
     def lattice_points(self, L: DivisorClass, k: int) -> np.ndarray:
-        """`section_basis(L, k)` as one read-only int64 array, kept for the last (L, k)."""
+        """`section_basis(L, k)` as one read-only int64 array, kept in the memo
+        of L for the last level k."""
         if k <= 0:
             raise GeometryError("level k must be a positive integer")
-        if self._lattice_points[0] != (L, k):
-            self._lattice_points = (L, k), self._box_points(L, k)
-            self._lattice_points[1].flags.writeable = False
-        return self._lattice_points[1]
+        memo = self._memo_of(L)
+        if memo.get("points", (None,))[0] != k:
+            memo["points"] = k, self._box_points(L, k)
+            memo["points"][1].flags.writeable = False
+        return memo["points"][1]
 
     def _box_points(self, L: DivisorClass, k: int) -> np.ndarray:
         """The lattice points of k P_L, scanned over its bounding box."""
@@ -375,6 +372,3 @@ def _order_polygon(vectors):
 
     return sorted(vectors, key=cmp_to_key(compare))
 
-
-def _dot(w, m) -> Fraction:
-    return sum((a * x for a, x in zip(w, m)), Fraction(0))

@@ -253,6 +253,79 @@ class TestSchemaErrors:
         assert abs(report["tasks"][0]["outputs"]["S"] - 1.0) < 1e-8
 
 
+PLANE = {
+    "type": "surface",
+    "name": "plane",
+    "intersection_matrix": [[1]],
+    "canonical_class": [-3],
+    "sample_curves": [[1]],
+    "valuations": [{"name": "line", "curve": [1]}],
+}
+ATOMS = [{"valuation": "line", "mass": 1}]
+
+
+class TestUnknownFields:
+    def run(self, tmp_path, model, tasks):
+        line_bundle = [0, 0, 3] if model.get("type") == "toric" else [3]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model, "line_bundle": line_bundle, "tasks": tasks}))
+        result = run_cli(["run", str(cfg)])
+        assert result.exit_code == 2
+        return json.loads(result.stderr)["error"]
+
+    @pytest.mark.parametrize(
+        "model, task, path, key",
+        [
+            ({"name": "p2"}, {"kind": "S", "support": ["line"], "shift": [1]}, "tasks[0]", "shift"),
+            # a field of another task kind
+            ({"name": "p2"}, {"kind": "gamma", "valuation": "line", "k": 3}, "tasks[0]", "k"),
+            ({"name": "p2"}, {"kind": "norm", "measure": {"atoms": ATOMS, "mass": 1}}, "tasks[0].measure", "mass"),
+            (
+                {"name": "p2"},
+                {"kind": "beta", "measure": {"atoms": [{"valuation": "line", "mass": 1, "weight": 2}]}},
+                "tasks[0].measure.atoms[0]",
+                "weight",
+            ),
+            (
+                {"name": "p2"},
+                {"kind": "probe", "measures": [{"atoms": ATOMS}, {"atoms": ATOMS, "epsilon": 0}]},
+                "tasks[0].measures[1]",
+                "epsilon",
+            ),
+            ({**PLANE, "valuation": []}, {"kind": "volume"}, "model", "valuation"),
+            (
+                {**PLANE, "valuations": [{"name": "line", "curve": [1], "discrepancy": 2}]},
+                {"kind": "volume"},
+                "model.valuations[0]",
+                "discrepancy",
+            ),
+            (
+                {"type": "toric", "name": "t", "rays": [[1, 0], [0, 1], [-1, -1]],
+                 "valuations": [{"name": "e1", "vector": [1, 0], "log_discrepancy": 2}]},
+                {"kind": "volume"},
+                "model.valuations[0]",
+                "log_discrepancy",
+            ),
+        ],
+        ids=["task", "other-kind", "measure", "atom", "probe-measure", "model", "surface-valuation",
+             "toric-valuation"],
+    )
+    def test_unknown_field_named_with_its_path(self, tmp_path, model, task, path, key):
+        error = self.run(tmp_path, model, [task])
+        assert error["path"] == path
+        assert repr(key) in error["message"]
+
+    @pytest.mark.parametrize("field", ["negative_curves", "sample_curves", "valuations"])
+    def test_model_list_must_be_an_array(self, tmp_path, field):
+        error = self.run(tmp_path, {**PLANE, field: 5}, [{"kind": "volume"}])
+        assert error["path"] == f"model.{field}"
+
+    def test_toric_valuations_must_be_an_array(self, tmp_path):
+        model = {"type": "toric", "name": "t", "rays": [[1, 0], [0, 1], [-1, -1]], "valuations": 5}
+        error = self.run(tmp_path, model, [{"kind": "volume"}])
+        assert error["path"] == "model.valuations"
+
+
 class TestRuntimeErrors:
     def write(self, tmp_path, payload):
         cfg = tmp_path / "cfg.json"

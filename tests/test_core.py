@@ -252,7 +252,36 @@ class TestGammaCache:
         m2 = ds.SurfaceModel("p2x", [[1]], sample_curves=[[1]], canonical_class=[-3])
         v1 = m1.curve_valuation("c", [1])
         ds.gamma_threshold(m1, m1.divisor([3]), v1)
-        assert m1._gamma_cache and not m2._gamma_cache
+        assert ("gamma", v1) in m1._memo[1] and not m2._memo[1]
+
+    @pytest.mark.parametrize(
+        "model, valuation",
+        [(p2, "line"), (p2t, "e1")],
+        ids=["surface", "toric"],
+    )
+    def test_fresh_classes_leave_one_record(self, model, valuation):
+        # everything derived from 1,000 fresh classes: the model keeps the
+        # record of the last one, and no container grows beside it
+        v = model.named_valuations[valuation]
+        spec = ds.FiltrationSpec((v, TRIVIAL_VALUATION), (0.0, 0.5))
+        for i in range(1000):
+            if model is p2:
+                L = model.divisor([3 + Fraction(i, 997)])
+                model.zariski(L)
+            else:
+                L = model.divisor([i % 10, i // 10 % 10, i // 100 + 1])
+                model.lattice_points(L, 1)
+            assert model.volume(L) > 0
+            ds.gamma_threshold(model, L, v)
+            ds.expected_order_S(model, L, spec)
+        grown = {
+            name: len(x) for name, x in vars(model).items()
+            if isinstance(x, (dict, list, set)) and name != "named_valuations"
+        }
+        assert grown == {}
+        key, memo = model._memo
+        assert key == L.coefficients
+        assert len(memo) <= 4
 
 
 class TestBundledModelsReadOnly:
