@@ -2,11 +2,11 @@
 
 Divisor classes are ray-coefficient vectors a_rho; the section polytope is
 P_D = {m : <m, v_rho> >= -a_rho}.  Volumes are n! times the Euclidean volume
-of P_D.  One kernel, `ToricModel._polytope`, enumerates the vertices of P_D or
-of a cell cut from it and triangulates it from facet incidences, all in
-integer arithmetic; volumes, thresholds and S derive from it.  Valuations
-are monomial: primitive lattice vectors w, whose order function is linear on
-the monomial basis, anchored so that min over P_L is order 0.
+of P_D.  One kernel, `ToricModel._polytope`, finds the vertices of P_D or of a
+cell cut from it as int points over one denominator and triangulates it, all
+in ints; volumes, thresholds and S derive from it, one Fraction per result.
+Valuations are monomial: primitive lattice vectors w, whose order function is
+linear on the monomial basis, anchored so that min over P_L is order 0.
 """
 from __future__ import annotations
 
@@ -97,8 +97,8 @@ class ToricModel(GeometryModel):
         return [(ray, -a) for ray, a in zip(self.rays, D.coefficients)]
 
     def _polytope(self, halfspaces):
-        """(vertices, mass, first moment) of {m : <m, normal> >= rhs}, for
-        integer normals and rational rhs, in Python ints.
+        """(points, common, mass, first moment) of {m : <m, normal> >= rhs},
+        for integer normals and rational rhs, in Python ints.
 
         The rhs are scaled to one denominator; each n-subset of halfspaces is
         solved by integer Cramer, the point kept in lowest homogeneous form
@@ -106,7 +106,8 @@ class ToricModel(GeometryModel):
         The polytope is triangulated by coning each face from its first
         vertex over its facets, the maximal proper sets of face vertices
         tight at one constraint; simplices of fewer than n + 1 points (a flat
-        polytope) are dropped.  Vertices are sorted Fraction tuples.
+        polytope) are dropped.  The vertices are the int tuples `points` over
+        one denominator `common`, in the order they are found.
         """
         n = self.dimension
         den = math.lcm(*(r.denominator for _, r in halfspaces))
@@ -129,7 +130,7 @@ class ToricModel(GeometryModel):
                 tight[key] = frozenset(i for i, s in enumerate(slack) if s == 0) if feasible else None
         verts = [key for key, t in tight.items() if t is not None]
         common = math.lcm(*(q for _, q in verts))
-        points = [[x * (common // q) for x in y] for y, q in verts]
+        points = [tuple(x * (common // q) for x in y) for y, q in verts]
         faces = {}
 
         def simplices(face):
@@ -159,11 +160,11 @@ class ToricModel(GeometryModel):
                 for r in range(n):
                     moment[r] += d * sum(points[i][r] for i in s)
         scale = common**n * math.factorial(n)
-        vertices = sorted(tuple(Fraction(x, q) for x in y) for y, q in verts)
-        return vertices, Fraction(mass, scale), tuple(Fraction(m, scale * common * (n + 1)) for m in moment)
+        return points, common, Fraction(mass, scale), tuple(Fraction(m, scale * common * (n + 1)) for m in moment)
 
     def polytope_vertices(self, D: DivisorClass) -> list[tuple[Fraction, ...]]:
-        return list(self._section_polytope(D)[0])
+        points, common = self._section_polytope(D)[:2]
+        return sorted(tuple(Fraction(x, common) for x in p) for p in points)
 
     def _section_polytope(self, L: DivisorClass):
         """`_polytope` of P_L, kept in the memo of L."""
@@ -176,17 +177,17 @@ class ToricModel(GeometryModel):
     # -- GeometryModel contract --------------------------------------------
 
     def volume(self, D: DivisorClass) -> Fraction:
-        return math.factorial(self.dimension) * self._section_polytope(D)[1]
+        return math.factorial(self.dimension) * self._section_polytope(D)[2]
 
     def order_anchor(self, L: DivisorClass, w: Sequence[int]) -> Fraction:
         """min over P_L of <., w>; vanishing orders along w are measured from it."""
         memo = self._memo_of(L)
         hit = memo.get(("anchor", tuple(w)))
         if hit is None:
-            verts = self.polytope_vertices(L)
-            if not verts:
+            points, common = self._section_polytope(L)[:2]
+            if not points:
                 raise GeometryError("empty section polytope has no order anchor")
-            memo["anchor", tuple(w)] = hit = min(_dot(w, v) for v in verts)
+            memo["anchor", tuple(w)] = hit = Fraction(min(_dot(w, p) for p in points), common)
         return hit
 
     def constrained_volume(self, L: DivisorClass, constraints) -> Fraction:
@@ -194,9 +195,8 @@ class ToricModel(GeometryModel):
         halfspaces = self._halfspaces(L)
         for w, c in constraints:
             w = tuple(int(x) for x in w)
-            anchor = self.order_anchor(L, w)
-            halfspaces.append((w, anchor + as_fraction(c)))
-        return math.factorial(self.dimension) * self._polytope(halfspaces)[1]
+            halfspaces.append((w, self.order_anchor(L, w) + as_fraction(c)))
+        return math.factorial(self.dimension) * self._polytope(halfspaces)[2]
 
     def _valuation_vector(self, v: Valuation) -> tuple[int, ...]:
         w = v.order_model
@@ -236,7 +236,7 @@ class ToricModel(GeometryModel):
         least, and the first cell is what they leave.  Each integral is exact
         from a (mass, first moment) pair.
         """
-        _, mass, moment = self._section_polytope(L)
+        _, _, mass, moment = self._section_polytope(L)
         if mass <= 0:
             raise GeometryError("expected vanishing order requires a big class")
         pieces: dict[tuple[int, ...], tuple[Fraction, int]] = {}
@@ -258,7 +258,7 @@ class ToricModel(GeometryModel):
                 for wj, (cj, _) in pieces.items()
                 if wj != wi
             ]
-            _, cell_mass, cell_moment = self._polytope(self._halfspaces(L) + cuts)
+            _, _, cell_mass, cell_moment = self._polytope(self._halfspaces(L) + cuts)
             diff = [a - b for a, b in zip(wi, w1)]
             total += _dot(diff, cell_moment) + (ci - c1) * cell_mass
             grad[i] = cell_mass / mass
@@ -284,18 +284,17 @@ class ToricModel(GeometryModel):
         return memo["points"][1]
 
     def _box_points(self, L: DivisorClass, k: int) -> np.ndarray:
-        """The lattice points of k P_L, scanned over its bounding box."""
-        empty = np.empty((0, self.dimension), dtype=np.int64)
-        scaled = [tuple(k * x for x in v) for v in self.polytope_vertices(L)]
-        if not scaled:
-            return empty
+        """The lattice points of k P_L, scanned over its bounding box, which
+        comes in ints from the vertex points over their denominator."""
+        points, common = self._section_polytope(L)[:2]
+        if not points:
+            return np.empty((0, self.dimension), dtype=np.int64)
         coeffs = [k * a for a in L.coefficients]
         if any(c.denominator != 1 for c in coeffs):
             raise GeometryError(f"{k} L is not an integral class")
-        lo = [math.ceil(min(v[i] for v in scaled)) for i in range(self.dimension)]
-        hi = [math.floor(max(v[i] for v in scaled)) for i in range(self.dimension)]
-        if any(b < a for a, b in zip(lo, hi)):
-            return empty
+        # ceil(k min), floor(k max): hi >= lo - 1, so an axis with no integer scans nothing
+        lo = [-(-k * min(x) // common) for x in zip(*points)]
+        hi = [k * max(x) // common for x in zip(*points)]
         # every prefix m[:-1] of the box, in product order; <m, ray> >= -a
         # solved for m[-1] turns each ray into a bound c m[-1] >= need
         shape = [b - a + 1 for a, b in zip(lo[:-1], hi[:-1])]
@@ -349,11 +348,12 @@ class ToricModel(GeometryModel):
         return Fraction(int(n[0]), q)
 
     def closed_form_threshold(self, L: DivisorClass, v: Valuation) -> Fraction:
-        """max - min of <., w> over the vertices of P_L: past it the cut
-        <m, w> - min >= g leaves P_L with no interior."""
+        """max - min of <., w> over the vertices of P_L, in ints over their
+        denominator: past it the cut <m, w> - min >= g leaves no interior."""
         w = self._valuation_vector(v)
-        top = max(_dot(w, m) for m in self.polytope_vertices(L))
-        return top - self.order_anchor(L, w)
+        anchor = self.order_anchor(L, w)  # first: it rejects an empty P_L
+        points, common = self._section_polytope(L)[:2]
+        return Fraction(max(_dot(w, p) for p in points), common) - anchor
 
 
 def _order_polygon(vectors):

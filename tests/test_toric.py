@@ -1,9 +1,14 @@
+import itertools
+import math
 import random
 from fractions import Fraction
+from operator import mul
 
+import numpy as np
 import pytest
 
 import divstab as ds
+from divstab.core import Valuation
 from divstab.filtrations import FiltrationSpec, expected_order_S
 from divstab.toric import ToricModel
 
@@ -217,6 +222,13 @@ EXTRA_MODELS = {
 }
 
 
+def fraction_kernel(model, halfspaces):
+    """`_polytope` with its int points over one denominator read as the
+    sorted Fraction vertices."""
+    points, common, mass, moment = model._polytope(halfspaces)
+    return sorted(tuple(Fraction(x, common) for x in p) for p in points), mass, moment
+
+
 def p3_model():
     p3 = ToricModel("p3", EXTRA_MODELS["p3"])
     for name, w in (("e1", (1, 0, 0)), ("e2", (0, 1, 0)), ("e123", (1, 1, 1))):
@@ -257,12 +269,104 @@ class TestPolytopeKernelMatchesReference:
                     rhs = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
                 if any(w):
                     halfspaces.append((w, rhs))
-            verts, mass, moment = model._polytope(halfspaces)
+            verts, mass, moment = fraction_kernel(model, halfspaces)
             ref_verts = reference.vertices(n, halfspaces)
             assert verts == ref_verts
             assert (mass, moment) == reference.mass_moment(n, ref_verts)
             kinds["empty" if not verts else "full" if mass > 0 else "flat"] += 1
         assert min(kinds.values()) >= 50, kinds
+
+
+class TestIntVerticesMatchReference:
+    """The anchors, thresholds and lattice boxes read off the int vertex
+    points over one denominator equal those of the reference's Fraction
+    vertices, on empty, flat and non-integral section polytopes."""
+
+    MODELS = [m for m in map(ds.bundled_model, ds.bundled_model_names()) if isinstance(m, ToricModel)]
+    MODELS += [ToricModel(n, r) for n, r in EXTRA_MODELS.items()]
+    # singular fans, whose integral classes have fractional vertices: three
+    # weighted projective spaces, and a fan with lattice-free boxes of k P_L
+    SINGULAR = [ToricModel("p112", [[1, 0], [0, 1], [-1, -2]]), ToricModel("p123", [[1, 0], [0, 1], [-2, -3]]),
+                ToricModel("p1112", [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -2]]),
+                ToricModel("lattice-free", [[1, 3], [-2, -1], [1, -2]])]
+    MODELS += SINGULAR
+
+    @staticmethod
+    def box_scan(model, verts, a, k):
+        """The lattice points of k P_L in product order over the box of the
+        reference vertices, each ray inequality tested by brute force."""
+        n = model.dimension
+        lo = [math.ceil(min(k * v[i] for v in verts)) for i in range(n)]
+        hi = [math.floor(max(k * v[i] for v in verts)) for i in range(n)]
+        box = np.indices([y - x + 1 for x, y in zip(lo, hi)]).reshape(n, -1).T + lo
+        inside = (box @ np.array(model.rays).T >= [-int(k * c) for c in a]).all(axis=1)
+        return list(map(tuple, box[inside].tolist()))
+
+    def test_anchor_and_threshold_are_exact(self):
+        rng = random.Random(16)
+        kinds = {"empty": 0, "flat": 0, "full": 0, "negative fractional": 0}
+        for _ in range(500):
+            model = rng.choice(self.MODELS)
+            n = model.dimension
+            if rng.random() < 0.1:
+                # the single point m0: a flat polytope at a rational vertex
+                m0 = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+                a = [-sum(map(mul, m0, r)) for r in model.rays]
+            else:
+                a = [Fraction(rng.randint(-3, 4), rng.choice((1, 1, 2, 3, 5))) for _ in model.rays]
+            L = model.divisor(a)
+            verts = reference.vertices(n, model._halfspaces(L))
+            w = tuple(rng.randint(-3, 3) for _ in range(n))
+            v = Valuation("w", Fraction(1), order_model=w)
+            if not verts:
+                kinds["empty"] += 1
+                for ask in (lambda: model.order_anchor(L, w), lambda: model.closed_form_threshold(L, v)):
+                    with pytest.raises(ds.GeometryError, match="^empty section polytope has no order anchor$"):
+                        ask()
+                continue
+            kinds["full" if model.volume(L) > 0 else "flat"] += 1
+            kinds["negative fractional"] += any(x < 0 and x.denominator > 1 for p in verts for x in p)
+            values = [sum(map(mul, w, p)) for p in verts]
+            anchor, gamma = model.order_anchor(L, w), model.closed_form_threshold(L, v)
+            assert type(anchor) is Fraction and anchor == min(values)
+            assert type(gamma) is Fraction and gamma == max(values) - min(values)
+            assert model.polytope_vertices(L) == verts
+        assert min(kinds.values()) >= 30, kinds
+
+    def test_lattice_points_match_a_box_scan(self):
+        rng = random.Random(1616)
+        scanned = negative = 0
+        for model in self.MODELS * 20 + self.SINGULAR * 30:
+            # P_L moved by a random lattice vector m0 into negative coordinates
+            m0 = [rng.randint(-3, 1) for _ in range(model.dimension)]
+            a = [Fraction(rng.randint(-3, 4), rng.choice((1, 1, 2, 3, 4))) - sum(map(mul, m0, r))
+                 for r in model.rays]
+            L = model.divisor(a)
+            verts = reference.vertices(model.dimension, model._halfspaces(L))
+            for k in range(1, 5):
+                if any((k * c).denominator != 1 for c in a):
+                    continue
+                points = model.lattice_points(L, k)
+                assert points.dtype == np.int64 and points.shape[1] == model.dimension
+                expected = self.box_scan(model, verts, a, k) if verts else []
+                assert model.section_basis(L, k) == expected
+                scanned += 1
+                negative += any(k * x < 0 and (k * x).denominator > 1 for p in verts for x in p)
+        assert scanned >= 150 and negative >= 30, (scanned, negative)
+
+    def test_lattice_free_polytopes_have_no_points(self):
+        # every small integral class on a fan where a nonempty k P_L can miss
+        # the lattice, even along one coordinate
+        model = self.SINGULAR[-1]
+        lattice_free = 0
+        for a in itertools.product(range(-3, 4), repeat=len(model.rays)):
+            L = model.divisor(a)
+            verts = reference.vertices(model.dimension, model._halfspaces(L))
+            for k in range(1, 5) if verts else ():
+                expected = self.box_scan(model, verts, a, k)
+                assert model.section_basis(L, k) == expected
+                lattice_free += not expected
+        assert lattice_free >= 40, lattice_free
 
 
 class TestDegenerateCells:
@@ -297,10 +401,10 @@ class TestDegenerateCells:
         for model, L in ((p2t, L3H), (f1t, -f1t.canonical_class), (p3, p3.divisor([1, 0, 2, 1])),
                          (cube, cube.divisor([1, 0, 1, 2, 0, 1]))):
             halfspaces = model._halfspaces(L)
-            expected = model._polytope(halfspaces)
+            expected = fraction_kernel(model, halfspaces)
             for ray, rhs in halfspaces:
-                assert model._polytope(halfspaces + [(ray, rhs)]) == expected
-                assert model._polytope(halfspaces + [(tuple(2 * x for x in ray), 2 * rhs)]) == expected
+                assert fraction_kernel(model, halfspaces + [(ray, rhs)]) == expected
+                assert fraction_kernel(model, halfspaces + [(tuple(2 * x for x in ray), 2 * rhs)]) == expected
                 assert model.constrained_volume(L, [(ray, 0)]) == model.volume(L)
 
     def test_empty_polytope(self):
@@ -312,6 +416,13 @@ class TestDegenerateCells:
             w = model.named_valuations["e1"].order_model
             with pytest.raises(ds.GeometryError, match="^empty section polytope has no order anchor$"):
                 model.order_anchor(L, w)
+
+    def test_empty_polytope_threshold(self):
+        # read directly, without gamma_threshold's bigness check first
+        p3 = p3_model()
+        for model, L in ((p2t, p2t.divisor([0, 0, -1])), (p3, p3.divisor([0, 0, 0, -1]))):
+            with pytest.raises(ds.GeometryError, match="^empty section polytope has no order anchor$"):
+                model.closed_form_threshold(L, model.named_valuations["e1"])
 
 
 class TestCompleteness:
