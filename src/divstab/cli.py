@@ -121,6 +121,10 @@ def _parse_rational_vector(value, path: str, rank: Optional[int] = None):
     return [_parse_rational(x, f"{path}[{i}]") for i, x in enumerate(value)]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_model(payload, path: str) -> GeometryModel:
     _expect(isinstance(payload, dict), path, "expected an object")
     if set(payload) == {"name"}:
@@ -169,11 +173,7 @@ def _parse_model(payload, path: str) -> GeometryModel:
             rays = payload.get("rays")
             _expect(isinstance(rays, list) and rays, f"{path}.rays", "expected a nonempty array")
             for i, ray in enumerate(rays):
-                _expect(
-                    isinstance(ray, list) and all(isinstance(x, int) for x in ray),
-                    f"{path}.rays[{i}]",
-                    "expected an integer vector",
-                )
+                _expect(isinstance(ray, list) and all(map(_is_int, ray)), f"{path}.rays[{i}]", "expected an integer vector")
             model = ToricModel(name, rays)
         for i, v in enumerate(_array(payload, "valuations", path)):
             vp = f"{path}.valuations[{i}]"
@@ -189,12 +189,11 @@ def _parse_model(payload, path: str) -> GeometryModel:
                 )
                 continue
             vec = v.get("vector")
-            _expect(
-                isinstance(vec, list) and all(isinstance(x, int) for x in vec),
-                f"{vp}.vector",
-                "expected an integer vector",
-            )
-            model.monomial_valuation(vname, vec)
+            _expect(isinstance(vec, list) and all(map(_is_int, vec)), f"{vp}.vector", "expected an integer vector")
+            try:
+                model.monomial_valuation(vname, vec)
+            except GeometryError as exc:
+                raise ConfigError(f"{vp}.vector", str(exc)) from None
         return model
     except ConfigError:
         raise
@@ -273,7 +272,7 @@ def parse_config(payload, overrides=None, seed_override=None):
         _expect(key in DEFAULT_TOLERANCES, f"--tolerance-override {key}", "unknown tolerance")
         tolerances[key] = value
     seed = payload.get("seed", 0)
-    _expect(isinstance(seed, int) and not isinstance(seed, bool), "seed", "expected an integer")
+    _expect(_is_int(seed), "seed", "expected an integer")
     if seed_override is not None:
         seed = seed_override
     raw_tasks = payload.get("tasks", [])
@@ -321,7 +320,7 @@ def _parse_task(model, line_bundle, task, path: str):
     elif kind == "finite_k":
         parsed["spec"] = _parse_spec(model, task, path)
         k = task.get("k")
-        _expect(isinstance(k, int) and k > 0, f"{path}.k", "expected a positive integer")
+        _expect(_is_int(k) and k > 0, f"{path}.k", "expected a positive integer")
         parsed["k"] = k
     return parsed
 

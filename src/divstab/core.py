@@ -263,3 +263,25 @@ def _det(rows) -> int:
                 m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
         prev = pivot
     return sign * m[-1][-1]
+
+
+def _solve(rows, b) -> tuple[int, list[int] | None]:
+    """(d, y) with d = +-det(rows) and y = d x for the solution of rows x = b,
+    by fraction-free (Bareiss) Gauss-Jordan elimination on the augmented
+    integer matrix; (0, None) when singular.  Every division is exact."""
+    m = [list(r) + [c] for r, c in zip(rows, b)]
+    n, prev = len(m), 1
+    for k in range(n):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0, None
+            m[k], m[swap] = m[swap], m[k]
+        pivot, row = m[k][k], m[k]
+        for r in m:
+            if r is not row:
+                f = r[k]
+                for j in range(k + 1, n + 1):
+                    r[j] = (r[j] * pivot - f * row[j]) // prev
+        prev = pivot
+    return prev, [r[n] for r in m]

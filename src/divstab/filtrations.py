@@ -152,21 +152,16 @@ def expected_order_S_grad(
     return value, tuple(grad)
 
 
-def _toric_basis(model, L, k: int) -> np.ndarray:
-    """The lattice points of k P_L, one row each, on a toric model."""
+def _jumping_values(model, L, spec: FiltrationSpec, k: int) -> np.ndarray:
+    """min over the support of order + k t, per lattice point of k P_L, on a
+    toric model, from the orders kept with that basis (`ToricModel._level_orders`)."""
     if not isinstance(model, ToricModel):
         raise GeometryError("finite-level jumping numbers need a toric model")
-    basis = model.lattice_points(L, k)
-    if not len(basis):
+    if not len(model.lattice_points(L, k)):
         raise GeometryError("no sections at this level")
-    return basis
-
-
-def _jumping_values(model: ToricModel, L, spec: FiltrationSpec, k: int, basis) -> np.ndarray:
-    """min over the support of order + k t, per row of the integer `basis`."""
     values = None
     for v, t in zip(spec.support, spec.shifts):
-        lam = model.monomial_orders(L, k, v, basis) + k * float(t)
+        lam = model._level_orders(L, k, v) + k * float(t)
         # np.minimum returns its second argument on ties, like min() its first
         values = lam if values is None else np.minimum(lam, values)
     return values
@@ -175,9 +170,10 @@ def _jumping_values(model: ToricModel, L, spec: FiltrationSpec, k: int, basis) -
 def filtration_volume_finite_k(
     model: GeometryModel, L: DivisorClass, spec: FiltrationSpec, k: int
 ) -> JumpingProfile:
-    """Jumping numbers of the level-k sections; k^{-1} volume converges to S."""
-    basis = _toric_basis(model, L, k)
-    values = sorted(_jumping_values(model, L, spec, k, basis).tolist(), reverse=True)
+    """Jumping numbers of the level-k sections; k^{-1} volume converges to S.
+    Each valuation's orders are read once per (L, k), kept with the basis;
+    numpy sorts as sorted(reverse=True) would, as no value is NaN or -0.0."""
+    values = np.sort(_jumping_values(model, L, spec, k))[::-1].tolist()
     return JumpingProfile(k, tuple(values), sum(values) / len(values))
 
 
@@ -188,10 +184,10 @@ def d_infinity(
     spec_b: FiltrationSpec,
     k: int,
 ) -> float:
-    """Max gap of jumping values over the shared monomial basis at level k."""
-    basis = _toric_basis(model, L, k)
-    va = _jumping_values(model, L, spec_a, k, basis)
-    vb = _jumping_values(model, L, spec_b, k, basis)
+    """Max gap of jumping values over the shared monomial basis at level k,
+    each valuation's orders read once per (L, k) for both filtrations."""
+    va = _jumping_values(model, L, spec_a, k)
+    vb = _jumping_values(model, L, spec_b, k)
     return float(np.abs(va - vb).max())
 
 

@@ -395,13 +395,13 @@ def _grad_S_direction(model, L, support, shifts, H) -> float:
     return (4.0 * d2 - d1) / 3.0
 
 
-def _danskin(model, L, mu, H, side, options) -> tuple[NormResult, float]:
+def _danskin(model, L, mu, H, side, options, check=True) -> tuple[NormResult, float]:
     """The norm of mu and its one-sided derivative along H.  The check on
-    L +- eps H runs first, so the derivative reads the memo the norm left."""
+    L +- eps H, if `check`, runs first: the derivative reads the norm's memo."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     sign = 1 if side == "right" else -1
-    if not model.is_big(L + Fraction(sign, 10**6) * H):
+    if check and not model.is_big(L + Fraction(sign, 10**6) * H):
         if not model.is_big(L):
             raise GeometryError("norm requires a big class")
         raise GeometryError("direction leaves the big cone at first order")
@@ -433,7 +433,11 @@ def beta(
     options: OptimizerOptions = OptimizerOptions(),
 ) -> BetaReport:
     """Entropy term plus the left derivative of the norm in the canonical direction."""
-    result, derivative = _danskin(model, L, mu, model.canonical_class, "left", options)
+    return _beta(model, L, mu, options, check=True)
+
+
+def _beta(model, L, mu, options, check) -> BetaReport:
+    result, derivative = _danskin(model, L, mu, model.canonical_class, "left", options, check)
     entropy = sum(
         (m * v.log_discrepancy for v, m in mu.atoms), Fraction(0)
     )
@@ -536,7 +540,8 @@ def divisorial_stability_probe(
     min_ratio: Optional[float] = None
     witness: Optional[str] = None
     for mu in measures:
-        rep = beta(model, L, mu, options=options)
+        # L - 1e-6 K is checked once: it would empty the memo of L each time
+        rep = _beta(model, L, mu, options, check=not entries)
         entries.append(ProbeEntry(measure=mu, norm=rep.norm, beta=rep))
         if rep.stability_ratio is None:
             continue

@@ -2,11 +2,13 @@
 
 Divisor classes are ray-coefficient vectors a_rho; the section polytope is
 P_D = {m : <m, v_rho> >= -a_rho}.  Volumes are n! times the Euclidean volume
-of P_D.  One kernel, `ToricModel._polytope`, finds the vertices of P_D or of a
-cell cut from it as int points over one denominator and triangulates it, all
+of P_D.  One kernel, `ToricModel._polytope`, finds the vertices of P_D, one
+fraction-free solve each, or those of a cell cut from P_L, seeded by the
+vertices of P_L, as int points over one denominator and triangulates it, all
 in ints; volumes, thresholds and S derive from it, one Fraction per result.
 Valuations are monomial: primitive lattice vectors w, whose order function is
-linear on the monomial basis, anchored so that min over P_L is order 0.
+linear on the monomial basis, anchored so that min over P_L is order 0; their
+orders at level k are kept with the lattice points of k P_L.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from .core import (
     Valuation,
     _det,
     _dot,
+    _solve,
     as_fraction,
 )
 
@@ -77,16 +80,15 @@ class ToricModel(GeometryModel):
         return list(itertools.combinations(self.rays, self.dimension))
 
     def log_discrepancy(self, w: Sequence[int]) -> Fraction:
-        """Sum of the coordinates of w in the smooth cone of the fan holding it."""
+        """Sum of the coordinates of w != 0 in the smooth cone of the fan holding it."""
         w = tuple(int(x) for x in w)
+        if len(w) != self.dimension or not any(w):
+            raise GeometryError(f"valuation vector {w} is not a nonzero vector of length {self.dimension}")
         for cone in self._maximal_cones():
-            det = _det(cone)
-            if abs(det) != 1:
-                continue
-            # Cramer: the coordinate on ray j swaps ray j for w
-            sol = [det * _det(cone[:j] + (w,) + cone[j + 1:]) for j in range(len(cone))]
-            if all(c >= 0 for c in sol):
-                return Fraction(sum(sol))
+            # the coordinates c of w = sum c_j ray_j, over d = +-det = +-1
+            d, y = _solve(list(zip(*cone)), w)
+            if abs(d) == 1 and all(d * c >= 0 for c in y):
+                return Fraction(d * sum(y))
         raise GeometryError(f"vector {w} lies in no declared smooth cone")
 
     # -- polytope machinery -------------------------------------------------
@@ -96,13 +98,15 @@ class ToricModel(GeometryModel):
         self._check_basis(D)
         return [(ray, -a) for ray, a in zip(self.rays, D.coefficients)]
 
-    def _polytope(self, halfspaces):
+    def _polytope(self, halfspaces, seeds=None):
         """(points, common, mass, first moment) of {m : <m, normal> >= rhs},
         for integer normals and rational rhs, in Python ints.
 
         The rhs are scaled to one denominator; each n-subset of halfspaces is
-        solved by integer Cramer, the point kept in lowest homogeneous form
+        solved by one `_solve`, the point kept in lowest homogeneous form
         (y, q) with m = y / q if it is feasible, with its tight constraints.
+        `seeds`, the (points, common) of the polytope P of the first len(rays)
+        halfspaces, replace their subsets, whose feasible points are P's vertices.
         The polytope is triangulated by coning each face from its first
         vertex over its facets, the maximal proper sets of face vertices
         tight at one constraint; simplices of fewer than n + 1 points (a flat
@@ -113,16 +117,16 @@ class ToricModel(GeometryModel):
         den = math.lcm(*(r.denominator for _, r in halfspaces))
         normals = [a for a, _ in halfspaces]
         rhs = [r.numerator * (den // r.denominator) for _, r in halfspaces]
-        tight = {}
+        pairs, fixed = ([], -1) if seeds is None else ([(p, seeds[1]) for p in seeds[0]], len(self.rays))
         for subset in itertools.combinations(range(len(normals)), n):
-            cols = list(zip(*(normals[i] for i in subset)))
-            det = _det(cols)
-            if det == 0:
-                continue
-            b = tuple(rhs[i] for i in subset)
-            y = [_det(cols[:j] + [b] + cols[j + 1:]) for j in range(n)]
-            g = math.gcd(det * den, *y) * (1 if det > 0 else -1)
-            key = (tuple(x // g for x in y), det * den // g)
+            if subset[-1] >= fixed:
+                d, y = _solve([normals[i] for i in subset], [rhs[i] for i in subset])
+                if d:
+                    pairs.append((y, d * den))
+        tight = {}
+        for y, q in pairs:
+            g = math.gcd(q, *y) * (1 if q > 0 else -1)
+            key = tuple(x // g for x in y), q // g
             if key not in tight:
                 y, q = key
                 slack = [den * _dot(a, y) - r * q for a, r in zip(normals, rhs)]
@@ -174,6 +178,10 @@ class ToricModel(GeometryModel):
             hit = memo["polytope"] = self._polytope(self._halfspaces(L))
         return hit
 
+    def _cell(self, L: DivisorClass, cuts):
+        """`_polytope` of P_L cut by `cuts`, seeded with the vertices of P_L."""
+        return self._polytope(self._halfspaces(L) + cuts, self._section_polytope(L)[:2])
+
     # -- GeometryModel contract --------------------------------------------
 
     def volume(self, D: DivisorClass) -> Fraction:
@@ -192,11 +200,11 @@ class ToricModel(GeometryModel):
 
     def constrained_volume(self, L: DivisorClass, constraints) -> Fraction:
         """n! vol of P_L cut by <m, w_i> - min_{P_L}<., w_i> >= c_i."""
-        halfspaces = self._halfspaces(L)
+        cuts = []
         for w, c in constraints:
             w = tuple(int(x) for x in w)
-            halfspaces.append((w, self.order_anchor(L, w) + as_fraction(c)))
-        return math.factorial(self.dimension) * self._polytope(halfspaces)[2]
+            cuts.append((w, self.order_anchor(L, w) + as_fraction(c)))
+        return math.factorial(self.dimension) * self._cell(L, cuts)[2]
 
     def _valuation_vector(self, v: Valuation) -> tuple[int, ...]:
         w = v.order_model
@@ -258,7 +266,7 @@ class ToricModel(GeometryModel):
                 for wj, (cj, _) in pieces.items()
                 if wj != wi
             ]
-            _, _, cell_mass, cell_moment = self._polytope(self._halfspaces(L) + cuts)
+            _, _, cell_mass, cell_moment = self._cell(L, cuts)
             diff = [a - b for a, b in zip(wi, w1)]
             total += _dot(diff, cell_moment) + (ci - c1) * cell_mass
             grad[i] = cell_mass / mass
@@ -274,14 +282,24 @@ class ToricModel(GeometryModel):
 
     def lattice_points(self, L: DivisorClass, k: int) -> np.ndarray:
         """`section_basis(L, k)` as one read-only int64 array, kept in the memo
-        of L for the last level k."""
-        if k <= 0:
+        of L for the last level k with the orders read on it (`_level_orders`)."""
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k <= 0:
             raise GeometryError("level k must be a positive integer")
         memo = self._memo_of(L)
         if memo.get("points", (None,))[0] != k:
-            memo["points"] = k, self._box_points(L, k)
+            memo["points"] = k, self._box_points(L, k), {}
             memo["points"][1].flags.writeable = False
         return memo["points"][1]
+
+    def _level_orders(self, L: DivisorClass, k: int, v: Valuation) -> np.ndarray:
+        """`monomial_orders` along v of `lattice_points(L, k)`, read once per
+        valuation vector (None if trivial) and kept read-only with that basis."""
+        basis, w = self.lattice_points(L, k), None if v.is_trivial else self._valuation_vector(v)
+        orders = self._memo_of(L)["points"][2]
+        if w not in orders:
+            orders[w] = self.monomial_orders(L, k, v, basis)
+            orders[w].flags.writeable = False
+        return orders[w]
 
     def _box_points(self, L: DivisorClass, k: int) -> np.ndarray:
         """The lattice points of k P_L, scanned over its bounding box, which

@@ -433,3 +433,33 @@ class TestJsonify:
     def test_each_type(self):
         for value, expected in self.values():
             assert json.dumps(_jsonify(value), sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+class TestMalformedToricInput:
+    RAYS = [[1, 0], [0, 1], [-1, -1]]
+
+    def run(self, tmp_path, rays, vector, tasks=()):
+        model = {"type": "toric", "name": "p2", "rays": rays,
+                 "valuations": [{"name": "e1", "vector": [1, 0]}, {"name": "bad", "vector": vector}]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model, "line_bundle": [0, 0, 3], "tasks": list(tasks)}))
+        result = run_cli(["run", str(cfg)])
+        return result.exit_code, json.loads(result.stderr)["error"]["path"] if result.exit_code else None
+
+    @pytest.mark.parametrize("vector", [[1, 0, 0], [1], [0, 0], [True, False], [1, "0"]])
+    def test_bad_valuation_vector_named(self, tmp_path, vector):
+        tasks = [{"kind": "gamma", "valuation": "bad"}]
+        assert self.run(tmp_path, self.RAYS, vector, tasks) == (2, "model.valuations[1].vector")
+
+    def test_boolean_ray_named(self, tmp_path):
+        rays = [[True, False], [0, 1], [-1, -1]]
+        assert self.run(tmp_path, rays, [1, 1]) == (2, "model.rays[0]")
+
+    @pytest.mark.parametrize("k", [True, 2.0, 0])
+    def test_bad_level_named(self, tmp_path, k):
+        tasks = [{"kind": "volume"}, {"kind": "finite_k", "support": ["e1"], "shifts": [0], "k": k}]
+        assert self.run(tmp_path, self.RAYS, [1, 1], tasks) == (2, "tasks[1].k")
+
+    def test_good_config_runs(self, tmp_path):
+        tasks = [{"kind": "finite_k", "support": ["e1", "bad"], "shifts": [0, 0], "k": 2}]
+        assert self.run(tmp_path, self.RAYS, [1, 1], tasks) == (0, None)

@@ -299,3 +299,31 @@ class TestBundledModelsReadOnly:
         m = ds.SurfaceModel("p2x", [[1]], sample_curves=[[1]])
         v = m.curve_valuation("c", [1])
         assert m.named_valuations["c"] is v
+
+
+class TestFractionFreeSolve:
+    def test_matches_fraction_elimination(self):
+        # random int systems of size 1-5, about a fifth of them singular, most
+        # by a scaled copy of a row, with right-hand sides up to 2^80
+        from divstab.core import _solve
+
+        import _reference as reference
+
+        rng = random.Random(17)
+        singular = 0
+        for _ in range(3000):
+            n = rng.randint(1, 5)
+            rows = [[rng.randint(-4, 4) if rng.random() < 0.8 else 0 for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.2:
+                rows[-1] = [rng.choice((-2, 1, 3)) * x for x in rows[rng.randrange(n - 1)]]
+            b = [rng.randint(-2**80, 2**80) for _ in range(n)]
+            d, y = _solve(rows, b)
+            det = reference.det_exact([[Fraction(x) for x in r] for r in rows])
+            x = reference.solve_exact([[Fraction(v) for v in r] for r in rows], [Fraction(v) for v in b])
+            if x is None:
+                assert (d, y) == (0, None) and det == 0
+                singular += 1
+                continue
+            assert abs(d) == abs(det) and all(type(c) is int for c in y)
+            assert [Fraction(c, d) for c in y] == x
+        assert 300 <= singular <= 1500, singular

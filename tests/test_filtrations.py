@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from importlib import resources
 from fractions import Fraction
 
 import numpy as np
@@ -386,3 +388,91 @@ class TestRestrictionInequality:
             spec = FiltrationSpec(support, random_shifts(rng, len(support)))
             ok, _ = restriction_inequality_check(model, L, spec, support[:1])
             assert ok
+
+
+class TestKeptLevelOrders:
+    def test_read_only_equal_to_monomial_orders_and_replaced_with_k(self):
+        model = ds.ToricModel("p2_fresh", [[1, 0], [0, 1], [-1, -1]])
+        e1 = model.monomial_valuation("e1", [1, 0])
+        diag = model.monomial_valuation("diag", [1, 1])
+        L = model.divisor([0, Fraction(1, 3), 3])
+        for k in (3, 6):
+            basis = model.lattice_points(L, k)
+            for v in (e1, diag, TRIVIAL_VALUATION):
+                kept = model._level_orders(L, k, v)
+                with pytest.raises(ValueError):
+                    kept[0] = 99.0
+                assert model._level_orders(L, k, v) is kept
+                assert kept.tolist() == model.monomial_orders(L, k, v, basis).tolist()
+            assert model._memo[1]["points"][0] == k
+        # another level takes the record; the orders come back equal, anew
+        six = model._level_orders(L, 6, e1)
+        model.lattice_points(L, 3)
+        again = model._level_orders(L, 6, e1)
+        assert again is not six and again.tolist() == six.tolist()
+
+    def test_finite_k_then_d_infinity_read_each_valuation_once(self, monkeypatch):
+        model = ds.ToricModel("p2_fresh", [[1, 0], [0, 1], [-1, -1]])
+        e1 = model.monomial_valuation("e1", [1, 0])
+        e2 = model.monomial_valuation("e2", [0, 1])
+        read = []
+        numerators = ds.ToricModel._order_numerators
+
+        def counted(self, L, k, w, basis):
+            read.append(w)
+            return numerators(self, L, k, w, basis)
+
+        monkeypatch.setattr(ds.ToricModel, "_order_numerators", counted)
+        spec = FiltrationSpec((e1, e2, TRIVIAL_VALUATION), (0.0, 0.5, 2.0))
+        other = FiltrationSpec((e1, e2, TRIVIAL_VALUATION), (1.0, 0.0, 1.5))
+        L = model.divisor([0, 0, 3])
+        filtration_volume_finite_k(model, L, spec, 5)
+        d_infinity(model, L, spec, other, 5)
+        d_infinity(model, L, other, spec, 5)
+        assert sorted(read) == [(0, 1), (1, 0)]
+        # a new level reads them again, once
+        filtration_volume_finite_k(model, L, spec, 6)
+        assert len(read) == 4
+
+
+def _hex_sorted_descending(values):
+    return [x.hex() for x in sorted(values.tolist(), reverse=True)]
+
+
+class TestNumpySortedJumpingValues:
+    def test_bundled_configs(self):
+        from divstab import cli
+        from divstab.filtrations import _jumping_values
+
+        seen = 0
+        for path in (resources.files("divstab") / "configs").iterdir():
+            model, L, tasks, _, _ = cli.parse_config(json.loads(path.read_text()))
+            for task in tasks:
+                if task["kind"] != "finite_k":
+                    continue
+                prof = filtration_volume_finite_k(model, L, task["spec"], task["k"])
+                raw = _jumping_values(model, L, task["spec"], task["k"])
+                assert [x.hex() for x in prof.jumping_values] == _hex_sorted_descending(raw)
+                seen += 1
+        assert seen >= 3
+
+    def test_random_cases_with_ties(self):
+        from divstab.filtrations import _jumping_values
+
+        rng = random.Random(917)
+        ties = 0
+        for _ in range(60):
+            model, L = rng.choice([(p2t, L3H), (P3, P3.divisor([1, 0, 2, 1]))])
+            support = [v for v in model.named_valuations.values() if rng.random() < 0.6] or [
+                next(iter(model.named_valuations.values()))
+            ]
+            if rng.random() < 0.3:
+                support.append(TRIVIAL_VALUATION)
+            # shifts on a grid of halves and thirds, so many values tie
+            spec = FiltrationSpec(tuple(support), tuple(rng.choice((0.0, 0.5, 1 / 3, 1.0, -0.5)) for _ in support))
+            k = rng.randint(1, 6)
+            raw = _jumping_values(model, L, spec, k)
+            prof = filtration_volume_finite_k(model, L, spec, k)
+            assert [x.hex() for x in prof.jumping_values] == _hex_sorted_descending(raw)
+            ties += len(set(raw.tolist())) < len(raw)
+        assert ties >= 50, ties

@@ -408,3 +408,49 @@ class TestProbe:
         report = ds.divisorial_stability_probe(p2, L3, [dirac(LINE)])
         assert "evidence" in report.semantics
         assert "witness" in report.semantics
+
+
+class TestProbeChecksBignessOnce:
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        # gamma walks on blp2, from an empty memo
+        calls = []
+        threshold = ds.SurfaceModel.closed_form_threshold
+
+        def counting(self, L, v):
+            calls.append(v.name)
+            return threshold(self, L, v)
+
+        monkeypatch.setattr(ds.SurfaceModel, "closed_form_threshold", counting)
+        monkeypatch.setattr(blp2, "_memo", ((), {}))
+        return calls
+
+    def test_each_valuation_walked_once_per_probe(self, walks):
+        half = DivisorialMeasure.make([(ORD_E, Fraction(1, 2)), (TRIVIAL_VALUATION, Fraction(1, 2))])
+        measures = [dirac(ORD_E), dirac(blp2.named_valuations["ord_line"]), half]
+        report = ds.divisorial_stability_probe(blp2, LBL, measures)
+        assert sorted(walks) == ["ord_e", "ord_line"]
+        # each entry is the report beta gives alone
+        for mu, entry in zip(measures, report.entries):
+            assert entry.beta == ds.beta(blp2, LBL, mu)
+
+    def test_bundled_instability_config(self, walks):
+        import json
+        from importlib import resources
+
+        from divstab import cli
+
+        text = (resources.files("divstab") / "configs" / "blp2_instability.json").read_text()
+        model, L, tasks, tolerances, seed = cli.parse_config(json.loads(text))
+        for task in tasks:
+            cli.run_task(model, L, task, tolerances, seed)
+        # gamma, delta on -K (three candidates), then the probe's two
+        assert walks == ["ord_e", "ord_line", "ord_line_p", "ord_e", "ord_line"]
+
+    def test_probe_and_beta_still_reject_a_class_that_is_not_big(self):
+        # L - 1e-6 K is checked once per probe and once per beta
+        L = blp2.divisor([0, -1])
+        with pytest.raises(ds.GeometryError, match="^norm requires a big class$"):
+            ds.divisorial_stability_probe(blp2, L, [dirac(ORD_E)])
+        with pytest.raises(ds.GeometryError, match="^norm requires a big class$"):
+            ds.beta(blp2, L, dirac(ORD_E))

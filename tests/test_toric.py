@@ -437,3 +437,81 @@ class TestCompleteness:
         fans = [ds.bundled_model(name).rays for name in ("p2_toric", "p1xp1_toric", "f1_toric")]
         for rays in fans + [[[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]]:
             assert ToricModel("fan", rays).rays == tuple(map(tuple, rays))
+
+
+class TestSeededCells:
+    """A cell seeded with the vertices of P_L equals the unseeded `_polytope`
+    of the same halfspaces, on empty, flat, non-nef and full P_L cut by 1-3
+    halfspaces, some through a vertex of P_L."""
+
+    # F1 is the one fan here with non-nef classes: it weighs 8x
+    MODELS = TestIntVerticesMatchReference.MODELS + 7 * [f1t]
+
+    def test_seeded_equals_unseeded(self):
+        rng = random.Random(1717)
+        kinds = {"empty": 0, "flat": 0, "non-nef": 0, "full": 0, "through a vertex": 0, "float": 0}
+        for _ in range(600):
+            model = rng.choice(self.MODELS)
+            n = model.dimension
+            if rng.random() < 0.15:
+                m0 = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+                a = [-sum(map(mul, m0, r)) for r in model.rays]
+            else:
+                a = [Fraction(rng.randint(-3, 4), rng.choice((1, 1, 2, 3))) for _ in model.rays]
+                if rng.random() < 0.3:
+                    # one loose ray inequality: redundant, so L is not nef
+                    a[rng.randrange(len(a))] += rng.randint(3, 6)
+            L = model.divisor(a)
+            base = model._polytope(model._halfspaces(L))
+            points, common = base[:2]
+            cuts = []
+            for _ in range(rng.randint(1, 3)):
+                w = tuple(rng.randint(-2, 2) for _ in range(n))
+                if points and rng.random() < 0.3:
+                    rhs = Fraction(_dot(w, rng.choice(points)), common)
+                    kinds["through a vertex"] += 1
+                elif rng.random() < 0.5:
+                    rhs = Fraction(rng.uniform(-2, 2))
+                    kinds["float"] += 1
+                else:
+                    rhs = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                cuts.append((w, rhs))
+            halfspaces = model._halfspaces(L) + cuts
+            expected = fraction_kernel(model, halfspaces)
+            seeded = model._polytope(halfspaces, (points, common))
+            assert sorted(tuple(Fraction(x, seeded[1]) for x in p) for p in seeded[0]) == expected[0]
+            assert seeded[2:] == expected[1:]
+            assert model._cell(L, cuts)[2:] == expected[1:]
+            tight_rays = {i for p in points for i, (r, c) in enumerate(model._halfspaces(L))
+                          if Fraction(_dot(r, p), common) == c}
+            if not points:
+                kinds["empty"] += 1
+            elif base[2] == 0:
+                kinds["flat"] += 1
+            else:
+                kinds["full"] += 1
+                kinds["non-nef"] += len(tight_rays) < len(model.rays)
+        assert min(kinds.values()) >= 30, kinds
+
+
+def _dot(a, b):
+    return sum(map(mul, a, b))
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("w", [(1, 0, 0), (1,), (0, 0), ()])
+    def test_valuation_vector_of_wrong_length_or_zero_rejected(self, w):
+        model = ToricModel("p2_fresh", [[1, 0], [0, 1], [-1, -1]])
+        with pytest.raises(ds.GeometryError, match="not a nonzero vector of length 2"):
+            model.monomial_valuation("bad", w)
+        with pytest.raises(ds.GeometryError, match="not a nonzero vector of length 2"):
+            model.log_discrepancy(w)
+        assert model.named_valuations == {}
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, 0, -1, "2"])
+    def test_bad_level_rejected(self, k):
+        with pytest.raises(ds.GeometryError, match="^level k must be a positive integer$"):
+            p2t.lattice_points(L3H, k)
+
+    def test_numpy_integer_level_accepted(self):
+        assert p2t.section_basis(L3H, np.int64(2)) == p2t.section_basis(L3H, 2)
