@@ -246,37 +246,18 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
-def _det(rows) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination: every division is exact."""
-    m = [list(r) for r in rows]
-    n, sign, prev = len(m), 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap], sign = m[swap], m[k], -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-        prev = pivot
-    return sign * m[-1][-1]
-
-
 def _solve(rows, b) -> tuple[int, list[int] | None]:
-    """(d, y) with d = +-det(rows) and y = d x for the solution of rows x = b,
+    """(d, y) with d = det(rows) and y = d x for the solution of rows x = b,
     by fraction-free (Bareiss) Gauss-Jordan elimination on the augmented
     integer matrix; (0, None) when singular.  Every division is exact."""
     m = [list(r) + [c] for r, c in zip(rows, b)]
-    n, prev = len(m), 1
+    n, prev, sign = len(m), 1, 1
     for k in range(n):
         if m[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if m[i][k]), None)
             if swap is None:
                 return 0, None
-            m[k], m[swap] = m[swap], m[k]
+            m[k], m[swap], sign = m[swap], m[k], -sign
         pivot, row = m[k][k], m[k]
         for r in m:
             if r is not row:
@@ -284,4 +265,4 @@ def _solve(rows, b) -> tuple[int, list[int] | None]:
                 for j in range(k + 1, n + 1):
                     r[j] = (r[j] * pivot - f * row[j]) // prev
         prev = pivot
-    return prev, [r[n] for r in m]
+    return sign * prev, [sign * r[n] for r in m]

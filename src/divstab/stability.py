@@ -6,12 +6,11 @@ concave and invariant under t -> t + c 1, so the engine works in the reduced
 shifts u = t[1:] - t[0] on the box [-hi, hi]^(d-1), hi = max gamma + 1, and
 evaluates g at min t_i = 0.  Each evaluation of the exact value and
 supergradient of S (`expected_order_S_grad`) is a cutting plane.  A projected
-BFGS ascent, a stencil around its best point and Kelley cutting-plane steps
-run until the bound certified by convex weights on the planes is within the
-tolerance of the best value.  The evaluations, the ascent, the stencil and
-the bound of each plane run on tuples of Python floats; numpy is used only
-where planes are weighed together: the least-squares weights of the stencil
-and the small simplex of the Kelley steps.
+BFGS ascent, then Kelley cutting-plane steps, run until the bound certified
+by convex weights on the planes is within the tolerance of the best value.
+The evaluations, the ascent and the bound of each plane run on tuples of
+Python floats; numpy is used only where planes are weighed together, in the
+small simplex of the Kelley steps.
 """
 from __future__ import annotations
 
@@ -104,9 +103,9 @@ class ProbeReport:
 # -- concave maximization engine -------------------------------------------
 
 # budgets: evaluations of the ascent (it crawls at a kink of g), Kelley steps
-# after it, and simplex pivots per cutting-plane LP; the stencil points lie
-# this far from the best point of the ascent
-_ASCENT_EVALS, _KELLEY_STEPS, _PIVOTS, _STENCIL = 50, 30, 500, 1e-6
+# after it, and simplex pivots per cutting-plane LP; the ascent ends when a
+# shortened step is shorter than this in every coordinate
+_ASCENT_EVALS, _KELLEY_STEPS, _PIVOTS, _LEAST_STEP = 50, 30, 500, 1e-6
 
 
 class _Certified(Exception):
@@ -118,10 +117,10 @@ class _Planes:
     [-hi, hi]^dim, each a cutting plane g(u_k) + s_k . (u - u_k) >= g(u),
     the best point, and the least bound on sup g certified so far; raises
     _Certified once that bound is within `tol` of the best value.  Points
-    and slopes are kept as tuples of floats.  Convex weights on the planes
-    bound g by the maximum of their combination over the box, in closed form
-    (`weigh`), whatever the rounding of the weights or of the LP that found
-    them; a single plane bounds it by offset + hi |s|_1.
+    and slopes are kept as tuples of floats.  A single plane bounds g by
+    offset + hi |s|_1; convex weights on the planes, the solution of the
+    Kelley LP (`refine`), by the maximum of their combination over the box,
+    in closed form, whatever the rounding of the weights or of the LP.
     """
 
     def __init__(self, g, hi, tol):
@@ -147,19 +146,6 @@ class _Planes:
         self.bound = min(self.bound, top)
         if self.bound - self.values[self.best] <= self.tol:
             raise _Certified
-
-    def weigh(self, rows, lam):
-        lam = lam / lam.sum()
-        slope = lam @ np.array(self.slopes)[rows]
-        self.lower(float(lam @ np.array(self.offsets)[rows] + self.hi * np.abs(slope).sum()))
-
-    def balance(self, rows, free):
-        """Weigh the planes so that their slopes cancel off the box boundary."""
-        free = np.array(free, dtype=bool)
-        A = np.vstack([np.array(self.slopes)[rows][:, free].T, np.ones(len(rows))])
-        lam = np.linalg.lstsq(A, np.r_[np.zeros(free.sum()), 1.0], rcond=None)[0]
-        if lam.min() >= 0.0:
-            self.weigh(rows, lam)
 
     def refine(self):
         """Weigh by the optimal weights of the cutting-plane model and return
@@ -202,14 +188,16 @@ class _Planes:
         else:
             raise ConvergenceError(f"cutting-plane LP took more than {_PIVOTS} pivots")
         rows, lam = zip(*((j, xj) for j, xj in zip(basis, x) if j < n))
-        self.weigh(list(rows), np.maximum(lam, 0.0))
+        rows, lam = list(rows), np.maximum(lam, 0.0)
+        lam = lam / lam.sum()
+        self.lower(float(lam @ cost[rows] + self.hi * np.abs(lam @ S[rows]).sum()))
         return np.clip(-y[:dim], -self.hi, self.hi)
 
 
 def _ascend(planes, dim, hi):
     """Projected BFGS ascent on g from 0 until the planes certify, the
     evaluation budget is spent, the step does not ascend or a shortened step
-    falls below the stencil spacing.
+    falls below `_LEAST_STEP`.
 
     A coordinate is free unless it sits at a bound with the supergradient s
     pointing out of the box.  The step p moves the free coordinates along
@@ -244,9 +232,9 @@ def _ascend(planes, dim, hi):
             # the secant root is past 0.5 of the step when the drop is below 2 slope
             shrink = max(slope / max(slope - _dot(s_new, p), 2.0 * slope), 0.1)
             p = tuple(shrink * x for x in p)
-            # the stencil probes this scale next; below it the Armijo test
-            # compares values that differ by the rounding of S
-            if max(map(abs, p)) < _STENCIL:
+            # below this scale the Armijo test compares values that differ
+            # by the rounding of S; the Kelley steps take over
+            if max(map(abs, p)) < _LEAST_STEP:
                 return
         y = tuple(map(sub, s, s_new))
         py = _dot(p, y)
@@ -268,19 +256,12 @@ def _certified_max(g, dim, hi, tol):
     """(u, bound): the best evaluated point of the concave g on [-hi, hi]^dim
     and a certified upper bound on sup g; `g(u)` takes a tuple of floats and
     returns the value and a supergradient.  A projected BFGS ascent runs
-    until the planes certify `tol`; then a stencil of planes around its best
-    point; then Kelley steps, until their budget is spent or the
+    until the planes certify `tol`; then Kelley steps, from all the planes
+    of the ascent, until the planes certify, their budget is spent or the
     cutting-plane LP fails."""
     planes = _Planes(g, hi, tol)
     try:
         _ascend(planes, dim, hi)
-        # neighbours of the best point along directions that positively span
-        # the space, e_i and -1: 0 is in the hull of their slopes at a maximizer
-        best, first = planes.us[planes.best], len(planes.us)
-        for i in range(dim):
-            planes(best[:i] + (min(best[i] + _STENCIL, hi),) + best[i + 1 :])
-        planes(tuple(max(x - _STENCIL, -hi) for x in best))
-        planes.balance(list(range(first, first + dim + 1)), [abs(x) < hi for x in best])
         for _ in range(_KELLEY_STEPS):
             try:
                 u = planes.refine()

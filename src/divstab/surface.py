@@ -27,8 +27,8 @@ from .core import (
     GeometryModel,
     NotPseudoeffectiveError,
     Valuation,
-    _det,
     _dot,
+    _solve,
     as_fraction,
     gamma_threshold,
 )
@@ -519,19 +519,18 @@ def _signature(m) -> tuple[int, int]:
 
 
 def _solve_negative_definite(gram, columns):
-    """(g, xs) with g > 0 and gram x = g c for each column c and its x in xs,
-    by Cramer's rule on the int matrix gram, so x keeps the type of c; None
-    unless gram is negative definite: its leading minors alternate in sign."""
+    """(g, xs) with g > 0 and gram x = g c for each column c and its x in xs;
+    None unless the int matrix gram is negative definite: its leading minors,
+    each the d of one `_solve`, alternate in sign.  gram is symmetric, so row
+    i of g gram^-1 is (-1)^n y_i for `_solve(gram, e_i) = (det, y_i)`, in
+    ints, and x keeps the type of c."""
     n = len(gram)
-    minors = [(-1) ** k * _det([row[:k] for row in gram[:k]]) for k in range(1, n + 1)]
+    minors = [(-1) ** k * _solve([row[:k] for row in gram[:k]], [0] * k)[0] for k in range(1, n + 1)]
     if min(minors) <= 0:
         return None
-    # cof[j][i] = (-1)^n det(gram with column j replaced by the unit vector e_i)
-    cof = [
-        [(-1) ** n * _det([[*row[:j], int(r == i), *row[j + 1:]] for r, row in enumerate(gram)]) for i in range(n)]
-        for j in range(n)
-    ]
-    return minors[-1], [[_dot(row, c) for row in cof] for c in columns]
+    sign = (-1) ** n
+    ginv = [[sign * y for y in _solve(gram, [int(r == i) for r in range(n)])[1]] for i in range(n)]
+    return minors[-1], [[_dot(row, c) for row in ginv] for c in columns]
 
 
 def _first_root(q0, q1, q2, unit, x, wall):

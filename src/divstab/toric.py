@@ -25,7 +25,6 @@ from .core import (
     GeometryError,
     GeometryModel,
     Valuation,
-    _det,
     _dot,
     _solve,
     as_fraction,
@@ -159,7 +158,7 @@ class ToricModel(GeometryModel):
         for s in simplices(tuple(range(len(verts)))):
             if len(s) == n + 1:
                 p0 = points[s[0]]
-                d = abs(_det([[a - b for a, b in zip(points[i], p0)] for i in s[1:]]))
+                d = abs(_solve([[a - b for a, b in zip(points[i], p0)] for i in s[1:]], [0] * n)[0])
                 mass += d
                 for r in range(n):
                     moment[r] += d * sum(points[i][r] for i in s)
@@ -283,8 +282,7 @@ class ToricModel(GeometryModel):
     def lattice_points(self, L: DivisorClass, k: int) -> np.ndarray:
         """`section_basis(L, k)` as one read-only int64 array, kept in the memo
         of L for the last level k with the orders read on it (`_level_orders`)."""
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k <= 0:
-            raise GeometryError("level k must be a positive integer")
+        _check_level(k)
         memo = self._memo_of(L)
         if memo.get("points", (None,))[0] != k:
             memo["points"] = k, self._box_points(L, k), {}
@@ -332,19 +330,25 @@ class ToricModel(GeometryModel):
         tail = starts + np.arange(counts.sum(), dtype=np.int64)
         return np.column_stack((np.repeat(prefix, counts, axis=0), tail))
 
+    def _monomials(self, k: int, basis) -> np.ndarray:
+        """`basis` as an integer array whose rows are monomials at level k."""
+        _check_level(k)
+        basis = np.asarray(basis)
+        if basis.dtype.kind not in "iu":
+            raise GeometryError("monomials must be integer lattice points")
+        if basis.ndim != 2 or basis.shape[1] != self.dimension:
+            raise GeometryError(f"monomials must be rows of length {self.dimension}")
+        return basis
+
     def _order_numerators(self, L: DivisorClass, k: int, w, basis):
         """(n, q) with n / q the exact orders along w of the rows of `basis` at
         level k: <m, w> - k min_{P_L}<., w> over the common denominator q of
         the anchor.  n is int64 while every |n| and q stay below 2^53, so a
         float division of n by q is correctly rounded; Python ints otherwise.
         """
-        basis = np.asarray(basis)
-        if basis.dtype.kind not in "iu":
-            raise GeometryError("monomials must be integer lattice points")
+        basis = self._monomials(k, basis)
         p, q = (k * self.order_anchor(L, w)).as_integer_ratio()
-        dots = basis.astype(np.int64, copy=False).reshape(-1, self.dimension) @ np.array(
-            w, dtype=np.int64
-        )
+        dots = basis.astype(np.int64, copy=False) @ np.array(w, dtype=np.int64)
         top = int(np.abs(dots).max(initial=0)) * q + abs(p)
         if max(top, q) >= 2**53:
             dots = dots.astype(object)
@@ -354,13 +358,14 @@ class ToricModel(GeometryModel):
         """Vanishing orders along v of the monomial sections in the rows of the
         integer array `basis` at level k, as floats equal to float(Fraction)."""
         if v.is_trivial:
-            return np.zeros(len(basis))
+            return np.zeros(len(self._monomials(k, basis)))
         n, q = self._order_numerators(L, k, self._valuation_vector(v), basis)
         return np.asarray(n / q, dtype=float)
 
     def monomial_order(self, L: DivisorClass, k: int, v: Valuation, m: Sequence[int]) -> Fraction:
         """Vanishing order along v of the monomial section m at level k."""
         if v.is_trivial:
+            self._monomials(k, [m])
             return Fraction(0)
         n, q = self._order_numerators(L, k, self._valuation_vector(v), [m])
         return Fraction(int(n[0]), q)
@@ -372,6 +377,12 @@ class ToricModel(GeometryModel):
         anchor = self.order_anchor(L, w)  # first: it rejects an empty P_L
         points, common = self._section_polytope(L)[:2]
         return Fraction(max(_dot(w, p) for p in points), common) - anchor
+
+
+def _check_level(k):
+    """Levels are positive ints, numpy integers included, not booleans."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k <= 0:
+        raise GeometryError("level k must be a positive integer")
 
 
 def _order_polygon(vectors):

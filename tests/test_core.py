@@ -327,3 +327,30 @@ class TestFractionFreeSolve:
             assert abs(d) == abs(det) and all(type(c) is int for c in y)
             assert [Fraction(c, d) for c in y] == x
         assert 300 <= singular <= 1500, singular
+
+
+class TestSolveDeterminant:
+    def test_d_is_the_signed_determinant(self):
+        # random int systems of size 2-5 with a zero in the first column at
+        # the top, so the elimination exchanges rows; d carries the sign of
+        # each exchange, and y = d x with that signed d
+        from divstab.core import _solve
+
+        import _reference as reference
+
+        rng = random.Random(29)
+        negative = 0
+        for _ in range(1500):
+            n = rng.randint(2, 5)
+            rows = [[rng.randint(-4, 4) if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(n)]
+            rows[0][0] = 0
+            b = [rng.randint(-2**40, 2**40) for _ in range(n)]
+            det = reference.det_exact([[Fraction(x) for x in r] for r in rows])
+            assert _solve(rows, [0] * n)[0] == det
+            d, y = _solve(rows, b)
+            assert d == det
+            if d:
+                x = reference.solve_exact([[Fraction(v) for v in r] for r in rows], [Fraction(v) for v in b])
+                assert [Fraction(c, d) for c in y] == x
+                negative += d < 0
+        assert negative >= 300, negative

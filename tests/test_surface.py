@@ -515,3 +515,52 @@ class TestDecompositionMemo:
         report = ds.beta(model, L, mu)
         assert calls.count((21, -2)) == 1
         assert report.norm > 0
+
+
+class TestNegativeDefiniteSolve:
+    """`_solve_negative_definite` against the elimination on Fractions in
+    `tests/_reference.py`: the same None and the same solutions, on int and
+    float columns, with x of its column's type."""
+
+    @staticmethod
+    def gram_of(rng, n, kind):
+        if kind == "indefinite":
+            upper = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            return [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        # -B B^T is negative definite for B of full rank n, else semidefinite
+        # with a zero determinant, so a zero leading minor
+        rank = n if kind == "definite" else rng.randint(0, n - 1)
+        B = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(n)]
+        return [[-sum(a * b for a, b in zip(B[i], B[j])) - (kind == "definite" and i == j) for j in range(n)]
+                for i in range(n)]
+
+    def test_matches_reference(self):
+        from divstab.surface import _solve_negative_definite
+
+        rng = random.Random(41)
+        solved = {"definite": 0, "semidefinite": 0, "indefinite": 0}
+        for case in range(1200):
+            n, kind = rng.randint(1, 4), ("definite", "semidefinite", "indefinite")[case % 3]
+            gram = self.gram_of(rng, n, kind)
+            ints = [tuple(rng.randint(-50, 50) for _ in range(n)) for _ in range(2)]
+            floats = [tuple(rng.uniform(-50.0, 50.0) for _ in range(n)) for _ in range(2)]
+            exact = [[Fraction(a) for a in row] for row in gram]
+            ref = reference._surface_solve(exact, [[Fraction(c) for c in col] for col in ints + floats])
+            sol = _solve_negative_definite(gram, ints + floats)
+            if kind == "semidefinite":
+                assert sol is None and ref is None
+            if ref is None:
+                assert sol is None
+                continue
+            solved[kind] += 1
+            g, xs = sol
+            assert type(g) is int and g > 0
+            for col, x, want in zip(ints, xs, ref):
+                assert all(type(v) is int for v in x)
+                assert [Fraction(v, g) for v in x] == want
+                assert [sum(a * v for a, v in zip(row, x)) for row in gram] == [g * c for c in col]
+            for x, want in zip(xs[2:], ref[2:]):
+                assert all(type(v) is float for v in x)
+                scale = max(1.0, *(abs(float(w)) for w in want))
+                assert max(abs(v / g - float(w)) for v, w in zip(x, want)) <= 1e-12 * scale
+        assert solved["definite"] == 400 and solved["indefinite"] >= 20, solved

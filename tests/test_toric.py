@@ -515,3 +515,37 @@ class TestMalformedInput:
 
     def test_numpy_integer_level_accepted(self):
         assert p2t.section_basis(L3H, np.int64(2)) == p2t.section_basis(L3H, 2)
+
+
+class TestMonomialOrderInput:
+    """`monomial_order` and `monomial_orders` check the level as
+    `lattice_points` does, and the length of each monomial."""
+
+    TRIVIAL = ds.TRIVIAL_VALUATION
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, 0, -1, "2"])
+    def test_bad_level_rejected(self, k):
+        for v in (E1, self.TRIVIAL):
+            with pytest.raises(ds.GeometryError, match="^level k must be a positive integer$"):
+                p2t.monomial_order(L3H, k, v, (1, 0))
+            with pytest.raises(ds.GeometryError, match="^level k must be a positive integer$"):
+                p2t.monomial_orders(L3H, k, v, np.array([[1, 0]]))
+
+    def test_numpy_integer_level_accepted(self):
+        assert p2t.monomial_order(L3H, np.int64(2), E1, (1, 0)) == p2t.monomial_order(L3H, 2, E1, (1, 0))
+        basis = p2t.lattice_points(L3H, 2)
+        assert p2t.monomial_orders(L3H, np.int64(2), E1, basis).tolist() == p2t.monomial_orders(
+            L3H, 2, E1, basis
+        ).tolist()
+
+    @pytest.mark.parametrize("m", [(1, 0, 5), (1,), (0, 0, 0, 1)])
+    def test_monomial_of_wrong_length_rejected(self, m):
+        for v in (E1, self.TRIVIAL):
+            with pytest.raises(ds.GeometryError, match="monomials must be rows of length 2"):
+                p2t.monomial_order(L3H, 1, v, m)
+            with pytest.raises(ds.GeometryError, match="monomials must be rows of length 2"):
+                p2t.monomial_orders(L3H, 1, v, np.array([m, m], dtype=np.int64))
+
+    def test_flat_basis_rejected(self):
+        with pytest.raises(ds.GeometryError, match="monomials must be rows of length 2"):
+            p2t.monomial_orders(L3H, 1, E1, np.array([1, 0, 0, 1]))
