@@ -2,8 +2,8 @@
 
 Configs declare a geometry model (bundled by name or inline), a line bundle,
 tolerances, a seed, and an ordered task list.  The seed and the quadrature
-tolerance are validated and echoed but have no effect: every task is exact
-or deterministic.
+and gradient tolerances are validated and echoed but have no effect: every
+task is exact or deterministic.
 Reports echo inputs, embed the toolkit version and the config hash, and are
 deterministic for a fixed config up to the per-task wall time field.
 """
@@ -265,12 +265,12 @@ def parse_config(payload, overrides=None, seed_override=None):
     tolerances = dict(DEFAULT_TOLERANCES)
     tol_payload = payload.get("tolerances", {})
     _expect(isinstance(tol_payload, dict), "tolerances", "expected an object")
-    for key, value in tol_payload.items():
-        _expect(key in DEFAULT_TOLERANCES, f"tolerances.{key}", "unknown tolerance")
-        tolerances[key] = _parse_number(value, f"tolerances.{key}")
-    for key, value in (overrides or {}).items():
-        _expect(key in DEFAULT_TOLERANCES, f"--tolerance-override {key}", "unknown tolerance")
-        tolerances[key] = value
+    for given, path in ((tol_payload, "tolerances.{}"), (overrides or {}, "--tolerance-override {}")):
+        for key, value in given.items():
+            where = path.format(key)
+            _expect(key in DEFAULT_TOLERANCES, where, "unknown tolerance")
+            tolerances[key] = _parse_number(value, where)
+            _expect(tolerances[key] > 0, where, f"expected a positive tolerance, got {value!r}")
     seed = payload.get("seed", 0)
     _expect(_is_int(seed), "seed", "expected an integer")
     if seed_override is not None:
@@ -354,9 +354,7 @@ def run_task(model, line_bundle, task, tolerances, seed):
         value, witness = stability.delta_anticanonical(model, task["candidates"])
         return {"delta": value, "witness": witness.name}
     if kind == "ma_solve":
-        return {"solution": stability.ma_solve(
-            model, line_bundle, task["measure"], grad_tol=tolerances["gradient"], options=opts
-        )}
+        return {"solution": stability.ma_solve(model, line_bundle, task["measure"], options=opts)}
     if kind == "probe":
         return {"probe": stability.divisorial_stability_probe(
             model, line_bundle, task["measures"], epsilon=task["epsilon"], options=opts

@@ -97,26 +97,19 @@ def expected_order_S(
 ) -> float:
     """Expected vanishing order of L along the filtration; translation equivariant.
 
-    With method="auto", surfaces integrate the volume in closed form on each
-    Zariski chamber, walked in floats by the routine that gives gamma exactly,
-    on the compiled problem for (L, support), so new shifts only walk chambers;
-    toric models integrate min_i of the shifted orders over the section
-    polytope cell by cell (`ToricModel.expected_order`) and return the exact
-    value rounded once to float.  method="quadrature" is the reference: it
-    runs adaptive composite Gauss-Legendre to `tol`, seeded at the shift and
-    threshold breakpoints, over the model's `twist_evaluator`; `tol` has no
-    other use.
+    With method="auto", S is the value of `expected_order_S_grad`, from the
+    one exact evaluation of each backend.  method="quadrature" is the
+    reference: it runs adaptive composite Gauss-Legendre to `tol`, seeded at
+    the shift and threshold breakpoints, over the model's `twist_evaluator`;
+    `tol` has no other use.
     """
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}; expected 'auto' or 'quadrature'")
-    if method == "auto" and isinstance(model, ToricModel):
-        return float(model.expected_order(L, spec.support, spec.shifts)[0])
+    if method == "auto":
+        return expected_order_S_grad(model, L, spec)[0]
     if isinstance(model, SurfaceModel):
         # compiling resolves the realization: a mixed support raises for every t
-        problem = model._compiled(L, spec.support)
-        if method == "auto":
-            return problem.expected_order(spec.shifts, gradient=False)[0]
-        vol_L = problem.volume
+        vol_L = model._compiled(L, spec.support).volume
     else:
         vol_L = model.volume(L)
     if vol_L <= 0:
@@ -139,15 +132,17 @@ def expected_order_S(
 def expected_order_S_grad(
     model: GeometryModel, L: DivisorClass, spec: FiltrationSpec
 ) -> tuple[float, tuple[float, ...]]:
-    """(S, grad_t S) of L along the filtration from one exact evaluation: S
-    bit for bit `expected_order_S(model, L, spec)`, the gradient an exact
-    supergradient of the concave S rounded to floats, summing to 1 (see
-    `_SurfaceProblem.expected_order`, `ToricModel.expected_order`)."""
+    """(S, grad_t S) of L along the filtration from one exact evaluation, the
+    gradient an exact supergradient of the concave S, summing to 1: surfaces
+    walk the Zariski chambers in floats, on the problem compiled for (L,
+    support), so new shifts only walk chambers (`_SurfaceProblem.expected_order`);
+    toric models integrate over the cells of the section polytope exactly and
+    round once to float (`ToricModel.expected_order`)."""
     if isinstance(model, ToricModel):
         value, grad = model.expected_order(L, spec.support, spec.shifts)
         return float(value), tuple(float(x) for x in grad)
     if not isinstance(model, SurfaceModel):
-        raise GeometryError("exact gradients of S need a surface or toric model")
+        raise GeometryError("exact S and its gradient need a surface or toric model")
     value, grad = model._compiled(L, spec.support).expected_order(spec.shifts)
     return value, tuple(grad)
 

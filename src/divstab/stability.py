@@ -34,6 +34,7 @@ from .core import (
 )
 from .filtrations import FiltrationSpec, expected_order_S, expected_order_S_grad
 from .surface import SurfaceModel
+from .toric import ToricModel
 
 PROBE_SEMANTICS = (
     "finite-instance evidence only: an instability witness is definitive, "
@@ -76,6 +77,9 @@ class BetaReport:
 
 @dataclass(frozen=True)
 class MASolution:
+    """`measure_out` is the exact supergradient of S at `t_star`; the atoms in
+    `flat_directions` tie in one order function, so their shares are not unique."""
+
     t_star: tuple[float, ...]
     measure_out: tuple[float, ...]
     residual: float
@@ -462,42 +466,38 @@ def ma_solve(
     model: GeometryModel,
     L: DivisorClass,
     mu: DivisorialMeasure,
-    grad_tol: float = 1e-6,
     options: OptimizerOptions = OptimizerOptions(),
 ) -> MASolution:
     """Prescribe mu as the gradient measure of S at the variational optimum.
 
-    Maximizes the same functional as `norm`; the output measure is the
-    symmetric-difference gradient of S at the best shift vector, with kink
-    coordinates (one-sided slopes disagreeing) flagged, not hidden.
+    Maximizes the same functional as `norm`; the output measure is the exact
+    supergradient of S at the reported maximizer, from one evaluation.  S
+    sees atoms that share one order function (trivial ones, or toric ones
+    with one vector w; on a surface the twists of distinct curves add) only
+    through their least shift, so S has a kink where their shifts tie: their
+    coordinates are flagged, and the group's mass is split in proportion to
+    mu, an element of the superdifferential at the tie.
     """
     result = norm(model, L, mu, options=options)
-    t_star = list(result.maximizers[0])
-    support = mu.support
+    (t_star,) = result.maximizers
     xi = [float(m) for m in mu.masses]
-
-    def S(t):
-        return expected_order_S(model, L, FiltrationSpec(support, tuple(t)))
-
-    h = 1e-5
-    center = S(t_star)
-    grads = []
+    measure = list(expected_order_S_grad(model, L, FiltrationSpec(mu.support, t_star))[1])
+    groups: dict[object, list[int]] = {}
+    for i, v in enumerate(mu.support):
+        groups.setdefault(v.order_model if v.is_trivial or isinstance(model, ToricModel) else i, []).append(i)
     flats = []
-    for i in range(len(t_star)):
-        tp, tm = list(t_star), list(t_star)
-        tp[i] += h
-        tm[i] -= h
-        fwd = (S(tp) - center) / h
-        bwd = (center - S(tm)) / h
-        if abs(fwd - bwd) > 10.0 * grad_tol:
-            flats.append(i)
-        grads.append(0.5 * (fwd + bwd))
-    residual = max(abs(g - x) for g, x in zip(grads, xi))
+    for group in groups.values():
+        if len(group) > 1:
+            flats += group
+            mass, total = (math.fsum(x[i] for i in group) for x in (measure, xi))
+            # a group without mass in mu keeps the exact supergradient
+            for i in group:
+                measure[i] = mass * xi[i] / total if total else measure[i]
     return MASolution(
-        t_star=tuple(t_star),
-        measure_out=tuple(grads),
-        residual=residual,
-        flat_directions=tuple(flats),
+        t_star=t_star,
+        measure_out=tuple(measure),
+        residual=max(abs(g - x) for g, x in zip(measure, xi)),
+        flat_directions=tuple(sorted(flats)),
         value=result.value,
     )
 

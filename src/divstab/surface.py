@@ -303,7 +303,7 @@ class SurfaceModel(GeometryModel):
         problem = self._compiled(L, valuations)
         ts = [float(t) for v, t in zip(valuations, shifts) if not v.is_trivial]
         if direction is None:
-            return problem.walk(ts, lam0, lam1)[0], 0.0
+            return problem.walk(ts, lam0, lam1, [], [])[0], 0.0
         iv, ih = problem.walk(ts, lam0, lam1, problem.pulled([direction]), [-math.inf])
         return iv, ih[0]
 
@@ -371,19 +371,17 @@ class _SurfaceProblem:
         """The classes pulled back to the realization, one float tuple each."""
         return [_floats(self._pull(D.coefficients)) for D in classes]
 
-    def integrals(self, shifts, rows=None):
+    def integrals(self, shifts, rows):
         """(t0, lam_max, integral of vol, integrals of P . h) over the range
         [t0, lam_max] of the filtration with these shifts, one per support
-        valuation; all 0 when the range is empty.  With the list of float
-        tuples `rows` (else there is no h), h runs over its rows, then over
-        the divisor E_i of each non-trivial valuation, integrated from t_i on.
+        valuation; all 0 when the range is empty.  h runs over the float
+        tuples in the list `rows`, then over the divisor E_i of each
+        non-trivial valuation, integrated from t_i on.
         """
         ts = [float(t) for t in shifts]
         t0 = min(ts)
         active = [ts[i] for i in self._nontrivial]
-        starts = None
-        if rows is not None:
-            rows, starts = [*rows, *self._divs], [-math.inf] * len(rows) + active
+        rows, starts = [*rows, *self._divs], [-math.inf] * len(rows) + active
         if self._gammas is None:
             self._gammas = [
                 float(gamma_threshold(self.model, self.L, self.support[i])) for i in self._nontrivial
@@ -391,23 +389,20 @@ class _SurfaceProblem:
         # a trivial valuation admits no section past its shift: hard cutoff
         lam_max = min([g + t for g, t in zip(self._gammas, active)] + [ts[i] for i in self._trivial])
         if lam_max <= t0:
-            return t0, lam_max, 0.0, None if rows is None else [0.0] * len(rows)
+            return t0, lam_max, 0.0, [0.0] * len(rows)
         return (t0, lam_max, *self.walk(active, t0, lam_max, rows, starts))
 
-    def expected_order(self, shifts, gradient=True):
-        """(S, grad S) at these shifts from one walk (grad None without
-        `gradient`).  For a non-trivial v_i, dS/dt_i = (2 / vol L) times the
-        integral of P . E_i from t_i to lam_max.  The least-shifted trivial
-        valuation, whose cap binds when the range is empty, takes 1 minus the
-        others; other trivial ones 0.
+    def expected_order(self, shifts):
+        """(S, grad S) at these shifts from one walk.  For a non-trivial v_i,
+        dS/dt_i = (2 / vol L) times the integral of P . E_i from t_i to
+        lam_max.  The least-shifted trivial valuation, whose cap binds when
+        the range is empty, takes 1 minus the others; other trivial ones 0.
         """
         vol = self.volume
         if vol <= 0:
             raise GeometryError("expected vanishing order requires a big class")
-        t0, lam_max, iv, ih = self.integrals(shifts, [] if gradient else None)
+        t0, lam_max, iv, ih = self.integrals(shifts, [])
         value = t0 + iv / vol if lam_max > t0 else t0
-        if not gradient:
-            return value, None
         grad = [0.0] * len(self.support)
         for i, x in zip(self._nontrivial, ih):
             grad[i] = 2.0 * x / vol
@@ -415,11 +410,11 @@ class _SurfaceProblem:
             grad[min(self._trivial, key=lambda i: float(shifts[i]))] = 1.0 - math.fsum(grad)
         return value, grad
 
-    def walk(self, ts, lam0, lam1, rows=None, starts=None):
+    def walk(self, ts, lam0, lam1, rows, starts):
         """(integral of vol, integrals of P . h) over [lam0, lam1] along
         lam -> L - sum max(lam - t_i, 0) E_i, `ts` the float shifts of the
-        non-trivial valuations, h the float tuples in `rows` (None: no h),
-        row j integrated from `starts[j]` on.  One pass: E_i joins the line
+        non-trivial valuations, h the float tuples in the list `rows`, row j
+        integrated from `starts[j]` on.  One pass: E_i joins the line
         b + lam d when lam reaches t_i, so `t <= lam` is exact, and each
         chamber (`SurfaceModel._step`) is integrated in closed form up to its
         wall or the next shift.  The path only subtracts effective divisors,
@@ -432,7 +427,7 @@ class _SurfaceProblem:
         lat = target._float_lattice(max(self._size, max(abs(lam0), abs(lam1)) * self._span))
         events = [*sorted((t, i) for i, t in enumerate(ts) if t < lam1), (lam1, None)]
         b, d = self._base, (0.0,) * len(self._base)
-        total_v, total_h = 0.0, None if rows is None else [0.0] * len(rows)
+        total_v, total_h = 0.0, [0.0] * len(rows)
         x, k = lam0, 0
         while x < lam1:
             while events[k][0] <= x:
@@ -451,12 +446,11 @@ class _SurfaceProblem:
             unit = 1.0 / (scale * lat.sigma)
             q0, q1, q2 = (u * unit / scale for u in (_dot(p0, Mp0), 2.0 * _dot(p0, Mp1), _dot(p1, Mp1)))
             total_v += q0 * (end - x) + q1 * (end * end - x * x) / 2.0 + q2 * (end**3 - x**3) / 3.0
-            if rows is not None:
-                span, half = end - x, (end * end - x * x) / 2.0
-                total_h = [
-                    acc + unit * (_dot(r, Mp0) * span + _dot(r, Mp1) * half) if s <= x else acc
-                    for acc, r, s in zip(total_h, rows, starts)
-                ]
+            span, half = end - x, (end * end - x * x) / 2.0
+            total_h = [
+                acc + unit * (_dot(r, Mp0) * span + _dot(r, Mp1) * half) if s <= x else acc
+                for acc, r, s in zip(total_h, rows, starts)
+            ]
             if end == wall and all(abs(u + end * w) <= lat.tol * scale for u, w in zip(p0, p1)):
                 break
             x = end

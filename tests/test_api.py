@@ -37,3 +37,22 @@ def test_cli_quadrature_and_seed_are_inert(tmp_path, config):
     plain = report("b.json")
     assert overridden["tolerances"]["quadrature"] == 1e-3 and overridden["seed"] == 7
     assert [t["outputs"] for t in overridden["tasks"]] == [t["outputs"] for t in plain["tasks"]]
+
+
+def test_ma_solve_has_no_grad_tol():
+    assert "grad_tol" not in inspect.signature(ds.ma_solve).parameters
+
+
+def test_cli_gradient_tolerance_is_inert(tmp_path):
+    path = str(resources.files("divstab") / "configs" / "p2_ma.json")
+
+    def report(name, *extra):
+        out = tmp_path / name
+        result = CliRunner().invoke(main, ["run", path, "--out", str(out), *extra])
+        assert result.exit_code == 0, result.output
+        return json.loads(out.read_text())
+
+    overridden = report("a.json", "--tolerance-override", "gradient=1e-2")
+    plain = report("b.json")
+    assert overridden["tolerances"]["gradient"] == 1e-2
+    assert [t["outputs"] for t in overridden["tasks"]] == [t["outputs"] for t in plain["tasks"]]

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import divstab
-from divstab.cli import _jsonify, main
+from divstab.cli import ConfigError, _jsonify, main, parse_config
 from divstab.core import DivisorialMeasure
 from divstab.filtrations import FiltrationSpec
 from divstab.stability import NormResult
@@ -463,3 +463,44 @@ class TestMalformedToricInput:
     def test_good_config_runs(self, tmp_path):
         tasks = [{"kind": "finite_k", "support": ["e1", "bad"], "shifts": [0, 0], "k": 2}]
         assert self.run(tmp_path, self.RAYS, [1, 1], tasks) == (0, None)
+
+
+class TestNonPositiveTolerances:
+    """A tolerance is a positive finite number: zero or a negative value in
+    the config or in an override is a schema error at its path."""
+
+    TASK = {"kind": "norm", "measure": {"atoms": [{"valuation": "trivial", "mass": "1/2"},
+                                                  {"valuation": "line", "mass": "1/2"}]}}
+
+    def write(self, tmp_path, tolerances):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"name": "p2"}, "line_bundle": ["3"],
+                                   "tolerances": tolerances, "tasks": [self.TASK]}))
+        return str(cfg)
+
+    @pytest.mark.parametrize("key", ["optimizer", "gradient", "quadrature"])
+    @pytest.mark.parametrize("value", [-1, 0, 0.0, "-1/2", -1e-300])
+    def test_config_tolerance_rejected(self, tmp_path, key, value):
+        result = run_cli(["run", self.write(tmp_path, {key: value})])
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["error"]["path"] == f"tolerances.{key}"
+
+    @pytest.mark.parametrize("key", ["optimizer", "gradient", "quadrature"])
+    @pytest.mark.parametrize("value", ["-1", "0", "-0.0", "-1/2"])
+    def test_override_rejected(self, tmp_path, key, value):
+        cfg = self.write(tmp_path, {})
+        result = run_cli(["run", cfg, "--tolerance-override", f"{key}={value}"])
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["error"]["path"] == f"--tolerance-override {key}"
+
+    def test_parse_config_checks_overrides_too(self):
+        payload = {"model": {"name": "p2"}, "line_bundle": ["3"]}
+        with pytest.raises(ConfigError) as info:
+            parse_config(payload, {"gradient": 0.0})
+        assert info.value.path == "--tolerance-override gradient"
+
+    def test_positive_tolerances_run(self, tmp_path):
+        result, report = run_to_report(tmp_path, [self.write(tmp_path, {"optimizer": "1/1000000"})])
+        assert result.exit_code == 0
+        assert report["tolerances"]["optimizer"] == 1e-6
+        assert report["tasks"][0]["outputs"]["norm"]["converged"]
