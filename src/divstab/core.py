@@ -98,6 +98,9 @@ class Valuation:
     surface valuations, a primitive lattice vector (tuple of ints) for
     monomial valuations on a toric model, and ``None`` for the trivial
     valuation.
+
+    Valuations key the thresholds in a model's memo, so the hash of the
+    fields is computed once, here, not on every lookup.
     """
 
     name: str
@@ -111,6 +114,14 @@ class Valuation:
             raise GeometryError(f"log discrepancy of {self.name!r} is negative")
         if self.is_trivial and self.log_discrepancy != 0:
             raise GeometryError("the trivial valuation has log discrepancy 0")
+        object.__setattr__(self, "_hash", hash((self.name, self.log_discrepancy, self.is_trivial, self.order_model)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__: a str hash differs between processes
+        return Valuation, (self.name, self.log_discrepancy, self.is_trivial, self.order_model)
 
 
 TRIVIAL_VALUATION = Valuation("trivial", Fraction(0), is_trivial=True)

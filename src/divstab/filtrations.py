@@ -134,9 +134,11 @@ def expected_order_S_grad(
 ) -> tuple[float, tuple[float, ...]]:
     """(S, grad_t S) of L along the filtration from one exact evaluation, the
     gradient an exact supergradient of the concave S, summing to 1: surfaces
-    walk the Zariski chambers in floats, on the problem compiled for (L,
-    support), so new shifts only walk chambers (`_SurfaceProblem.expected_order`);
-    toric models integrate over the cells of the section polytope exactly and
+    work on the problem compiled for (L, support), so new shifts redo only
+    the integral (`_SurfaceProblem.expected_order`).  With one non-trivial
+    valuation it integrates the chambers of the exact threshold walk in
+    closed form; with more it walks the Zariski chambers in floats.  Toric
+    models integrate over the cells of the section polytope exactly and
     round once to float (`ToricModel.expected_order`)."""
     if isinstance(model, ToricModel):
         value, grad = model.expected_order(L, spec.support, spec.shifts)

@@ -10,6 +10,9 @@ right of a point, where P is linear and vol = P^2 quadratic in lam, and the
 pairings of P that give its walls.  It runs fraction-free on a tuple over
 one positive scale, with the lattice data in ints: on ints for `zariski` and
 the thresholds, on floats for S and its gradients (`_SurfaceProblem.walk`).
+The threshold walk keeps its chambers, each with the quadratic vol on it,
+so S and grad S of a support with one non-trivial valuation integrate them
+in closed form and search no chamber (`_SurfaceProblem.expected_order`).
 """
 from __future__ import annotations
 
@@ -311,22 +314,31 @@ class SurfaceModel(GeometryModel):
         """Exact pseudoeffective threshold of big L along v: walk the Zariski
         chambers of pull(L) - lam E_v up from 0, P linear and vol = P^2 on
         each, until the next chamber is not pseudoeffective or vol reaches 0
-        before the wall (the first root of an N-coefficient or a pairing)."""
-        self._check_basis(L)
+        before the wall (the first root of an N-coefficient or a pairing).
+
+        The chambers walked stay in the memo of L, under ("chambers", v),
+        next to the threshold that `gamma_threshold` keeps: one float tuple
+        (start, end, c0, c1, c2) per chamber, vol(L - lam E_v) = c0 + c1 lam
+        + c2 lam^2 on [start, end], each c the exact coefficient rounded
+        once, and the last end the threshold."""
+        memo = self._memo_of(L)
         if v.is_trivial:
             raise GeometryError("pseudoeffective threshold undefined for the trivial valuation")
         target, pull = self.resolve_realization([v])
         lat = target._exact
         (b, d), q = _integral((pull(L.coefficients), [-c for c in v.order_model.divisor.coefficients]))
-        x = Fraction(0)
+        x, chambers = Fraction(0), []
         while (step := target._step(lat, b, d, q, x.as_integer_ratio())) is not None:
             p0, p1, Mp0, Mp1, scale, wall = step
-            root = _first_root(_dot(p0, Mp0), 2 * _dot(p0, Mp1), _dot(p1, Mp1), scale**2 * lat.sigma, x, wall)
-            if root is not None:
-                return root
-            if wall is None:
+            coeffs, unit = (_dot(p0, Mp0), 2 * _dot(p0, Mp1), _dot(p1, Mp1)), scale**2 * lat.sigma
+            root = _first_root(*coeffs, unit, x, wall)
+            if root is None and wall is None:
                 raise GeometryError(f"threshold of {v.name!r} is unbounded: no declared curve bounds it")
-            x = wall
+            x, start = wall if root is None else root, x
+            chambers.append((float(start), float(x), *(c / unit for c in coeffs)))
+            if root is not None:
+                break
+        memo["chambers", v] = tuple(chambers)
         return x
 
     def _compiled(self, L: DivisorClass, support: Sequence[Valuation]) -> "_SurfaceProblem":
@@ -348,7 +360,11 @@ class _SurfaceProblem:
     coordinates, and the float divisors of the non-trivial valuations.
     Building it resolves the realization, so a support realised on several
     birational models raises here, whatever the shifts.  The thresholds
-    gamma_i are computed on the first `integrals` call, which needs L big.
+    gamma_i are computed on first use (`thresholds`), which needs L big.
+    With one non-trivial valuation v, the problem also holds the chambers
+    of v's gamma walk (`SurfaceModel.closed_form_threshold`), and `S` and
+    its gradient integrate them in closed form; other supports walk the
+    chambers in floats (`walk`).
     """
 
     def __init__(self, model: SurfaceModel, L: DivisorClass, support: tuple):
@@ -361,6 +377,7 @@ class _SurfaceProblem:
         self._nontrivial = [i for i, v in enumerate(support) if not v.is_trivial]
         self._trivial = [i for i, v in enumerate(support) if v.is_trivial]
         self._gammas: Optional[list[float]] = None
+        self._chambers: Optional[tuple] = None
         self.target, self._pull = model.resolve_realization(support)
         self._base = _floats(self._pull(L.coefficients))
         self._divs = [_floats(support[i].order_model.divisor.coefficients) for i in self._nontrivial]
@@ -370,6 +387,18 @@ class _SurfaceProblem:
     def pulled(self, classes) -> list:
         """The classes pulled back to the realization, one float tuple each."""
         return [_floats(self._pull(D.coefficients)) for D in classes]
+
+    def thresholds(self) -> list:
+        """The float thresholds gamma_i of the non-trivial valuations, computed
+        once.  With one, its chambers are read from the memo of L right after
+        `gamma_threshold` has put them there, and kept here: by a later call,
+        another class may have replaced that memo."""
+        if self._gammas is None:
+            gammas = [gamma_threshold(self.model, self.L, self.support[i]) for i in self._nontrivial]
+            if len(gammas) == 1:
+                self._chambers = self.model._memo_of(self.L)["chambers", self.support[self._nontrivial[0]]]
+            self._gammas = [float(g) for g in gammas]
+        return self._gammas
 
     def integrals(self, shifts, rows):
         """(t0, lam_max, integral of vol, integrals of P . h) over the range
@@ -382,30 +411,44 @@ class _SurfaceProblem:
         t0 = min(ts)
         active = [ts[i] for i in self._nontrivial]
         rows, starts = [*rows, *self._divs], [-math.inf] * len(rows) + active
-        if self._gammas is None:
-            self._gammas = [
-                float(gamma_threshold(self.model, self.L, self.support[i])) for i in self._nontrivial
-            ]
         # a trivial valuation admits no section past its shift: hard cutoff
-        lam_max = min([g + t for g, t in zip(self._gammas, active)] + [ts[i] for i in self._trivial])
+        lam_max = min([g + t for g, t in zip(self.thresholds(), active)] + [ts[i] for i in self._trivial])
         if lam_max <= t0:
             return t0, lam_max, 0.0, [0.0] * len(rows)
         return (t0, lam_max, *self.walk(active, t0, lam_max, rows, starts))
 
     def expected_order(self, shifts):
-        """(S, grad S) at these shifts from one walk.  For a non-trivial v_i,
-        dS/dt_i = (2 / vol L) times the integral of P . E_i from t_i to
-        lam_max.  The least-shifted trivial valuation, whose cap binds when
-        the range is empty, takes 1 minus the others; other trivial ones 0.
+        """(S, grad S) at these shifts.  For a non-trivial v_i, dS/dt_i =
+        (2 / vol L) times the integral of P . E_i from t_i to lam_max.  The
+        least-shifted trivial valuation, whose cap binds when the range is
+        empty, takes 1 minus the others; other trivial ones 0.
+
+        With one non-trivial v, at shift t, and tau the least trivial shift
+        (inf if none), nothing is walked: S = t + F(y) / vol L and dS/dt =
+        1 - vol(L - y E) / vol L, for y = min(gamma, tau - t) and F the
+        integral of vol(L - mu E) over [0, y], from the chambers of the
+        gamma walk; d vol(L - mu E) / d mu = -2 P . E gives the gradient.
+        Other supports take both from one float walk (`integrals`).
         """
         vol = self.volume
         if vol <= 0:
             raise GeometryError("expected vanishing order requires a big class")
-        t0, lam_max, iv, ih = self.integrals(shifts, [])
-        value = t0 + iv / vol if lam_max > t0 else t0
         grad = [0.0] * len(self.support)
-        for i, x in zip(self._nontrivial, ih):
-            grad[i] = 2.0 * x / vol
+        if len(self._nontrivial) == 1:
+            (i,), (gamma,) = self._nontrivial, self.thresholds()
+            ts = [float(s) for s in shifts]
+            y = min(gamma, min([ts[j] for j in self._trivial], default=math.inf) - ts[i])
+            if y > 0:
+                integral, drop = _chamber_integral(self._chambers, y)
+                # vol(L - gamma E) = 0
+                value, grad[i] = ts[i] + integral / vol, 1.0 if y == gamma else drop / vol
+            else:
+                value = min(ts)
+        else:
+            t0, lam_max, iv, ih = self.integrals(shifts, [])
+            value = t0 + iv / vol if lam_max > t0 else t0
+            for i, x in zip(self._nontrivial, ih):
+                grad[i] = 2.0 * x / vol
         if self._trivial:
             grad[min(self._trivial, key=lambda i: float(shifts[i]))] = 1.0 - math.fsum(grad)
         return value, grad
@@ -549,6 +592,20 @@ def _first_root(q0, q1, q2, unit, x, wall):
     q0, q1, q2 = (Fraction(c, unit) for c in (q0, q1, q2))
     s = math.sqrt(Fraction(disc, unit * unit))
     return (-q1 - s) / (2 * q2) if q1 > 0 else 2 * q0 / (-q1 + s)
+
+
+def _chamber_integral(chambers, y):
+    """(integral of vol over [0, y], vol(0) - vol(y)) for 0 < y <= the last
+    end of `closed_form_threshold`'s chambers, on each of which vol = c0 +
+    c1 mu + c2 mu^2; both summed chamber by chamber, as the float walk does."""
+    total = drop = 0.0
+    for start, end, c0, c1, c2 in chambers:
+        x = min(end, y)
+        total += c0 * (x - start) + c1 * (x * x - start * start) / 2.0 + c2 * (x**3 - start**3) / 3.0
+        drop -= c1 * (x - start) + c2 * (x * x - start * start)
+        if y <= end:
+            break
+    return total, drop
 
 
 def zariski(model: SurfaceModel, D: DivisorClass) -> ZariskiDecomposition:

@@ -44,6 +44,31 @@ class TestValuation:
         with pytest.raises(ds.GeometryError):
             ds.Valuation("t", Fraction(1), is_trivial=True)
 
+    def test_equal_valuations_built_apart_share_hash_and_memo_key(self):
+        import pickle
+
+        from divstab.surface import SurfaceRealization
+
+        realization = p2.named_valuations["point_blowup"].order_model
+
+        def build():
+            # a fresh realization and Fractions each time: equal, not identical
+            copy = SurfaceRealization(realization.model, blp2.divisor([0, 1]), "p2", ((Fraction(1),), (Fraction(0),)))
+            return ds.Valuation("point_blowup", "2", order_model=copy)
+
+        a, b = build(), build()
+        assert a is not b and a.order_model is not b.order_model
+        assert a == b == p2.named_valuations["point_blowup"]
+        assert hash(a) == hash(b) == hash(p2.named_valuations["point_blowup"])
+        assert {a: 1}[b] == 1
+        assert a != ds.Valuation("point_blowup", 3, order_model=a.order_model)
+        # a toric valuation survives a pickle round trip, hash included
+        e1 = ds.bundled_model("p2_toric").named_valuations["e1"]
+        again = pickle.loads(pickle.dumps(e1))
+        assert again == e1 and hash(again) == hash(e1)
+        L = p2.divisor([3])
+        assert ds.gamma_threshold(p2, L, a) is ds.gamma_threshold(p2, L, b)
+
 
 class TestDivisorialMeasure:
     def test_masses_must_sum_to_one(self):

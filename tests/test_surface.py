@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -267,7 +268,9 @@ class TestExpectedOrderMatchesExactWalk:
 
 class TestWalkWork:
     """The float walk searches one chamber per piece and per wall crossed,
-    and at most once more, where the class leaves the psef cone."""
+    and at most once more, where the class leaves the psef cone.  A support
+    with one non-trivial valuation searches none: its S integrates the
+    chambers that the exact gamma walk recorded, one per piece and per wall."""
 
     @pytest.mark.parametrize(
         "name, L, valuations, shifts, pieces, walls, leaves",
@@ -306,9 +309,136 @@ class TestWalkWork:
         expected_order_S_grad(model, model.divisor(L), spec)  # compiles the problem: gamma, vol
         monkeypatch.setattr(SurfaceModel, "_chamber", counting)
         value, _ = expected_order_S_grad(model, model.divisor(L), spec)
-        assert len(searches) == pieces + walls + leaves
-        assert len(failed) == leaves
+        if sum(v is not None for v in valuations) == 1:
+            assert searches == []
+            assert len(model._compiled(model.divisor(L), support)._chambers) == pieces + walls
+        else:
+            assert len(searches) == pieces + walls + leaves
+            assert len(failed) == leaves
         assert value == pytest.approx(float(reference.surface_S_grad(model, model.divisor(L), support, shifts)[0]))
+
+
+class TestOneValuationClosedForm:
+    """S and grad S of a support with one non-trivial valuation, which
+    integrate the chambers of the exact gamma walk in closed form, against
+    the Fraction walk of tests/_reference.py at dyadic shifts and against
+    the float walk (`_SurfaceProblem.integrals`)."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        # the float chamber searches run from here on
+        calls = []
+        chamber = SurfaceModel._chamber
+
+        def counting(self, lat, b, d, q, x):
+            if lat is not self._exact:
+                calls.append(x)
+            return chamber(self, lat, b, d, q, x)
+
+        monkeypatch.setattr(SurfaceModel, "_chamber", counting)
+        return calls
+
+    # a second trivial valuation: only its name differs
+    TRIVIAL_2 = ds.Valuation("trivial_2", 0, is_trivial=True)
+
+    @staticmethod
+    def walked(problem, shifts):
+        """(S, dS/dt_v) from the float walk, for the one non-trivial v."""
+        t0, lam_max, iv, ih = problem.integrals(shifts, [])
+        if lam_max <= t0:
+            return t0, 0.0
+        return t0 + iv / problem.volume, 2.0 * ih[0] / problem.volume
+
+    @staticmethod
+    def cases(rng):
+        """(model, L, valuation, gamma) over the four bundled surfaces, with
+        p2's point_blowup, realised on blp2, among p2's valuations."""
+        for model in surface_models():
+            for _ in range(6):
+                L = random_big_class(model, rng)
+                for v in model.named_valuations.values():
+                    yield model, L, v, ds.gamma_threshold(model, L, v)
+
+    def test_matches_reference_and_float_walk(self, searches):
+        rng = random.Random(20)
+        seen = {"alone": 0, "cap_below": 0, "cap_inside": 0, "cap_beyond": 0, "point_blowup": 0}
+        for model, L, v, gamma in self.cases(rng):
+            seen["point_blowup"] += v.name == "point_blowup"
+            t = Fraction(rng.randint(0, 16), 8)
+            # dyadic caps: in (t, t + gamma) and past t + gamma
+            inside, beyond = t + Fraction(max(1, math.floor(gamma * 8 * rng.randint(1, 7))), 64), t + math.floor(gamma) + 1
+            for kind, support, shifts in [
+                ("alone", (v,), (t,)),
+                ("cap_below", (ds.TRIVIAL_VALUATION, v), (t - Fraction(1, 4), t)),
+                ("cap_inside", (v, ds.TRIVIAL_VALUATION), (t, inside)),
+                ("cap_beyond", (v, self.TRIVIAL_2, ds.TRIVIAL_VALUATION), (t, beyond + 1, beyond)),
+            ]:
+                seen[kind] += 1
+                floats = tuple(float(s) for s in shifts)
+                value, grad = expected_order_S_grad(model, L, FiltrationSpec(support, floats))
+                ref_value, ref_grad, _ = reference.surface_S_grad(model, L, support, shifts)
+                assert abs(value - float(ref_value)) <= 1e-13 * max(1.0, abs(float(ref_value)))
+                assert max(abs(g - float(r)) for g, r in zip(grad, ref_grad)) <= 1e-13
+                walk_value, walk_slope = self.walked(model._compiled(L, support), floats)
+                assert abs(value - walk_value) <= 1e-13 * max(1.0, abs(walk_value))
+                assert abs(grad[support.index(v)] - walk_slope) <= 1e-13
+                assert math.fsum(grad) == pytest.approx(1.0, abs=1e-15)
+        # integrals() above walked in floats; expected_order_S_grad never does
+        assert len(searches) > 0
+        assert min(seen.values()) >= 6, seen
+
+    def test_no_float_search(self, searches):
+        rng = random.Random(21)
+        for model, L, v, gamma in self.cases(rng):
+            for support, shifts in [((v,), (0.5,)), ((v, ds.TRIVIAL_VALUATION), (0.25, 0.25 + float(gamma) / 2))]:
+                expected_order_S_grad(model, L, FiltrationSpec(support, shifts))
+        assert searches == []
+
+    def test_pullback_of_point_blowup(self, searches):
+        # p2's point_blowup at aH is blp2's ord_e at (a, 0)
+        point, ord_e = p2.named_valuations["point_blowup"], blp2.named_valuations["ord_e"]
+        for a, shifts in [(3, (0.0,)), (Fraction(7, 2), (0.5,)), (2, (0.25, 1.0))]:
+            support = (point,) if len(shifts) == 1 else (point, ds.TRIVIAL_VALUATION)
+            pulled = (ord_e,) + support[1:]
+            below = expected_order_S_grad(p2, p2.divisor([a]), FiltrationSpec(support, shifts))
+            above = expected_order_S_grad(blp2, blp2.divisor([a, 0]), FiltrationSpec(pulled, shifts))
+            assert below == above
+        assert searches == []
+
+    def test_irrational_threshold(self, searches):
+        # vol(H - mu E) = 1 - 2 mu^2 on a lattice with no negative curve:
+        # gamma = 1/sqrt 2, S = 2 gamma / 3 = sqrt 2 / 3
+        model = SurfaceModel("open", [[1, 0], [0, -2]], sample_curves=[[1, 0]])
+        e = model.curve_valuation("e", [0, 1])
+        L = model.divisor([1, 0])
+        gamma = ds.gamma_threshold(model, L, e)
+        assert type(gamma) is float and gamma == pytest.approx(2**-0.5, rel=1e-15)
+        value, grad = expected_order_S_grad(model, L, FiltrationSpec((e,), (0.0,)))
+        assert value == pytest.approx(2**0.5 / 3, rel=1e-14) and grad == (1.0,)
+        capped = FiltrationSpec((e, ds.TRIVIAL_VALUATION), (0.0, 0.5))
+        value, grad = expected_order_S_grad(model, L, capped)
+        # int_0^1/2 (1 - 2 mu^2) = 1/2 - 1/12; dS/dt = 1 - vol(L - E/2) = 1/2
+        assert value == pytest.approx(5 / 12, rel=1e-14) and grad == pytest.approx((0.5, 0.5), abs=1e-15)
+        assert searches == []
+        for spec in (FiltrationSpec((e,), (0.0,)), capped):
+            walk_value, walk_slope = self.walked(model._compiled(L, spec.support), spec.shifts)
+            value, grad = expected_order_S_grad(model, L, spec)
+            assert abs(value - walk_value) <= 1e-13 and abs(grad[0] - walk_slope) <= 1e-13
+
+    def test_fibre_type_end(self, searches):
+        # vol(2F1 + 3F2 - mu F1) = 6 (2 - mu): P^2 = 0 at gamma = 2, P != 0
+        model = ds.bundled_model("p1xp1")
+        f1_, L = model.named_valuations["ord_f1"], model.divisor([2, 3])
+        assert ds.gamma_threshold(model, L, f1_) == 2
+        assert model._compiled(L, (f1_,)).thresholds() == [2.0]
+        assert expected_order_S_grad(model, L, FiltrationSpec((f1_,), (0.0,))) == (1.0, (1.0,))
+        capped = FiltrationSpec((f1_, ds.TRIVIAL_VALUATION), (0.0, 1.0))
+        # int_0^1 6 (2 - mu) / 12 = 3/4; dS/dt = 1 - 6 / 12
+        assert expected_order_S_grad(model, L, capped) == (0.75, (0.5, 0.5))
+        # a cap at or below the shift: an empty range, S the least shift
+        low = FiltrationSpec((self.TRIVIAL_2, f1_, ds.TRIVIAL_VALUATION), (0.5, 1.0, 0.5))
+        assert expected_order_S_grad(model, L, low) == (0.5, (1.0, 0.0, 0.0))
+        assert searches == []
 
 
 class TestExactTypes:
