@@ -1,8 +1,8 @@
 """Stability invariants of big line bundles on exactly-computable geometries.
 
 Surfaces (declared Neron-Severi lattice + Zariski decomposition) and smooth
-toric varieties (section polytopes + monomial valuations) implement a shared
-volume-oracle contract; on top of it live divisorial filtrations, expected
+toric varieties (section polytopes + monomial valuations) implement one
+backend protocol, `GeometryModel`; on it live divisorial filtrations, expected
 vanishing orders, Legendre-transform norms, Danskin derivatives, beta and
 delta invariants, and a variational Monge-Ampere solver.
 """

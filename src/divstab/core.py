@@ -1,5 +1,7 @@
-"""Divisor-class arithmetic and the volume-oracle contract shared by all backends.
+"""Divisor-class arithmetic and the backend protocol shared by all models.
 
+The filtration and stability layers read a model only through `GeometryModel`:
+`volume`, `closed_form_threshold`, `expected_order`, `order_derivative`, `centre`.
 Class coordinates and intersection-theoretic quantities are exact rationals
 (`fractions.Fraction`); only integrals, suprema over shift vectors and
 irrational surface thresholds use floating point, each with an explicit
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class GeometryError(Exception):
@@ -160,7 +162,7 @@ class DivisorialMeasure:
 
 
 class GeometryModel(ABC):
-    """Abstract volume oracle against a concrete variety model, with one memo
+    """The backend protocol against a concrete variety model, with one memo
     (`_memo_of`): the results derived from the last class asked, by name."""
 
     name: str
@@ -185,25 +187,24 @@ class GeometryModel(ABC):
         """vol(D) as an exact rational; 0 off the pseudoeffective cone."""
 
     @abstractmethod
-    def twisted_volume(self, L: DivisorClass, constraints: Sequence[tuple[Valuation, object]]):
-        """vol of L twisted down by the given (valuation, coefficient) pairs.
-
-        Exact when every coefficient is rational; trivial valuations are not
-        allowed here (they constrain nothing and are handled upstream).
-        """
-
-    @abstractmethod
-    def twist_evaluator(
-        self, L: DivisorClass, valuations: Sequence[Valuation]
-    ) -> Callable[[Sequence[float]], float]:
-        """Float-valued closure c -> vol(L twisted by coefficients c), for the
-        quadrature reference (`expected_order_S` with method="quadrature")
-        only; the exact path is `twisted_volume`."""
-
-    @abstractmethod
     def closed_form_threshold(self, L: DivisorClass, v: Valuation):
         """The exact pseudoeffective threshold of big L along v, which
         `gamma_threshold` keeps in the memo of L."""
+
+    @abstractmethod
+    def expected_order(self, L: DivisorClass, support: Sequence[Valuation], shifts) -> tuple:
+        """(S, grad_t S) of big L along the shifted support, the gradient an
+        exact supergradient of the concave S, summing to 1."""
+
+    @abstractmethod
+    def order_derivative(self, L: DivisorClass, support: Sequence[Valuation], shifts, H: DivisorClass) -> float:
+        """d/ds S_{L+sH}(t) at s = 0 with t fixed; callers pass -H for the
+        left derivative."""
+
+    def centre(self, v: Valuation):
+        """The key of the order function of v: atoms with one key enter S
+        only through their least shift.  None for the trivial valuation."""
+        return None if v.is_trivial else v
 
     def is_big(self, D: DivisorClass) -> bool:
         return self.volume(D) > 0

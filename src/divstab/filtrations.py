@@ -5,11 +5,10 @@ invariant is the expected vanishing order
 
     S(t) = t0 + vol(L)^{-1} Integral_{t0}^{lam_max} vol(L - Sum max(lam - t_i, 0) E_i) dlam
 
-with t0 = min t_i and lam_max = min_i (gamma_i + t_i).  On a surface the
-volume is quadratic on each Zariski chamber and integrated chamber by chamber;
-on a toric model S is the mean over the section polytope P_L of
-min_i (order_i + t_i), integrated exactly cell by cell.  The same quantity is
-approximated at finite level k from jumping numbers of toric monomial bases.
+with t0 = min t_i and lam_max = min_i (gamma_i + t_i).  Each backend
+evaluates S and its gradient in the shifts in one call
+(`GeometryModel.expected_order`).  The same quantity is approximated at
+finite level k from jumping numbers of toric monomial bases.
 """
 from __future__ import annotations
 
@@ -21,7 +20,6 @@ import numpy as np
 
 from .core import GeometryError, GeometryModel, DivisorClass, Valuation, gamma_threshold
 from .quadrature import integrate
-from .surface import SurfaceModel
 from .toric import ToricModel
 
 
@@ -107,11 +105,9 @@ def expected_order_S(
         raise ValueError(f"unknown method {method!r}; expected 'auto' or 'quadrature'")
     if method == "auto":
         return expected_order_S_grad(model, L, spec)[0]
-    if isinstance(model, SurfaceModel):
-        # compiling resolves the realization: a mixed support raises for every t
-        vol_L = model._compiled(L, spec.support).volume
-    else:
-        vol_L = model.volume(L)
+    # built first: it resolves the realization, so a mixed support raises for every t
+    evaluator = model.twist_evaluator(L, [v for v in spec.support if not v.is_trivial])
+    vol_L = model.volume(L)
     if vol_L <= 0:
         raise GeometryError("expected vanishing order requires a big class")
 
@@ -120,7 +116,6 @@ def expected_order_S(
         return t0
 
     shifts = [t for _, t in nontrivial]
-    evaluator = model.twist_evaluator(L, [v for v, _ in nontrivial])
 
     def integrand(lam: float) -> float:
         return evaluator([max(lam - t, 0.0) for t in shifts])
@@ -132,21 +127,11 @@ def expected_order_S(
 def expected_order_S_grad(
     model: GeometryModel, L: DivisorClass, spec: FiltrationSpec
 ) -> tuple[float, tuple[float, ...]]:
-    """(S, grad_t S) of L along the filtration from one exact evaluation, the
-    gradient an exact supergradient of the concave S, summing to 1: surfaces
-    work on the problem compiled for (L, support), so new shifts redo only
-    the integral (`_SurfaceProblem.expected_order`).  With one non-trivial
-    valuation it integrates the chambers of the exact threshold walk in
-    closed form; with more it walks the Zariski chambers in floats.  Toric
-    models integrate over the cells of the section polytope exactly and
-    round once to float (`ToricModel.expected_order`)."""
-    if isinstance(model, ToricModel):
-        value, grad = model.expected_order(L, spec.support, spec.shifts)
-        return float(value), tuple(float(x) for x in grad)
-    if not isinstance(model, SurfaceModel):
-        raise GeometryError("exact S and its gradient need a surface or toric model")
-    value, grad = model._compiled(L, spec.support).expected_order(spec.shifts)
-    return value, tuple(grad)
+    """(S, grad_t S) of L along the filtration from one exact evaluation of
+    the backend (`GeometryModel.expected_order`), the gradient an exact
+    supergradient of the concave S, summing to 1, both rounded to float."""
+    value, grad = model.expected_order(L, spec.support, spec.shifts)
+    return float(value), tuple(map(float, grad))
 
 
 def _jumping_values(model, L, spec: FiltrationSpec, k: int) -> np.ndarray:

@@ -33,8 +33,6 @@ from .core import (
     gamma_threshold,
 )
 from .filtrations import FiltrationSpec, expected_order_S, expected_order_S_grad
-from .surface import SurfaceModel
-from .toric import ToricModel
 
 PROBE_SEMANTICS = (
     "finite-instance evidence only: an instability witness is definitive, "
@@ -356,30 +354,6 @@ def norm_enlarged_support_check(
 # -- Danskin derivatives ----------------------------------------------------
 
 
-def _grad_S_direction(model, L, support, shifts, H) -> float:
-    """d/ds S_{L+sH}(t) at s=0 with t fixed."""
-    spec = FiltrationSpec(tuple(support), tuple(shifts))
-    if isinstance(model, SurfaceModel):
-        problem = model._compiled(L, spec.support)
-        t0, lam_max, iv, ih = problem.integrals(spec.shifts, problem.pulled([H]))
-        if lam_max <= t0:
-            return 0.0
-        vol = problem.volume
-        # P_L . H from the decomposition the problem kept: L is not decomposed again
-        plh = float(model.pairing(problem.positive, H))
-        return (2.0 / vol) * (float(ih[0]) - (plh / vol) * iv)
-    # Richardson-extrapolated central differences in the L direction
-    def diff(eps: Fraction) -> float:
-        up = expected_order_S(model, L + eps * H, spec)
-        dn = expected_order_S(model, L + (-eps) * H, spec)
-        return (up - dn) / (2.0 * float(eps))
-
-    e = Fraction(1, 1000)
-    d1 = diff(e)
-    d2 = diff(e / 2)
-    return (4.0 * d2 - d1) / 3.0
-
-
 def _danskin(model, L, mu, H, side, options, check=True) -> tuple[NormResult, float]:
     """The norm of mu and its one-sided derivative along H.  The check on
     L +- eps H, if `check`, runs first: the derivative reads the norm's memo."""
@@ -392,7 +366,7 @@ def _danskin(model, L, mu, H, side, options, check=True) -> tuple[NormResult, fl
         raise GeometryError("direction leaves the big cone at first order")
     result = norm(model, L, mu, options=options)
     (t,) = result.maximizers
-    return result, sign * _grad_S_direction(model, L, mu.support, t, sign * H)
+    return result, sign * model.order_derivative(L, mu.support, t, sign * H)
 
 
 def danskin_derivative(
@@ -403,8 +377,8 @@ def danskin_derivative(
     side: str = "right",
     options: OptimizerOptions = OptimizerOptions(),
 ) -> float:
-    """One-sided derivative of ||mu||_{L+sH} at s=0: grad S at the one
-    reported maximizer, exact when the argmax is that point."""
+    """One-sided derivative of ||mu||_{L+sH} at s=0: `model.order_derivative`
+    at the one reported maximizer, exact when the argmax is that point."""
     return _danskin(model, L, mu, H, side, options)[1]
 
 
@@ -472,8 +446,7 @@ def ma_solve(
 
     Maximizes the same functional as `norm`; the output measure is the exact
     supergradient of S at the reported maximizer, from one evaluation.  S
-    sees atoms that share one order function (trivial ones, or toric ones
-    with one vector w; on a surface the twists of distinct curves add) only
+    sees atoms that share one order function, one `model.centre`, only
     through their least shift, so S has a kink where their shifts tie: their
     coordinates are flagged, and the group's mass is split in proportion to
     mu, an element of the superdifferential at the tie.
@@ -484,7 +457,7 @@ def ma_solve(
     measure = list(expected_order_S_grad(model, L, FiltrationSpec(mu.support, t_star))[1])
     groups: dict[object, list[int]] = {}
     for i, v in enumerate(mu.support):
-        groups.setdefault(v.order_model if v.is_trivial or isinstance(model, ToricModel) else i, []).append(i)
+        groups.setdefault(model.centre(v), []).append(i)
     flats = []
     for group in groups.values():
         if len(group) > 1:

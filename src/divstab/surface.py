@@ -341,6 +341,23 @@ class SurfaceModel(GeometryModel):
         memo["chambers", v] = tuple(chambers)
         return x
 
+    def expected_order(self, L: DivisorClass, support, shifts) -> tuple[float, list[float]]:
+        """(S, grad_t S) in floats from the problem compiled for (L, support):
+        new shifts redo only the integral (`_SurfaceProblem.expected_order`)."""
+        return self._compiled(L, support).expected_order(shifts)
+
+    def order_derivative(self, L: DivisorClass, support, shifts, H: DivisorClass) -> float:
+        """d/ds S_{L+sH}(t) at s = 0 from one float walk of the compiled
+        problem: (2 / vol) (integral of P . H - (P_L . H / vol) integral of vol)."""
+        problem = self._compiled(L, support)
+        t0, lam_max, iv, ih = problem.integrals(shifts, problem.pulled([H]))
+        if lam_max <= t0:
+            return 0.0
+        vol = problem.volume
+        # P_L . H from the decomposition the problem kept: L is not decomposed again
+        plh = float(self.pairing(problem.positive, H))
+        return (2.0 / vol) * (float(ih[0]) - (plh / vol) * iv)
+
     def _compiled(self, L: DivisorClass, support: Sequence[Valuation]) -> "_SurfaceProblem":
         """The compiled problem of (L, support), kept in the memo of L for the
         last support, which is compared, not hashed."""

@@ -30,6 +30,10 @@ from .core import (
     as_fraction,
 )
 
+# the most rows `_box_points` builds for one level k, in the prefixes of the
+# bounding box of k P_L and in its lattice points; a larger k is rejected
+MAX_LEVEL_POINTS = 10**6
+
 
 class ToricModel(GeometryModel):
     """A smooth complete fan declared by its rays; divisors by ray coefficients."""
@@ -272,6 +276,20 @@ class ToricModel(GeometryModel):
             grad[i1] -= grad[i]
         return total / mass, grad
 
+    def order_derivative(self, L: DivisorClass, support, shifts, H: DivisorClass) -> float:
+        """d/ds S_{L+sH}(t) at s = 0: Richardson-extrapolated central
+        differences of S, each rounded to float, at steps 1/1000 and 1/2000."""
+        def diff(eps: Fraction) -> float:
+            up, dn = (float(self.expected_order(L + e * H, support, shifts)[0]) for e in (eps, -eps))
+            return (up - dn) / (2.0 * float(eps))
+
+        d1, d2 = diff(Fraction(1, 1000)), diff(Fraction(1, 2000))
+        return (4.0 * d2 - d1) / 3.0
+
+    def centre(self, v: Valuation):
+        """The vector w, which fixes the order function; None if trivial."""
+        return v.order_model
+
     # -- section rings ------------------------------------------------------
 
     def section_basis(self, L: DivisorClass, k: int) -> list[tuple[int, ...]]:
@@ -314,6 +332,8 @@ class ToricModel(GeometryModel):
         # every prefix m[:-1] of the box, in product order; <m, ray> >= -a
         # solved for m[-1] turns each ray into a bound c m[-1] >= need
         shape = [b - a + 1 for a, b in zip(lo[:-1], hi[:-1])]
+        if math.prod(shape) > MAX_LEVEL_POINTS:
+            raise GeometryError(f"level k = {k} scans {math.prod(shape)} box prefixes, over {MAX_LEVEL_POINTS}")
         prefix = np.indices(shape, dtype=np.int64).reshape(len(shape), math.prod(shape)).T
         prefix += np.array(lo[:-1], dtype=np.int64)
         rays = np.array(self.rays, dtype=np.int64)
@@ -325,6 +345,8 @@ class ToricModel(GeometryModel):
         last = (need[:, down] // c[down]).min(axis=1, initial=hi[-1])
         last[(need[:, c == 0] > 0).any(axis=1)] = lo[-1] - 1
         counts = np.maximum(last - first + 1, 0)
+        if counts.sum() > MAX_LEVEL_POINTS:
+            raise GeometryError(f"level k = {k} has {counts.sum()} lattice points, over {MAX_LEVEL_POINTS}")
         # prefix i repeated counts[i] times, with m[-1] running first..last
         starts = np.repeat(first - np.cumsum(counts) + counts, counts)
         tail = starts + np.arange(counts.sum(), dtype=np.int64)

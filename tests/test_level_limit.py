@@ -1,0 +1,45 @@
+"""A finite level k whose lattice scan would exceed `MAX_LEVEL_POINTS` rows
+is rejected with a GeometryError before numpy allocates it."""
+import json
+
+import pytest
+from click.testing import CliRunner
+
+import divstab as ds
+from divstab.cli import main
+from divstab.toric import MAX_LEVEL_POINTS
+
+P2T = ds.bundled_model("p2_toric")
+E1 = P2T.named_valuations["e1"]
+L3H = P2T.divisor([0, 0, 3])
+SPEC = ds.FiltrationSpec((E1,), (0.0,))
+
+
+@pytest.mark.parametrize("k", [2**70, 500])
+def test_library_rejects_a_level_past_the_limit(k):
+    # 2**70 overflows the box prefixes; 500 has 1,501 prefixes but 1,127,251
+    # points, few enough to allocate if the limit were not checked
+    with pytest.raises(ds.GeometryError, match=f"level k = {k} "):
+        ds.filtration_volume_finite_k(P2T, L3H, SPEC, k)
+
+
+def test_levels_within_the_limit_still_run():
+    # (3k + 1)(3k + 2) / 2 points: k = 400 has 721,801, under the limit
+    assert MAX_LEVEL_POINTS == 10**6
+    assert len(P2T.lattice_points(L3H, 400)) == 721801
+
+
+def test_cli_reports_the_level_as_a_task_error(tmp_path):
+    config = tmp_path / "huge_k.json"
+    config.write_text(json.dumps({
+        "model": {"name": "p2_toric"},
+        "line_bundle": [0, 0, 3],
+        "tasks": [{"kind": "finite_k", "support": ["e1"], "shifts": [0], "k": 2**70}],
+    }))
+    out = tmp_path / "report.json"
+    result = CliRunner().invoke(main, ["run", str(config), "--out", str(out)])
+    # a task error exits 3 through sys.exit; a traceback would be another exception
+    assert result.exit_code == 3 and isinstance(result.exception, SystemExit)
+    (task,) = json.loads(out.read_text())["tasks"]
+    assert task["error"]["type"] == "GeometryError"
+    assert f"level k = {2**70} " in task["error"]["message"]
