@@ -10,16 +10,17 @@ right of a point, where P is linear and vol = P^2 quadratic in lam, and the
 pairings of P that give its walls.  It runs fraction-free on a tuple over
 one positive scale, with the lattice data in ints: on ints for `zariski` and
 the thresholds, on floats for S and its gradients (`_SurfaceProblem.walk`).
-The threshold walk keeps its chambers, each with the quadratic vol on it,
-so S and grad S of a support with one non-trivial valuation integrate them
-in closed form and search no chamber (`_SurfaceProblem.expected_order`).
+On ints, points and walls are int pairs, so the threshold walk builds one
+Fraction, the threshold.  It keeps its chambers, each with the quadratic vol
+on it, so S and grad S of a support with one non-trivial valuation integrate
+them in closed form and search no chamber (`_SurfaceProblem.expected_order`).
 """
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
@@ -44,13 +45,18 @@ class SurfaceRealization:
     `model` is the (possibly birational) surface carrying the prime divisor,
     `divisor` its class there, and `pullback` the rational matrix sending
     base-lattice coordinates to `model`'s lattice (None = identity, i.e. the
-    valuation is realised on the base surface itself).
+    valuation is realised on the base surface itself).  `ints` (`_integral`)
+    and `floats` are the coefficients of `divisor`, kept from construction.
     """
 
     model: "SurfaceModel"
     divisor: DivisorClass
     base_id: str
     pullback: Optional[tuple[tuple[Fraction, ...], ...]] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "ints", _integral((self.divisor.coefficients,)))
+        object.__setattr__(self, "floats", _floats(self.divisor.coefficients))
 
 
 @dataclass(frozen=True)
@@ -101,7 +107,7 @@ class SurfaceModel(GeometryModel):
             canonical_class = [0] * self.class_rank
         self.canonical_class = self.divisor(canonical_class)
 
-        self._exact = _Lattice(curves, duals, gram, matrix, sigma, kappa, Fraction, 0)
+        self._exact = _Lattice(curves, duals, gram, matrix, sigma, kappa, 0)
 
     # -- exact pairing and Zariski decomposition ---------------------------
 
@@ -123,12 +129,12 @@ class SurfaceModel(GeometryModel):
         return self._decomposition(D)[0]
 
     def _decomposition(self, D: DivisorClass):
-        """(Zariski decomposition, vol) of D, kept in the memo of D; off the
-        psef cone, its error message, raised afresh on each query."""
-        memo = self._memo_of(D)
-        hit = memo.get("zariski")
+        """(Zariski decomposition, vol) of D, kept in the memo of D beside its
+        ints (`_reduced`); off the psef cone, its error message, raised afresh
+        on each query."""
+        memo, lat = self._memo_of(D), self._exact
+        ((b,), q), hit = _reduced(memo, D)
         if hit is None:
-            lat, ((b,), q) = self._exact, _integral((D.coefficients,))
             try:
                 support, p0, _, scale, _ = self._chamber(lat, b, (0,) * len(b), q, (0, 1))
                 P = DivisorClass(tuple(Fraction(c, scale) for c in p0), self.basis_id)
@@ -136,7 +142,7 @@ class SurfaceModel(GeometryModel):
                 hit = ZariskiDecomposition(P, N), Fraction(_dot(p0, _image(lat.matrix, p0)), scale**2 * lat.sigma)
             except NotPseudoeffectiveError as e:
                 hit = str(e)
-            memo["zariski"] = hit
+            memo["zariski"] = ((b,), q), hit
         if isinstance(hit, str):
             raise NotPseudoeffectiveError(hit)
         return hit
@@ -148,19 +154,23 @@ class SurfaceModel(GeometryModel):
         index, a0, a1) whose N-coefficient lat.kappa (a0 + lam a1) / scale is
         positive at x+, and lines the pairings (p0 . u, p1 . u) with the dual
         u of each curve outside the support, negative then sample curves.
-        Each (c0 + lam c1) / scale is signed by `_sign` at x+.  Raises
+        Each (c0 + lam c1) / scale is signed at x+, in the pass that pairs it,
+        by xd c0 + xn c1, else by c1, each 0 within tol.  Raises
         NotPseudoeffectiveError off the psef cone at x+."""
         curves, duals, n = lat.curves, lat.duals, len(lat.curves)
         xn, xd = x
-        support, a0, a1, p0, p1, scale = [], [], [], b, d, q
-        tol = lat.tol * q
+        support, p0, p1, scale, tol = [], b, d, q, lat.tol * q
         while True:
             # P against each curve outside the support, once per support
-            outside = [i for i in range(n) if i not in support]
-            lines = [(_dot(p0, duals[i]), _dot(p1, duals[i])) for i in outside]
+            lines, violating, zero = [], [], tol * xd
+            for i in range(n):
+                if i not in support:
+                    c0, c1 = sum(map(mul, p0, duals[i])), sum(map(mul, p1, duals[i]))
+                    lines.append((c0, c1))
+                    if (c < 0) if abs(c := xd * c0 + xn * c1) > zero else (c1 < -tol):
+                        violating.append(i)
             if not support:
                 first = lines  # b and d against each curve
-            violating = [i for i, (c0, c1) in zip(outside, lines) if _sign(c0, c1, xn, xd, tol) < 0]
             if not violating:
                 break
             support += violating
@@ -179,14 +189,16 @@ class SurfaceModel(GeometryModel):
                 tuple(g * vk - _dot(a, col) for vk, col in zip(v, columns)) for v, a in zip((b, d), (a0, a1))
             )
         for C, dual in zip(self.sample_curves, duals[n:]):
-            c0, c1 = _dot(p0, dual), _dot(p1, dual)
-            if _sign(c0, c1, xn, xd, tol) < 0:
+            c0, c1 = sum(map(mul, p0, dual)), sum(map(mul, p1, dual))
+            if (c < 0) if abs(c := xd * c0 + xn * c1) > zero else (c1 < -tol):
                 raise NotPseudoeffectiveError(
                     f"candidate positive part pairs negatively with declared curve "
                     f"{C.coefficients}"
                 )
             lines.append((c0, c1))
-        signs = [_sign(u, w, xn, xd, tol) for u, w in zip(a0, a1)]
+        if not support:
+            return [], p0, p1, scale, lines
+        signs = [c if abs(c := xd * u + xn * w) > zero else (w if abs(w) > tol else 0) for u, w in zip(a0, a1)]
         if any(s < 0 for s in signs):
             raise NotPseudoeffectiveError(
                 "a negative-part coefficient is forced negative; class is not pseudoeffective"
@@ -196,15 +208,21 @@ class SurfaceModel(GeometryModel):
     def _step(self, lat, b, d, q, x):
         """(p0, p1, M p0, M p1, scale, wall) on the chamber of (b + lam d) / q
         right of x (`_chamber`), M = lat.matrix, and wall the least root past
-        x of an N-coefficient or of a pairing in `lines`, by lat.div (None:
-        no wall); None when the class is not psef at x+."""
+        x of an N-coefficient or of a pairing in `lines` (None: no wall): on
+        ints the pair (c0, -c1) of the least -c0 / c1, by cross-multiplication,
+        on floats that quotient.  None when the class is not psef at x+."""
         try:
             support, p0, p1, scale, lines = self._chamber(lat, b, d, q, x)
         except NotPseudoeffectiveError:
             return None
-        tol = lat.tol * scale
         lines += [(u, w) for _, u, w in support]
-        wall = min((lat.div(-c0, c1) for c0, c1 in lines if c1 < -tol), default=None)
+        tol, wall = lat.tol * scale, None
+        if tol:
+            wall = min((-c0 / c1 for c0, c1 in lines if c1 < -tol), default=None)
+        else:
+            for c0, c1 in lines:
+                if c1 < 0 and (wall is None or c0 * wall[1] < -c1 * wall[0]):
+                    wall = c0, -c1
         return p0, p1, _image(lat.matrix, p0), _image(lat.matrix, p1), scale, wall
 
     def volume(self, D: DivisorClass) -> Fraction:
@@ -217,8 +235,7 @@ class SurfaceModel(GeometryModel):
         """<D> . H = positive part of D paired with H.  Requires D big."""
         if not self.is_big(D):
             raise GeometryError("positive product requires a big class")
-        dec = self.zariski(D)
-        return self.pairing(dec.positive_part, H)
+        return self.pairing(self.zariski(D).positive_part, H)
 
     # -- realization plumbing ---------------------------------------------
 
@@ -243,16 +260,11 @@ class SurfaceModel(GeometryModel):
             reals.append(r)
         if not reals:
             return self, lambda coeffs: coeffs
-        models = {id(r.model) for r in reals}
-        if len(models) > 1:
-            raise GeometryError(
-                "valuations realised on different birational models cannot be combined"
-            )
-        target = reals[0].model
-        mats = {r.pullback for r in reals}
-        if len(mats) > 1:
+        if len({id(r.model) for r in reals}) > 1:
+            raise GeometryError("valuations realised on different birational models cannot be combined")
+        if len({r.pullback for r in reals}) > 1:
             raise GeometryError("inconsistent pullback maps among valuations")
-        mat = reals[0].pullback
+        target, mat = reals[0].model, reals[0].pullback
         if mat is None:
             if target is not self:
                 raise GeometryError("missing pullback map to the realization model")
@@ -261,8 +273,7 @@ class SurfaceModel(GeometryModel):
 
     def twisted_volume(self, L: DivisorClass, constraints):
         self._check_basis(L)
-        vals = [v for v, _ in constraints]
-        target, pull = self.resolve_realization(vals)
+        target, pull = self.resolve_realization([v for v, _ in constraints])
         cls = DivisorClass.make(pull(L.coefficients), target.basis_id)
         for v, c in constraints:
             if v.is_trivial:
@@ -273,7 +284,7 @@ class SurfaceModel(GeometryModel):
     def twist_evaluator(self, L, valuations):
         target, pull = self.resolve_realization(valuations)
         base = _floats(pull(L.coefficients))
-        divs = [None if v.is_trivial else _floats(v.order_model.divisor.coefficients) for v in valuations]
+        divs = [None if v.is_trivial else v.order_model.floats for v in valuations]
 
         def evaluate(cs: Sequence[float]) -> float:
             vec = base
@@ -288,7 +299,7 @@ class SurfaceModel(GeometryModel):
 
     def _float_lattice(self, size: float) -> "_Lattice":
         """The lattice data for float classes of this size: 0 within 1e-12 times it (at least 1)."""
-        return _Lattice(*self._exact[:6], operator.truediv, 1e-12 * max(1.0, size))
+        return _Lattice(*self._exact[:6], 1e-12 * max(1.0, size))
 
     def volume_float(self, vec) -> float:
         """vol of the class with these float coordinates: `_step` at d = 0."""
@@ -316,39 +327,52 @@ class SurfaceModel(GeometryModel):
         each, until the next chamber is not pseudoeffective or vol reaches 0
         before the wall (the first root of an N-coefficient or a pairing).
 
-        The chambers walked stay in the memo of L, under ("chambers", v),
-        next to the threshold that `gamma_threshold` keeps: one float tuple
-        (start, end, c0, c1, c2) per chamber, vol(L - lam E_v) = c0 + c1 lam
-        + c2 lam^2 on [start, end], each c the exact coefficient rounded
-        once, and the last end the threshold."""
+        It walks the ints of L and E_v, lam an int pair, and builds one
+        Fraction, the threshold.  The chambers walked stay in the memo of L,
+        under ("chambers", v), next to the threshold that `gamma_threshold`
+        keeps: one float tuple (start, end, c0, c1, c2) per chamber, vol(L -
+        lam E_v) = c0 + c1 lam + c2 lam^2 on [start, end], each an exact
+        ratio rounded once, and the last end the threshold."""
         memo = self._memo_of(L)
         if v.is_trivial:
             raise GeometryError("pseudoeffective threshold undefined for the trivial valuation")
         target, pull = self.resolve_realization([v])
-        lat = target._exact
-        (b, d), q = _integral((pull(L.coefficients), [-c for c in v.order_model.divisor.coefficients]))
-        x, chambers = Fraction(0), []
-        while (step := target._step(lat, b, d, q, x.as_integer_ratio())) is not None:
+        lat, ((e,), qe) = target._exact, v.order_model.ints
+        (b,), qb = _reduced(memo, L)[0] if v.order_model.pullback is None else _integral((pull(L.coefficients),))
+        b, d, q = tuple(c * qe for c in b), tuple(-c * qb for c in e), qb * qe
+        x, chambers = (0, 1), []
+        while (step := target._step(lat, b, d, q, x)) is not None:
             p0, p1, Mp0, Mp1, scale, wall = step
             coeffs, unit = (_dot(p0, Mp0), 2 * _dot(p0, Mp1), _dot(p1, Mp1)), scale**2 * lat.sigma
             root = _first_root(*coeffs, unit, x, wall)
             if root is None and wall is None:
                 raise GeometryError(f"threshold of {v.name!r} is unbounded: no declared curve bounds it")
-            x, start = wall if root is None else root, x
-            chambers.append((float(start), float(x), *(c / unit for c in coeffs)))
+            start, x = x, wall if root is None else root
+            end = x if isinstance(x, float) else x[0] / x[1]
+            chambers.append((start[0] / start[1], end, *(c / unit for c in coeffs)))
             if root is not None:
                 break
         memo["chambers", v] = tuple(chambers)
-        return x
+        return x if isinstance(x, float) else Fraction(*x)
 
     def expected_order(self, L: DivisorClass, support, shifts) -> tuple[float, list[float]]:
         """(S, grad_t S) in floats from the problem compiled for (L, support):
-        new shifts redo only the integral (`_SurfaceProblem.expected_order`)."""
+        new shifts redo only the integral (`_SurfaceProblem.expected_order`).
+        Trivial valuations alone compile nothing: S is the least shift."""
+        if all(v.is_trivial for v in support):
+            if not self.is_big(L):
+                raise GeometryError("expected vanishing order requires a big class")
+            ts = [float(t) for t in shifts]
+            return min(ts), [float(i == ts.index(min(ts))) for i in range(len(ts))]
         return self._compiled(L, support).expected_order(shifts)
 
     def order_derivative(self, L: DivisorClass, support, shifts, H: DivisorClass) -> float:
         """d/ds S_{L+sH}(t) at s = 0 from one float walk of the compiled
-        problem: (2 / vol) (integral of P . H - (P_L . H / vol) integral of vol)."""
+        problem: (2 / vol) (integral of P . H - (P_L . H / vol) integral of vol),
+        0 for trivial valuations alone."""
+        if all(v.is_trivial for v in support):
+            self._check_basis(L)
+            return 0.0
         problem = self._compiled(L, support)
         t0, lam_max, iv, ih = problem.integrals(shifts, problem.pulled([H]))
         if lam_max <= t0:
@@ -385,19 +409,19 @@ class _SurfaceProblem:
     """
 
     def __init__(self, model: SurfaceModel, L: DivisorClass, support: tuple):
-        self.model = model
-        self.L = L
-        self.support = support
-        self.volume = float(model.volume(L))
-        # read from the decomposition `volume` just kept: L is decomposed once
-        self.positive = model.zariski(L).positive_part if self.volume > 0 else None
+        self.model, self.L, self.support = model, L, support
+        try:
+            dec, vol = model._decomposition(L)
+        except NotPseudoeffectiveError:
+            dec, vol = None, 0
+        self.volume = float(vol)
+        self.positive = dec.positive_part if self.volume > 0 else None
         self._nontrivial = [i for i, v in enumerate(support) if not v.is_trivial]
         self._trivial = [i for i, v in enumerate(support) if v.is_trivial]
-        self._gammas: Optional[list[float]] = None
-        self._chambers: Optional[tuple] = None
+        self._gammas = self._chambers = None  # set by `thresholds`
         self.target, self._pull = model.resolve_realization(support)
         self._base = _floats(self._pull(L.coefficients))
-        self._divs = [_floats(support[i].order_model.divisor.coefficients) for i in self._nontrivial]
+        self._divs = [support[i].order_model.floats for i in self._nontrivial]
         # the walk's size, given the range of lam: see `walk`
         self._size, self._span = max(map(abs, self._base)), sum(max(map(abs, e)) for e in self._divs)
 
@@ -478,8 +502,8 @@ class _SurfaceProblem:
         b + lam d when lam reaches t_i, so `t <= lam` is exact, and each
         chamber (`SurfaceModel._step`) is integrated in closed form up to its
         wall or the next shift.  The path only subtracts effective divisors,
-        so past the first point off the psef cone, or a wall where P is 0 by
-        `_sign`'s zero test, vol and P stay 0: the walk ends there.  Zero is
+        so past the first point off the psef cone, or a wall where P is 0
+        within tol, vol and P stay 0: the walk ends there.  Zero is
         within 1e-12 times the walk's size (at least 1): the largest
         coordinate of L, or max(|lam0|, |lam1|) times the sum of the largest
         coordinates of the E_i."""
@@ -521,7 +545,7 @@ class _Lattice(NamedTuple):
     """`SurfaceModel._chamber`'s data in ints, for M = sigma (intersection matrix)
     and C = kappa (curve) with least common denominators sigma, kappa: negative
     curves C, M C for them and the sample curves, C_i M C_j, M, sigma, kappa;
-    `div` divides in the classes' field, and within `tol` over scale 1 is 0."""
+    within `tol` over scale 1 is 0, and tol is 0 on ints, where walls are pairs."""
 
     curves: tuple
     duals: tuple
@@ -529,7 +553,6 @@ class _Lattice(NamedTuple):
     matrix: tuple
     sigma: int
     kappa: int
-    div: object
     tol: float
 
 
@@ -543,15 +566,15 @@ def _integral(vectors):
     return tuple(tuple(c.numerator * (q // c.denominator) for c in v) for v in vectors), q
 
 
-def _sign(c0, c1, xn, xd, tol):
-    """Sign of c0 + lam c1 just right of lam = xn / xd, xd > 0: of its value,
-    else of its slope, each 0 within tol."""
-    c = xd * c0 + xn * c1
-    return c if abs(c) > tol * xd else (c1 if abs(c1) > tol else 0)
+def _reduced(memo, D):
+    """D's record in `memo`, its memo: (`_integral` of D, `_decomposition`'s result or None)."""
+    if "zariski" not in memo:
+        memo["zariski"] = _integral((D.coefficients,)), None
+    return memo["zariski"]
 
 
 def _image(matrix, v) -> tuple:
-    return tuple(_dot(row, v) for row in matrix)
+    return tuple([sum(map(mul, row, v)) for row in matrix])
 
 
 def _signature(m) -> tuple[int, int]:
@@ -589,26 +612,25 @@ def _solve_negative_definite(gram, columns):
 
 def _first_root(q0, q1, q2, unit, x, wall):
     """Least root in (x, wall] of (q0 + q1 lam + q2 lam^2) / unit, ints q, unit > 0,
-    given q(x) > 0, for Fractions x and wall (None: no wall); a Fraction if the
-    discriminant is a square."""
-    disc = q1 * q1 - 4 * q2 * q0
+    given q(x) > 0, for int pairs x = (n, d) and wall (None: no wall), each
+    n / d with d > 0: an int pair if the discriminant is a square, else a float."""
+    disc, (xn, xd) = q1 * q1 - 4 * q2 * q0, x
     # q must fall from x to a real root: not rising, not past a convex vertex;
     # that root is at most the wall if q(wall) <= 0 or the vertex is
-    if disc < 0 or (q2 == 0 and q1 >= 0) or (q2 > 0 and -q1 * x.denominator <= 2 * q2 * x.numerator):
+    if disc < 0 or (q2 == 0 and q1 >= 0) or (q2 > 0 and -q1 * xd <= 2 * q2 * xn):
         return None
     if wall is not None:
-        wn, wd = wall.numerator, wall.denominator
+        wn, wd = wall
         if q0 * wd * wd + wn * (q1 * wd + wn * q2) > 0 and not (q2 > 0 and -q1 * wd <= 2 * q2 * wn):
             return None
     if q2 == 0:
-        return Fraction(-q0, q1)
+        return q0, -q1
     s = math.isqrt(disc)
     if s * s == disc:
-        return Fraction(-q1 - s, 2 * q2)
-    # in floats from the exact q / unit, in the form without cancellation
-    q0, q1, q2 = (Fraction(c, unit) for c in (q0, q1, q2))
-    s = math.sqrt(Fraction(disc, unit * unit))
-    return (-q1 - s) / (2 * q2) if q1 > 0 else 2 * q0 / (-q1 + s)
+        return (-q1 - s, 2 * q2) if q2 > 0 else (q1 + s, -2 * q2)
+    # in floats from q / unit, each rounded once, in the form without cancellation
+    s = math.sqrt(disc / (unit * unit))
+    return (-q1 / unit - s) / (2 * q2 / unit) if q1 > 0 else 2 * q0 / unit / (-q1 / unit + s)
 
 
 def _chamber_integral(chambers, y):

@@ -43,3 +43,35 @@ def test_cli_reports_the_level_as_a_task_error(tmp_path):
     (task,) = json.loads(out.read_text())["tasks"]
     assert task["error"]["type"] == "GeometryError"
     assert f"level k = {2**70} " in task["error"]["message"]
+
+
+# p2_toric with L = H1 - H3: P_L is the point (-1, 0), so k P_L is one point
+# whatever k, and only its coordinates grow
+POINT = P2T.divisor([1, 0, -1])
+
+
+@pytest.mark.parametrize("k", [2**63, 2**70])
+def test_library_rejects_a_level_past_int64(k):
+    with pytest.raises(ds.GeometryError, match=f"level k = {k} "):
+        ds.filtration_volume_finite_k(P2T, POINT, SPEC, k)
+
+
+def test_a_huge_level_within_int64_still_runs():
+    k = 2**62
+    assert P2T.lattice_points(POINT, k).tolist() == [[-k, 0]]
+    assert ds.filtration_volume_finite_k(P2T, POINT, SPEC, k).volume == 0.0
+
+
+def test_cli_reports_a_level_past_int64_as_a_task_error(tmp_path):
+    config = tmp_path / "point_k.json"
+    config.write_text(json.dumps({
+        "model": {"name": "p2_toric"},
+        "line_bundle": [1, 0, -1],
+        "tasks": [{"kind": "finite_k", "support": ["e1"], "shifts": [0], "k": 2**63}],
+    }))
+    out = tmp_path / "report.json"
+    result = CliRunner().invoke(main, ["run", str(config), "--out", str(out)])
+    assert result.exit_code == 3 and isinstance(result.exception, SystemExit)
+    (task,) = json.loads(out.read_text())["tasks"]
+    assert task["error"]["type"] == "GeometryError"
+    assert f"level k = {2**63} " in task["error"]["message"]
