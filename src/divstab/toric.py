@@ -334,13 +334,14 @@ class ToricModel(GeometryModel):
         shape = [b - a + 1 for a, b in zip(lo[:-1], hi[:-1])]
         if math.prod(shape) > MAX_LEVEL_POINTS:
             raise GeometryError(f"level k = {k} scans {math.prod(shape)} box prefixes, over {MAX_LEVEL_POINTS}")
-        # int64 must hold the prefixes, k a and the ray products m[:-1] . ray[:-1] (up to 2**62), and
-        # need (linear in m, so extreme at the box corners) and the last axis (below 2**62, so differences fit)
-        prods = [[x * r for x, r in zip(m, ray)] for m in itertools.product(*zip(lo[:-1], hi[:-1])) for ray in self.rays]
-        sizes = [*lo[:-1], *hi[:-1], *coeffs, *(sum(map(abs, t)) for t in prods)]
-        needs = [lo[-1], hi[-1], *(c + sum(t) for t, c in zip(prods, itertools.cycle(coeffs)))]
-        if max(map(abs, sizes)) > 2**62 or max(map(abs, needs)) >= 2**62:
-            raise GeometryError(f"level k = {k} puts the box of k P_L past int64")
+        # int64 must hold the prefixes, k a and the ray products m[:-1] . ray[:-1] (up to 2**62), and need (linear in
+        # m, so extreme at the box corners) and the last axis (below 2**62); a box far below 2**61 skips the corners
+        if max(map(abs, (*lo, *hi, *(c.numerator for c in coeffs)))) * max(sum(map(abs, r)) for r in self.rays) >= 2**61:
+            prods = [[x * y for x, y in zip(m, r)] for m in itertools.product(*zip(lo[:-1], hi[:-1])) for r in self.rays]
+            sizes = [*lo[:-1], *hi[:-1], *coeffs, *(sum(map(abs, t)) for t in prods)]
+            needs = [lo[-1], hi[-1], *(c + sum(t) for t, c in zip(prods, itertools.cycle(coeffs)))]
+            if max(map(abs, sizes)) > 2**62 or max(map(abs, needs)) >= 2**62:
+                raise GeometryError(f"level k = {k} puts the box of k P_L past int64")
         prefix = np.indices(shape, dtype=np.int64).reshape(len(shape), math.prod(shape)).T
         prefix += np.array(lo[:-1], dtype=np.int64)
         rays = np.array(self.rays, dtype=np.int64)
