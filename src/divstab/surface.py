@@ -7,13 +7,14 @@ models carry the full known lists.
 
 One routine, `SurfaceModel._chamber`, finds the Zariski chamber of b + lam d
 right of a point, where P is linear and vol = P^2 quadratic in lam, and the
-pairings of P that give its walls.  It runs fraction-free on a tuple over
-one positive scale, with the lattice data in ints: on ints for `zariski` and
-the thresholds, on floats for S and its gradients (`_SurfaceProblem.walk`).
-On ints, points and walls are int pairs, so the threshold walk builds one
-Fraction, the threshold.  It keeps its chambers, each with the quadratic vol
-on it, so S and grad S of a support with one non-trivial valuation integrate
-them in closed form and search no chamber (`_SurfaceProblem.expected_order`).
+pairings of P that give its walls.  It runs fraction-free on int tuples over
+one positive scale, with no tolerance: points and walls are int pairs, so
+the threshold walk builds one Fraction, the threshold.  It keeps its
+chambers, each with the quadratic vol on it, so S and grad S of a support
+with one non-trivial valuation integrate them in closed form and search no
+chamber (`_SurfaceProblem.expected_order`).  Other supports, and the Danskin
+rows, walk the same chambers exactly (`_SurfaceProblem.walk`): float shifts
+are binary rationals, so they sit over one int denominator.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     BasisMismatchError,
-    ConvergenceError,
     DivisorClass,
     GeometryError,
     GeometryModel,
@@ -46,7 +46,7 @@ class SurfaceRealization:
     `divisor` its class there, and `pullback` the rational matrix sending
     base-lattice coordinates to `model`'s lattice (None = identity, i.e. the
     valuation is realised on the base surface itself).  `ints` (`_integral`)
-    and `floats` are the coefficients of `divisor`, kept from construction.
+    are the coefficients of `divisor`, kept from construction.
     """
 
     model: "SurfaceModel"
@@ -56,7 +56,6 @@ class SurfaceRealization:
 
     def __post_init__(self):
         object.__setattr__(self, "ints", _integral((self.divisor.coefficients,)))
-        object.__setattr__(self, "floats", _floats(self.divisor.coefficients))
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,7 @@ class SurfaceModel(GeometryModel):
             canonical_class = [0] * self.class_rank
         self.canonical_class = self.divisor(canonical_class)
 
-        self._exact = _Lattice(curves, duals, gram, matrix, sigma, kappa, 0)
+        self._exact = _Lattice(curves, duals, gram, matrix, sigma, kappa)
 
     # -- exact pairing and Zariski decomposition ---------------------------
 
@@ -149,25 +148,25 @@ class SurfaceModel(GeometryModel):
 
     def _chamber(self, lat, b, d, q, x):
         """Zariski decomposition of (b + lam d) / q right of lam = xn / xd, for
-        int or float tuples b, d, x = (xn, xd) and q, xd > 0: (support, p0,
-        p1, scale, lines) with P = (p0 + lam p1) / scale, support the (curve
+        int tuples b, d, x = (xn, xd) and ints q, xd > 0: (support, p0, p1,
+        scale, lines) with P = (p0 + lam p1) / scale, support the (curve
         index, a0, a1) whose N-coefficient lat.kappa (a0 + lam a1) / scale is
         positive at x+, and lines the pairings (p0 . u, p1 . u) with the dual
         u of each curve outside the support, negative then sample curves.
         Each (c0 + lam c1) / scale is signed at x+, in the pass that pairs it,
-        by xd c0 + xn c1, else by c1, each 0 within tol.  Raises
+        by xd c0 + xn c1, else by c1, exactly.  Raises
         NotPseudoeffectiveError off the psef cone at x+."""
         curves, duals, n = lat.curves, lat.duals, len(lat.curves)
         xn, xd = x
-        support, p0, p1, scale, tol = [], b, d, q, lat.tol * q
+        support, p0, p1, scale = [], b, d, q
         while True:
             # P against each curve outside the support, once per support
-            lines, violating, zero = [], [], tol * xd
+            lines, violating = [], []
             for i in range(n):
                 if i not in support:
                     c0, c1 = sum(map(mul, p0, duals[i])), sum(map(mul, p1, duals[i]))
                     lines.append((c0, c1))
-                    if (c < 0) if abs(c := xd * c0 + xn * c1) > zero else (c1 < -tol):
+                    if (c < 0) if (c := xd * c0 + xn * c1) else (c1 < 0):
                         violating.append(i)
             if not support:
                 first = lines  # b and d against each curve
@@ -182,7 +181,7 @@ class SurfaceModel(GeometryModel):
                     f"{[self.negative_curves[i].coefficients for i in support]} is not negative definite"
                 )
             g, (a0, a1) = sol
-            scale, tol = q * g, lat.tol * q * g
+            scale = q * g
             # P = (g v - sum a_i C_i) / scale for (v, a) = (b, a0) and (d, a1)
             columns = list(zip(*(curves[i] for i in support)))
             p0, p1 = (
@@ -190,7 +189,7 @@ class SurfaceModel(GeometryModel):
             )
         for C, dual in zip(self.sample_curves, duals[n:]):
             c0, c1 = sum(map(mul, p0, dual)), sum(map(mul, p1, dual))
-            if (c < 0) if abs(c := xd * c0 + xn * c1) > zero else (c1 < -tol):
+            if (c < 0) if (c := xd * c0 + xn * c1) else (c1 < 0):
                 raise NotPseudoeffectiveError(
                     f"candidate positive part pairs negatively with declared curve "
                     f"{C.coefficients}"
@@ -198,7 +197,7 @@ class SurfaceModel(GeometryModel):
             lines.append((c0, c1))
         if not support:
             return [], p0, p1, scale, lines
-        signs = [c if abs(c := xd * u + xn * w) > zero else (w if abs(w) > tol else 0) for u, w in zip(a0, a1)]
+        signs = [c if (c := xd * u + xn * w) else w for u, w in zip(a0, a1)]
         if any(s < 0 for s in signs):
             raise NotPseudoeffectiveError(
                 "a negative-part coefficient is forced negative; class is not pseudoeffective"
@@ -208,21 +207,17 @@ class SurfaceModel(GeometryModel):
     def _step(self, lat, b, d, q, x):
         """(p0, p1, M p0, M p1, scale, wall) on the chamber of (b + lam d) / q
         right of x (`_chamber`), M = lat.matrix, and wall the least root past
-        x of an N-coefficient or of a pairing in `lines` (None: no wall): on
-        ints the pair (c0, -c1) of the least -c0 / c1, by cross-multiplication,
-        on floats that quotient.  None when the class is not psef at x+."""
+        x of an N-coefficient or of a pairing in `lines` (None: no wall): the
+        int pair (c0, -c1) of the least -c0 / c1, by cross-multiplication.
+        None when the class is not psef at x+."""
         try:
             support, p0, p1, scale, lines = self._chamber(lat, b, d, q, x)
         except NotPseudoeffectiveError:
             return None
-        lines += [(u, w) for _, u, w in support]
-        tol, wall = lat.tol * scale, None
-        if tol:
-            wall = min((-c0 / c1 for c0, c1 in lines if c1 < -tol), default=None)
-        else:
-            for c0, c1 in lines:
-                if c1 < 0 and (wall is None or c0 * wall[1] < -c1 * wall[0]):
-                    wall = c0, -c1
+        wall = None
+        for c0, c1 in lines + [(u, w) for _, u, w in support]:
+            if c1 < 0 and (wall is None or c0 * wall[1] < -c1 * wall[0]):
+                wall = c0, -c1
         return p0, p1, _image(lat.matrix, p0), _image(lat.matrix, p1), scale, wall
 
     def volume(self, D: DivisorClass) -> Fraction:
@@ -283,8 +278,8 @@ class SurfaceModel(GeometryModel):
 
     def twist_evaluator(self, L, valuations):
         target, pull = self.resolve_realization(valuations)
-        base = _floats(pull(L.coefficients))
-        divs = [None if v.is_trivial else v.order_model.floats for v in valuations]
+        base = tuple(map(float, pull(L.coefficients)))
+        divs = [None if v.is_trivial else tuple(map(float, v.order_model.divisor.coefficients)) for v in valuations]
 
         def evaluate(cs: Sequence[float]) -> float:
             vec = base
@@ -295,17 +290,14 @@ class SurfaceModel(GeometryModel):
 
         return evaluate
 
-    # -- float chamber walk ------------------------------------------------
-
-    def _float_lattice(self, size: float) -> "_Lattice":
-        """The lattice data for float classes of this size: 0 within 1e-12 times it (at least 1)."""
-        return _Lattice(*self._exact[:6], 1e-12 * max(1.0, size))
+    # -- S and its derivatives -----------------------------------------------
 
     def volume_float(self, vec) -> float:
-        """vol of the class with these float coordinates: `_step` at d = 0."""
-        b = _floats(vec)
-        step = self._step(self._float_lattice(max(map(abs, b))), b, (0.0,) * len(b), 1, (0.0, 1))
-        return 0.0 if step is None else max(_dot(step[0], step[2]) / (step[4] ** 2 * self._exact.sigma), 0.0)
+        """vol of the class with these float coordinates, binary rationals:
+        the exact `_step` at d = 0, rounded once, and kept in no memo."""
+        lat, ((b,), q) = self._exact, _integral((tuple(Fraction(float(c)) for c in vec),))
+        step = self._step(lat, b, (0,) * len(b), q, (0, 1))
+        return 0.0 if step is None else _dot(step[0], step[2]) / (step[4] ** 2 * lat.sigma)
 
     def twist_integrals(self, L, valuations, shifts, lam0, lam1, direction=None):
         """Exact integrals along lam -> L - sum max(lam - t_i, 0) D_i over [lam0, lam1].
@@ -316,10 +308,9 @@ class SurfaceModel(GeometryModel):
         """
         problem = self._compiled(L, valuations)
         ts = [float(t) for v, t in zip(valuations, shifts) if not v.is_trivial]
-        if direction is None:
-            return problem.walk(ts, lam0, lam1, [], [])[0], 0.0
-        iv, ih = problem.walk(ts, lam0, lam1, problem.pulled([direction]), [-math.inf])
-        return iv, ih[0]
+        rows = [] if direction is None else problem.pulled([direction])
+        iv, ih = problem.walk(ts, lam0, lam1, rows)
+        return iv, ih[0] if rows else 0.0
 
     def closed_form_threshold(self, L: DivisorClass, v: Valuation):
         """Exact pseudoeffective threshold of big L along v: walk the Zariski
@@ -367,9 +358,9 @@ class SurfaceModel(GeometryModel):
         return self._compiled(L, support).expected_order(shifts)
 
     def order_derivative(self, L: DivisorClass, support, shifts, H: DivisorClass) -> float:
-        """d/ds S_{L+sH}(t) at s = 0 from one float walk of the compiled
-        problem: (2 / vol) (integral of P . H - (P_L . H / vol) integral of vol),
-        0 for trivial valuations alone."""
+        """d/ds S_{L+sH}(t) at s = 0 from one walk of the compiled problem:
+        (2 / vol) (integral of P . H - (P_L . H / vol) integral of vol), 0
+        for trivial valuations alone."""
         if all(v.is_trivial for v in support):
             self._check_basis(L)
             return 0.0
@@ -397,15 +388,16 @@ class _SurfaceProblem:
     """One (L, support) on a surface, compiled once for repeated `S` calls.
 
     Holds vol(L) as a float and the positive part of L (None unless L is
-    big), the realization of the support with L pulled back to float
-    coordinates, and the float divisors of the non-trivial valuations.
-    Building it resolves the realization, so a support realised on several
-    birational models raises here, whatever the shifts.  The thresholds
-    gamma_i are computed on first use (`thresholds`), which needs L big.
-    With one non-trivial valuation v, the problem also holds the chambers
-    of v's gamma walk (`SurfaceModel.closed_form_threshold`), and `S` and
-    its gradient integrate them in closed form; other supports walk the
-    chambers in floats (`walk`).
+    big), the realization of the support, and, from the first `walk`, L
+    pulled back to it with the divisors of the non-trivial valuations, as
+    int tuples over one denominator.  Building it resolves the realization, so a support
+    realised on several birational models raises here, whatever the
+    shifts.  The thresholds gamma_i are computed on first use
+    (`thresholds`), which needs L big.  With one non-trivial valuation v,
+    the problem also holds the chambers of v's gamma walk
+    (`SurfaceModel.closed_form_threshold`), and `S` and its gradient
+    integrate them in closed form; other supports walk the chambers
+    exactly (`walk`).
     """
 
     def __init__(self, model: SurfaceModel, L: DivisorClass, support: tuple):
@@ -418,16 +410,12 @@ class _SurfaceProblem:
         self.positive = dec.positive_part if self.volume > 0 else None
         self._nontrivial = [i for i, v in enumerate(support) if not v.is_trivial]
         self._trivial = [i for i, v in enumerate(support) if v.is_trivial]
-        self._gammas = self._chambers = None  # set by `thresholds`
+        self._gammas = self._chambers = self._ints = None  # set by `thresholds` and `walk`
         self.target, self._pull = model.resolve_realization(support)
-        self._base = _floats(self._pull(L.coefficients))
-        self._divs = [support[i].order_model.floats for i in self._nontrivial]
-        # the walk's size, given the range of lam: see `walk`
-        self._size, self._span = max(map(abs, self._base)), sum(max(map(abs, e)) for e in self._divs)
 
     def pulled(self, classes) -> list:
         """The classes pulled back to the realization, one float tuple each."""
-        return [_floats(self._pull(D.coefficients)) for D in classes]
+        return [tuple(map(float, self._pull(D.coefficients))) for D in classes]
 
     def thresholds(self) -> list:
         """The float thresholds gamma_i of the non-trivial valuations, computed
@@ -446,17 +434,16 @@ class _SurfaceProblem:
         [t0, lam_max] of the filtration with these shifts, one per support
         valuation; all 0 when the range is empty.  h runs over the float
         tuples in the list `rows`, then over the divisor E_i of each
-        non-trivial valuation, integrated from t_i on.
+        non-trivial valuation, integrated from t_i on (`walk`).
         """
         ts = [float(t) for t in shifts]
         t0 = min(ts)
         active = [ts[i] for i in self._nontrivial]
-        rows, starts = [*rows, *self._divs], [-math.inf] * len(rows) + active
         # a trivial valuation admits no section past its shift: hard cutoff
         lam_max = min([g + t for g, t in zip(self.thresholds(), active)] + [ts[i] for i in self._trivial])
         if lam_max <= t0:
-            return t0, lam_max, 0.0, [0.0] * len(rows)
-        return (t0, lam_max, *self.walk(active, t0, lam_max, rows, starts))
+            return t0, lam_max, 0.0, [0.0] * (len(rows) + len(active))
+        return (t0, lam_max, *self.walk(active, t0, lam_max, rows))
 
     def expected_order(self, shifts):
         """(S, grad S) at these shifts.  For a non-trivial v_i, dS/dt_i =
@@ -469,7 +456,7 @@ class _SurfaceProblem:
         1 - vol(L - y E) / vol L, for y = min(gamma, tau - t) and F the
         integral of vol(L - mu E) over [0, y], from the chambers of the
         gamma walk; d vol(L - mu E) / d mu = -2 P . E gives the gradient.
-        Other supports take both from one float walk (`integrals`).
+        Other supports take both from one walk (`integrals`).
         """
         vol = self.volume
         if vol <= 0:
@@ -494,58 +481,71 @@ class _SurfaceProblem:
             grad[min(self._trivial, key=lambda i: float(shifts[i]))] = 1.0 - math.fsum(grad)
         return value, grad
 
-    def walk(self, ts, lam0, lam1, rows, starts):
+    def walk(self, ts, lam0, lam1, rows):
         """(integral of vol, integrals of P . h) over [lam0, lam1] along
-        lam -> L - sum max(lam - t_i, 0) E_i, `ts` the float shifts of the
-        non-trivial valuations, h the float tuples in the list `rows`, row j
-        integrated from `starts[j]` on.  One pass: E_i joins the line
-        b + lam d when lam reaches t_i, so `t <= lam` is exact, and each
-        chamber (`SurfaceModel._step`) is integrated in closed form up to its
-        wall or the next shift.  The path only subtracts effective divisors,
-        so past the first point off the psef cone, or a wall where P is 0
-        within tol, vol and P stay 0: the walk ends there.  Zero is
-        within 1e-12 times the walk's size (at least 1): the largest
-        coordinate of L, or max(|lam0|, |lam1|) times the sum of the largest
-        coordinates of the E_i."""
-        target = self.target
-        lat = target._float_lattice(max(self._size, max(abs(lam0), abs(lam1)) * self._span))
-        events = [*sorted((t, i) for i, t in enumerate(ts) if t < lam1), (lam1, None)]
-        b, d = self._base, (0.0,) * len(self._base)
+        lam -> L - sum max(lam - t_i, 0) E_i, `ts` the shifts of the
+        non-trivial valuations, h the float tuples in the list `rows`, then
+        each E_i, integrated from t_i on.  Floats are binary rationals: over
+        their common denominator D, the ends and shifts are ints mu = D lam,
+        and the class is (b + mu d) / (q D) for int tuples b, d, which E_i
+        joins at its mu.  Each chamber (`SurfaceModel._step`) is integrated
+        in closed form up to its wall or the next shift, from exact int
+        ratios rounded once.  The path only subtracts effective divisors, so
+        where vol is exactly 0 at an end (P = 0, or P nef with P^2 = 0) it
+        stays 0: the walk ends there, and no chamber search fails."""
+        target, lat = self.target, self.target._exact
+        if self._ints is None:  # built here: S on one non-trivial valuation walks nothing
+            divs = (self.support[i].order_model.divisor.coefficients for i in self._nontrivial)
+            self._ints = _integral((self._pull(self.L.coefficients), *divs))
+        (base, *divs), q = self._ints
+        ratios = [x.as_integer_ratio() for x in (lam0, lam1, *ts)]
+        D = math.lcm(*(r for _, r in ratios))
+        # each event: (mu, lam as a float, index of its E_i), lam1 last
+        (m0, xf), (m1, f1), *ms = ((n * (D // r), n / r) for n, r in ratios)
+        events = [*sorted((m, f, i) for i, (m, f) in enumerate(ms) if m < m1), (m1, f1, None)]
+        # E_i is a row over q: its integral is divided by q at the end
+        h, rows = len(rows), [*rows, *divs]
+        live = list(range(h))  # the rows integrated from here on
+        b, d = tuple(D * c for c in base), (0,) * len(base)
         total_v, total_h = 0.0, [0.0] * len(rows)
-        x, k = lam0, 0
-        while x < lam1:
-            while events[k][0] <= x:
-                t, e = events[k][0], self._divs[events[k][1]]
-                b = tuple(u + t * w for u, w in zip(b, e))
-                d = tuple(u - w for u, w in zip(d, e))
+        xn, xd, k = m0, 1, 0
+        while xn < m1 * xd:
+            while events[k][0] * xd <= xn:
+                m, _, i = events[k]
+                b = tuple(u + m * w for u, w in zip(b, divs[i]))
+                d = tuple(u - w for u, w in zip(d, divs[i]))
+                live.append(h + i)
                 k += 1
-            step = target._step(lat, b, d, 1, (x, 1))
-            if step is None:
+            step = target._step(lat, b, d, q * D, (xn, xd))
+            if step is None:  # vol > 0 at x, so only an incomplete curve list gets here
                 break
             p0, p1, Mp0, Mp1, scale, wall = step
-            end = events[k][0] if wall is None else min(events[k][0], wall)
-            if end <= x:
-                raise ConvergenceError(f"chamber walk stalled at lam = {x!r}")
-            # P = (p0 + lam p1) / scale, and M = lat.matrix / sigma
-            unit = 1.0 / (scale * lat.sigma)
-            q0, q1, q2 = (u * unit / scale for u in (_dot(p0, Mp0), 2.0 * _dot(p0, Mp1), _dot(p1, Mp1)))
-            total_v += q0 * (end - x) + q1 * (end * end - x * x) / 2.0 + q2 * (end**3 - x**3) / 3.0
-            span, half = end - x, (end * end - x * x) / 2.0
-            total_h = [
-                acc + unit * (_dot(r, Mp0) * span + _dot(r, Mp1) * half) if s <= x else acc
-                for acc, r, s in zip(total_h, rows, starts)
-            ]
-            if end == wall and all(abs(u + end * w) <= lat.tol * scale for u, w in zip(p0, p1)):
+            m, ef, _ = events[k]
+            if wall is None or m * wall[1] <= wall[0]:
+                xn, xd = m, 1
+            else:
+                (xn, xd), ef = wall, wall[0] / (wall[1] * D)
+            # P = (p0 + mu p1) / scale and vol = (k0 + 2 k1 mu + k2 mu^2) / (scale den), mu = D lam;
+            # D divides scale, so den1 = den / D and s1 = scale / D are ints
+            k0, k1, k2 = _dot(p0, Mp0), _dot(p0, Mp1), _dot(p1, Mp1)
+            s1 = scale // D
+            den, den1 = scale * lat.sigma, s1 * lat.sigma
+            span, half = ef - xf, (ef * ef - xf * xf) / 2.0
+            total_v += k0 / (scale * den) * span + 2 * k1 / (scale * den1) * half + k2 / (s1 * den1) * (ef**3 - xf**3) / 3.0
+            # the integral of M P over the chamber, in floats: h . r is that of P . h
+            r = [c0 / den * span + c1 / den1 * half for c0, c1 in zip(Mp0, Mp1)]
+            for j in live:
+                total_h[j] += sum(map(mul, rows[j], r))
+            if k0 * xd * xd + xn * (2 * k1 * xd + k2 * xn) == 0:
                 break
-            x = end
-        return total_v, total_h
+            xf = ef
+        return total_v, [*total_h[:h], *(x / q for x in total_h[h:])]
 
 
 class _Lattice(NamedTuple):
     """`SurfaceModel._chamber`'s data in ints, for M = sigma (intersection matrix)
     and C = kappa (curve) with least common denominators sigma, kappa: negative
-    curves C, M C for them and the sample curves, C_i M C_j, M, sigma, kappa;
-    within `tol` over scale 1 is 0, and tol is 0 on ints, where walls are pairs."""
+    curves C, M C for them and the sample curves, C_i M C_j, M, sigma, kappa."""
 
     curves: tuple
     duals: tuple
@@ -553,11 +553,6 @@ class _Lattice(NamedTuple):
     matrix: tuple
     sigma: int
     kappa: int
-    tol: float
-
-
-def _floats(x):
-    return tuple(map(float, x))
 
 
 def _integral(vectors):
@@ -636,7 +631,7 @@ def _first_root(q0, q1, q2, unit, x, wall):
 def _chamber_integral(chambers, y):
     """(integral of vol over [0, y], vol(0) - vol(y)) for 0 < y <= the last
     end of `closed_form_threshold`'s chambers, on each of which vol = c0 +
-    c1 mu + c2 mu^2; both summed chamber by chamber, as the float walk does."""
+    c1 mu + c2 mu^2; both summed chamber by chamber, as `walk` does."""
     total = drop = 0.0
     for start, end, c0, c1, c2 in chambers:
         x = min(end, y)

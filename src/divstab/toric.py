@@ -353,8 +353,9 @@ class ToricModel(GeometryModel):
         last = (need[:, down] // c[down]).min(axis=1, initial=hi[-1])
         last[(need[:, c == 0] > 0).any(axis=1)] = lo[-1] - 1
         counts = np.maximum(last - first + 1, 0)
-        if counts.sum() > MAX_LEVEL_POINTS:
-            raise GeometryError(f"level k = {k} has {counts.sum()} lattice points, over {MAX_LEVEL_POINTS}")
+        # each count first: the prefixes are at most MAX_LEVEL_POINTS, so the sum then fits int64
+        if counts.max(initial=0) > MAX_LEVEL_POINTS or counts.sum() > MAX_LEVEL_POINTS:
+            raise GeometryError(f"level k = {k} has over {MAX_LEVEL_POINTS} lattice points")
         # prefix i repeated counts[i] times, with m[-1] running first..last
         starts = np.repeat(first - np.cumsum(counts) + counts, counts)
         tail = starts + np.arange(counts.sum(), dtype=np.int64)

@@ -75,3 +75,30 @@ def test_cli_reports_a_level_past_int64_as_a_task_error(tmp_path):
     (task,) = json.loads(out.read_text())["tasks"]
     assert task["error"]["type"] == "GeometryError"
     assert f"level k = {2**63} " in task["error"]["message"]
+
+
+# p1xp1_toric with L = (0, 1, 0, 2**62 - 1) at k = 1: two prefixes of about
+# 2**62 points each, whose int64 sum wraps negative
+P1P1T = ds.bundled_model("p1xp1_toric")
+TALL = [0, 1, 0, 2**62 - 1]
+
+
+def test_library_rejects_a_point_count_past_int64():
+    spec = ds.FiltrationSpec((P1P1T.named_valuations["e1"],), (0.0,))
+    with pytest.raises(ds.GeometryError, match="level k = 1 "):
+        ds.filtration_volume_finite_k(P1P1T, P1P1T.divisor(TALL), spec, 1)
+
+
+def test_cli_reports_a_point_count_past_int64_as_a_task_error(tmp_path):
+    config = tmp_path / "tall.json"
+    config.write_text(json.dumps({
+        "model": {"name": "p1xp1_toric"},
+        "line_bundle": TALL,
+        "tasks": [{"kind": "finite_k", "support": ["e1"], "shifts": [0], "k": 1}],
+    }))
+    out = tmp_path / "report.json"
+    result = CliRunner().invoke(main, ["run", str(config), "--out", str(out)])
+    assert result.exit_code == 3 and isinstance(result.exception, SystemExit)
+    (task,) = json.loads(out.read_text())["tasks"]
+    assert task["error"]["type"] == "GeometryError"
+    assert "level k = 1 " in task["error"]["message"]

@@ -7,7 +7,6 @@ import pytest
 
 import _reference as reference
 import divstab as ds
-from divstab.core import NotPseudoeffectiveError
 from divstab.filtrations import FiltrationSpec, expected_order_S, expected_order_S_grad
 from divstab.surface import SurfaceModel
 
@@ -267,10 +266,11 @@ class TestExpectedOrderMatchesExactWalk:
 
 
 class TestWalkWork:
-    """The float walk searches one chamber per piece and per wall crossed,
-    and at most once more, where the class leaves the psef cone.  A support
-    with one non-trivial valuation searches none: its S integrates the
-    chambers that the exact gamma walk recorded, one per piece and per wall."""
+    """The walk searches one chamber per piece and per wall crossed, and
+    none past a point where vol is exactly 0, so no search fails (`leaves`
+    is 0 throughout).  A support with one non-trivial valuation searches
+    none: its S integrates the chambers that the gamma walk recorded, one
+    per piece and per wall."""
 
     @pytest.mark.parametrize(
         "name, L, valuations, shifts, pieces, walls, leaves",
@@ -281,40 +281,28 @@ class TestWalkWork:
             ("blp2", (3, -1), ("ord_line_p", None), (0.0, 2.0), 1, 1, 0),
             # ord_e from 2 on: E stays in N on the second piece
             ("blp2", (3, -1), ("ord_line_p", "ord_e"), (0.0, 2.0), 2, 1, 0),
-            # 2F1 + 3F2 leaves the psef cone at lam = 1, before the thresholds
-            ("p1xp1", (2, 3), ("ord_f1", "ord_diag"), (0.0, 0.0), 1, 0, 1),
+            # 2F1 + 3F2 leaves the psef cone at lam = 1, before the thresholds:
+            # vol is 0 at that wall, P = 2 F2 != 0, and the walk ends there
+            ("p1xp1", (2, 3), ("ord_f1", "ord_diag"), (0.0, 0.0), 1, 0, 0),
             # ... and the piece that would start at 1.5 is never searched
-            ("p1xp1", (2, 3), ("ord_f1", "ord_diag", "ord_f2"), (0.0, 0.0, 1.5), 1, 0, 1),
+            ("p1xp1", (2, 3), ("ord_f1", "ord_diag", "ord_f2"), (0.0, 0.0, 1.5), 1, 0, 0),
             # 3H minus lam 3H: P = 0 at the wall lam = 1 ends the walk there
             ("p2", (3,), ("line", "conic"), (0.0, 0.0), 1, 0, 0),
         ],
     )
-    def test_searches_per_walk(self, monkeypatch, name, L, valuations, shifts, pieces, walls, leaves):
-        searches, failed = [], []
-        chamber = SurfaceModel._chamber
-
-        def counting(self, lat, b, d, q, x):
-            if lat is self._exact:
-                return chamber(self, lat, b, d, q, x)
-            searches.append(x)
-            try:
-                return chamber(self, lat, b, d, q, x)
-            except NotPseudoeffectiveError:
-                failed.append(x)
-                raise
-
+    def test_searches_per_walk(self, searches, name, L, valuations, shifts, pieces, walls, leaves):
         model = ds.bundled_model(name)
         support = tuple(ds.TRIVIAL_VALUATION if v is None else model.named_valuations[v] for v in valuations)
         spec = FiltrationSpec(support, shifts)
         expected_order_S_grad(model, model.divisor(L), spec)  # compiles the problem: gamma, vol
-        monkeypatch.setattr(SurfaceModel, "_chamber", counting)
+        del searches[:]
         value, _ = expected_order_S_grad(model, model.divisor(L), spec)
         if sum(v is not None for v in valuations) == 1:
             assert searches == []
             assert len(model._compiled(model.divisor(L), support)._chambers) == pieces + walls
         else:
             assert len(searches) == pieces + walls + leaves
-            assert len(failed) == leaves
+            assert [x for x, failed in searches if failed] == []
         assert value == pytest.approx(float(reference.surface_S_grad(model, model.divisor(L), support, shifts)[0]))
 
 
@@ -322,28 +310,15 @@ class TestOneValuationClosedForm:
     """S and grad S of a support with one non-trivial valuation, which
     integrate the chambers of the exact gamma walk in closed form, against
     the Fraction walk of tests/_reference.py at dyadic shifts and against
-    the float walk (`_SurfaceProblem.integrals`)."""
-
-    @pytest.fixture
-    def searches(self, monkeypatch):
-        # the float chamber searches run from here on
-        calls = []
-        chamber = SurfaceModel._chamber
-
-        def counting(self, lat, b, d, q, x):
-            if lat is not self._exact:
-                calls.append(x)
-            return chamber(self, lat, b, d, q, x)
-
-        monkeypatch.setattr(SurfaceModel, "_chamber", counting)
-        return calls
+    the walk (`_SurfaceProblem.integrals`); `searches` counts the walk's
+    chamber searches (tests/conftest.py)."""
 
     # a second trivial valuation: only its name differs
     TRIVIAL_2 = ds.Valuation("trivial_2", 0, is_trivial=True)
 
     @staticmethod
     def walked(problem, shifts):
-        """(S, dS/dt_v) from the float walk, for the one non-trivial v."""
+        """(S, dS/dt_v) from the walk, for the one non-trivial v."""
         t0, lam_max, iv, ih = problem.integrals(shifts, [])
         if lam_max <= t0:
             return t0, 0.0
@@ -383,7 +358,7 @@ class TestOneValuationClosedForm:
                 assert abs(value - walk_value) <= 1e-13 * max(1.0, abs(walk_value))
                 assert abs(grad[support.index(v)] - walk_slope) <= 1e-13
                 assert math.fsum(grad) == pytest.approx(1.0, abs=1e-15)
-        # integrals() above walked in floats; expected_order_S_grad never does
+        # integrals() above searched chambers; expected_order_S_grad never does
         assert len(searches) > 0
         assert min(seen.values()) >= 6, seen
 
@@ -575,7 +550,7 @@ class TestRationalLattice:
         L, base = half.divisor([a, b]), blp2.divisor([a / 2, b])
         assert half.volume(L) == blp2.volume(base) == volume
         assert ds.gamma_threshold(half, L, e) == ds.gamma_threshold(blp2, base, blp2.named_valuations["ord_e"]) == gamma
-        # the float walk on the int-scaled data agrees too
+        # volume_float on the int-scaled data agrees too
         assert abs(half.volume_float([float(a), float(b)]) - float(volume)) < 1e-12
         S_half = expected_order_S(half, L, FiltrationSpec((e,), (0.25,)))
         S_base = expected_order_S(blp2, base, FiltrationSpec((blp2.named_valuations["ord_e"],), (0.25,)))
