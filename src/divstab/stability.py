@@ -354,16 +354,13 @@ def norm_enlarged_support_check(
 # -- Danskin derivatives ----------------------------------------------------
 
 
-def _danskin(model, L, mu, H, side, options, check=True) -> tuple[NormResult, float]:
-    """The norm of mu and its one-sided derivative along H.  The check on
-    L +- eps H, if `check`, runs first: the derivative reads the norm's memo."""
+def _danskin(model, L, mu, H, side, options) -> tuple[NormResult, float]:
+    """The norm of mu and its one-sided derivative along H.  No check that
+    L +- sH stays big is needed: the big cone is open, so once `norm` has
+    found L big, L + sH is big for all small enough |s|."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     sign = 1 if side == "right" else -1
-    if check and not model.is_big(L + Fraction(sign, 10**6) * H):
-        if not model.is_big(L):
-            raise GeometryError("norm requires a big class")
-        raise GeometryError("direction leaves the big cone at first order")
     result = norm(model, L, mu, options=options)
     (t,) = result.maximizers
     return result, sign * model.order_derivative(L, mu.support, t, sign * H)
@@ -392,16 +389,12 @@ def beta(
     options: OptimizerOptions = OptimizerOptions(),
 ) -> BetaReport:
     """Entropy term plus the left derivative of the norm in the canonical direction."""
-    return _beta(model, L, mu, options, check=True)
-
-
-def _beta(model, L, mu, options, check) -> BetaReport:
-    result, derivative = _danskin(model, L, mu, model.canonical_class, "left", options, check)
+    result, derivative = _danskin(model, L, mu, model.canonical_class, "left", options)
     entropy = sum(
         (m * v.log_discrepancy for v, m in mu.atoms), Fraction(0)
     )
     b = float(entropy) + derivative
-    ratio = b / result.value if result.value > 1e-9 else None
+    ratio = b / result.value if result.value > 0 else None
     return BetaReport(
         entropy_term=entropy,
         derivative_term=derivative,
@@ -494,8 +487,7 @@ def divisorial_stability_probe(
     min_ratio: Optional[float] = None
     witness: Optional[str] = None
     for mu in measures:
-        # L - 1e-6 K is checked once: it would empty the memo of L each time
-        rep = _beta(model, L, mu, options, check=not entries)
+        rep = beta(model, L, mu, options=options)
         entries.append(ProbeEntry(measure=mu, norm=rep.norm, beta=rep))
         if rep.stability_ratio is None:
             continue

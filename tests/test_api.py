@@ -1,5 +1,5 @@
-"""The public API carries no inert knobs, and the CLI keys that have no
-effect (the seed and the quadrature tolerance) stay accepted and echoed."""
+"""The public API carries no inert knobs.  The CLI's one key without effect,
+the seed, stays accepted and echoed; the CLI has no inert tolerance."""
 import inspect
 import json
 from importlib import resources
@@ -24,7 +24,7 @@ def test_gamma_threshold_signature():
 
 
 @pytest.mark.parametrize("config", ["p2_ma.json", "f1_volumes.json"])
-def test_cli_quadrature_and_seed_are_inert(tmp_path, config):
+def test_cli_seed_is_inert(tmp_path, config):
     path = str(resources.files("divstab") / "configs" / config)
 
     def report(name, *extra):
@@ -33,26 +33,11 @@ def test_cli_quadrature_and_seed_are_inert(tmp_path, config):
         assert result.exit_code == 0, result.output
         return json.loads(out.read_text())
 
-    overridden = report("a.json", "--tolerance-override", "quadrature=1e-3", "--seed", "7")
+    overridden = report("a.json", "--seed", "7")
     plain = report("b.json")
-    assert overridden["tolerances"]["quadrature"] == 1e-3 and overridden["seed"] == 7
+    assert overridden["seed"] == 7 and plain["seed"] == 0
     assert [t["outputs"] for t in overridden["tasks"]] == [t["outputs"] for t in plain["tasks"]]
 
 
 def test_ma_solve_has_no_grad_tol():
     assert "grad_tol" not in inspect.signature(ds.ma_solve).parameters
-
-
-def test_cli_gradient_tolerance_is_inert(tmp_path):
-    path = str(resources.files("divstab") / "configs" / "p2_ma.json")
-
-    def report(name, *extra):
-        out = tmp_path / name
-        result = CliRunner().invoke(main, ["run", path, "--out", str(out), *extra])
-        assert result.exit_code == 0, result.output
-        return json.loads(out.read_text())
-
-    overridden = report("a.json", "--tolerance-override", "gradient=1e-2")
-    plain = report("b.json")
-    assert overridden["tolerances"]["gradient"] == 1e-2
-    assert [t["outputs"] for t in overridden["tasks"]] == [t["outputs"] for t in plain["tasks"]]

@@ -108,10 +108,10 @@ class TestOverrides:
     def test_tolerance_override_recorded(self, tmp_path):
         result, report = run_to_report(
             tmp_path,
-            [config_path("f1_volumes.json"), "--tolerance-override", "quadrature=1e-10"],
+            [config_path("f1_volumes.json"), "--tolerance-override", "optimizer=1e-10"],
         )
         assert result.exit_code == 0
-        assert report["tolerances"]["quadrature"] == 1e-10
+        assert report["tolerances"] == {"optimizer": 1e-10}
 
     def test_seed_override_recorded(self, tmp_path):
         result, report = run_to_report(
@@ -121,25 +121,36 @@ class TestOverrides:
         assert report["seed"] == 7
 
     def test_unknown_tolerance_rejected(self, tmp_path):
-        result, _ = run_to_report(
-            tmp_path, [config_path("f1_volumes.json"), "--tolerance-override", "foo=1"]
-        )
-        assert result.exit_code == 2
+        # the key is checked before the value
+        for value in ("1e-10", "nan"):
+            result, _ = run_to_report(
+                tmp_path,
+                [config_path("f1_volumes.json"), "--tolerance-override", f"quadrature={value}"],
+            )
+            assert result.exit_code == 2
+            assert json.loads(result.stderr)["error"] == {
+                "type": "schema",
+                "path": "--tolerance-override quadrature",
+                "message": "unknown tolerance 'quadrature'; known: ['optimizer']",
+            }
 
     def test_malformed_override_rejected(self, tmp_path):
         result, _ = run_to_report(
-            tmp_path, [config_path("f1_volumes.json"), "--tolerance-override", "quadrature"]
+            tmp_path, [config_path("f1_volumes.json"), "--tolerance-override", "optimizer"]
         )
         assert result.exit_code == 2
+        error = json.loads(result.stderr)["error"]
+        assert error["path"] == "--tolerance-override"
+        assert error["message"] == "expected key=value, got 'optimizer'"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
     def test_non_finite_override_rejected(self, tmp_path, value):
         result, _ = run_to_report(
             tmp_path,
-            [config_path("f1_volumes.json"), "--tolerance-override", f"quadrature={value}"],
+            [config_path("f1_volumes.json"), "--tolerance-override", f"optimizer={value}"],
         )
         assert result.exit_code == 2
-        assert json.loads(result.stderr)["error"]["path"] == "--tolerance-override quadrature"
+        assert json.loads(result.stderr)["error"]["path"] == "--tolerance-override optimizer"
 
 
 class TestSchemaErrors:
@@ -221,11 +232,25 @@ class TestSchemaErrors:
     def test_non_finite_tolerance_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
-            '{"model": {"name": "p2"}, "line_bundle": [3], "tolerances": {"quadrature": NaN}}'
+            '{"model": {"name": "p2"}, "line_bundle": [3], "tolerances": {"optimizer": NaN}}'
         )
         result = run_cli(["run", str(cfg)])
         assert result.exit_code == 2
-        assert json.loads(result.stderr)["error"]["path"] == "tolerances.quadrature"
+        error = json.loads(result.stderr)["error"]
+        assert error["path"] == "tolerances.optimizer"
+        assert error["message"].startswith("expected a finite float")
+
+    @pytest.mark.parametrize("key", ["quadrature", "gradient"])
+    def test_unknown_tolerance_names_the_known_ones(self, tmp_path, key):
+        cfg = self.write(tmp_path, {"model": {"name": "p2"}, "line_bundle": [3],
+                                    "tolerances": {key: 1e-6}})
+        result = run_cli(["run", cfg])
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["error"] == {
+            "type": "schema",
+            "path": f"tolerances.{key}",
+            "message": f"unknown tolerance {key!r}; known: ['optimizer']",
+        }
 
     def test_wrong_rank_line_bundle(self, tmp_path):
         cfg = self.write(tmp_path, {"model": {"name": "blp2"}, "line_bundle": [3]})
@@ -467,7 +492,9 @@ class TestMalformedToricInput:
 
 class TestNonPositiveTolerances:
     """A tolerance is a positive finite number: zero or a negative value in
-    the config or in an override is a schema error at its path."""
+    the config or in an override is a schema error at its path.  `optimizer`
+    is the one tolerance; any other key, such as `gradient` or `quadrature`,
+    is rejected as unknown whatever its value."""
 
     TASK = {"kind": "norm", "measure": {"atoms": [{"valuation": "trivial", "mass": "1/2"},
                                                   {"valuation": "line", "mass": "1/2"}]}}
@@ -478,26 +505,33 @@ class TestNonPositiveTolerances:
                                    "tolerances": tolerances, "tasks": [self.TASK]}))
         return str(cfg)
 
+    @staticmethod
+    def rejected(result, path, key):
+        assert result.exit_code == 2
+        error = json.loads(result.stderr)["error"]
+        assert error["path"] == path
+        reason = "expected a positive tolerance" if key == "optimizer" else f"unknown tolerance {key!r}"
+        assert error["message"].startswith(reason)
+
     @pytest.mark.parametrize("key", ["optimizer", "gradient", "quadrature"])
     @pytest.mark.parametrize("value", [-1, 0, 0.0, "-1/2", -1e-300])
     def test_config_tolerance_rejected(self, tmp_path, key, value):
         result = run_cli(["run", self.write(tmp_path, {key: value})])
-        assert result.exit_code == 2
-        assert json.loads(result.stderr)["error"]["path"] == f"tolerances.{key}"
+        self.rejected(result, f"tolerances.{key}", key)
 
     @pytest.mark.parametrize("key", ["optimizer", "gradient", "quadrature"])
     @pytest.mark.parametrize("value", ["-1", "0", "-0.0", "-1/2"])
     def test_override_rejected(self, tmp_path, key, value):
         cfg = self.write(tmp_path, {})
         result = run_cli(["run", cfg, "--tolerance-override", f"{key}={value}"])
-        assert result.exit_code == 2
-        assert json.loads(result.stderr)["error"]["path"] == f"--tolerance-override {key}"
+        self.rejected(result, f"--tolerance-override {key}", key)
 
     def test_parse_config_checks_overrides_too(self):
         payload = {"model": {"name": "p2"}, "line_bundle": ["3"]}
         with pytest.raises(ConfigError) as info:
-            parse_config(payload, {"gradient": 0.0})
-        assert info.value.path == "--tolerance-override gradient"
+            parse_config(payload, {"optimizer": 0.0})
+        assert info.value.path == "--tolerance-override optimizer"
+        assert info.value.message == "expected a positive tolerance, got 0.0"
 
     def test_positive_tolerances_run(self, tmp_path):
         result, report = run_to_report(tmp_path, [self.write(tmp_path, {"optimizer": "1/1000000"})])

@@ -223,6 +223,15 @@ class TestDanskin:
         d = ds.danskin_derivative(p2, L3, dirac(LINE), p2.canonical_class, side="left")
         assert abs(d + 1.0) < 1e-6
 
+    def test_near_the_wall_of_the_big_cone(self):
+        # S_L(ord_e) = (a - b)(2a + b) / (3(a + b)) at L = aH - bE, so its
+        # derivative along -H is -2a(a + 2b) / (3(a + b)^2); the big cone is
+        # open, and L is big however close b is to a
+        a, b = 1, 1 - Fraction(1, 10**7)
+        L = blp2.divisor([a, -b])
+        d = ds.danskin_derivative(blp2, L, dirac(ORD_E), blp2.divisor([-1, 0]), side="right")
+        assert abs(d - float(-2 * a * (a + 2 * b) / (3 * (a + b) ** 2))) < 1e-12
+
     def test_right_at_least_left(self):
         rng = random.Random(29)
         for model in surface_models():
@@ -274,6 +283,13 @@ class TestBeta:
         assert rep.entropy_term == 0
         assert abs(rep.beta) < 1e-9
         assert rep.stability_ratio is None
+
+    def test_ratio_at_a_small_scale(self):
+        # beta does not change when L is scaled and the norm scales with it,
+        # so the ratio on p2 stays 0 however small L is
+        for L in (L3, p2.divisor([Fraction(3, 10**10)])):
+            assert ds.beta(p2, L, dirac(LINE)).stability_ratio == 0.0
+            assert ds.divisorial_stability_probe(p2, L, [dirac(LINE)]).min_ratio == 0.0
 
     def test_anticanonical_derivative_equals_minus_norm(self):
         # for L = -K the two computation paths must agree
@@ -442,11 +458,12 @@ class TestProbeChecksBignessOnce:
         model, L, tasks, tolerances, seed = cli.parse_config(json.loads(text))
         for task in tasks:
             cli.run_task(model, L, task, tolerances, seed)
-        # gamma, delta on -K (three candidates), then the probe's two
-        assert walks == ["ord_e", "ord_line", "ord_line_p", "ord_e", "ord_line"]
+        # gamma walks ord_e, and delta on -K = L the other two candidates;
+        # the probe finds every threshold it needs in the memo of L
+        assert walks == ["ord_e", "ord_line", "ord_line_p"]
 
     def test_probe_and_beta_still_reject_a_class_that_is_not_big(self):
-        # L - 1e-6 K is checked once per probe and once per beta
+        # norm checks that L is big, for the probe and for beta
         L = blp2.divisor([0, -1])
         with pytest.raises(ds.GeometryError, match="^norm requires a big class$"):
             ds.divisorial_stability_probe(blp2, L, [dirac(ORD_E)])
