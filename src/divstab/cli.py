@@ -22,7 +22,6 @@ import click
 from . import __version__, filtrations, stability
 from .core import (
     TRIVIAL_VALUATION,
-    ConvergenceError,
     DivisorClass,
     DivisorialMeasure,
     GeometryError,
@@ -490,8 +489,7 @@ def run(config_path, out, tolerance_overrides, seed):
         start = time.perf_counter()
         try:
             outputs = run_task(model, line_bundle, task, tolerances, used_seed)
-        except (GeometryError, ConvergenceError) as exc:
-            code = 3 if isinstance(exc, GeometryError) else 4
+        except GeometryError as exc:
             report["tasks"].append({
                 "kind": task["kind"],
                 "inputs": _task_inputs(task),
@@ -499,7 +497,7 @@ def run(config_path, out, tolerance_overrides, seed):
             })
             _emit(report, out)
             click.echo(f"task {i} failed: {exc}", err=True)
-            sys.exit(code)
+            sys.exit(3)
         report["tasks"].append({
             "kind": task["kind"],
             "inputs": _task_inputs(task),

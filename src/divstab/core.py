@@ -1,7 +1,10 @@
 """Divisor-class arithmetic and the backend protocol shared by all models.
 
 The filtration and stability layers read a model only through `GeometryModel`:
-`volume`, `closed_form_threshold`, `expected_order`, `order_derivative`, `centre`.
+`volume`, `closed_form_threshold`, `expected_order`, `order_derivative`.
+Which atoms are one valuation is a property of the valuation, its `centre`,
+not of a model: `filtrations.one_per_centre` merges them before any backend
+sees them.
 Class coordinates and intersection-theoretic quantities are exact rationals
 (`fractions.Fraction`); only integrals, suprema over shift vectors and
 irrational surface thresholds use floating point, each with an explicit
@@ -101,8 +104,13 @@ class Valuation:
     monomial valuations on a toric model, and ``None`` for the trivial
     valuation.
 
+    `centre` names the prime divisor v is the order along: atoms with one
+    centre are one valuation.  It is None if trivial, the vector w if
+    monomial, the `centre` of an order model that has one (a surface curve
+    of negative square), else v itself: two curves in one moving class differ.
+
     Valuations key the thresholds in a model's memo, so the hash of the
-    fields is computed once, here, not on every lookup.
+    fields, like the centre, is computed once, here, not on every lookup.
     """
 
     name: str
@@ -117,6 +125,9 @@ class Valuation:
         if self.is_trivial and self.log_discrepancy != 0:
             raise GeometryError("the trivial valuation has log discrepancy 0")
         object.__setattr__(self, "_hash", hash((self.name, self.log_discrepancy, self.is_trivial, self.order_model)))
+        model = self.order_model
+        centre = model if isinstance(model, tuple) else getattr(model, "centre", None) or self
+        object.__setattr__(self, "centre", None if self.is_trivial else centre)
 
     def __hash__(self):
         return self._hash
@@ -173,14 +184,16 @@ class GeometryModel(ABC):
 
     def __init__(self):
         self.named_valuations = {}
-        self._memo: tuple[tuple, dict] = ((), {})
+        self._memo: tuple[tuple | None, dict] = (None, {})
 
     @property
     def basis_id(self) -> str:
         return self.name
 
     def divisor(self, coeffs: Sequence) -> DivisorClass:
-        return DivisorClass.make(coeffs, self.basis_id)
+        D = DivisorClass.make(coeffs, self.basis_id)
+        self._check_basis(D)
+        return D
 
     @abstractmethod
     def volume(self, D: DivisorClass) -> Fraction:
@@ -193,18 +206,13 @@ class GeometryModel(ABC):
 
     @abstractmethod
     def expected_order(self, L: DivisorClass, support: Sequence[Valuation], shifts) -> tuple:
-        """(S, grad_t S) of big L along the shifted support, the gradient an
-        exact supergradient of the concave S, summing to 1."""
+        """(S, grad_t S) of big L along the shifted support, one atom per
+        centre, the gradient an exact supergradient of the concave S, summing to 1."""
 
     @abstractmethod
     def order_derivative(self, L: DivisorClass, support: Sequence[Valuation], shifts, H: DivisorClass) -> float:
         """d/ds S_{L+sH}(t) at s = 0 with t fixed; callers pass -H for the
         left derivative."""
-
-    def centre(self, v: Valuation):
-        """The key of the order function of v: atoms with one key enter S
-        only through their least shift.  None for the trivial valuation."""
-        return None if v.is_trivial else v
 
     def is_big(self, D: DivisorClass) -> bool:
         return self.volume(D) > 0
@@ -220,11 +228,16 @@ class GeometryModel(ABC):
             raise BasisMismatchError(
                 f"class in lattice {D.basis_id!r} queried against model {self.basis_id!r}"
             )
+        if len(D.coefficients) != self.class_rank:
+            raise BasisMismatchError(
+                f"class of rank {len(D.coefficients)} queried against model {self.basis_id!r} of rank {self.class_rank}"
+            )
 
     def _memo_of(self, L: DivisorClass) -> dict:
-        """The memo of L, emptied first unless L was the last class asked."""
-        self._check_basis(L)
-        if self._memo[0] != L.coefficients:
+        """The memo of L, emptied first unless L was the last class asked, in
+        this lattice: its rank was checked when it was asked first."""
+        if self._memo[0] != L.coefficients or L.basis_id != self.basis_id:
+            self._check_basis(L)
             self._memo = L.coefficients, {}
         return self._memo[1]
 

@@ -32,7 +32,7 @@ from .core import (
     _dot,
     gamma_threshold,
 )
-from .filtrations import FiltrationSpec, expected_order_S, expected_order_S_grad
+from .filtrations import FiltrationSpec, expected_order_S, expected_order_S_grad, one_per_centre
 
 PROBE_SEMANTICS = (
     "finite-instance evidence only: an instability witness is definitive, "
@@ -335,10 +335,10 @@ def norm_enlarged_support_check(
     L: DivisorClass,
     mu: DivisorialMeasure,
     extra: Sequence[Valuation],
-    tol: float = 1e-6,
     options: OptimizerOptions = OptimizerOptions(),
 ) -> bool:
-    """The norm is unchanged by adding zero-mass valuations to the support."""
+    """The norm is unchanged, within 1e-6, by adding zero-mass valuations to
+    the support."""
     names = {v.name for v in mu.support}
     for v in extra:
         if v.name in names:
@@ -348,22 +348,23 @@ def norm_enlarged_support_check(
         return True
     enlarged = DivisorialMeasure(mu.atoms + tuple((v, Fraction(0)) for v in extra))
     big = norm(model, L, enlarged, options=options)
-    return abs(base.value - big.value) <= tol
+    return abs(base.value - big.value) <= 1e-6
 
 
 # -- Danskin derivatives ----------------------------------------------------
 
 
 def _danskin(model, L, mu, H, side, options) -> tuple[NormResult, float]:
-    """The norm of mu and its one-sided derivative along H.  No check that
-    L +- sH stays big is needed: the big cone is open, so once `norm` has
-    found L big, L + sH is big for all small enough |s|."""
+    """The norm of mu and its one-sided derivative along H, on one atom per
+    centre (`one_per_centre`).  No check that L +- sH stays big is needed:
+    the big cone is open, so once `norm` has found L big, L + sH is big for
+    all small enough |s|."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     sign = 1 if side == "right" else -1
     result = norm(model, L, mu, options=options)
-    (t,) = result.maximizers
-    return result, sign * model.order_derivative(L, mu.support, t, sign * H)
+    support, t, _ = one_per_centre(mu.support, result.maximizers[0])
+    return result, sign * model.order_derivative(L, support, t, sign * H)
 
 
 def danskin_derivative(
@@ -439,10 +440,10 @@ def ma_solve(
 
     Maximizes the same functional as `norm`; the output measure is the exact
     supergradient of S at the reported maximizer, from one evaluation.  S
-    sees atoms that share one order function, one `model.centre`, only
-    through their least shift, so S has a kink where their shifts tie: their
-    coordinates are flagged, and the group's mass is split in proportion to
-    mu, an element of the superdifferential at the tie.
+    sees atoms of one valuation, one `Valuation.centre`, only through their
+    least shift, so S has a kink where their shifts tie: their coordinates
+    are flagged, and the group's mass is split in proportion to mu, an
+    element of the superdifferential at the tie.
     """
     result = norm(model, L, mu, options=options)
     (t_star,) = result.maximizers
@@ -450,7 +451,7 @@ def ma_solve(
     measure = list(expected_order_S_grad(model, L, FiltrationSpec(mu.support, t_star))[1])
     groups: dict[object, list[int]] = {}
     for i, v in enumerate(mu.support):
-        groups.setdefault(model.centre(v), []).append(i)
+        groups.setdefault(v.centre, []).append(i)
     flats = []
     for group in groups.values():
         if len(group) > 1:

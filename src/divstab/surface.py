@@ -46,7 +46,9 @@ class SurfaceRealization:
     `divisor` its class there, and `pullback` the rational matrix sending
     base-lattice coordinates to `model`'s lattice (None = identity, i.e. the
     valuation is realised on the base surface itself).  `ints` (`_integral`)
-    are the coefficients of `divisor`, kept from construction.
+    are the coefficients of `divisor`, kept from construction.  `centre`
+    (`Valuation.centre`) keys `model`, `pullback` and `divisor` if the divisor
+    has negative square, so is the only effective divisor in its class; else None.
     """
 
     model: "SurfaceModel"
@@ -56,6 +58,10 @@ class SurfaceRealization:
 
     def __post_init__(self):
         object.__setattr__(self, "ints", _integral((self.divisor.coefficients,)))
+        # a str key: it hashes once, so merging atoms costs one set per S
+        rigid = self.model.pairing(self.divisor, self.divisor) < 0
+        key = f"{id(self.model)} {self.pullback} {self.divisor.coefficients}"
+        object.__setattr__(self, "centre", key if rigid else None)
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,11 @@ class SurfaceModel(GeometryModel):
         for i, C in enumerate(self.negative_curves):
             if gram[i][i] >= 0:
                 raise GeometryError(f"declared negative curve {C.coefficients} has self-intersection >= 0")
+            # distinct curves meet nonnegatively; a curve declared twice meets itself negatively
+            for j in range(i):
+                if gram[i][j] < 0:
+                    raise GeometryError(f"declared negative curves {_shown(self.negative_curves[j])} and {_shown(C)} "
+                                        f"meet negatively: they are not two distinct curves")
         if canonical_class is None:
             canonical_class = [0] * self.class_rank
         self.canonical_class = self.divisor(canonical_class)
@@ -130,7 +141,8 @@ class SurfaceModel(GeometryModel):
     def _decomposition(self, D: DivisorClass):
         """(Zariski decomposition, vol) of D, kept in the memo of D beside its
         ints (`_reduced`); off the psef cone, its error message, raised afresh
-        on each query."""
+        on each query.  A positive part of negative square, which no nef class
+        has (Hodge index), raises GeometryError: a declared curve is missing."""
         memo, lat = self._memo_of(D), self._exact
         ((b,), q), hit = _reduced(memo, D)
         if hit is None:
@@ -138,7 +150,12 @@ class SurfaceModel(GeometryModel):
                 support, p0, _, scale, _ = self._chamber(lat, b, (0,) * len(b), q, (0, 1))
                 P = DivisorClass(tuple(Fraction(c, scale) for c in p0), self.basis_id)
                 N = tuple((self.negative_curves[i], Fraction(lat.kappa * a, scale)) for i, a, _ in support)
-                hit = ZariskiDecomposition(P, N), Fraction(_dot(p0, _image(lat.matrix, p0)), scale**2 * lat.sigma)
+                square = _dot(p0, _image(lat.matrix, p0))
+                vol = Fraction(square, scale**2 * lat.sigma)
+                if square < 0:
+                    raise GeometryError(f"the positive part of class {_shown(D)} has square {vol}: "
+                                        f"the declared curves are incomplete")
+                hit = ZariskiDecomposition(P, N), vol
             except NotPseudoeffectiveError as e:
                 hit = str(e)
             memo["zariski"] = ((b,), q), hit
@@ -566,6 +583,11 @@ def _reduced(memo, D):
     if "zariski" not in memo:
         memo["zariski"] = _integral((D.coefficients,)), None
     return memo["zariski"]
+
+
+def _shown(D) -> str:
+    """The coefficients of D as a list of rationals, for messages."""
+    return f"[{', '.join(map(str, D.coefficients))}]"
 
 
 def _image(matrix, v) -> tuple:

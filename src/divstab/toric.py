@@ -237,43 +237,41 @@ class ToricModel(GeometryModel):
         return evaluate
 
     def expected_order(self, L: DivisorClass, support, shifts) -> tuple[Fraction, list[Fraction]]:
-        """Exact S of L along shifted monomial valuations, the mean over P_L
-        of min_i f_i, f_i = <., w_i> - min_{P_L}<., w_i> + t_i (w = 0 for a
-        trivial valuation), and dS/dt_i, the share of P_L in the cell of i.
+        """Exact S of L along shifted monomial valuations, one per vector w,
+        the mean over P_L of min_i f_i, f_i = <., w_i> - min_{P_L}<., w_i> +
+        t_i (w = 0 for a trivial valuation), and dS/dt_i, the share of P_L in
+        the cell of i.
 
-        Pieces with equal w keep the first least constant (the others get
-        dS/dt_i = 0).  The first piece integrates over all of P_L; every other
-        piece i adds the integral of f_i - f_1 over its cell, where f_i is
-        least, and the first cell is what they leave.  Each integral is exact
-        from a (mass, first moment) pair.
+        The first piece integrates over all of P_L; every other piece i adds
+        the integral of f_i - f_1 over its cell, where f_i is least, and the
+        first cell is what they leave.  Each integral is exact from a (mass,
+        first moment) pair.
         """
         _, _, mass, moment = self._section_polytope(L)
         if mass <= 0:
             raise GeometryError("expected vanishing order requires a big class")
-        pieces: dict[tuple[int, ...], tuple[Fraction, int]] = {}
-        for i, (v, t) in enumerate(zip(support, shifts)):
+        pieces = []
+        for v, t in zip(support, shifts):
             if v.is_trivial:
-                w, c = (0,) * self.dimension, Fraction(t)
+                pieces.append(((0,) * self.dimension, Fraction(t)))
             else:
                 w = self._valuation_vector(v)
-                c = Fraction(t) - self.order_anchor(L, w)
-            if w not in pieces or c < pieces[w][0]:
-                pieces[w] = (c, i)
-        (w1, (c1, i1)), *rest = pieces.items()
+                pieces.append((w, Fraction(t) - self.order_anchor(L, w)))
+        (w1, c1), *rest = pieces
         total = _dot(w1, moment) + c1 * mass
-        grad = [Fraction(int(i == i1)) for i in range(len(support))]
-        for wi, (ci, i) in rest:
+        grad = [Fraction(int(i == 0)) for i in range(len(support))]
+        for i, (wi, ci) in enumerate(rest, 1):
             # the cell of piece i: f_j - f_i >= 0 for every other piece j
             cuts = [
                 (tuple(a - b for a, b in zip(wj, wi)), ci - cj)
-                for wj, (cj, _) in pieces.items()
-                if wj != wi
+                for j, (wj, cj) in enumerate(pieces)
+                if j != i
             ]
             _, _, cell_mass, cell_moment = self._cell(L, cuts)
             diff = [a - b for a, b in zip(wi, w1)]
             total += _dot(diff, cell_moment) + (ci - c1) * cell_mass
             grad[i] = cell_mass / mass
-            grad[i1] -= grad[i]
+            grad[0] -= grad[i]
         return total / mass, grad
 
     def order_derivative(self, L: DivisorClass, support, shifts, H: DivisorClass) -> float:
@@ -285,10 +283,6 @@ class ToricModel(GeometryModel):
 
         d1, d2 = diff(Fraction(1, 1000)), diff(Fraction(1, 2000))
         return (4.0 * d2 - d1) / 3.0
-
-    def centre(self, v: Valuation):
-        """The vector w, which fixes the order function; None if trivial."""
-        return v.order_model
 
     # -- section rings ------------------------------------------------------
 

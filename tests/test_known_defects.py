@@ -1,12 +1,12 @@
 """Measured defects, pinned as strict xfails until the ROADMAP item named in
-each mark mends them; the mending change removes the mark."""
+each mark mends them; the mending change removes the mark, and the test
+stays as a regression test."""
 import pytest
 
 import divstab as ds
 from divstab import models
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: two valuations on one rigid curve twist L twice")
 def test_one_rigid_curve_named_twice_is_one_valuation():
     blp2 = models._BUILDERS["blp2"]()
     ord_e = blp2.named_valuations["ord_e"]

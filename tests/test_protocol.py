@@ -44,9 +44,6 @@ class Forwarding(ds.GeometryModel):
     def order_derivative(self, L, support, shifts, H):
         return self.inner.order_derivative(L, support, shifts, H)
 
-    def centre(self, v):
-        return self.inner.centre(v)
-
 
 def _valuation(model, name):
     return ds.TRIVIAL_VALUATION if name == "trivial" else model.named_valuations[name]
