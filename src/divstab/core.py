@@ -1,7 +1,8 @@
 """Divisor-class arithmetic and the backend protocol shared by all models.
 
 The filtration and stability layers read a model only through `GeometryModel`:
-`volume`, `closed_form_threshold`, `expected_order`, `order_derivative`.
+`volume`, `closed_form_threshold`, `expected_order`, `order_derivative`,
+and the optional `one_valuation_maximizer`, a closed-form start for norms.
 Which atoms are one valuation is a property of the valuation, its `centre`,
 not of a model: `filtrations.one_per_centre` merges them before any backend
 sees them.
@@ -213,6 +214,14 @@ class GeometryModel(ABC):
     def order_derivative(self, L: DivisorClass, support: Sequence[Valuation], shifts, H: DivisorClass) -> float:
         """d/ds S_{L+sH}(t) at s = 0 with t fixed; callers pass -H for the
         left derivative."""
+
+    def one_valuation_maximizer(self, L: DivisorClass, v: Valuation, trivial_mass: Fraction):
+        """The shift y of the trivial valuation, with v at shift 0, that
+        maximizes S - <xi, t> for the measure trivial_mass delta_triv +
+        (1 - trivial_mass) delta_v: where vol(L - y E_v) = trivial_mass
+        vol L, a float in [0, gamma].  None, the default, when the backend
+        has no closed form; the norm engine then searches from 0."""
+        return None
 
     def is_big(self, D: DivisorClass) -> bool:
         return self.volume(D) > 0

@@ -8,6 +8,10 @@ evaluates g at min t_i = 0.  Each evaluation of the exact value and
 supergradient of S (`expected_order_S_grad`) is a cutting plane.  A projected
 BFGS ascent, then Kelley cutting-plane steps, run until the bound certified
 by convex weights on the planes is within the tolerance of the best value.
+The ascent starts at 0, or, when the non-trivial atoms of the measure share
+one centre, at the exact maximizer if the backend solves for it
+(`GeometryModel.one_valuation_maximizer`): there the first plane is flat
+and certifies alone, else the ascent goes on from that point.
 The evaluations, the ascent and the bound of each plane run on tuples of
 Python floats; numpy is used only where planes are weighed together, in the
 small simplex of the Kelley steps.
@@ -123,10 +127,13 @@ class _Planes:
     offset + hi |s|_1; convex weights on the planes, the solution of the
     Kelley LP (`refine`), by the maximum of their combination over the box,
     in closed form, whatever the rounding of the weights or of the LP.
+    Each bound is raised by `slack`, 4 ulps of hi, for the rounding of g,
+    whose terms S and <xi, t> are below 2 hi: at an exact maximizer the
+    plane is flat, and g rounded to nearest can fall below sup g.
     """
 
     def __init__(self, g, hi, tol):
-        self.g, self.hi, self.tol = g, hi, tol
+        self.g, self.hi, self.tol, self.slack = g, hi, tol, 4 * math.ulp(hi)
         self.us, self.values, self.slopes, self.offsets = [], [], [], []
         self.best, self.bound = 0, math.inf
 
@@ -145,7 +152,7 @@ class _Planes:
         return value, grad
 
     def lower(self, top):
-        self.bound = min(self.bound, top)
+        self.bound = min(self.bound, top + self.slack)
         if self.bound - self.values[self.best] <= self.tol:
             raise _Certified
 
@@ -196,8 +203,8 @@ class _Planes:
         return np.clip(-y[:dim], -self.hi, self.hi)
 
 
-def _ascend(planes, dim, hi):
-    """Projected BFGS ascent on g from 0 until the planes certify, the
+def _ascend(planes, u, hi):
+    """Projected BFGS ascent on g from the point u until the planes certify, the
     evaluation budget is spent, the step does not ascend or a shortened step
     falls below `_LEAST_STEP`.
 
@@ -210,7 +217,7 @@ def _ascend(planes, dim, hi):
     BFGS on -g.  Vectors are tuples of floats and H a list of rows: in the
     dimensions of a norm, arrays cost more than the arithmetic.
     """
-    u = (0.0,) * dim
+    dim = len(u)
     value, s = planes(u)
     H = [[float(i == j) for j in range(dim)] for i in range(dim)]
     scaled = False
@@ -254,16 +261,16 @@ def _ascend(planes, dim, hi):
         u, value, s = trial, new, s_new
 
 
-def _certified_max(g, dim, hi, tol):
+def _certified_max(g, dim, hi, tol, start=None):
     """(u, bound): the best evaluated point of the concave g on [-hi, hi]^dim
     and a certified upper bound on sup g; `g(u)` takes a tuple of floats and
     returns the value and a supergradient.  A projected BFGS ascent runs
-    until the planes certify `tol`; then Kelley steps, from all the planes
-    of the ascent, until the planes certify, their budget is spent or the
-    cutting-plane LP fails."""
+    from `start` (default 0) until the planes certify `tol`; then Kelley
+    steps, from all the planes of the ascent, until the planes certify,
+    their budget is spent or the cutting-plane LP fails."""
     planes = _Planes(g, hi, tol)
     try:
-        _ascend(planes, dim, hi)
+        _ascend(planes, (0.0,) * dim if start is None else start, hi)
         for _ in range(_KELLEY_STEPS):
             try:
                 u = planes.refine()
@@ -312,7 +319,8 @@ def norm(
 
     t, bound, value = (0.0,) * len(xi), -math.inf, None
     if len(xi) > 1:
-        u, bound = _certified_max(reduced, len(xi) - 1, hi, options.tol)
+        start = _closed_form_start(model, L, mu)
+        u, bound = _certified_max(reduced, len(xi) - 1, hi, options.tol, start)
         t, value = lowest_at_zero(u), values[u]
         # past hi above the least shift a valuation is inactive, and lowering
         # its shift to hi does not lower g
@@ -328,6 +336,22 @@ def norm(
         gap=gap,
         converged=gap <= options.tol,
     )
+
+
+def _closed_form_start(model, L, mu):
+    """The exact maximizer of g, as reduced shifts, when the non-trivial
+    atoms of mu share one centre and the backend solves for it
+    (`GeometryModel.one_valuation_maximizer`): the trivial atoms at y, the
+    centre's at 0, their masses summed.  None otherwise."""
+    centres = {v.centre for v in mu.support if not v.is_trivial}
+    if len(centres) != 1:
+        return None
+    v = next(v for v in mu.support if not v.is_trivial)
+    y = model.one_valuation_maximizer(L, v, sum((m for w, m in mu.atoms if w.is_trivial), Fraction(0)))
+    if y is None:
+        return None
+    t = [y if w.is_trivial else 0.0 for w in mu.support]
+    return tuple(x - t[0] for x in t[1:])
 
 
 def norm_enlarged_support_check(

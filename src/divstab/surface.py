@@ -10,11 +10,14 @@ right of a point, where P is linear and vol = P^2 quadratic in lam, and the
 pairings of P that give its walls.  It runs fraction-free on int tuples over
 one positive scale, with no tolerance: points and walls are int pairs, so
 the threshold walk builds one Fraction, the threshold.  It keeps its
-chambers, each with the quadratic vol on it, so S and grad S of a support
-with one non-trivial valuation integrate them in closed form and search no
-chamber (`_SurfaceProblem.expected_order`).  Other supports, and the Danskin
-rows, walk the same chambers exactly (`_SurfaceProblem.walk`): float shifts
-are binary rationals, so they sit over one int denominator.
+chambers, each with the quadratic vol on it and the ints of P, so S, grad S
+and the Danskin derivative d_L S of a support with one non-trivial valuation
+integrate them in closed form and search no chamber
+(`_SurfaceProblem.expected_order`, `_SurfaceProblem.order_derivative`), and
+the norm of such a measure starts at the root of vol(L - y E) = xi_0 vol L
+on them (`SurfaceModel.one_valuation_maximizer`).  Other supports walk the
+same chambers exactly (`_SurfaceProblem.walk`): float shifts are binary
+rationals, so they sit over one int denominator.
 """
 from __future__ import annotations
 
@@ -311,10 +314,17 @@ class SurfaceModel(GeometryModel):
 
     def volume_float(self, vec) -> float:
         """vol of the class with these float coordinates, binary rationals:
-        the exact `_step` at d = 0, rounded once, and kept in no memo."""
+        the exact `_step` at d = 0, rounded once, and kept in no memo.  A
+        positive part of negative square raises GeometryError, as in `volume`."""
         lat, ((b,), q) = self._exact, _integral((tuple(Fraction(float(c)) for c in vec),))
         step = self._step(lat, b, (0,) * len(b), q, (0, 1))
-        return 0.0 if step is None else _dot(step[0], step[2]) / (step[4] ** 2 * lat.sigma)
+        if step is None:
+            return 0.0
+        vol = _dot(step[0], step[2]) / (step[4] ** 2 * lat.sigma)
+        if vol < 0:
+            raise GeometryError(f"the positive part of class {list(map(float, vec))} has square {vol}: "
+                                f"the declared curves are incomplete")
+        return vol
 
     def twist_integrals(self, L, valuations, shifts, lam0, lam1, direction=None):
         """Exact integrals along lam -> L - sum max(lam - t_i, 0) D_i over [lam0, lam1].
@@ -338,9 +348,11 @@ class SurfaceModel(GeometryModel):
         It walks the ints of L and E_v, lam an int pair, and builds one
         Fraction, the threshold.  The chambers walked stay in the memo of L,
         under ("chambers", v), next to the threshold that `gamma_threshold`
-        keeps: one float tuple (start, end, c0, c1, c2) per chamber, vol(L -
-        lam E_v) = c0 + c1 lam + c2 lam^2 on [start, end], each an exact
-        ratio rounded once, and the last end the threshold."""
+        keeps: one tuple (start, end, c0, c1, c2, Mp0, Mp1, scale) per
+        chamber, vol(L - lam E_v) = c0 + c1 lam + c2 lam^2 on [start, end] in
+        floats, each an exact ratio rounded once, and the last end the
+        threshold; P = (p0 + lam p1) / scale there, and `_step`'s ints M p0,
+        M p1 and scale give P . H (`_SurfaceProblem.order_derivative`)."""
         memo = self._memo_of(L)
         if v.is_trivial:
             raise GeometryError("pseudoeffective threshold undefined for the trivial valuation")
@@ -357,7 +369,7 @@ class SurfaceModel(GeometryModel):
                 raise GeometryError(f"threshold of {v.name!r} is unbounded: no declared curve bounds it")
             start, x = x, wall if root is None else root
             end = x if isinstance(x, float) else x[0] / x[1]
-            chambers.append((start[0] / start[1], end, *(c / unit for c in coeffs)))
+            chambers.append((start[0] / start[1], end, *(c / unit for c in coeffs), Mp0, Mp1, scale))
             if root is not None:
                 break
         memo["chambers", v] = tuple(chambers)
@@ -375,20 +387,28 @@ class SurfaceModel(GeometryModel):
         return self._compiled(L, support).expected_order(shifts)
 
     def order_derivative(self, L: DivisorClass, support, shifts, H: DivisorClass) -> float:
-        """d/ds S_{L+sH}(t) at s = 0 from one walk of the compiled problem:
-        (2 / vol) (integral of P . H - (P_L . H / vol) integral of vol), 0
-        for trivial valuations alone."""
+        """d/ds S_{L+sH}(t) at s = 0 from the compiled problem
+        (`_SurfaceProblem.order_derivative`), 0 for trivial valuations alone."""
         if all(v.is_trivial for v in support):
             self._check_basis(L)
             return 0.0
-        problem = self._compiled(L, support)
-        t0, lam_max, iv, ih = problem.integrals(shifts, problem.pulled([H]))
-        if lam_max <= t0:
-            return 0.0
-        vol = problem.volume
-        # P_L . H from the decomposition the problem kept: L is not decomposed again
-        plh = float(self.pairing(problem.positive, H))
-        return (2.0 / vol) * (float(ih[0]) - (plh / vol) * iv)
+        return self._compiled(L, support).order_derivative(shifts, H)
+
+    def one_valuation_maximizer(self, L: DivisorClass, v: Valuation, trivial_mass) -> float:
+        """The y with vol(L - y E_v) = trivial_mass vol L, on the chambers of
+        v's gamma walk (`closed_form_threshold`), where vol is a nonincreasing
+        quadratic: the root in the first chamber whose end reaches the
+        target, in the form without cancellation, clamped to the chamber."""
+        gamma_threshold(self, L, v)  # puts v's chambers in the memo of L
+        target = float(trivial_mass * self.volume(L))
+        for start, end, c0, c1, c2, _, _, _ in self._memo_of(L)["chambers", v]:
+            if c0 + end * (c1 + c2 * end) <= target:
+                break
+        c = c0 - target
+        s = math.sqrt(max(c1 * c1 - 4.0 * c2 * c, 0.0))
+        # the root where vol falls: c2 < 0 when c1 > 0, and -c1 + s = 0 only where vol is flat
+        y = (-c1 - s) / (2.0 * c2) if c1 > 0 else 2.0 * c / (s - c1) if s - c1 else start
+        return min(max(y, start), end)
 
     def _compiled(self, L: DivisorClass, support: Sequence[Valuation]) -> "_SurfaceProblem":
         """The compiled problem of (L, support), kept in the memo of L for the
@@ -412,9 +432,9 @@ class _SurfaceProblem:
     shifts.  The thresholds gamma_i are computed on first use
     (`thresholds`), which needs L big.  With one non-trivial valuation v,
     the problem also holds the chambers of v's gamma walk
-    (`SurfaceModel.closed_form_threshold`), and `S` and its gradient
-    integrate them in closed form; other supports walk the chambers
-    exactly (`walk`).
+    (`SurfaceModel.closed_form_threshold`), and `S`, its gradient and its
+    derivative in L integrate them in closed form; other supports walk the
+    chambers exactly (`walk`).
     """
 
     def __init__(self, model: SurfaceModel, L: DivisorClass, support: tuple):
@@ -497,6 +517,35 @@ class _SurfaceProblem:
         if self._trivial:
             grad[min(self._trivial, key=lambda i: float(shifts[i]))] = 1.0 - math.fsum(grad)
         return value, grad
+
+    def order_derivative(self, shifts, H):
+        """d/ds S_{L+sH}(t) at s = 0: (2 / vol) (integral of P . H - (P_L . H /
+        vol) integral of vol) over the range of the filtration.  With one
+        non-trivial v nothing is walked: over [0, y], y as in `expected_order`,
+        both integrate the chambers of the gamma walk, P . H from their ints,
+        converted here.  Other supports walk (`integrals`)."""
+        vol = self.volume
+        if len(self._nontrivial) == 1:
+            (i,), (gamma,) = self._nontrivial, self.thresholds()
+            ts = [float(s) for s in shifts]
+            y = min(gamma, min([ts[j] for j in self._trivial], default=math.inf) - ts[i])
+            if y <= 0:
+                return 0.0
+            iv, _ = _chamber_integral(self._chambers, y)
+            (h,), qh = _integral((self._pull(H.coefficients),))
+            ih, sigma = 0.0, self.target._exact.sigma
+            for start, end, _, _, _, Mp0, Mp1, scale in self._chambers:
+                x, den = min(end, y), qh * scale * sigma
+                ih += _dot(h, Mp0) / den * (x - start) + _dot(h, Mp1) / den * (x * x - start * start) / 2.0
+                if y <= end:
+                    break
+        else:
+            t0, lam_max, iv, (ih, *_) = self.integrals(shifts, self.pulled([H]))
+            if lam_max <= t0:
+                return 0.0
+        # P_L . H from the decomposition the problem kept: L is not decomposed again
+        plh = float(self.model.pairing(self.positive, H))
+        return (2.0 / vol) * (ih - (plh / vol) * iv)
 
     def walk(self, ts, lam0, lam1, rows):
         """(integral of vol, integrals of P . h) over [lam0, lam1] along
@@ -655,7 +704,7 @@ def _chamber_integral(chambers, y):
     end of `closed_form_threshold`'s chambers, on each of which vol = c0 +
     c1 mu + c2 mu^2; both summed chamber by chamber, as `walk` does."""
     total = drop = 0.0
-    for start, end, c0, c1, c2 in chambers:
+    for start, end, c0, c1, c2, _, _, _ in chambers:
         x = min(end, y)
         total += c0 * (x - start) + c1 * (x * x - start * start) / 2.0 + c2 * (x**3 - start**3) / 3.0
         drop -= c1 * (x - start) + c2 * (x * x - start * start)
