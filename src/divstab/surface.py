@@ -9,14 +9,13 @@ One routine, `SurfaceModel._chamber`, finds the Zariski chamber of b + lam d
 right of a point, where P is linear and vol = P^2 quadratic in lam, and the
 pairings of P that give its walls.  It runs fraction-free on int tuples over
 one positive scale, with no tolerance: points and walls are int pairs, so
-the threshold walk builds one Fraction, the threshold.  It keeps its
-chambers, each with the quadratic vol on it and the ints of P, so S, grad S
-and the Danskin derivative d_L S of a support with one non-trivial valuation
-integrate them in closed form and search no chamber
-(`_SurfaceProblem.expected_order`, `_SurfaceProblem.order_derivative`), and
-the norm of such a measure starts at the root of vol(L - y E) = xi_0 vol L
-on them (`SurfaceModel.one_valuation_maximizer`).  Other supports walk the
-same chambers exactly (`_SurfaceProblem.walk`): float shifts are binary
+the threshold walk builds one Fraction, the threshold.  Every walk emits one
+record per chamber, vol and M P on it in floats, and one function,
+`_integrate`, integrates any list of records: vol, P . h and P . E_i give S,
+grad S and d_L S.  The gamma walk keeps its records, so a support with one
+non-trivial valuation walks nothing, and its exact quadratics give the root
+of vol(L - y E) = xi_0 vol L (`SurfaceModel.one_valuation_maximizer`).
+Other supports walk afresh (`_SurfaceProblem.walk`): float shifts are binary
 rationals, so they sit over one int denominator.
 """
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
@@ -336,7 +335,7 @@ class SurfaceModel(GeometryModel):
         problem = self._compiled(L, valuations)
         ts = [float(t) for v, t in zip(valuations, shifts) if not v.is_trivial]
         rows = [] if direction is None else problem.pulled([direction])
-        iv, ih = problem.walk(ts, lam0, lam1, rows)
+        iv, ih, _ = _integrate(problem.walk(ts, lam0, lam1), lam1, rows, ())
         return iv, ih[0] if rows else 0.0
 
     def closed_form_threshold(self, L: DivisorClass, v: Valuation):
@@ -348,11 +347,9 @@ class SurfaceModel(GeometryModel):
         It walks the ints of L and E_v, lam an int pair, and builds one
         Fraction, the threshold.  The chambers walked stay in the memo of L,
         under ("chambers", v), next to the threshold that `gamma_threshold`
-        keeps: one tuple (start, end, c0, c1, c2, Mp0, Mp1, scale) per
-        chamber, vol(L - lam E_v) = c0 + c1 lam + c2 lam^2 on [start, end] in
-        floats, each an exact ratio rounded once, and the last end the
-        threshold; P = (p0 + lam p1) / scale there, and `_step`'s ints M p0,
-        M p1 and scale give P . H (`_SurfaceProblem.order_derivative`)."""
+        keeps: one `_integrate` record per chamber, vol(L - lam E_v) and M P
+        in floats on [start, end], each an exact ratio rounded once, and the
+        last end the threshold (`_GammaWalk`)."""
         memo = self._memo_of(L)
         if v.is_trivial:
             raise GeometryError("pseudoeffective threshold undefined for the trivial valuation")
@@ -360,7 +357,7 @@ class SurfaceModel(GeometryModel):
         lat, ((e,), qe) = target._exact, v.order_model.ints
         (b,), qb = _reduced(memo, L)[0] if v.order_model.pullback is None else _integral((pull(L.coefficients),))
         b, d, q = tuple(c * qe for c in b), tuple(-c * qb for c in e), qb * qe
-        x, chambers = (0, 1), []
+        x, chambers, quadratics = (0, 1), [], []
         while (step := target._step(lat, b, d, q, x)) is not None:
             p0, p1, Mp0, Mp1, scale, wall = step
             coeffs, unit = (_dot(p0, Mp0), 2 * _dot(p0, Mp1), _dot(p1, Mp1)), scale**2 * lat.sigma
@@ -368,11 +365,13 @@ class SurfaceModel(GeometryModel):
             if root is None and wall is None:
                 raise GeometryError(f"threshold of {v.name!r} is unbounded: no declared curve bounds it")
             start, x = x, wall if root is None else root
-            end = x if isinstance(x, float) else x[0] / x[1]
-            chambers.append((start[0] / start[1], end, *(c / unit for c in coeffs), Mp0, Mp1, scale))
+            end, den = x if isinstance(x, float) else x[0] / x[1], scale * lat.sigma
+            chambers.append((start[0] / start[1], end, *(c / unit for c in coeffs), Mp0, Mp1, den, den))
+            quadratics.append((coeffs, unit, start, x))
             if root is not None:
                 break
-        memo["chambers", v] = tuple(chambers)
+        memo["chambers", v] = _GammaWalk(chambers)
+        memo["chambers", v].quadratics = tuple(quadratics)
         return x if isinstance(x, float) else Fraction(*x)
 
     def expected_order(self, L: DivisorClass, support, shifts) -> tuple[float, list[float]]:
@@ -395,20 +394,19 @@ class SurfaceModel(GeometryModel):
         return self._compiled(L, support).order_derivative(shifts, H)
 
     def one_valuation_maximizer(self, L: DivisorClass, v: Valuation, trivial_mass) -> float:
-        """The y with vol(L - y E_v) = trivial_mass vol L, on the chambers of
-        v's gamma walk (`closed_form_threshold`), where vol is a nonincreasing
-        quadratic: the root in the first chamber whose end reaches the
-        target, in the form without cancellation, clamped to the chamber."""
+        """The y with vol(L - y E_v) = trivial_mass vol L, on the exact
+        quadratics of v's gamma walk (`closed_form_threshold`), where vol
+        falls: the least root (`_first_root`) in the first chamber that
+        reaches the target, exact and rounded once; 0 when the target is vol L."""
         gamma_threshold(self, L, v)  # puts v's chambers in the memo of L
-        target = float(trivial_mass * self.volume(L))
-        for start, end, c0, c1, c2, _, _, _ in self._memo_of(L)["chambers", v]:
-            if c0 + end * (c1 + c2 * end) <= target:
-                break
-        c = c0 - target
-        s = math.sqrt(max(c1 * c1 - 4.0 * c2 * c, 0.0))
-        # the root where vol falls: c2 < 0 when c1 > 0, and -c1 + s = 0 only where vol is flat
-        y = (-c1 - s) / (2.0 * c2) if c1 > 0 else 2.0 * c / (s - c1) if s - c1 else start
-        return min(max(y, start), end)
+        if trivial_mass >= 1:
+            return 0.0
+        n, m = (trivial_mass * self.volume(L)).as_integer_ratio()
+        for (k0, k1, k2), unit, start, end in self._memo_of(L)["chambers", v].quadratics:
+            # vol - target = (m (k0 + k1 y + k2 y^2) - n unit) / (m unit)
+            root = _first_root(m * k0 - n * unit, m * k1, m * k2, m * unit, start, None if isinstance(end, float) else end)
+            if root is not None:
+                return root if isinstance(root, float) else root[0] / root[1]
 
     def _compiled(self, L: DivisorClass, support: Sequence[Valuation]) -> "_SurfaceProblem":
         """The compiled problem of (L, support), kept in the memo of L for the
@@ -430,11 +428,10 @@ class _SurfaceProblem:
     int tuples over one denominator.  Building it resolves the realization, so a support
     realised on several birational models raises here, whatever the
     shifts.  The thresholds gamma_i are computed on first use
-    (`thresholds`), which needs L big.  With one non-trivial valuation v,
-    the problem also holds the chambers of v's gamma walk
-    (`SurfaceModel.closed_form_threshold`), and `S`, its gradient and its
-    derivative in L integrate them in closed form; other supports walk the
-    chambers exactly (`walk`).
+    (`thresholds`), which needs L big.  `integrals` picks the chambers of
+    each `S` call, those of v's gamma walk for one non-trivial valuation v
+    (`SurfaceModel.closed_form_threshold`), else those of one `walk`, and
+    `_integrate` integrates them for `S`, its gradient and its derivative in L.
     """
 
     def __init__(self, model: SurfaceModel, L: DivisorClass, support: tuple):
@@ -466,121 +463,83 @@ class _SurfaceProblem:
             self._gammas = [float(g) for g in gammas]
         return self._gammas
 
-    def integrals(self, shifts, rows):
-        """(t0, lam_max, integral of vol, integrals of P . h) over the range
-        [t0, lam_max] of the filtration with these shifts, one per support
-        valuation; all 0 when the range is empty.  h runs over the float
-        tuples in the list `rows`, then over the divisor E_i of each
-        non-trivial valuation, integrated from t_i on (`walk`).
-        """
-        ts = [float(t) for t in shifts]
-        t0 = min(ts)
-        active = [ts[i] for i in self._nontrivial]
+    def integrals(self, ts, rows):
+        """(t0, (integral of vol, integrals of P . h, integrals of P . E_i)) over
+        the range [t0, lam_max] of the filtration at the float shifts `ts`
+        (`_integrate`, all 0 on an empty range), h the float tuples in `rows`
+        and E_i the divisors of the non-trivial valuations.  With one, v at
+        shift t, the chambers are those of v's gamma walk, in mu = lam - t up
+        to min(gamma, tau - t), tau the least trivial shift."""
+        t0, gammas = min(ts), self.thresholds()
         # a trivial valuation admits no section past its shift: hard cutoff
-        lam_max = min([g + t for g, t in zip(self.thresholds(), active)] + [ts[i] for i in self._trivial])
-        if lam_max <= t0:
-            return t0, lam_max, 0.0, [0.0] * (len(rows) + len(active))
-        return (t0, lam_max, *self.walk(active, t0, lam_max, rows))
+        cap = min(map(ts.__getitem__, self._trivial), default=math.inf)
+        if len(gammas) == 1:  # v's gamma walk, in mu = lam - t
+            t = ts[self._nontrivial[0]]
+            return t0, _integrate(self._chambers, min(gammas[0], cap - t), rows, (0.0,))
+        active = [ts[i] for i in self._nontrivial]
+        hi = min(cap, *map(add, gammas, active))
+        chambers = self.walk(active, t0, hi)
+        (_, *divs), q = self._ints
+        return t0, _integrate(chambers, hi, rows, active, divs, q)
 
     def expected_order(self, shifts):
-        """(S, grad S) at these shifts.  For a non-trivial v_i, dS/dt_i =
-        (2 / vol L) times the integral of P . E_i from t_i to lam_max.  The
-        least-shifted trivial valuation, whose cap binds when the range is
-        empty, takes 1 minus the others; other trivial ones 0.
-
-        With one non-trivial v, at shift t, and tau the least trivial shift
-        (inf if none), nothing is walked: S = t + F(y) / vol L and dS/dt =
-        1 - vol(L - y E) / vol L, for y = min(gamma, tau - t) and F the
-        integral of vol(L - mu E) over [0, y], from the chambers of the
-        gamma walk; d vol(L - mu E) / d mu = -2 P . E gives the gradient.
-        Other supports take both from one walk (`integrals`).
-        """
+        """(S, grad S) at these shifts, dS/dt_i = (2 / vol L) times the
+        integral of P . E_i for a non-trivial v_i (`integrals`).  As S(t + c)
+        = S(t) + c, the least-shifted trivial valuation, whose cap binds when
+        the range is empty, or with none the least-shifted one, takes 1 minus
+        the others; other trivial ones 0."""
         vol = self.volume
         if vol <= 0:
             raise GeometryError("expected vanishing order requires a big class")
-        grad = [0.0] * len(self.support)
-        if len(self._nontrivial) == 1:
-            (i,), (gamma,) = self._nontrivial, self.thresholds()
-            ts = [float(s) for s in shifts]
-            y = min(gamma, min([ts[j] for j in self._trivial], default=math.inf) - ts[i])
-            if y > 0:
-                integral, drop = _chamber_integral(self._chambers, y)
-                # vol(L - gamma E) = 0
-                value, grad[i] = ts[i] + integral / vol, 1.0 if y == gamma else drop / vol
-            else:
-                value = min(ts)
-        else:
-            t0, lam_max, iv, ih = self.integrals(shifts, [])
-            value = t0 + iv / vol if lam_max > t0 else t0
-            for i, x in zip(self._nontrivial, ih):
-                grad[i] = 2.0 * x / vol
-        if self._trivial:
-            grad[min(self._trivial, key=lambda i: float(shifts[i]))] = 1.0 - math.fsum(grad)
-        return value, grad
+        ts = list(map(float, shifts))
+        t0, (iv, _, ie) = self.integrals(ts, ())
+        grad = [0.0] * len(ts)
+        for i, x in zip(self._nontrivial, ie):
+            grad[i] = 2.0 * x / vol
+        free = min(self._trivial or range(len(ts)), key=ts.__getitem__)
+        grad[free] = 0.0
+        grad[free] = 1.0 - math.fsum(grad)
+        return t0 + iv / vol, grad
 
     def order_derivative(self, shifts, H):
         """d/ds S_{L+sH}(t) at s = 0: (2 / vol) (integral of P . H - (P_L . H /
-        vol) integral of vol) over the range of the filtration.  With one
-        non-trivial v nothing is walked: over [0, y], y as in `expected_order`,
-        both integrate the chambers of the gamma walk, P . H from their ints,
-        converted here.  Other supports walk (`integrals`)."""
+        vol) integral of vol) over the range of the filtration (`integrals`)."""
         vol = self.volume
-        if len(self._nontrivial) == 1:
-            (i,), (gamma,) = self._nontrivial, self.thresholds()
-            ts = [float(s) for s in shifts]
-            y = min(gamma, min([ts[j] for j in self._trivial], default=math.inf) - ts[i])
-            if y <= 0:
-                return 0.0
-            iv, _ = _chamber_integral(self._chambers, y)
-            (h,), qh = _integral((self._pull(H.coefficients),))
-            ih, sigma = 0.0, self.target._exact.sigma
-            for start, end, _, _, _, Mp0, Mp1, scale in self._chambers:
-                x, den = min(end, y), qh * scale * sigma
-                ih += _dot(h, Mp0) / den * (x - start) + _dot(h, Mp1) / den * (x * x - start * start) / 2.0
-                if y <= end:
-                    break
-        else:
-            t0, lam_max, iv, (ih, *_) = self.integrals(shifts, self.pulled([H]))
-            if lam_max <= t0:
-                return 0.0
+        _, (iv, (ih,), _) = self.integrals(list(map(float, shifts)), self.pulled([H]))
         # P_L . H from the decomposition the problem kept: L is not decomposed again
         plh = float(self.model.pairing(self.positive, H))
         return (2.0 / vol) * (ih - (plh / vol) * iv)
 
-    def walk(self, ts, lam0, lam1, rows):
-        """(integral of vol, integrals of P . h) over [lam0, lam1] along
-        lam -> L - sum max(lam - t_i, 0) E_i, `ts` the shifts of the
-        non-trivial valuations, h the float tuples in the list `rows`, then
-        each E_i, integrated from t_i on.  Floats are binary rationals: over
-        their common denominator D, the ends and shifts are ints mu = D lam,
-        and the class is (b + mu d) / (q D) for int tuples b, d, which E_i
-        joins at its mu.  Each chamber (`SurfaceModel._step`) is integrated
-        in closed form up to its wall or the next shift, from exact int
-        ratios rounded once.  The path only subtracts effective divisors, so
-        where vol is exactly 0 at an end (P = 0, or P nef with P^2 = 0) it
-        stays 0: the walk ends there, and no chamber search fails."""
+    def walk(self, ts, lam0, lam1):
+        """The chambers crossed on [lam0, lam1] by lam -> L - sum max(lam -
+        t_i, 0) E_i, `ts` the shifts of the non-trivial valuations, as
+        `_integrate` records.  Floats are binary rationals: over their common
+        denominator D, the ends and shifts are ints mu = D lam, and the class
+        is (b + mu d) / (q D) for int tuples b, d, which E_i joins at its mu.
+        Each chamber (`SurfaceModel._step`) runs up to its wall or the next
+        shift, its quadratic from exact int ratios rounded once.  The path
+        only subtracts effective divisors, so where vol is exactly 0 at an
+        end (P = 0, or P nef with P^2 = 0) it stays 0: the walk ends there,
+        and no chamber search fails."""
         target, lat = self.target, self.target._exact
         if self._ints is None:  # built here: S on one non-trivial valuation walks nothing
             divs = (self.support[i].order_model.divisor.coefficients for i in self._nontrivial)
             self._ints = _integral((self._pull(self.L.coefficients), *divs))
         (base, *divs), q = self._ints
+        if lam1 <= lam0:  # a trivial cap at or below t0, common in norms: skip the set-up
+            return []
         ratios = [x.as_integer_ratio() for x in (lam0, lam1, *ts)]
         D = math.lcm(*(r for _, r in ratios))
         # each event: (mu, lam as a float, index of its E_i), lam1 last
         (m0, xf), (m1, f1), *ms = ((n * (D // r), n / r) for n, r in ratios)
         events = [*sorted((m, f, i) for i, (m, f) in enumerate(ms) if m < m1), (m1, f1, None)]
-        # E_i is a row over q: its integral is divided by q at the end
-        h, rows = len(rows), [*rows, *divs]
-        live = list(range(h))  # the rows integrated from here on
         b, d = tuple(D * c for c in base), (0,) * len(base)
-        total_v, total_h = 0.0, [0.0] * len(rows)
-        xn, xd, k = m0, 1, 0
+        chambers, xn, xd, k = [], m0, 1, 0
         while xn < m1 * xd:
             while events[k][0] * xd <= xn:
                 m, _, i = events[k]
                 b = tuple(u + m * w for u, w in zip(b, divs[i]))
                 d = tuple(u - w for u, w in zip(d, divs[i]))
-                live.append(h + i)
                 k += 1
             step = target._step(lat, b, d, q * D, (xn, xd))
             if step is None:  # vol > 0 at x, so only an incomplete curve list gets here
@@ -596,16 +555,17 @@ class _SurfaceProblem:
             k0, k1, k2 = _dot(p0, Mp0), _dot(p0, Mp1), _dot(p1, Mp1)
             s1 = scale // D
             den, den1 = scale * lat.sigma, s1 * lat.sigma
-            span, half = ef - xf, (ef * ef - xf * xf) / 2.0
-            total_v += k0 / (scale * den) * span + 2 * k1 / (scale * den1) * half + k2 / (s1 * den1) * (ef**3 - xf**3) / 3.0
-            # the integral of M P over the chamber, in floats: h . r is that of P . h
-            r = [c0 / den * span + c1 / den1 * half for c0, c1 in zip(Mp0, Mp1)]
-            for j in live:
-                total_h[j] += sum(map(mul, rows[j], r))
+            chambers.append((xf, ef, k0 / (scale * den), 2 * k1 / (scale * den1), k2 / (s1 * den1), Mp0, Mp1, den, den1))
             if k0 * xd * xd + xn * (2 * k1 * xd + k2 * xn) == 0:
                 break
             xf = ef
-        return total_v, [*total_h[:h], *(x / q for x in total_h[h:])]
+        return chambers
+
+
+class _GammaWalk(tuple):
+    """The chamber records of a gamma walk, with `quadratics`: the exact
+    (coefficients, unit, start, end) of vol(L - lam E_v) on each, the ends
+    int pairs but for an irrational threshold."""
 
 
 class _Lattice(NamedTuple):
@@ -699,18 +659,36 @@ def _first_root(q0, q1, q2, unit, x, wall):
     return (-q1 / unit - s) / (2 * q2 / unit) if q1 > 0 else 2 * q0 / unit / (-q1 / unit + s)
 
 
-def _chamber_integral(chambers, y):
-    """(integral of vol over [0, y], vol(0) - vol(y)) for 0 < y <= the last
-    end of `closed_form_threshold`'s chambers, on each of which vol = c0 +
-    c1 mu + c2 mu^2; both summed chamber by chamber, as `walk` does."""
-    total = drop = 0.0
-    for start, end, c0, c1, c2, _, _, _ in chambers:
-        x = min(end, y)
-        total += c0 * (x - start) + c1 * (x * x - start * start) / 2.0 + c2 * (x**3 - start**3) / 3.0
-        drop -= c1 * (x - start) + c2 * (x * x - start * start)
-        if y <= end:
+def _integrate(chambers, hi, rows, ts, divs=(), q=1):
+    """(integral of vol, integrals of P . h for h in `rows`, integrals of P .
+    E_i from ts[i] on) over the chamber records (start, end, c0, c1, c2, Mp0,
+    Mp1, den0, den1) up to hi: vol = c0 + c1 x + c2 x^2 and M P = Mp0 / den0
+    + x Mp1 / den1 on [start, end].  -d vol / dx = 2 P . E, E the sum of the
+    live E_i, and vol is flat before the least shift: the first least-shifted
+    E_i takes half the fall of vol less the others, whose int tuples divs[i]
+    over q pair with M P where live (no divs: one E_i, or none)."""
+    total_v = rise = 0.0
+    total_h, total_e = [0.0] * len(rows), [0.0] * len(ts)
+    first = ts.index(min(ts)) if divs else 0
+    for start, end, c0, c1, c2, Mp0, Mp1, den0, den1 in chambers:
+        if hi <= start:
             break
-    return total, drop
+        x = hi if hi < end else end
+        span, half = x - start, (x * x - start * start) / 2.0
+        total_v += c0 * span + c1 * half + c2 * (x**3 - start**3) / 3.0
+        rise += c1 * span / 2 + c2 * half
+        if rows or divs:
+            # the integral of M P over the chamber, in floats
+            r = [a / den0 * span + b / den1 * half for a, b in zip(Mp0, Mp1)]
+            for j, h in enumerate(rows):
+                total_h[j] += sum(map(mul, h, r))
+            for i, t in enumerate(ts):
+                if t <= start and i != first:
+                    total_e[i] += (pe := sum(map(mul, divs[i], r)) / q)
+                    rise += pe
+    if ts:
+        total_e[first] -= rise
+    return total_v, total_h, total_e
 
 
 def zariski(model: SurfaceModel, D: DivisorClass) -> ZariskiDecomposition:

@@ -13,6 +13,7 @@ import pytest
 import divstab as ds
 from divstab import models, stability
 from divstab.core import TRIVIAL_VALUATION, DivisorialMeasure
+from divstab.surface import _integrate
 
 from _cases import random_big_class, random_shifts, surface_models
 from test_protocol import Forwarding
@@ -133,10 +134,12 @@ def test_order_derivative_matches_the_walk():
             H = model.canonical_class if rng.random() < 0.5 else model.divisor([rng.randint(-2, 2) for _ in range(model.class_rank)])
             problem = model._compiled(L, support)
             closed = model.order_derivative(L, support, shifts, H)
-            t0, lam_max, iv, (ih, *_) = problem.integrals(shifts, problem.pulled([H]))
+            ts = [float(s) for s in shifts]
+            t0, lam_max = min(ts), min([ts[0] + problem.thresholds()[0]] + ts[1:])
             if lam_max <= t0:
                 assert closed == 0.0
                 continue
+            iv, (ih,), _ = _integrate(problem.walk(ts[:1], t0, lam_max), lam_max, problem.pulled([H]), ())
             plh = float(model.pairing(problem.positive, H))
             walked = (2.0 / problem.volume) * (ih - (plh / problem.volume) * iv)
             assert abs(closed - walked) <= 1e-12 * (1 + abs(walked))

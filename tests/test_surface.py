@@ -8,7 +8,7 @@ import pytest
 import _reference as reference
 import divstab as ds
 from divstab.filtrations import FiltrationSpec, expected_order_S, expected_order_S_grad
-from divstab.surface import SurfaceModel
+from divstab.surface import SurfaceModel, _integrate
 
 from _cases import random_big_class, random_support, surface_models
 
@@ -310,19 +310,22 @@ class TestOneValuationClosedForm:
     """S and grad S of a support with one non-trivial valuation, which
     integrate the chambers of the exact gamma walk in closed form, against
     the Fraction walk of tests/_reference.py at dyadic shifts and against
-    the walk (`_SurfaceProblem.integrals`); `searches` counts the walk's
-    chamber searches (tests/conftest.py)."""
+    one walk of the same range (`_SurfaceProblem.walk`); `searches` counts
+    the walk's chamber searches (tests/conftest.py)."""
 
     # a second trivial valuation: only its name differs
     TRIVIAL_2 = ds.Valuation("trivial_2", 0, is_trivial=True)
 
     @staticmethod
     def walked(problem, shifts):
-        """(S, dS/dt_v) from the walk, for the one non-trivial v."""
-        t0, lam_max, iv, ih = problem.integrals(shifts, [])
+        """(S, dS/dt_v) from one walk of the range, for the one non-trivial v."""
+        ts = [float(s) for s in shifts]
+        (i,), (gamma,) = problem._nontrivial, problem.thresholds()
+        t0, lam_max = min(ts), min([ts[i] + gamma] + [t for j, t in enumerate(ts) if j != i])
         if lam_max <= t0:
             return t0, 0.0
-        return t0 + iv / problem.volume, 2.0 * ih[0] / problem.volume
+        iv, _, (ie,) = _integrate(problem.walk([ts[i]], t0, lam_max), lam_max, [], [ts[i]])
+        return t0 + iv / problem.volume, 2.0 * ie / problem.volume
 
     @staticmethod
     def cases(rng):
@@ -358,7 +361,7 @@ class TestOneValuationClosedForm:
                 assert abs(value - walk_value) <= 1e-13 * max(1.0, abs(walk_value))
                 assert abs(grad[support.index(v)] - walk_slope) <= 1e-13
                 assert math.fsum(grad) == pytest.approx(1.0, abs=1e-15)
-        # integrals() above searched chambers; expected_order_S_grad never does
+        # walked() above searched chambers; expected_order_S_grad never does
         assert len(searches) > 0
         assert min(seen.values()) >= 6, seen
 
