@@ -9,12 +9,15 @@ One routine, `SurfaceModel._chamber`, finds the Zariski chamber of b + lam d
 right of a point, where P is linear and vol = P^2 quadratic in lam, and the
 pairings of P that give its walls.  It runs fraction-free on int tuples over
 one positive scale, with no tolerance: points and walls are int pairs, so
-the threshold walk builds one Fraction, the threshold.  Every walk emits one
-record per chamber, vol and M P on it in floats, and one function,
+the threshold walk builds one Fraction, the threshold.  One loop, `_walk`,
+walks the chambers of a path for gamma and S alike: each ends at its wall,
+at the next shift or at the first root of vol, where the walk stops, so no
+chamber integrates a negative vol.  It emits one record per chamber, vol and
+M P on it in floats with vol's exact quadratic, and one function,
 `_integrate`, integrates any list of records: vol, P . h and P . E_i give S,
 grad S and d_L S.  The gamma walk keeps its records, so a support with one
-non-trivial valuation walks nothing, and its exact quadratics give the root
-of vol(L - y E) = xi_0 vol L (`SurfaceModel.one_valuation_maximizer`).
+non-trivial valuation walks nothing, and their exact quadratics give the
+root of vol(L - y E) = xi_0 vol L (`SurfaceModel.one_valuation_maximizer`).
 Other supports walk afresh (`_SurfaceProblem.walk`): float shifts are binary
 rationals, so they sit over one int denominator.
 """
@@ -339,39 +342,24 @@ class SurfaceModel(GeometryModel):
         return iv, ih[0] if rows else 0.0
 
     def closed_form_threshold(self, L: DivisorClass, v: Valuation):
-        """Exact pseudoeffective threshold of big L along v: walk the Zariski
-        chambers of pull(L) - lam E_v up from 0, P linear and vol = P^2 on
-        each, until the next chamber is not pseudoeffective or vol reaches 0
-        before the wall (the first root of an N-coefficient or a pairing).
+        """Exact pseudoeffective threshold of big L along v: where the walk
+        (`_walk`) of pull(L) - lam E_v up from 0 ends, at the first root of
+        vol or where the class leaves the psef cone.
 
         It walks the ints of L and E_v, lam an int pair, and builds one
         Fraction, the threshold.  The chambers walked stay in the memo of L,
         under ("chambers", v), next to the threshold that `gamma_threshold`
-        keeps: one `_integrate` record per chamber, vol(L - lam E_v) and M P
-        in floats on [start, end], each an exact ratio rounded once, and the
-        last end the threshold (`_GammaWalk`)."""
+        keeps: their records, the last end the threshold."""
         memo = self._memo_of(L)
         if v.is_trivial:
             raise GeometryError("pseudoeffective threshold undefined for the trivial valuation")
         target, pull = self.resolve_realization([v])
-        lat, ((e,), qe) = target._exact, v.order_model.ints
+        (e,), qe = v.order_model.ints
         (b,), qb = _reduced(memo, L)[0] if v.order_model.pullback is None else _integral((pull(L.coefficients),))
-        b, d, q = tuple(c * qe for c in b), tuple(-c * qb for c in e), qb * qe
-        x, chambers, quadratics = (0, 1), [], []
-        while (step := target._step(lat, b, d, q, x)) is not None:
-            p0, p1, Mp0, Mp1, scale, wall = step
-            coeffs, unit = (_dot(p0, Mp0), 2 * _dot(p0, Mp1), _dot(p1, Mp1)), scale**2 * lat.sigma
-            root = _first_root(*coeffs, unit, x, wall)
-            if root is None and wall is None:
-                raise GeometryError(f"threshold of {v.name!r} is unbounded: no declared curve bounds it")
-            start, x = x, wall if root is None else root
-            end, den = x if isinstance(x, float) else x[0] / x[1], scale * lat.sigma
-            chambers.append((start[0] / start[1], end, *(c / unit for c in coeffs), Mp0, Mp1, den, den))
-            quadratics.append((coeffs, unit, start, x))
-            if root is not None:
-                break
-        memo["chambers", v] = _GammaWalk(chambers)
-        memo["chambers", v].quadratics = tuple(quadratics)
+        chambers, x = _walk(target, tuple(c * qe for c in b), tuple(-c * qb for c in e), qb * qe, (0, 1))
+        if x is None:
+            raise GeometryError(f"threshold of {v.name!r} is unbounded: no declared curve bounds it")
+        memo["chambers", v] = chambers
         return x if isinstance(x, float) else Fraction(*x)
 
     def expected_order(self, L: DivisorClass, support, shifts) -> tuple[float, list[float]]:
@@ -402,7 +390,7 @@ class SurfaceModel(GeometryModel):
         if trivial_mass >= 1:
             return 0.0
         n, m = (trivial_mass * self.volume(L)).as_integer_ratio()
-        for (k0, k1, k2), unit, start, end in self._memo_of(L)["chambers", v].quadratics:
+        for *_, ((k0, k1, k2), unit, start, end) in self._memo_of(L)["chambers", v]:
             # vol - target = (m (k0 + k1 y + k2 y^2) - n unit) / (m unit)
             root = _first_root(m * k0 - n * unit, m * k1, m * k2, m * unit, start, None if isinstance(end, float) else end)
             if root is not None:
@@ -428,7 +416,7 @@ class _SurfaceProblem:
     int tuples over one denominator.  Building it resolves the realization, so a support
     realised on several birational models raises here, whatever the
     shifts.  The thresholds gamma_i are computed on first use
-    (`thresholds`), which needs L big.  `integrals` picks the chambers of
+    (`thresholds`), which needs L big.  `records` picks the chambers of
     each `S` call, those of v's gamma walk for one non-trivial valuation v
     (`SurfaceModel.closed_form_threshold`), else those of one `walk`, and
     `_integrate` integrates them for `S`, its gradient and its derivative in L.
@@ -463,28 +451,28 @@ class _SurfaceProblem:
             self._gammas = [float(g) for g in gammas]
         return self._gammas
 
-    def integrals(self, ts, rows):
-        """(t0, (integral of vol, integrals of P . h, integrals of P . E_i)) over
-        the range [t0, lam_max] of the filtration at the float shifts `ts`
-        (`_integrate`, all 0 on an empty range), h the float tuples in `rows`
-        and E_i the divisors of the non-trivial valuations.  With one, v at
-        shift t, the chambers are those of v's gamma walk, in mu = lam - t up
-        to min(gamma, tau - t), tau the least trivial shift."""
+    def records(self, ts):
+        """(t0, chambers, hi, live) at the float shifts `ts`: the chamber
+        records of the range [t0, hi] of the filtration, and the `_integrate`
+        arguments that give the integrals of P . E_i, E_i the divisors of the
+        non-trivial valuations.  With one, v at shift t, the chambers are
+        those of v's gamma walk, in mu = lam - t up to hi = min(gamma, tau -
+        t), tau the least trivial shift."""
         t0, gammas = min(ts), self.thresholds()
         # a trivial valuation admits no section past its shift: hard cutoff
         cap = min(map(ts.__getitem__, self._trivial), default=math.inf)
         if len(gammas) == 1:  # v's gamma walk, in mu = lam - t
             t = ts[self._nontrivial[0]]
-            return t0, _integrate(self._chambers, min(gammas[0], cap - t), rows, (0.0,))
+            return t0, self._chambers, min(gammas[0], cap - t), ((0.0,),)
         active = [ts[i] for i in self._nontrivial]
         hi = min(cap, *map(add, gammas, active))
         chambers = self.walk(active, t0, hi)
         (_, *divs), q = self._ints
-        return t0, _integrate(chambers, hi, rows, active, divs, q)
+        return t0, chambers, hi, (active, divs, q)
 
     def expected_order(self, shifts):
         """(S, grad S) at these shifts, dS/dt_i = (2 / vol L) times the
-        integral of P . E_i for a non-trivial v_i (`integrals`).  As S(t + c)
+        integral of P . E_i for a non-trivial v_i (`records`).  As S(t + c)
         = S(t) + c, the least-shifted trivial valuation, whose cap binds when
         the range is empty, or with none the least-shifted one, takes 1 minus
         the others; other trivial ones 0."""
@@ -492,7 +480,8 @@ class _SurfaceProblem:
         if vol <= 0:
             raise GeometryError("expected vanishing order requires a big class")
         ts = list(map(float, shifts))
-        t0, (iv, _, ie) = self.integrals(ts, ())
+        t0, chambers, hi, live = self.records(ts)
+        iv, _, ie = _integrate(chambers, hi, (), *live)
         grad = [0.0] * len(ts)
         for i, x in zip(self._nontrivial, ie):
             grad[i] = 2.0 * x / vol
@@ -503,9 +492,10 @@ class _SurfaceProblem:
 
     def order_derivative(self, shifts, H):
         """d/ds S_{L+sH}(t) at s = 0: (2 / vol) (integral of P . H - (P_L . H /
-        vol) integral of vol) over the range of the filtration (`integrals`)."""
+        vol) integral of vol) over the range of the filtration (`records`)."""
         vol = self.volume
-        _, (iv, (ih,), _) = self.integrals(list(map(float, shifts)), self.pulled([H]))
+        _, chambers, hi, _ = self.records(list(map(float, shifts)))
+        iv, (ih,), _ = _integrate(chambers, hi, self.pulled([H]), ())
         # P_L . H from the decomposition the problem kept: L is not decomposed again
         plh = float(self.model.pairing(self.positive, H))
         return (2.0 / vol) * (ih - (plh / vol) * iv)
@@ -513,15 +503,10 @@ class _SurfaceProblem:
     def walk(self, ts, lam0, lam1):
         """The chambers crossed on [lam0, lam1] by lam -> L - sum max(lam -
         t_i, 0) E_i, `ts` the shifts of the non-trivial valuations, as
-        `_integrate` records.  Floats are binary rationals: over their common
-        denominator D, the ends and shifts are ints mu = D lam, and the class
-        is (b + mu d) / (q D) for int tuples b, d, which E_i joins at its mu.
-        Each chamber (`SurfaceModel._step`) runs up to its wall or the next
-        shift, its quadratic from exact int ratios rounded once.  The path
-        only subtracts effective divisors, so where vol is exactly 0 at an
-        end (P = 0, or P nef with P^2 = 0) it stays 0: the walk ends there,
-        and no chamber search fails."""
-        target, lat = self.target, self.target._exact
+        `_integrate` records (`_walk`).  Floats are binary rationals: over
+        their common denominator D, the ends and shifts are ints mu = D lam,
+        and the class is (b + mu d) / (q D) for int tuples b, d, which E_i
+        joins at its mu; lam1 caps the walk."""
         if self._ints is None:  # built here: S on one non-trivial valuation walks nothing
             divs = (self.support[i].order_model.divisor.coefficients for i in self._nontrivial)
             self._ints = _integral((self._pull(self.L.coefficients), *divs))
@@ -530,42 +515,9 @@ class _SurfaceProblem:
             return []
         ratios = [x.as_integer_ratio() for x in (lam0, lam1, *ts)]
         D = math.lcm(*(r for _, r in ratios))
-        # each event: (mu, lam as a float, index of its E_i), lam1 last
-        (m0, xf), (m1, f1), *ms = ((n * (D // r), n / r) for n, r in ratios)
-        events = [*sorted((m, f, i) for i, (m, f) in enumerate(ms) if m < m1), (m1, f1, None)]
-        b, d = tuple(D * c for c in base), (0,) * len(base)
-        chambers, xn, xd, k = [], m0, 1, 0
-        while xn < m1 * xd:
-            while events[k][0] * xd <= xn:
-                m, _, i = events[k]
-                b = tuple(u + m * w for u, w in zip(b, divs[i]))
-                d = tuple(u - w for u, w in zip(d, divs[i]))
-                k += 1
-            step = target._step(lat, b, d, q * D, (xn, xd))
-            if step is None:  # vol > 0 at x, so only an incomplete curve list gets here
-                break
-            p0, p1, Mp0, Mp1, scale, wall = step
-            m, ef, _ = events[k]
-            if wall is None or m * wall[1] <= wall[0]:
-                xn, xd = m, 1
-            else:
-                (xn, xd), ef = wall, wall[0] / (wall[1] * D)
-            # P = (p0 + mu p1) / scale and vol = (k0 + 2 k1 mu + k2 mu^2) / (scale den), mu = D lam;
-            # D divides scale, so den1 = den / D and s1 = scale / D are ints
-            k0, k1, k2 = _dot(p0, Mp0), _dot(p0, Mp1), _dot(p1, Mp1)
-            s1 = scale // D
-            den, den1 = scale * lat.sigma, s1 * lat.sigma
-            chambers.append((xf, ef, k0 / (scale * den), 2 * k1 / (scale * den1), k2 / (s1 * den1), Mp0, Mp1, den, den1))
-            if k0 * xd * xd + xn * (2 * k1 * xd + k2 * xn) == 0:
-                break
-            xf = ef
-        return chambers
-
-
-class _GammaWalk(tuple):
-    """The chamber records of a gamma walk, with `quadratics`: the exact
-    (coefficients, unit, start, end) of vol(L - lam E_v) on each, the ends
-    int pairs but for an irrational threshold."""
+        m0, m1, *ms = (n * (D // r) for n, r in ratios)
+        events = [*sorted((m, e) for m, e in zip(ms, divs) if m < m1), (m1, None)]
+        return _walk(self.target, tuple(D * c for c in base), (0,) * len(base), q * D, (m0, 1), events, D)[0]
 
 
 class _Lattice(NamedTuple):
@@ -640,15 +592,15 @@ def _first_root(q0, q1, q2, unit, x, wall):
     """Least root in (x, wall] of (q0 + q1 lam + q2 lam^2) / unit, ints q, unit > 0,
     given q(x) > 0, for int pairs x = (n, d) and wall (None: no wall), each
     n / d with d > 0: an int pair if the discriminant is a square, else a float."""
-    disc, (xn, xd) = q1 * q1 - 4 * q2 * q0, x
-    # q must fall from x to a real root: not rising, not past a convex vertex;
-    # that root is at most the wall if q(wall) <= 0 or the vertex is
-    if disc < 0 or (q2 == 0 and q1 >= 0) or (q2 > 0 and -q1 * xd <= 2 * q2 * xn):
-        return None
+    # the root is at most the wall if q(wall) <= 0 or a convex vertex is,
+    # and q must fall from x to it: not rising, not past a convex vertex
     if wall is not None:
         wn, wd = wall
         if q0 * wd * wd + wn * (q1 * wd + wn * q2) > 0 and not (q2 > 0 and -q1 * wd <= 2 * q2 * wn):
             return None
+    xn, xd = x
+    if (q2 == 0 and q1 >= 0) or (q2 > 0 and -q1 * xd <= 2 * q2 * xn) or (disc := q1 * q1 - 4 * q2 * q0) < 0:
+        return None
     if q2 == 0:
         return q0, -q1
     s = math.isqrt(disc)
@@ -659,18 +611,58 @@ def _first_root(q0, q1, q2, unit, x, wall):
     return (-q1 / unit - s) / (2 * q2 / unit) if q1 > 0 else 2 * q0 / unit / (-q1 / unit + s)
 
 
+def _walk(target, b, d, q, x, events=(), D=1):
+    """(records, end): the chambers of (b + mu d) / q on `target` from the int
+    pair mu = x on, one `_integrate` record each in lam = mu / D, the last
+    end an int pair but for an irrational root (None: a chamber with
+    neither wall nor root).  At each sorted event (m, e) the int tuple e
+    joins the path at mu = m (b += m e, d -= e); e None, last, caps it.  A
+    chamber (`SurfaceModel._step`) ends at the least of its wall, the next
+    event and the first root of vol (`_first_root`), and its record ends
+    with the exact ((k0, k1, k2), unit, start, end) of vol = (k0 + k1 mu +
+    k2 mu^2) / unit on it.  The walk stops at a root, at the cap, or where
+    the class is not psef: the path only subtracts effective divisors, so
+    vol stays 0 past its first root, and no record holds a negative vol."""
+    lat, chambers, k, n, end = target._exact, [], 0, len(events), x[0] / (x[1] * D)
+    while True:
+        while k < n and events[k][0] * x[1] <= x[0]:
+            m, e = events[k]
+            if e is None:
+                return chambers, x
+            b, d, k = tuple(u + m * w for u, w in zip(b, e)), tuple(u - w for u, w in zip(d, e)), k + 1
+        if (step := target._step(lat, b, d, q, x)) is None:
+            return chambers, x
+        p0, p1, Mp0, Mp1, scale, wall = step
+        if k < n and (wall is None or events[k][0] * wall[1] <= wall[0]):
+            wall = events[k][0], 1
+        # P = (p0 + mu p1) / scale, mu = D lam: D divides scale, so s1 = scale / D is an int
+        k0, k1, k2 = coeffs = _dot(p0, Mp0), 2 * _dot(p0, Mp1), _dot(p1, Mp1)
+        den, s1 = scale * lat.sigma, scale // D
+        unit, den1 = scale * den, s1 * lat.sigma
+        root = _first_root(k0, k1, k2, unit, x, wall)
+        if root is None and wall is None:
+            return chambers, None
+        start, x, lo = x, wall if root is None else root, end
+        end = x / D if isinstance(x, float) else x[0] / (x[1] * D)
+        chambers.append((lo, end, k0 / unit, k1 / (scale * den1), k2 / (s1 * den1),
+                         Mp0, Mp1, den, den1, (coeffs, unit, start, x)))
+        if root is not None:
+            return chambers, x
+
+
 def _integrate(chambers, hi, rows, ts, divs=(), q=1):
     """(integral of vol, integrals of P . h for h in `rows`, integrals of P .
     E_i from ts[i] on) over the chamber records (start, end, c0, c1, c2, Mp0,
-    Mp1, den0, den1) up to hi: vol = c0 + c1 x + c2 x^2 and M P = Mp0 / den0
-    + x Mp1 / den1 on [start, end].  -d vol / dx = 2 P . E, E the sum of the
-    live E_i, and vol is flat before the least shift: the first least-shifted
-    E_i takes half the fall of vol less the others, whose int tuples divs[i]
-    over q pair with M P where live (no divs: one E_i, or none)."""
+    Mp1, den0, den1, exact) up to hi: vol = c0 + c1 x + c2 x^2 and M P = Mp0
+    / den0 + x Mp1 / den1 on [start, end].  -d vol / dx = 2 P . E, E the sum
+    of the live E_i, and vol is flat before the least shift: the first
+    least-shifted E_i takes half the fall of vol less the others, whose int
+    tuples divs[i] over q pair with M P where live (no divs: one E_i; no ts:
+    none)."""
     total_v = rise = 0.0
     total_h, total_e = [0.0] * len(rows), [0.0] * len(ts)
     first = ts.index(min(ts)) if divs else 0
-    for start, end, c0, c1, c2, Mp0, Mp1, den0, den1 in chambers:
+    for start, end, c0, c1, c2, Mp0, Mp1, den0, den1, _ in chambers:
         if hi <= start:
             break
         x = hi if hi < end else end
