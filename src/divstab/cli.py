@@ -186,10 +186,8 @@ def _parse_model(payload, path: str) -> GeometryModel:
                     _parse_rational(v.get("log_discrepancy", 1), f"{vp}.log_discrepancy"),
                 )
                 continue
-            vec = v.get("vector")
-            _expect(isinstance(vec, list) and all(map(_is_int, vec)), f"{vp}.vector", "expected an integer vector")
             try:
-                model.monomial_valuation(vname, vec)
+                model.monomial_valuation(vname, v.get("vector"))
             except GeometryError as exc:
                 raise ConfigError(f"{vp}.vector", str(exc)) from None
         return model

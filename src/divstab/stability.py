@@ -12,28 +12,26 @@ The ascent starts at 0, or, when the non-trivial atoms of the measure share
 one centre, at the exact maximizer if the backend solves for it
 (`GeometryModel.one_valuation_maximizer`): there the first plane is flat
 and certifies alone, else the ascent goes on from that point.
-The evaluations, the ascent and the bound of each plane run on tuples of
-Python floats; numpy is used only where planes are weighed together, in the
-small simplex of the Kelley steps.
+The evaluations, the ascent and the single-plane bounds run on Python
+floats; the Kelley LP is solved exactly on their ints (`core._solve`).
 """
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .core import (
-    ConvergenceError,
     DivisorClass,
     DivisorialMeasure,
     GeometryError,
     GeometryModel,
     Valuation,
     _dot,
+    _solve,
     gamma_threshold,
 )
 from .filtrations import FiltrationSpec, expected_order_S, expected_order_S_grad, one_per_centre
@@ -108,10 +106,10 @@ class ProbeReport:
 
 # -- concave maximization engine -------------------------------------------
 
-# budgets: evaluations of the ascent (it crawls at a kink of g), Kelley steps
-# after it, and simplex pivots per cutting-plane LP; the ascent ends when a
-# shortened step is shorter than this in every coordinate
-_ASCENT_EVALS, _KELLEY_STEPS, _PIVOTS, _LEAST_STEP = 50, 30, 500, 1e-6
+# budgets: evaluations of the ascent (it crawls at a kink of g) and Kelley
+# steps after it; the ascent ends when a shortened step is shorter than this
+# in every coordinate
+_ASCENT_EVALS, _KELLEY_STEPS, _LEAST_STEP = 50, 30, 1e-6
 
 
 class _Certified(Exception):
@@ -124,9 +122,8 @@ class _Planes:
     the best point, and the least bound on sup g certified so far; raises
     _Certified once that bound is within `tol` of the best value.  Points
     and slopes are kept as tuples of floats.  A single plane bounds g by
-    offset + hi |s|_1; convex weights on the planes, the solution of the
-    Kelley LP (`refine`), by the maximum of their combination over the box,
-    in closed form, whatever the rounding of the weights or of the LP.
+    offset + hi |s|_1; all of them together by the optimal value of the
+    Kelley LP (`refine`), solved exactly and rounded up.
     Each bound is raised by `slack`, 4 ulps of hi, for the rounding of g,
     whose terms S and <xi, t> are below 2 hi: at an exact maximizer the
     plane is flat, and g rounded to nearest can fall below sup g.
@@ -138,7 +135,6 @@ class _Planes:
         self.best, self.bound = 0, math.inf
 
     def __call__(self, u):
-        u = tuple(map(float, u))
         value, grad = self.g(u)
         grad = tuple(map(float, grad))
         offset = value - _dot(grad, u)
@@ -157,50 +153,51 @@ class _Planes:
             raise _Certified
 
     def refine(self):
-        """Weigh by the optimal weights of the cutting-plane model and return
-        its maximizer on the box, the next Kelley point.
+        """Lower the bound to the maximum of the cutting-plane model on the
+        box, rounded up, and return its maximizer, the next Kelley point.
 
-        The weights solve min lam . offsets + hi |S^T lam|_1 over convex lam,
-        in standard form on dim + 1 rows: a column (s_k, 1) at cost offset_k
-        per plane, and columns (+-e_i, 0) at cost hi that carry |S^T lam|.
-        A revised simplex with Bland's rule starts from the best single plane;
-        the maximizer is minus the multipliers of the slope rows.
+        That maximum is min lam . offsets + hi |S^T lam|_1 over convex lam, in
+        standard form on dim + 1 rows: a column (s_k, 1) at cost offset_k per
+        plane, and columns (+-e_i, 0) at cost hi that carry |S^T lam|.  The
+        floats are binary rationals, so each row and the costs are ints over
+        one denominator each, and a revised simplex with Bland's rule, from
+        the best single plane, solves each basis exactly (`_solve`).  The
+        maximizer is minus the multipliers of the slope rows, in the box by
+        dual feasibility.
         """
-        S = np.array(self.slopes)
-        n, dim = S.shape
-        eye = np.eye(dim)
-        A = np.vstack([np.hstack([S.T, eye, -eye]), np.r_[np.ones(n), np.zeros(2 * dim)]])
-        cost = np.r_[self.offsets, np.full(2 * dim, self.hi)]
-        rhs = np.r_[np.zeros(dim), 1.0]
-        k = int(np.argmin(cost[:n] + self.hi * np.abs(S).sum(axis=1)))
+        n, dim = len(self.slopes), len(self.slopes[0])
+        ints, scales = zip(*map(_ints, zip(*self.slopes)))
+        units = [(i, sign * scale) for sign in (1, -1) for i, scale in enumerate(scales)]
+        columns = list(zip(*ints, [1] * n)) + [tuple(e * (j == i) for j in range(dim)) + (0,) for i, e in units]
+        cost, den = _ints(self.offsets + [self.hi] * (2 * dim))
+        k = min(range(n), key=lambda k: self.offsets[k] + self.hi * sum(map(abs, self.slopes[k])))
         # e_i carries -s_ki for a slope below 0, -e_i for one above
-        basis = [k] + [n + i + dim * int(S[k, i] > 0) for i in range(dim)]
-        for _ in range(_PIVOTS):
-            B = A[:, basis]
-            try:
-                x = np.linalg.solve(B, rhs)
-                y = np.linalg.solve(B.T, cost[basis])
-            except np.linalg.LinAlgError as err:
-                raise ConvergenceError("cutting-plane LP basis is singular") from err
-            entering = np.flatnonzero(cost - y @ A < -1e-13)
-            if not entering.size:
+        basis = [k] + [n + i + dim * (self.slopes[k][i] > 0) for i in range(dim)]
+        while True:
+            # x, y, step: d = det B (either sign) times the basic solution, the
+            # multipliers, the direction; Bland: the least improving column enters
+            B = [columns[j] for j in basis]
+            d, x = _solve(list(zip(*B)), [0] * dim + [1])
+            y = _solve(B, [cost[j] for j in basis])[1]
+            entering = next((j for j, a in enumerate(columns) if (cost[j] * d - _dot(a, y)) * d < 0), None)
+            if entering is None:
                 break
-            # B is the matrix that was just solved with, so it is not singular
-            d = np.linalg.solve(B, A[:, entering[0]])
-            rows = np.flatnonzero(d > 1e-12)
-            if not rows.size:
-                raise ConvergenceError("cutting-plane LP is unbounded")
-            ratios = x[rows] / d[rows]
-            # Bland: of the rows that leave first, the least basic index
-            ties = rows[ratios <= ratios.min() + 1e-15]
-            basis[min(ties, key=basis.__getitem__)] = int(entering[0])
-        else:
-            raise ConvergenceError(f"cutting-plane LP took more than {_PIVOTS} pivots")
-        rows, lam = zip(*((j, xj) for j, xj in zip(basis, x) if j < n))
-        rows, lam = list(rows), np.maximum(lam, 0.0)
-        lam = lam / lam.sum()
-        self.lower(float(lam @ cost[rows] + self.hi * np.abs(lam @ S[rows]).sum()))
-        return np.clip(-y[:dim], -self.hi, self.hi)
+            step = _solve(list(zip(*B)), columns[entering])[1]
+            # the dual holds u = 0, so the LP is bounded and some row leaves:
+            # of the rows that leave first, the least basic index
+            rows = [i for i in range(dim + 1) if step[i] * d > 0]
+            basis[min(rows, key=lambda i: (Fraction(x[i], step[i]), basis[i]))] = entering
+        # the optimal value is the multiplier of the convexity row
+        top = Fraction(y[-1], d * den)
+        self.lower(float(top) if float(top) >= top else math.nextafter(float(top), math.inf))
+        return tuple(float(Fraction(-scale * v, d * den)) for scale, v in zip(scales, y))
+
+
+def _ints(xs):
+    """(ints, den): the finite floats xs as ints over one power-of-two denominator."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = max(q for _, q in ratios)
+    return [p * (den // q) for p, q in ratios], den
 
 
 def _ascend(planes, u, hi):
@@ -266,20 +263,13 @@ def _certified_max(g, dim, hi, tol, start=None):
     and a certified upper bound on sup g; `g(u)` takes a tuple of floats and
     returns the value and a supergradient.  A projected BFGS ascent runs
     from `start` (default 0) until the planes certify `tol`; then Kelley
-    steps, from all the planes of the ascent, until the planes certify,
-    their budget is spent or the cutting-plane LP fails."""
+    steps, from all the planes of the ascent, until the planes certify or
+    their budget is spent."""
     planes = _Planes(g, hi, tol)
-    try:
+    with suppress(_Certified):
         _ascend(planes, (0.0,) * dim if start is None else start, hi)
         for _ in range(_KELLEY_STEPS):
-            try:
-                u = planes.refine()
-            except ConvergenceError:
-                # the LP failed: the planes still bound sup g, and the gap says how well
-                break
-            planes(u)
-    except _Certified:
-        pass
+            planes(planes.refine())
     return planes.us[planes.best], planes.bound
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Callable, Sequence
@@ -35,13 +36,23 @@ from .core import (
 MAX_LEVEL_POINTS = 10**6
 
 
+def _lattice_vector(xs, what: str) -> tuple[int, ...]:
+    """xs as ints, numpy ints too; a float, str or bool entry is a GeometryError."""
+    try:
+        if not any(isinstance(x, bool) for x in xs):
+            return tuple(map(operator.index, xs))
+    except TypeError:
+        pass
+    raise GeometryError(f"{what} {xs!r} is not an integer vector")
+
+
 class ToricModel(GeometryModel):
     """A smooth complete fan declared by its rays; divisors by ray coefficients."""
 
     def __init__(self, name: str, rays: Sequence[Sequence[int]]):
         super().__init__()
         self.name = name
-        self.rays = tuple(tuple(int(x) for x in r) for r in rays)
+        self.rays = tuple(_lattice_vector(r, "ray") for r in rays)
         if not self.rays:
             raise GeometryError("a toric model needs at least one ray")
         self.dimension = len(self.rays[0])
@@ -69,7 +80,7 @@ class ToricModel(GeometryModel):
     # -- valuations ---------------------------------------------------------
 
     def monomial_valuation(self, name: str, w: Sequence[int]) -> Valuation:
-        w = tuple(int(x) for x in w)
+        w = _lattice_vector(w, "valuation vector")
         return self.add_valuation(Valuation(name, self.log_discrepancy(w), order_model=w))
 
     def _maximal_cones(self) -> list[tuple[tuple[int, ...], ...]]:
@@ -84,7 +95,7 @@ class ToricModel(GeometryModel):
 
     def log_discrepancy(self, w: Sequence[int]) -> Fraction:
         """Sum of the coordinates of w != 0 in the smooth cone of the fan holding it."""
-        w = tuple(int(x) for x in w)
+        w = _lattice_vector(w, "valuation vector")
         if len(w) != self.dimension or not any(w):
             raise GeometryError(f"valuation vector {w} is not a nonzero vector of length {self.dimension}")
         for cone in self._maximal_cones():
@@ -205,7 +216,7 @@ class ToricModel(GeometryModel):
         """n! vol of P_L cut by <m, w_i> - min_{P_L}<., w_i> >= c_i."""
         cuts = []
         for w, c in constraints:
-            w = tuple(int(x) for x in w)
+            w = _lattice_vector(w, "valuation vector")
             cuts.append((w, self.order_anchor(L, w) + as_fraction(c)))
         return math.factorial(self.dimension) * self._cell(L, cuts)[2]
 

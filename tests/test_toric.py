@@ -35,6 +35,23 @@ class TestModelValidation:
         with pytest.raises(ds.GeometryError):
             ToricModel("bad", [[1, 0], [0, 1, 0]])
 
+    @pytest.mark.parametrize("entry", [1.5, "1", True])
+    def test_non_integer_ray_entry_rejected(self, entry):
+        # once silently truncated: 1.5 built P^2 with the ray (1, 0)
+        with pytest.raises(ds.GeometryError, match=r"^ray \[.*\] is not an integer vector$"):
+            ToricModel("bad", [[entry, 0], [0, 1], [-1, -1]])
+
+    def test_non_integer_valuation_vector_rejected(self):
+        model = ToricModel("p2_fresh", [[1, 0], [0, 1], [-1, -1]])
+        with pytest.raises(ds.GeometryError, match=r"^valuation vector \[1\.9, 0\.2\] is not an integer vector$"):
+            model.monomial_valuation("half", [1.9, 0.2])
+        assert "half" not in model.named_valuations
+
+    def test_numpy_int_entries_accepted(self):
+        model = ToricModel("p2_numpy", np.array([[1, 0], [0, 1], [-1, -1]]))
+        assert all(type(x) is int for ray in model.rays for x in ray)
+        assert model.monomial_valuation("diag", np.array([1, 1])).log_discrepancy == 2
+
 
 class TestPolytopeVolume:
     def test_standard_triangle(self):
