@@ -2,7 +2,8 @@
 
 The filtration and stability layers read a model only through `GeometryModel`:
 `volume`, `closed_form_threshold`, `expected_order`, `order_derivative`,
-and the optional `one_valuation_maximizer`, a closed-form start for norms.
+`order_hessian`, and the optional `one_valuation_maximizer`, a closed-form
+start for norms.
 Which atoms are one valuation is a property of the valuation, its `centre`,
 not of a model: `filtrations.one_per_centre` merges them before any backend
 sees them.
@@ -214,6 +215,12 @@ class GeometryModel(ABC):
     def order_derivative(self, L: DivisorClass, support: Sequence[Valuation], shifts, H: DivisorClass) -> float:
         """d/ds S_{L+sH}(t) at s = 0 with t fixed; callers pass -H for the
         left derivative."""
+
+    @abstractmethod
+    def order_hessian(self, L: DivisorClass, support: Sequence[Valuation], shifts) -> list:
+        """The exact Hessian of S in the shifts, one atom per centre, as rows
+        of floats: symmetric, each row summing to 0, computed exactly and
+        each entry rounded once."""
 
     def one_valuation_maximizer(self, L: DivisorClass, v: Valuation, trivial_mass: Fraction):
         """The shift y of the trivial valuation, with v at shift 0, that

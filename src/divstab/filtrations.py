@@ -7,9 +7,10 @@ invariant is the expected vanishing order
 
 with t0 = min t_i and lam_max = min_i (gamma_i + t_i).  Each backend
 evaluates S and its gradient in the shifts in one call
-(`GeometryModel.expected_order`), on one atom per centre
-(`one_per_centre`).  The same quantity is approximated at finite level k
-from jumping numbers of toric monomial bases.
+(`GeometryModel.expected_order`), and its Hessian in another
+(`GeometryModel.order_hessian`), on one atom per centre (`one_per_centre`).
+The same quantity is approximated at finite level k from jumping numbers of
+toric monomial bases.
 """
 from __future__ import annotations
 
@@ -157,6 +158,22 @@ def expected_order_S_grad(
         for i, g in zip(kept, part):
             grad[i] = g
     return float(value), tuple(map(float, grad))
+
+
+def expected_order_hessian(model: GeometryModel, L: DivisorClass, spec: FiltrationSpec) -> list:
+    """The Hessian of S in the shifts, rows of floats, from one call of the
+    backend (`GeometryModel.order_hessian`) on one atom per centre
+    (`one_per_centre`), expanded as the gradient is: an atom that is not
+    kept has a row and a column of zeros."""
+    support, shifts, kept = one_per_centre(spec.support, spec.shifts)
+    H = model.order_hessian(L, support, shifts)
+    if kept is None:
+        return H
+    full = [[0.0] * len(spec.support) for _ in spec.support]
+    for i, row in zip(kept, H):
+        for j, h in zip(kept, row):
+            full[i][j] = h
+    return full
 
 
 def _jumping_values(model, L, spec: FiltrationSpec, k: int) -> np.ndarray:

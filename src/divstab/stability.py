@@ -6,8 +6,13 @@ concave and invariant under t -> t + c 1, so the engine works in the reduced
 shifts u = t[1:] - t[0] on the box [-hi, hi]^(d-1), hi = max gamma + 1, and
 evaluates g at min t_i = 0.  Each evaluation of the exact value and
 supergradient of S (`expected_order_S_grad`) is a cutting plane.  A projected
-BFGS ascent, then Kelley cutting-plane steps, run until the bound certified
-by convex weights on the planes is within the tolerance of the best value.
+Newton ascent on the exact Hessian of S (`expected_order_hessian`, asked once
+at each accepted point), then Kelley cutting-plane steps, run until the
+bound certified by convex weights on the planes is within the tolerance of
+the best value.  The Newton step solves (-H + rho I) p = s on the free
+coordinates: rho = 0 where -H is positive definite, its Cholesky pivots
+above 1e-9 of its largest diagonal, else rho starts at |s|_2 and doubles
+until -H + rho I is; zero curvature steps a unit length along s.
 The ascent starts at 0, or, when the non-trivial atoms of the measure share
 one centre, at the exact maximizer if the backend solves for it
 (`GeometryModel.one_valuation_maximizer`): there the first plane is flat
@@ -34,7 +39,13 @@ from .core import (
     _solve,
     gamma_threshold,
 )
-from .filtrations import FiltrationSpec, expected_order_S, expected_order_S_grad, one_per_centre
+from .filtrations import (
+    FiltrationSpec,
+    expected_order_hessian,
+    expected_order_S,
+    expected_order_S_grad,
+    one_per_centre,
+)
 
 PROBE_SEMANTICS = (
     "finite-instance evidence only: an instability witness is definitive, "
@@ -200,31 +211,29 @@ def _ints(xs):
     return [p * (den // q) for p, q in ratios], den
 
 
-def _ascend(planes, u, hi):
-    """Projected BFGS ascent on g from the point u until the planes certify, the
-    evaluation budget is spent, the step does not ascend or a shortened step
-    falls below `_LEAST_STEP`.
+def _ascend(planes, u, hi, hessian=None):
+    """Projected Newton ascent on g from the point u until the planes
+    certify, the evaluation budget is spent, the step does not ascend or a
+    shortened step falls below `_LEAST_STEP`.
 
     A coordinate is free unless it sits at a bound with the supergradient s
-    pointing out of the box.  The step p moves the free coordinates along
-    H s and is clipped to the box.  It is accepted when
-    g(u + p) >= g(u) + 1e-4 s . p; else it is shortened to the secant root of
-    the directional supergradient, within [0.1, 0.5] of its length.  H is the
-    identity, scaled by p . y / y . y at the first update and then updated by
-    BFGS on -g.  Vectors are tuples of floats and H a list of rows: in the
-    dimensions of a norm, arrays cost more than the arithmetic.
+    pointing out of the box.  At each accepted point the Hessian H of g is
+    asked once (`hessian(u)`; None: zero curvature), and the step p solves
+    (-H + rho I) p = s on the free coordinates, 0 on the others, clipped to
+    the box (`_damped_newton`).  rho is 0 where -H is positive definite,
+    its Cholesky pivots above 1e-9 of its largest diagonal; else it starts
+    at |s|_2 and doubles until -H + rho I is, so zero curvature steps a
+    unit length along s.  The step is accepted when g(u + p) >= g(u) +
+    1e-4 s . p; else it is shortened to the secant root of the directional
+    supergradient, within [0.1, 0.5] of its length.  Vectors are tuples of
+    floats and matrices lists of rows: in the dimensions of a norm, arrays
+    cost more than the arithmetic.
     """
-    dim = len(u)
     value, s = planes(u)
-    H = [[float(i == j) for j in range(dim)] for i in range(dim)]
-    scaled = False
     while len(planes.us) < _ASCENT_EVALS:
-        free = [not ((x <= -hi and si < 0) or (x >= hi and si > 0)) for x, si in zip(u, s)]
-        sf = [si if f else 0.0 for si, f in zip(s, free)]
-        p = tuple(
-            min(max(x + _dot(row, sf), -hi), hi) - x if f else 0.0
-            for x, row, f in zip(u, H, free)
-        )
+        free = [i for i, (x, si) in enumerate(zip(u, s)) if not ((x <= -hi and si < 0) or (x >= hi and si > 0))]
+        step = _damped_newton(hessian(u) if hessian else None, s, free)
+        p = tuple(min(max(x + d, -hi), hi) - x for x, d in zip(u, step))
         if _dot(s, p) <= 0:
             return
         while True:
@@ -242,32 +251,67 @@ def _ascend(planes, u, hi):
             # by the rounding of S; the Kelley steps take over
             if max(map(abs, p)) < _LEAST_STEP:
                 return
-        y = tuple(map(sub, s, s_new))
-        py = _dot(p, y)
-        if py > 0:
-            if not scaled:
-                scale = py / _dot(y, y)
-                H, scaled = [[scale * h for h in row] for row in H], True
-            # H - (H y p' + p y' H) / py + (1 + y' H y / py) p p' / py
-            w = [_dot(row, y) for row in H]
-            c = 1.0 + _dot(y, w) / py
-            H = [
-                [h - (wi * pj + pi * wj) / py + c * pi * pj / py for h, wj, pj in zip(row, w, p)]
-                for row, wi, pi in zip(H, w, p)
-            ]
         u, value, s = trial, new, s_new
 
 
-def _certified_max(g, dim, hi, tol, start=None):
+def _damped_newton(H, s, free):
+    """The solution p of (-H + rho I) p = s on the coordinates `free`, 0 on
+    the others, for the symmetric H (None: 0): rho = 0 if the Cholesky
+    pivots of -H stay above 1e-9 of its largest diagonal, else the least of
+    |s|_2, 2 |s|_2, 4 |s|_2, ... for which those of -H + rho I do, s taken
+    on the free coordinates; p = 0 if no finite rho does."""
+    p, b = [0.0] * len(s), [s[i] for i in free]
+    size = math.hypot(*b)
+    if not size:
+        return p
+    A = [[-H[i][j] for j in free] + [c] for i, c in zip(free, b)] if H else [[0.0] * len(b) + [c] for c in b]
+    rho = 0.0
+    while (x := _solve_definite(A, rho)) is None:
+        rho = 2.0 * rho if rho else size
+        if rho == math.inf:  # H is not finite: no step, and the ascent ends
+            return p
+    for i, v in zip(free, x):
+        p[i] = v
+    return p
+
+
+def _solve_definite(A, rho):
+    """x with (A + rho I) x = b for the rows of A augmented by b, A
+    symmetric, by elimination without row exchanges, whose pivots are those
+    of the Cholesky factorization; None unless each is above 1e-9 of the
+    largest diagonal of A + rho I."""
+    n = len(A)
+    m = [row[:] for row in A]
+    for i, row in enumerate(m):
+        row[i] += rho
+    least = 1e-9 * max([row[i] for i, row in enumerate(m)])
+    for k, top in enumerate(m):
+        if not (least > 0 and top[k] > least):
+            return None
+        for row in m[k + 1:]:
+            f = row[k] / top[k]
+            for j in range(k + 1, n + 1):
+                row[j] -= f * top[j]
+    x = [0.0] * n
+    for k in reversed(range(n)):
+        row = m[k]
+        x[k] = (row[n] - sum([row[j] * x[j] for j in range(k + 1, n)])) / row[k]
+    return x
+
+
+def _certified_max(g, dim, hi, tol, start=None, hessian=None):
     """(u, bound): the best evaluated point of the concave g on [-hi, hi]^dim
     and a certified upper bound on sup g; `g(u)` takes a tuple of floats and
-    returns the value and a supergradient.  A projected BFGS ascent runs
-    from `start` (default 0) until the planes certify `tol`; then Kelley
-    steps, from all the planes of the ascent, until the planes certify or
-    their budget is spent."""
+    returns the value and a supergradient, `hessian(u)` the Hessian of g
+    there as rows (None: zero curvature).  A projected Newton ascent
+    (`_ascend`) runs from `start` (default 0) until the planes certify
+    `tol`; its step solves (-H + rho I) p = s, rho = 0 where -H is positive
+    definite, else |s|_2 doubled until -H + rho I is.  Then Kelley steps,
+    from all the planes of the ascent, until the planes certify or their
+    budget is spent."""
     planes = _Planes(g, hi, tol)
     with suppress(_Certified):
-        _ascend(planes, (0.0,) * dim if start is None else start, hi)
+        _ascend(planes, (0.0,) * dim if start is None else start, hi, hessian)
         for _ in range(_KELLEY_STEPS):
             planes(planes.refine())
     return planes.us[planes.best], planes.bound
@@ -285,13 +329,14 @@ def norm(
     """sup over shifts t of S_L(t) - <xi, t>; nonnegative, zero on the trivial measure."""
     if not model.is_big(L):
         raise GeometryError("norm requires a big class")
-    gammas = [float(gamma_threshold(model, L, v)) for v in mu.support if not v.is_trivial]
+    support = mu.support
+    gammas = [float(gamma_threshold(model, L, v)) for v in support if not v.is_trivial]
     hi = max(gammas, default=0.0) + 1.0
     xi = [float(m) for m in mu.masses]
 
-    def g(t):
-        s, grad = expected_order_S_grad(model, L, FiltrationSpec(mu.support, t))
-        return s - _dot(xi, t), list(map(sub, grad, xi))
+    def g(spec):
+        s, grad = expected_order_S_grad(model, L, spec)
+        return s - _dot(xi, spec.shifts), list(map(sub, grad, xi))
 
     def lowest_at_zero(u):
         # 0.0 - low, not -low: the least shift is +0.0, and so is any other zero
@@ -299,25 +344,33 @@ def norm(
         return (shift, *(shift + x for x in u))
 
     # g is invariant under t -> t + c 1: it is evaluated where the result is
-    # reported, at min t_i = 0, so the value at the result is not recomputed
-    values = {}
+    # reported, at min t_i = 0, so the value at the result is not recomputed;
+    # the Hessian is asked at evaluated points only, on their filtrations
+    evaluated = {}
 
     def reduced(u):
-        value, grad = g(lowest_at_zero(u))
-        values[u] = value
+        spec = FiltrationSpec(support, lowest_at_zero(u))
+        value, grad = g(spec)
+        evaluated[u] = value, spec
         return value, grad[1:]
+
+    def curvature(u):
+        # the Hessian of g is that of S, in the coordinates of u
+        H = expected_order_hessian(model, L, evaluated[u][1])
+        return [row[1:] for row in H[1:]]
 
     t, bound, value = (0.0,) * len(xi), -math.inf, None
     if len(xi) > 1:
         start = _closed_form_start(model, L, mu)
-        u, bound = _certified_max(reduced, len(xi) - 1, hi, options.tol, start)
-        t, value = lowest_at_zero(u), values[u]
+        u, bound = _certified_max(reduced, len(xi) - 1, hi, options.tol, start, curvature)
+        value, spec = evaluated[u]
+        t = spec.shifts
         # past hi above the least shift a valuation is inactive, and lowering
         # its shift to hi does not lower g
         if max(t) > hi:
             t, value = tuple(min(x, hi) for x in t), None
     if value is None:
-        value = g(t)[0]
+        value = g(FiltrationSpec(support, t))[0]
     gap = max(bound - value, 0.0)
     return NormResult(
         value=value,

@@ -19,14 +19,21 @@ grad S and d_L S.  The gamma walk keeps its records, so a support with one
 non-trivial valuation walks nothing, and their exact quadratics give the
 root of vol(L - y E) = xi_0 vol L (`SurfaceModel.one_valuation_maximizer`).
 Other supports walk afresh (`_SurfaceProblem.walk`): float shifts are binary
-rationals, so they sit over one int denominator.
+rationals, so they sit over one int denominator.  A compiled problem keeps
+its last two walks by their shifts, and each record names its chamber's
+Zariski support N, on which d P / d t_j is the projection Pi_N E_j off the
+span of N (Bauer-Küronya-Szemberg).  So the exact Hessian of S
+(`_SurfaceProblem.order_hessian`), a sum of chamber lengths times E_i . Pi_N
+E_j and the terms of the moving end of the range, and d_L S read the kept
+walk of a point that S has just evaluated and walk nothing; S always walks.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from itertools import combinations
+from operator import add, mul, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
@@ -227,11 +234,11 @@ class SurfaceModel(GeometryModel):
         return [(i, u, w) for i, u, w, s in zip(support, a0, a1, signs) if s > 0], p0, p1, scale, lines
 
     def _step(self, lat, b, d, q, x):
-        """(p0, p1, M p0, M p1, scale, wall) on the chamber of (b + lam d) / q
-        right of x (`_chamber`), M = lat.matrix, and wall the least root past
+        """(p0, p1, M p0, M p1, scale, wall, N) on the chamber of (b + lam d)
+        / q right of x (`_chamber`), M = lat.matrix, wall the least root past
         x of an N-coefficient or of a pairing in `lines` (None: no wall): the
-        int pair (c0, -c1) of the least -c0 / c1, by cross-multiplication.
-        None when the class is not psef at x+."""
+        int pair (c0, -c1) of the least -c0 / c1, by cross-multiplication, and
+        N `_chamber`'s support.  None when the class is not psef at x+."""
         try:
             support, p0, p1, scale, lines = self._chamber(lat, b, d, q, x)
         except NotPseudoeffectiveError:
@@ -240,7 +247,8 @@ class SurfaceModel(GeometryModel):
         for c0, c1 in lines + [(u, w) for _, u, w in support]:
             if c1 < 0 and (wall is None or c0 * wall[1] < -c1 * wall[0]):
                 wall = c0, -c1
-        return p0, p1, _image(lat.matrix, p0), _image(lat.matrix, p1), scale, wall
+        Mp0, Mp1 = zip(*[(sum(map(mul, row, p0)), sum(map(mul, row, p1))) for row in lat.matrix])
+        return p0, p1, Mp0, Mp1, scale, wall, support
 
     def volume(self, D: DivisorClass) -> Fraction:
         try:
@@ -381,6 +389,14 @@ class SurfaceModel(GeometryModel):
             return 0.0
         return self._compiled(L, support).order_derivative(shifts, H)
 
+    def order_hessian(self, L: DivisorClass, support, shifts) -> list:
+        """The exact Hessian of S in the shifts from the compiled problem
+        (`_SurfaceProblem.order_hessian`), 0 for trivial valuations alone."""
+        if all(v.is_trivial for v in support):
+            self._check_basis(L)
+            return [[0.0] * len(support) for _ in support]
+        return self._compiled(L, support).order_hessian(shifts)
+
     def one_valuation_maximizer(self, L: DivisorClass, v: Valuation, trivial_mass) -> float:
         """The y with vol(L - y E_v) = trivial_mass vol L, on the exact
         quadratics of v's gamma walk (`closed_form_threshold`), where vol
@@ -390,7 +406,7 @@ class SurfaceModel(GeometryModel):
         if trivial_mass >= 1:
             return 0.0
         n, m = (trivial_mass * self.volume(L)).as_integer_ratio()
-        for *_, ((k0, k1, k2), unit, start, end) in self._memo_of(L)["chambers", v]:
+        for *_, ((k0, k1, k2), unit, start, end, _) in self._memo_of(L)["chambers", v]:
             # vol - target = (m (k0 + k1 y + k2 y^2) - n unit) / (m unit)
             root = _first_root(m * k0 - n * unit, m * k1, m * k2, m * unit, start, None if isinstance(end, float) else end)
             if root is not None:
@@ -410,16 +426,18 @@ class SurfaceModel(GeometryModel):
 class _SurfaceProblem:
     """One (L, support) on a surface, compiled once for repeated `S` calls.
 
-    Holds vol(L) as a float and the positive part of L (None unless L is
-    big), the realization of the support, and, from the first `walk`, L
-    pulled back to it with the divisors of the non-trivial valuations, as
-    int tuples over one denominator.  Building it resolves the realization, so a support
-    realised on several birational models raises here, whatever the
-    shifts.  The thresholds gamma_i are computed on first use
-    (`thresholds`), which needs L big.  `records` picks the chambers of
-    each `S` call, those of v's gamma walk for one non-trivial valuation v
-    (`SurfaceModel.closed_form_threshold`), else those of one `walk`, and
-    `_integrate` integrates them for `S`, its gradient and its derivative in L.
+    Holds vol(L), exact and as a float, and the positive part of L (None
+    unless L is big), the realization of the support, and, from first use
+    (`ints`), L pulled back to it with the divisors of the non-trivial
+    valuations, as int tuples over one denominator.  Building it resolves
+    the realization, so a support realised on several birational models
+    raises here, whatever the shifts.  The thresholds gamma_i are computed
+    on first use (`thresholds`), which needs L big.  `records` picks the
+    chambers of each `S` call, those of v's gamma walk for one non-trivial
+    valuation v (`SurfaceModel.closed_form_threshold`), else those of one
+    `walk`, the last two kept by their shifts; `_integrate` integrates them
+    for `S`, its gradient and its derivative in L, and `order_hessian` reads
+    them.
     """
 
     def __init__(self, model: SurfaceModel, L: DivisorClass, support: tuple):
@@ -428,16 +446,26 @@ class _SurfaceProblem:
             dec, vol = model._decomposition(L)
         except NotPseudoeffectiveError:
             dec, vol = None, 0
-        self.volume = float(vol)
+        self.volume, self._vol = float(vol), vol
         self.positive = dec.positive_part if self.volume > 0 else None
         self._nontrivial = [i for i, v in enumerate(support) if not v.is_trivial]
         self._trivial = [i for i, v in enumerate(support) if v.is_trivial]
-        self._gammas = self._chambers = self._ints = None  # set by `thresholds` and `walk`
+        self._gammas = self._chambers = self._ints = None  # set on first use
+        self._kept, self._projections = {}, {}
         self.target, self._pull = model.resolve_realization(support)
 
     def pulled(self, classes) -> list:
         """The classes pulled back to the realization, one float tuple each."""
         return [tuple(map(float, self._pull(D.coefficients))) for D in classes]
+
+    def ints(self):
+        """((L, E_1, ...), q): L pulled back and the divisors of the
+        non-trivial valuations as int tuples over one denominator q, built
+        on first use: S on one non-trivial valuation needs none."""
+        if self._ints is None:
+            divs = (self.support[i].order_model.divisor.coefficients for i in self._nontrivial)
+            self._ints = _integral((self._pull(self.L.coefficients), *divs))
+        return self._ints
 
     def thresholds(self) -> list:
         """The float thresholds gamma_i of the non-trivial valuations, computed
@@ -451,13 +479,19 @@ class _SurfaceProblem:
             self._gammas = [float(g) for g in gammas]
         return self._gammas
 
-    def records(self, ts):
+    def records(self, ts, kept=False):
         """(t0, chambers, hi, live) at the float shifts `ts`: the chamber
         records of the range [t0, hi] of the filtration, and the `_integrate`
         arguments that give the integrals of P . E_i, E_i the divisors of the
         non-trivial valuations.  With one, v at shift t, the chambers are
         those of v's gamma walk, in mu = lam - t up to hi = min(gamma, tau -
-        t), tau the least trivial shift."""
+        t), tau the least trivial shift.  With more, they are one `walk`,
+        and the last two walks are kept by their shifts: with `kept`, one of
+        them serves these shifts if it was theirs, so the Hessian and the
+        derivative in L at a point just evaluated walk nothing.  S itself
+        always walks."""
+        if kept and (found := self._kept.get(tuple(ts))):
+            return found
         t0, gammas = min(ts), self.thresholds()
         # a trivial valuation admits no section past its shift: hard cutoff
         cap = min(map(ts.__getitem__, self._trivial), default=math.inf)
@@ -466,9 +500,11 @@ class _SurfaceProblem:
             return t0, self._chambers, min(gammas[0], cap - t), ((0.0,),)
         active = [ts[i] for i in self._nontrivial]
         hi = min(cap, *map(add, gammas, active))
-        chambers = self.walk(active, t0, hi)
-        (_, *divs), q = self._ints
-        return t0, chambers, hi, (active, divs, q)
+        (_, *divs), q = self.ints()
+        if len(self._kept) > 1:  # keep the last two
+            del self._kept[next(iter(self._kept))]
+        self._kept[tuple(ts)] = found = t0, self.walk(active, t0, hi), hi, (active, divs, q)
+        return found
 
     def expected_order(self, shifts):
         """(S, grad S) at these shifts, dS/dt_i = (2 / vol L) times the
@@ -490,11 +526,116 @@ class _SurfaceProblem:
         grad[free] = 1.0 - math.fsum(grad)
         return t0 + iv / vol, grad
 
+    def order_hessian(self, shifts):
+        """The Hessian of S at these shifts from the chambers of `records`.
+        For non-trivial v_i != v_j it is (2 / vol L) times the integral of
+        E_i . Pi_N E_j over the range where both are live, Pi_N the
+        projection off the span of the chamber's support N (`_projection`),
+        plus the motion of the end of the range: where vol reaches 0, (P .
+        E_i)(P . E_j) / (P . E), E the sum of the live E_k; where the least
+        trivial shift caps it, P . E_i pairs v_i with that trivial atom.  The
+        diagonal makes each row sum to 0, as S(t + c) = S(t) + c.  The terms
+        are exact int pairs (n, d) summed over their least common
+        denominator, and each entry is rounded once, by one true division;
+        an irrational root of vol ends the range at its float."""
+        if self.volume <= 0:
+            raise GeometryError("expected vanishing order requires a big class")
+        ts = list(map(float, shifts))
+        chambers, live = self.records(ts, kept=True)[1], self._nontrivial
+        H = [[0.0] * len(ts) for _ in ts]
+        if not chambers:  # the range is empty
+            return H
+        # records run in mu = D lam, D a power of 2, or for one valuation in
+        # mu = lam - t, D = 1: the integrals are summed in mu, so the terms
+        # at the end of the range enter D times, and all are divided by D
+        D = chambers[-1][-1][-1]
+        # (mu, k, i) for v_i, the k-th non-trivial atom, sorted by its shift
+        # mu, an int as D is a multiple of each shift's denominator; the
+        # first `on` of them are live
+        if len(live) == 1:
+            offset, lows = ts[live[0]], [(0, 0, live[0])]
+        else:
+            offset = 0.0
+            lows = sorted([(m * (D // d), k, i) for k, i in enumerate(live) for m, d in [ts[i].as_integer_ratio()]])
+        tau = min(self._trivial, key=ts.__getitem__, default=None)
+        cap = None if tau is None else _difference(ts[tau], offset, D)
+        # the terms (i, j, n, d) of the entries i < j: n / d, d != 0
+        terms, last, on = [], None, 0
+        for record in chambers:
+            exact = record[-1]
+            an, ad = exact[2]
+            # every mu is an int pair (n, d), d > 0, compared by cross-multiplication
+            if cap is not None and cap[0] * ad <= an * cap[1]:
+                break
+            x = exact[3]
+            bn, bd = x.as_integer_ratio() if isinstance(x, float) else x
+            if cap is not None and cap[0] * bd < bn * cap[1]:
+                (bn, bd), x = cap, None
+            while on < len(lows) and lows[on][0] * ad <= an:
+                on += 1
+            if on > 1:
+                pi, sn, sd = self._projection(tuple([c[0] for c in record[-2]])), bn * ad - an * bd, bd * ad
+                for (_, k, i), (_, l, j) in combinations(lows[:on], 2):
+                    a, b = pi[k][l]
+                    terms.append((i, j, sn * a, sd * b) if i < j else (j, i, sn * a, sd * b))
+            last = record, bn, bd, x
+        if last is None:  # the cap is at or below the least shift
+            return H
+        (_, _, _, _, _, Mp0, Mp1, den0, _, _, ((k0, k1, k2), *_)), bn, bd, x = last
+        (_, *divs), q = self.ints()
+        # P . E_i at mu = bn / bd over one denominator: M P = (Mp0 + mu Mp1) / den0
+        den = den0 * q * bd
+        pe = {i: _dot(Mp0, divs[k]) * bd + bn * _dot(Mp1, divs[k]) for _, k, i in lows[:on]}
+        # a root of vol ends the walk, and an exact one is where vol is 0;
+        # x is None where the cap ends the range
+        if isinstance(x, float) or x is not None and k0 * bd * bd + bn * (k1 * bd + k2 * bn) == 0:
+            fall = sum(pe.values())
+            if fall:
+                terms += [(i, j, D * pe[i] * pe[j], fall * den) for i, j in combinations(sorted(pe), 2)]
+        elif x is None or cap is not None and bn * cap[1] == cap[0] * bd:
+            terms += [(min(i, tau), max(i, tau), D * p, den) for i, p in pe.items()]
+        if not terms:
+            return H
+        # over one denominator, 2 / (D vol L) times each entry, and the
+        # diagonal minus the sum of its row
+        common, off, rows = math.lcm(*[d for *_, d in terms]), {}, [0] * len(ts)
+        for i, j, n, d in terms:
+            n *= common // d
+            off[i, j] = off.get((i, j), 0) + n
+            rows[i] += n
+            rows[j] += n
+        vn, vd = self._vol.as_integer_ratio()
+        num, den = 2 * vd, D * vn * common
+        for (i, j), n in off.items():
+            H[i][j] = H[j][i] = num * n / den
+        for i, n in enumerate(rows):
+            if n:
+                H[i][i] = -num * n / den
+        return H
+
+    def _projection(self, N):
+        """E_i . Pi_N E_j, as int pairs (n, d), for the divisors E_i of the
+        non-trivial valuations, Pi_N the projection off the span of the
+        curves N (Bauer-Küronya-Szemberg): E_i . E_j - (C_N . E_i)^T G_N^-1
+        (C_N . E_j), G_N their Gram matrix, exact from one
+        `_solve_negative_definite` on the columns C_N . E_j, and kept per N."""
+        hit = self._projections.get(N)
+        if hit is None:
+            lat, ((_, *divs), q) = self.target._exact, self.ints()
+            columns = [[_dot(lat.duals[c], e) for c in N] for e in divs]
+            g, xs = _solve_negative_definite([[lat.gram[i][j] for j in N] for i in N], columns) if N else (1, columns)
+            den, images = g * lat.sigma * q * q, [_image(lat.matrix, e) for e in divs]
+            hit = self._projections[N] = [
+                [(g * _dot(ei, mej) - _dot(ci, xj), den) for mej, xj in zip(images, xs)]
+                for ei, ci in zip(divs, columns)
+            ]
+        return hit
+
     def order_derivative(self, shifts, H):
         """d/ds S_{L+sH}(t) at s = 0: (2 / vol) (integral of P . H - (P_L . H /
         vol) integral of vol) over the range of the filtration (`records`)."""
         vol = self.volume
-        _, chambers, hi, _ = self.records(list(map(float, shifts)))
+        _, chambers, hi, _ = self.records(list(map(float, shifts)), kept=True)
         iv, (ih,), _ = _integrate(chambers, hi, self.pulled([H]), ())
         # P_L . H from the decomposition the problem kept: L is not decomposed again
         plh = float(self.model.pairing(self.positive, H))
@@ -507,17 +648,14 @@ class _SurfaceProblem:
         their common denominator D, the ends and shifts are ints mu = D lam,
         and the class is (b + mu d) / (q D) for int tuples b, d, which E_i
         joins at its mu; lam1 caps the walk."""
-        if self._ints is None:  # built here: S on one non-trivial valuation walks nothing
-            divs = (self.support[i].order_model.divisor.coefficients for i in self._nontrivial)
-            self._ints = _integral((self._pull(self.L.coefficients), *divs))
-        (base, *divs), q = self._ints
+        (base, *divs), q = self.ints()
         if lam1 <= lam0:  # a trivial cap at or below t0, common in norms: skip the set-up
             return []
         ratios = [x.as_integer_ratio() for x in (lam0, lam1, *ts)]
-        D = math.lcm(*(r for _, r in ratios))
-        m0, m1, *ms = (n * (D // r) for n, r in ratios)
-        events = [*sorted((m, e) for m, e in zip(ms, divs) if m < m1), (m1, None)]
-        return _walk(self.target, tuple(D * c for c in base), (0,) * len(base), q * D, (m0, 1), events, D)[0]
+        D = math.lcm(*[r for _, r in ratios])
+        m0, m1, *ms = [n * (D // r) for n, r in ratios]
+        events = [*sorted([(m, e) for m, e in zip(ms, divs) if m < m1]), (m1, None)]
+        return _walk(self.target, tuple([D * c for c in base]), (0,) * len(base), q * D, (m0, 1), events, D)[0]
 
 
 class _Lattice(NamedTuple):
@@ -531,6 +669,12 @@ class _Lattice(NamedTuple):
     matrix: tuple
     sigma: int
     kappa: int
+
+
+def _difference(x, y, D):
+    """D (x - y), exact for floats x, y, as an int pair (n, d), d > 0."""
+    (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+    return D * (xn * yd - yn * xd), xd * yd
 
 
 def _integral(vectors):
@@ -619,20 +763,21 @@ def _walk(target, b, d, q, x, events=(), D=1):
     joins the path at mu = m (b += m e, d -= e); e None, last, caps it.  A
     chamber (`SurfaceModel._step`) ends at the least of its wall, the next
     event and the first root of vol (`_first_root`), and its record ends
-    with the exact ((k0, k1, k2), unit, start, end) of vol = (k0 + k1 mu +
-    k2 mu^2) / unit on it.  The walk stops at a root, at the cap, or where
-    the class is not psef: the path only subtracts effective divisors, so
-    vol stays 0 past its first root, and no record holds a negative vol."""
+    with its support N, `_chamber`'s, and the exact ((k0, k1, k2), unit,
+    start, end, D) of vol = (k0 + k1 mu + k2 mu^2) / unit on it.  The walk
+    stops at a root, at the cap, or where the class is not psef: the path
+    only subtracts effective divisors, so vol stays 0 past its first root,
+    and no record holds a negative vol."""
     lat, chambers, k, n, end = target._exact, [], 0, len(events), x[0] / (x[1] * D)
     while True:
         while k < n and events[k][0] * x[1] <= x[0]:
             m, e = events[k]
             if e is None:
                 return chambers, x
-            b, d, k = tuple(u + m * w for u, w in zip(b, e)), tuple(u - w for u, w in zip(d, e)), k + 1
+            b, d, k = tuple([u + m * w for u, w in zip(b, e)]), tuple(map(sub, d, e)), k + 1
         if (step := target._step(lat, b, d, q, x)) is None:
             return chambers, x
-        p0, p1, Mp0, Mp1, scale, wall = step
+        p0, p1, Mp0, Mp1, scale, wall, support = step
         if k < n and (wall is None or events[k][0] * wall[1] <= wall[0]):
             wall = events[k][0], 1
         # P = (p0 + mu p1) / scale, mu = D lam: D divides scale, so s1 = scale / D is an int
@@ -645,7 +790,7 @@ def _walk(target, b, d, q, x, events=(), D=1):
         start, x, lo = x, wall if root is None else root, end
         end = x / D if isinstance(x, float) else x[0] / (x[1] * D)
         chambers.append((lo, end, k0 / unit, k1 / (scale * den1), k2 / (s1 * den1),
-                         Mp0, Mp1, den, den1, (coeffs, unit, start, x)))
+                         Mp0, Mp1, den, den1, support, (coeffs, unit, start, x, D)))
         if root is not None:
             return chambers, x
 
@@ -653,7 +798,7 @@ def _walk(target, b, d, q, x, events=(), D=1):
 def _integrate(chambers, hi, rows, ts, divs=(), q=1):
     """(integral of vol, integrals of P . h for h in `rows`, integrals of P .
     E_i from ts[i] on) over the chamber records (start, end, c0, c1, c2, Mp0,
-    Mp1, den0, den1, exact) up to hi: vol = c0 + c1 x + c2 x^2 and M P = Mp0
+    Mp1, den0, den1, N, exact) up to hi: vol = c0 + c1 x + c2 x^2 and M P = Mp0
     / den0 + x Mp1 / den1 on [start, end].  -d vol / dx = 2 P . E, E the sum
     of the live E_i, and vol is flat before the least shift: the first
     least-shifted E_i takes half the fall of vol less the others, whose int
@@ -662,7 +807,7 @@ def _integrate(chambers, hi, rows, ts, divs=(), q=1):
     total_v = rise = 0.0
     total_h, total_e = [0.0] * len(rows), [0.0] * len(ts)
     first = ts.index(min(ts)) if divs else 0
-    for start, end, c0, c1, c2, Mp0, Mp1, den0, den1, _ in chambers:
+    for start, end, c0, c1, c2, Mp0, Mp1, den0, den1, _, _ in chambers:
         if hi <= start:
             break
         x = hi if hi < end else end

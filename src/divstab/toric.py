@@ -8,7 +8,11 @@ vertices of P_L, as int points over one denominator and triangulates it, all
 in ints; volumes, thresholds and S derive from it, one Fraction per result.
 Valuations are monomial: primitive lattice vectors w, whose order function is
 linear on the monomial basis, anchored so that min over P_L is order 0; their
-orders at level k are kept with the lattice points of k P_L.
+orders at level k are kept with the lattice points of k P_L.  The Hessian of
+S in the shifts is that of semi-discrete optimal transport (Kitagawa-
+Merigot-Thibert): the flux between two cells, the (n-1)-volume of the facet
+they share over |w_i - w_j|, is rational, read from the triangulation of the
+cell in the same kernel, and formed only when the Hessian is asked for.
 """
 from __future__ import annotations
 
@@ -112,7 +116,7 @@ class ToricModel(GeometryModel):
         self._check_basis(D)
         return [(ray, -a) for ray, a in zip(self.rays, D.coefficients)]
 
-    def _polytope(self, halfspaces, seeds=None):
+    def _polytope(self, halfspaces, seeds=None, facets=None):
         """(points, common, mass, first moment) of {m : <m, normal> >= rhs},
         for integer normals and rational rhs, in Python ints.
 
@@ -126,6 +130,10 @@ class ToricModel(GeometryModel):
         tight at one constraint; simplices of fewer than n + 1 points (a flat
         polytope) are dropped.  The vertices are the int tuples `points` over
         one denominator `common`, in the order they are found.
+        With `facets`, halfspace indices, a fifth entry holds the flux
+        through each: the (n-1)-volume of the facet tight at it over the
+        length of its normal a, the sum of |det(edges, a)| / ((n - 1)! |a|^2)
+        over the simplices of the facet's triangulation.
         """
         n = self.dimension
         den = math.lcm(*(r.denominator for _, r in halfspaces))
@@ -178,7 +186,18 @@ class ToricModel(GeometryModel):
                 for r in range(n):
                     moment[r] += d * sum(points[i][r] for i in s)
         scale = common**n * math.factorial(n)
-        return points, common, Fraction(mass, scale), tuple(Fraction(m, scale * common * (n + 1)) for m in moment)
+        found = points, common, Fraction(mass, scale), tuple(Fraction(m, scale * common * (n + 1)) for m in moment)
+        if facets is None:
+            return found
+        fluxes = []
+        for k in facets:
+            a, flux = normals[k], 0
+            for s in simplices(tuple(v for v, key in enumerate(verts) if k in tight[key])):
+                if len(s) == n:
+                    p0 = points[s[0]]
+                    flux += abs(_solve([[x - y for x, y in zip(points[i], p0)] for i in s[1:]] + [a], [0] * n)[0])
+            fluxes.append(Fraction(flux, common ** (n - 1) * math.factorial(n - 1) * _dot(a, a)))
+        return (*found, fluxes)
 
     def polytope_vertices(self, D: DivisorClass) -> list[tuple[Fraction, ...]]:
         points, common = self._section_polytope(D)[:2]
@@ -192,9 +211,11 @@ class ToricModel(GeometryModel):
             hit = memo["polytope"] = self._polytope(self._halfspaces(L))
         return hit
 
-    def _cell(self, L: DivisorClass, cuts):
-        """`_polytope` of P_L cut by `cuts`, seeded with the vertices of P_L."""
-        return self._polytope(self._halfspaces(L) + cuts, self._section_polytope(L)[:2])
+    def _cell(self, L: DivisorClass, cuts, facets=None):
+        """`_polytope` of P_L cut by `cuts`, seeded with the vertices of P_L;
+        with `facets`, indices into `cuts`, the fluxes through them too."""
+        return self._polytope(self._halfspaces(L) + cuts, self._section_polytope(L)[:2],
+                              None if facets is None else [len(self.rays) + k for k in facets])
 
     # -- GeometryModel contract --------------------------------------------
 
@@ -258,8 +279,41 @@ class ToricModel(GeometryModel):
         first cell is what they leave.  Each integral is exact from a (mass,
         first moment) pair.
         """
-        _, _, mass, moment = self._section_polytope(L)
-        if mass <= 0:
+        pieces = self._pieces(L, support, shifts)
+        mass, moment = self._section_polytope(L)[2:4]
+        (w1, c1), *rest = pieces
+        total = _dot(w1, moment) + c1 * mass
+        grad = [Fraction(int(i == 0)) for i in range(len(support))]
+        for i, (wi, ci) in enumerate(rest, 1):
+            cell_mass, cell_moment = self._cell(L, _cuts(pieces, i))[2:4]
+            diff = [a - b for a, b in zip(wi, w1)]
+            total += _dot(diff, cell_moment) + (ci - c1) * cell_mass
+            grad[i] = cell_mass / mass
+            grad[0] -= grad[i]
+        return total / mass, grad
+
+    def order_hessian(self, L: DivisorClass, support, shifts) -> list:
+        """The exact Hessian of S in the shifts: for i != j, the flux between
+        cells i and j, the (n-1)-volume of the facet they share over |w_i -
+        w_j| (Kitagawa-Merigot-Thibert), over the Euclidean volume of P_L;
+        each row sums to 0.  Cell i gives the facets it shares with the
+        cells before it, as `_polytope`'s fluxes through its cuts, formed
+        here only: each cell is cut again."""
+        pieces = self._pieces(L, support, shifts)
+        mass = self._section_polytope(L)[2]
+        H = [[Fraction(0)] * len(pieces) for _ in pieces]
+        for i in range(1, len(pieces)):
+            # the cut of piece j < i is the j-th of `_cuts`
+            for j, flux in enumerate(self._cell(L, _cuts(pieces, i), range(i))[4]):
+                H[i][j] = H[j][i] = flux / mass
+        for i, row in enumerate(H):
+            row[i] = -sum(row)
+        return [[float(h) for h in row] for row in H]
+
+    def _pieces(self, L, support, shifts):
+        """(w, c) per atom: f = <., w> + c is its order function at its
+        shift, w = 0 for a trivial valuation.  L must be big."""
+        if self._section_polytope(L)[2] <= 0:
             raise GeometryError("expected vanishing order requires a big class")
         pieces = []
         for v, t in zip(support, shifts):
@@ -268,22 +322,7 @@ class ToricModel(GeometryModel):
             else:
                 w = self._valuation_vector(v)
                 pieces.append((w, Fraction(t) - self.order_anchor(L, w)))
-        (w1, c1), *rest = pieces
-        total = _dot(w1, moment) + c1 * mass
-        grad = [Fraction(int(i == 0)) for i in range(len(support))]
-        for i, (wi, ci) in enumerate(rest, 1):
-            # the cell of piece i: f_j - f_i >= 0 for every other piece j
-            cuts = [
-                (tuple(a - b for a, b in zip(wj, wi)), ci - cj)
-                for j, (wj, cj) in enumerate(pieces)
-                if j != i
-            ]
-            _, _, cell_mass, cell_moment = self._cell(L, cuts)
-            diff = [a - b for a, b in zip(wi, w1)]
-            total += _dot(diff, cell_moment) + (ci - c1) * cell_mass
-            grad[i] = cell_mass / mass
-            grad[0] -= grad[i]
-        return total / mass, grad
+        return pieces
 
     def order_derivative(self, L: DivisorClass, support, shifts, H: DivisorClass) -> float:
         """d/ds S_{L+sH}(t) at s = 0: Richardson-extrapolated central
@@ -413,6 +452,12 @@ class ToricModel(GeometryModel):
         anchor = self.order_anchor(L, w)  # first: it rejects an empty P_L
         points, common = self._section_polytope(L)[:2]
         return Fraction(max(_dot(w, p) for p in points), common) - anchor
+
+
+def _cuts(pieces, i):
+    """The cell of piece i: f_j - f_i >= 0 for every other piece j, in order."""
+    wi, ci = pieces[i]
+    return [(tuple(a - b for a, b in zip(wj, wi)), ci - cj) for j, (wj, cj) in enumerate(pieces) if j != i]
 
 
 def _check_level(k):

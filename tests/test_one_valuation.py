@@ -91,7 +91,7 @@ CASES = [
 
 @pytest.mark.parametrize("name, L, atoms", CASES, ids=[f"{c[0]}_{c[2][0][0]}_{c[2][1][0]}" for c in CASES])
 def test_search_without_the_closed_form_agrees(name, L, atoms):
-    # a model that forwards only the four abstract methods has no closed form
+    # a model that forwards only the five abstract methods has no closed form
     model = models._BUILDERS[name]()
     wrapped = Forwarding(model)
     L, mu = model.divisor(L), _measure(model, atoms)

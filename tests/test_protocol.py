@@ -44,6 +44,9 @@ class Forwarding(ds.GeometryModel):
     def order_derivative(self, L, support, shifts, H):
         return self.inner.order_derivative(L, support, shifts, H)
 
+    def order_hessian(self, L, support, shifts):
+        return self.inner.order_hessian(L, support, shifts)
+
 
 def _valuation(model, name):
     return ds.TRIVIAL_VALUATION if name == "trivial" else model.named_valuations[name]
