@@ -15,17 +15,17 @@ at the next shift or at the first root of vol, where the walk stops, so no
 chamber integrates a negative vol.  It emits one record per chamber, vol and
 M P on it in floats with vol's exact quadratic, and one function,
 `_integrate`, integrates any list of records: vol, P . h and P . E_i give S,
-grad S and d_L S.  The gamma walk keeps its records, so a support with one
-non-trivial valuation walks nothing, and their exact quadratics give the
-root of vol(L - y E) = xi_0 vol L (`SurfaceModel.one_valuation_maximizer`).
-Other supports walk afresh (`_SurfaceProblem.walk`): float shifts are binary
-rationals, so they sit over one int denominator.  A compiled problem keeps
-its last two walks by their shifts, and each record names its chamber's
-Zariski support N, on which d P / d t_j is the projection Pi_N E_j off the
-span of N (Bauer-Küronya-Szemberg).  So the exact Hessian of S
-(`_SurfaceProblem.order_hessian`), a sum of chamber lengths times E_i . Pi_N
-E_j and the terms of the moving end of the range, and d_L S read the kept
-walk of a point that S has just evaluated and walk nothing; S always walks.
+grad S and d_L S.  As S(t + c) = S(t) + c, the chambers depend only on
+the shifts relative to the least non-trivial one, and a compiled problem
+walks each once (`_SurfaceProblem.records`); the gamma walk is the one of a
+lone non-trivial valuation, and its exact quadratics give the root of
+vol(L - y E) = xi_0 vol L (`SurfaceModel.one_valuation_maximizer`).
+Float shifts are binary rationals, so a walk sits over one int
+denominator.  Each record names its chamber's Zariski support N, on which
+d P / d t_j is the projection Pi_N E_j off the span of N
+(Bauer-Küronya-Szemberg), so the exact Hessian of S
+(`_SurfaceProblem.order_hessian`), a sum of chamber lengths times E_i .
+Pi_N E_j and the terms of the moving end of the range, reads the walk too.
 """
 from __future__ import annotations
 
@@ -346,7 +346,7 @@ class SurfaceModel(GeometryModel):
         problem = self._compiled(L, valuations)
         ts = [float(t) for v, t in zip(valuations, shifts) if not v.is_trivial]
         rows = [] if direction is None else problem.pulled([direction])
-        iv, ih, _ = _integrate(problem.walk(ts, lam0, lam1), lam1, rows, ())
+        iv, ih, _ = _integrate(problem.walk(ts, lam0, lam1), float(lam1 - lam0), rows, ())
         return iv, ih[0] if rows else 0.0
 
     def closed_form_threshold(self, L: DivisorClass, v: Valuation):
@@ -371,30 +371,15 @@ class SurfaceModel(GeometryModel):
         return x if isinstance(x, float) else Fraction(*x)
 
     def expected_order(self, L: DivisorClass, support, shifts) -> tuple[float, list[float]]:
-        """(S, grad_t S) in floats from the problem compiled for (L, support):
-        new shifts redo only the integral (`_SurfaceProblem.expected_order`).
-        Trivial valuations alone compile nothing: S is the least shift."""
-        if all(v.is_trivial for v in support):
-            if not self.is_big(L):
-                raise GeometryError("expected vanishing order requires a big class")
-            ts = [float(t) for t in shifts]
-            return min(ts), [float(i == ts.index(min(ts))) for i in range(len(ts))]
+        """(S, grad_t S) in floats (`_SurfaceProblem.expected_order`)."""
         return self._compiled(L, support).expected_order(shifts)
 
     def order_derivative(self, L: DivisorClass, support, shifts, H: DivisorClass) -> float:
-        """d/ds S_{L+sH}(t) at s = 0 from the compiled problem
-        (`_SurfaceProblem.order_derivative`), 0 for trivial valuations alone."""
-        if all(v.is_trivial for v in support):
-            self._check_basis(L)
-            return 0.0
+        """d/ds S_{L+sH}(t) at s = 0 (`_SurfaceProblem.order_derivative`)."""
         return self._compiled(L, support).order_derivative(shifts, H)
 
     def order_hessian(self, L: DivisorClass, support, shifts) -> list:
-        """The exact Hessian of S in the shifts from the compiled problem
-        (`_SurfaceProblem.order_hessian`), 0 for trivial valuations alone."""
-        if all(v.is_trivial for v in support):
-            self._check_basis(L)
-            return [[0.0] * len(support) for _ in support]
+        """The exact Hessian of S in the shifts (`_SurfaceProblem.order_hessian`)."""
         return self._compiled(L, support).order_hessian(shifts)
 
     def one_valuation_maximizer(self, L: DivisorClass, v: Valuation, trivial_mass) -> float:
@@ -433,11 +418,9 @@ class _SurfaceProblem:
     the realization, so a support realised on several birational models
     raises here, whatever the shifts.  The thresholds gamma_i are computed
     on first use (`thresholds`), which needs L big.  `records` picks the
-    chambers of each `S` call, those of v's gamma walk for one non-trivial
-    valuation v (`SurfaceModel.closed_form_threshold`), else those of one
-    `walk`, the last two kept by their shifts; `_integrate` integrates them
-    for `S`, its gradient and its derivative in L, and `order_hessian` reads
-    them.
+    chambers of each call from a walk kept by its shifts relative to the
+    least non-trivial one; `_integrate` integrates them for `S`, its
+    gradient and its derivative in L, and `order_hessian` reads them.
     """
 
     def __init__(self, model: SurfaceModel, L: DivisorClass, support: tuple):
@@ -450,7 +433,7 @@ class _SurfaceProblem:
         self.positive = dec.positive_part if self.volume > 0 else None
         self._nontrivial = [i for i, v in enumerate(support) if not v.is_trivial]
         self._trivial = [i for i, v in enumerate(support) if v.is_trivial]
-        self._gammas = self._chambers = self._ints = None  # set on first use
+        self._gammas = self._ints = None  # set on first use
         self._kept, self._projections = {}, {}
         self.target, self._pull = model.resolve_realization(support)
 
@@ -461,7 +444,7 @@ class _SurfaceProblem:
     def ints(self):
         """((L, E_1, ...), q): L pulled back and the divisors of the
         non-trivial valuations as int tuples over one denominator q, built
-        on first use: S on one non-trivial valuation needs none."""
+        on first use."""
         if self._ints is None:
             divs = (self.support[i].order_model.divisor.coefficients for i in self._nontrivial)
             self._ints = _integral((self._pull(self.L.coefficients), *divs))
@@ -469,42 +452,44 @@ class _SurfaceProblem:
 
     def thresholds(self) -> list:
         """The float thresholds gamma_i of the non-trivial valuations, computed
-        once.  With one, its chambers are read from the memo of L right after
-        `gamma_threshold` has put them there, and kept here: by a later call,
-        another class may have replaced that memo."""
+        once.  With one, its gamma walk, in the memo of L right after
+        `gamma_threshold`, is kept as the uncapped walk of relative shifts
+        (0,) (`records`): later, another class may have replaced that memo."""
         if self._gammas is None:
             gammas = [gamma_threshold(self.model, self.L, self.support[i]) for i in self._nontrivial]
             if len(gammas) == 1:
-                self._chambers = self.model._memo_of(self.L)["chambers", self.support[self._nontrivial[0]]]
+                self._kept[0.0,] = self.model._memo_of(self.L)["chambers", self.support[self._nontrivial[0]]], None
             self._gammas = [float(g) for g in gammas]
         return self._gammas
 
-    def records(self, ts, kept=False):
-        """(t0, chambers, hi, live) at the float shifts `ts`: the chamber
-        records of the range [t0, hi] of the filtration, and the `_integrate`
-        arguments that give the integrals of P . E_i, E_i the divisors of the
-        non-trivial valuations.  With one, v at shift t, the chambers are
-        those of v's gamma walk, in mu = lam - t up to hi = min(gamma, tau -
-        t), tau the least trivial shift.  With more, they are one `walk`,
-        and the last two walks are kept by their shifts: with `kept`, one of
-        them serves these shifts if it was theirs, so the Hessian and the
-        derivative in L at a point just evaluated walk nothing.  S itself
-        always walks."""
-        if kept and (found := self._kept.get(tuple(ts))):
-            return found
-        t0, gammas = min(ts), self.thresholds()
+    def records(self, ts):
+        """(t0, chambers, hi, live) at the float shifts `ts`, t0 the least:
+        the chambers of the range in lam - a up to hi = min(tau - a, gamma_i
+        + t_i - a), a the least non-trivial shift and tau the least trivial
+        one, and the `_integrate` arguments that give the integrals of P .
+        E_i.  The walk depends on the relative shifts t_i - a alone, exact
+        dyadic rationals: floats where the difference is exact (math.fsum),
+        else Fractions, which equal and hash as such a float would.  The last
+        two walks are kept by them, each with the cap tau - a it reached
+        (None where vol vanished first), and serve any cap at or below it.
+        With no non-trivial valuation, or tau <= a, the range is empty."""
+        gammas, at = self.thresholds(), list(map(ts.__getitem__, self._nontrivial))
+        a = min(at, default=math.inf)
+        rel = [t - a for t in at]
         # a trivial valuation admits no section past its shift: hard cutoff
-        cap = min(map(ts.__getitem__, self._trivial), default=math.inf)
-        if len(gammas) == 1:  # v's gamma walk, in mu = lam - t
-            t = ts[self._nontrivial[0]]
-            return t0, self._chambers, min(gammas[0], cap - t), ((0.0,),)
-        active = [ts[i] for i in self._nontrivial]
-        hi = min(cap, *map(add, gammas, active))
-        (_, *divs), q = self.ints()
-        if len(self._kept) > 1:  # keep the last two
-            del self._kept[next(iter(self._kept))]
-        self._kept[tuple(ts)] = found = t0, self.walk(active, t0, hi), hi, (active, divs, q)
-        return found
+        tau = min(map(ts.__getitem__, self._trivial), default=math.inf)
+        t0, hi = min(a, tau), min([tau - a, *map(add, gammas, rel)])
+        if not hi > 0:
+            return t0, [], hi, (rel, self.ints)
+        key = tuple([r if not math.fsum((t, -a, -r)) else Fraction(t) - Fraction(a) for t, r in zip(at, rel)])
+        # only the trivial cap ends a walk before the first root of vol
+        found, cap = self._kept.get(key), None if tau == math.inf else _difference(tau, a, 1)
+        if found is None or found[1] is not None and (cap is None or found[1][0] * cap[1] < cap[0] * found[1][1]):
+            chambers = self.walk(at, a, tau)
+            if key not in self._kept and len(self._kept) > 1:  # keep the last two
+                del self._kept[next(iter(self._kept))]
+            self._kept[key] = found = chambers, None if chambers and _vanishes(chambers[-1][-1]) else cap
+        return t0, found[0], hi, (rel, self.ints)
 
     def expected_order(self, shifts):
         """(S, grad S) at these shifts, dS/dt_i = (2 / vol L) times the
@@ -541,24 +526,20 @@ class _SurfaceProblem:
         if self.volume <= 0:
             raise GeometryError("expected vanishing order requires a big class")
         ts = list(map(float, shifts))
-        chambers, live = self.records(ts, kept=True)[1], self._nontrivial
+        chambers, live = self.records(ts)[1], self._nontrivial
         H = [[0.0] * len(ts) for _ in ts]
         if not chambers:  # the range is empty
             return H
-        # records run in mu = D lam, D a power of 2, or for one valuation in
-        # mu = lam - t, D = 1: the integrals are summed in mu, so the terms
-        # at the end of the range enter D times, and all are divided by D
-        D = chambers[-1][-1][-1]
-        # (mu, k, i) for v_i, the k-th non-trivial atom, sorted by its shift
-        # mu, an int as D is a multiple of each shift's denominator; the
-        # first `on` of them are live
-        if len(live) == 1:
-            offset, lows = ts[live[0]], [(0, 0, live[0])]
-        else:
-            offset = 0.0
-            lows = sorted([(m * (D // d), k, i) for k, i in enumerate(live) for m, d in [ts[i].as_integer_ratio()]])
+        # records run in mu = D (lam - a), D a power of 2: the integrals are
+        # summed in mu, so the terms at the end of the range enter D times,
+        # and all are divided by D
+        D, a = chambers[-1][-1][-1], min(map(ts.__getitem__, live))
+        # (mu, k, i) for v_i, the k-th non-trivial atom, sorted by its
+        # relative shift mu, an int as D is a multiple of its denominator;
+        # the first `on` of them are live
+        lows = sorted([(n // d, k, i) for k, i in enumerate(live) for n, d in [_difference(ts[i], a, D)]])
         tau = min(self._trivial, key=ts.__getitem__, default=None)
-        cap = None if tau is None else _difference(ts[tau], offset, D)
+        cap = None if tau is None else _difference(ts[tau], a, D)
         # the terms (i, j, n, d) of the entries i < j: n / d, d != 0
         terms, last, on = [], None, 0
         for record in chambers:
@@ -581,14 +562,13 @@ class _SurfaceProblem:
             last = record, bn, bd, x
         if last is None:  # the cap is at or below the least shift
             return H
-        (_, _, _, _, _, Mp0, Mp1, den0, _, _, ((k0, k1, k2), *_)), bn, bd, x = last
+        (_, _, _, _, _, Mp0, Mp1, den0, _, _, exact), bn, bd, x = last
         (_, *divs), q = self.ints()
         # P . E_i at mu = bn / bd over one denominator: M P = (Mp0 + mu Mp1) / den0
         den = den0 * q * bd
         pe = {i: _dot(Mp0, divs[k]) * bd + bn * _dot(Mp1, divs[k]) for _, k, i in lows[:on]}
-        # a root of vol ends the walk, and an exact one is where vol is 0;
         # x is None where the cap ends the range
-        if isinstance(x, float) or x is not None and k0 * bd * bd + bn * (k1 * bd + k2 * bn) == 0:
+        if x is not None and _vanishes(exact):
             fall = sum(pe.values())
             if fall:
                 terms += [(i, j, D * pe[i] * pe[j], fall * den) for i, j in combinations(sorted(pe), 2)]
@@ -633,9 +613,12 @@ class _SurfaceProblem:
 
     def order_derivative(self, shifts, H):
         """d/ds S_{L+sH}(t) at s = 0: (2 / vol) (integral of P . H - (P_L . H /
-        vol) integral of vol) over the range of the filtration (`records`)."""
+        vol) integral of vol) over the range of the filtration (`records`);
+        0 on an empty range, whatever L."""
+        _, chambers, hi, _ = self.records(list(map(float, shifts)))
+        if not chambers:
+            return 0.0
         vol = self.volume
-        _, chambers, hi, _ = self.records(list(map(float, shifts)), kept=True)
         iv, (ih,), _ = _integrate(chambers, hi, self.pulled([H]), ())
         # P_L . H from the decomposition the problem kept: L is not decomposed again
         plh = float(self.model.pairing(self.positive, H))
@@ -644,18 +627,21 @@ class _SurfaceProblem:
     def walk(self, ts, lam0, lam1):
         """The chambers crossed on [lam0, lam1] by lam -> L - sum max(lam -
         t_i, 0) E_i, `ts` the shifts of the non-trivial valuations, as
-        `_integrate` records (`_walk`).  Floats are binary rationals: over
-        their common denominator D, the ends and shifts are ints mu = D lam,
-        and the class is (b + mu d) / (q D) for int tuples b, d, which E_i
-        joins at its mu; lam1 caps the walk."""
+        `_integrate` records (`_walk`) in lam - lam0.  Floats are binary
+        rationals: over their common denominator D, the shifts and lam1 are
+        ints mu = D (lam - lam0), and the class is (b + mu d) / (q D) for int
+        tuples b, d, which E_i joins at its mu; lam1 caps the walk unless it
+        is inf."""
         (base, *divs), q = self.ints()
-        if lam1 <= lam0:  # a trivial cap at or below t0, common in norms: skip the set-up
+        if lam1 <= lam0:
             return []
-        ratios = [x.as_integer_ratio() for x in (lam0, lam1, *ts)]
+        capped = lam1 < math.inf
+        ratios = [x.as_integer_ratio() for x in [lam0, *ts] + [lam1] * capped]
         D = math.lcm(*[r for _, r in ratios])
-        m0, m1, *ms = [n * (D // r) for n, r in ratios]
-        events = [*sorted([(m, e) for m, e in zip(ms, divs) if m < m1]), (m1, None)]
-        return _walk(self.target, tuple([D * c for c in base]), (0,) * len(base), q * D, (m0, 1), events, D)[0]
+        m0, *ms = [n * (D // r) for n, r in ratios]
+        m1 = ms.pop() - m0 if capped else math.inf
+        events = sorted([(m - m0, e) for m, e in zip(ms, divs) if m - m0 < m1]) + [(m1, None)] * capped
+        return _walk(self.target, tuple([D * c for c in base]), (0,) * len(base), q * D, (0, 1), events, D)[0]
 
 
 class _Lattice(NamedTuple):
@@ -669,6 +655,13 @@ class _Lattice(NamedTuple):
     matrix: tuple
     sigma: int
     kappa: int
+
+
+def _vanishes(exact) -> bool:
+    """Whether vol is 0 at the end of a chamber, from the exact part of its
+    record (`_walk`): an irrational root, or an int pair where it is 0."""
+    (k0, k1, k2), _, _, x, _ = exact
+    return isinstance(x, float) or k0 * x[1] * x[1] + x[0] * (k1 * x[1] + k2 * x[0]) == 0
 
 
 def _difference(x, y, D):
@@ -795,18 +788,21 @@ def _walk(target, b, d, q, x, events=(), D=1):
             return chambers, x
 
 
-def _integrate(chambers, hi, rows, ts, divs=(), q=1):
+def _integrate(chambers, hi, rows, ts, ints=None):
     """(integral of vol, integrals of P . h for h in `rows`, integrals of P .
     E_i from ts[i] on) over the chamber records (start, end, c0, c1, c2, Mp0,
     Mp1, den0, den1, N, exact) up to hi: vol = c0 + c1 x + c2 x^2 and M P = Mp0
     / den0 + x Mp1 / den1 on [start, end].  -d vol / dx = 2 P . E, E the sum
     of the live E_i, and vol is flat before the least shift: the first
-    least-shifted E_i takes half the fall of vol less the others, whose int
-    tuples divs[i] over q pair with M P where live (no divs: one E_i; no ts:
-    none)."""
+    least-shifted E_i takes half the fall of vol less the others, which pair
+    with M P where live: M P is integrated for `rows` or where two or more
+    E_i are live, and only then is `ints` (`_SurfaceProblem.ints`) asked
+    for the E_i as int tuples over q (no ts: no E_i)."""
     total_v = rise = 0.0
     total_h, total_e = [0.0] * len(rows), [0.0] * len(ts)
-    first = ts.index(min(ts)) if divs else 0
+    first = ts.index(min(ts)) if ts else 0
+    others = [(i, t) for i, t in enumerate(ts) if i != first]
+    (_, *divs), q = ints() if others else ((None,), 1)
     for start, end, c0, c1, c2, Mp0, Mp1, den0, den1, _, _ in chambers:
         if hi <= start:
             break
@@ -814,15 +810,15 @@ def _integrate(chambers, hi, rows, ts, divs=(), q=1):
         span, half = x - start, (x * x - start * start) / 2.0
         total_v += c0 * span + c1 * half + c2 * (x**3 - start**3) / 3.0
         rise += c1 * span / 2 + c2 * half
-        if rows or divs:
+        live = others and [i for i, t in others if t <= start]
+        if rows or live:
             # the integral of M P over the chamber, in floats
             r = [a / den0 * span + b / den1 * half for a, b in zip(Mp0, Mp1)]
             for j, h in enumerate(rows):
                 total_h[j] += sum(map(mul, h, r))
-            for i, t in enumerate(ts):
-                if t <= start and i != first:
-                    total_e[i] += (pe := sum(map(mul, divs[i], r)) / q)
-                    rise += pe
+            for i in live:
+                total_e[i] += (pe := sum(map(mul, divs[i], r)) / q)
+                rise += pe
     if ts:
         total_e[first] -= rise
     return total_v, total_h, total_e

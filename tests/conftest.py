@@ -7,8 +7,9 @@ from divstab.surface import SurfaceModel, _SurfaceProblem
 @pytest.fixture
 def searches(monkeypatch):
     """The chamber searches of `_SurfaceProblem.walk`, the only ones a
-    compiled problem makes once it holds vol L and its thresholds: one
-    (point, failed) pair per `SurfaceModel._chamber` call inside a walk."""
+    compiled problem makes once it holds vol L and its thresholds, and none
+    where a kept walk serves the relative shifts (`_SurfaceProblem.records`):
+    one (point, failed) pair per `SurfaceModel._chamber` call inside a walk."""
     calls, walking = [], []
     walk, chamber = _SurfaceProblem.walk, SurfaceModel._chamber
 

@@ -1,6 +1,6 @@
 """The exact chamber kernel on int pairs against the Fraction walk of
-tests/_reference.py, and supports of trivial valuations alone, which
-compile no `_SurfaceProblem`."""
+tests/_reference.py, and supports of trivial valuations alone, whose range
+is empty, so they walk no chamber."""
 import random
 from fractions import Fraction
 
@@ -117,24 +117,25 @@ def test_a_rational_walk_builds_one_fraction(monkeypatch):
 
 class TestTrivialOnlySupports:
     """S of trivial valuations alone is the least shift, with gradient 1 at
-    the first least shift; nothing is compiled or walked."""
+    the first least shift: the compiled problem has an empty range, and
+    nothing is walked."""
 
     TRIVIAL_2 = ds.Valuation("trivial_2", 0, is_trivial=True)
     TRIVIAL_3 = ds.Valuation("trivial_3", 0, is_trivial=True)
 
     @pytest.fixture
-    def builds(self, monkeypatch):
+    def walks(self, monkeypatch):
         calls = []
-        init = surface._SurfaceProblem.__init__
+        walk = surface._walk
 
-        def counting(self, model, L, support):
-            calls.append(support)
-            init(self, model, L, support)
+        def counting(*args):
+            calls.append(args)
+            return walk(*args)
 
-        monkeypatch.setattr(surface._SurfaceProblem, "__init__", counting)
+        monkeypatch.setattr(surface, "_walk", counting)
         return calls
 
-    def test_least_shift_and_no_problem(self, builds):
+    def test_least_shift_and_no_walk(self, walks):
         rng = random.Random(2312)
         supports = [(TRIVIAL_VALUATION,), (TRIVIAL_VALUATION, self.TRIVIAL_2), (self.TRIVIAL_3, TRIVIAL_VALUATION, self.TRIVIAL_2)]
         for model in surface_models():
@@ -153,13 +154,15 @@ class TestTrivialOnlySupports:
                 assert (value, grad) == (float(ref_value), [float(g) for g in ref_grad])
                 assert model.order_derivative(L, support, shifts, H) == 0.0
                 assert model.order_derivative(L, support, shifts, -H) == 0.0
-        assert builds == []
-        # a non-trivial valuation in the support still compiles
+                assert model.order_hessian(L, support, shifts) == [[0.0] * len(support) for _ in support]
+        assert walks == []
+        # two non-trivial valuations beside a trivial one walk their range
         model = surface_models()[1]
-        model.expected_order(random_big_class(model, rng), (TRIVIAL_VALUATION, model.named_valuations["ord_e"]), (0.0, 0.0))
-        assert len(builds) == 1
+        e, other = (model.named_valuations[n] for n in sorted(model.named_valuations)[:2])
+        model.expected_order(random_big_class(model, rng), (TRIVIAL_VALUATION, e, other), (1.0, 0.0, 0.0))
+        assert len(walks) >= 1
 
-    def test_errors_unchanged(self, builds):
+    def test_errors_unchanged(self, walks):
         support, shifts = (TRIVIAL_VALUATION, self.TRIVIAL_2), (0.5, 0.5)
         for model in surface_models():
             not_big = model.divisor([0] * model.class_rank)
@@ -173,4 +176,4 @@ class TestTrivialOnlySupports:
                 model.order_derivative(wrong, support, shifts, model.canonical_class)
             # no bigness check here, as before: S is the least shift whatever L
             assert model.order_derivative(not_big, support, shifts, model.canonical_class) == 0.0
-        assert builds == []
+        assert walks == []

@@ -159,8 +159,8 @@ class TestBetaAtTheNewtonMaximizer:
 
 class TestKeptWalks:
     """The compiled surface problem keeps its last two walks: the Hessian at
-    an accepted point, just evaluated, and beta's derivative in L at the
-    maximizer walk no chamber."""
+    an accepted point, just evaluated, beta's derivative in L at the
+    maximizer and ma_solve's evaluation there walk no chamber."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
@@ -220,3 +220,10 @@ class TestKeptWalks:
         model, L, mu = self.case(name, L, atoms)
         ds.beta(model, L, mu)
         assert seen == [0]
+
+    @pytest.mark.parametrize("name, L, atoms", MEASURES, ids=[m[0] for m in MEASURES])
+    def test_ma_solve_walks_as_norm_does(self, walks, name, L, atoms):
+        ds.norm(*self.case(name, L, atoms))
+        by_norm, walks[0] = walks[0], 0
+        ds.ma_solve(*self.case(name, L, atoms))
+        assert walks[0] == by_norm > 0

@@ -215,6 +215,26 @@ class TestLineIntegrals:
             assert abs(fast - slow) < 1e-9
             assert abs(fast - reference) < 1e-9
 
+    def test_twist_integrals_from_a_later_start(self):
+        # the walk's records run in lam - lam0: the integral of vol over
+        # [lam0, lam1], lam0 past the least shift, against Gauss-Legendre
+        from divstab.quadrature import integrate
+        from _cases import random_support
+
+        rng = random.Random(103)
+        for model in surface_models():
+            for _ in range(6):
+                L = random_big_class(model, rng)
+                support = random_support(model, rng, allow_trivial=False)
+                shifts = [rng.randint(0, 8) / 8 for _ in support]
+                lam0 = min(shifts) + rng.randint(1, 4) / 8
+                lam1 = lam0 + rng.randint(1, 8) / 8
+                evaluate = model.twist_evaluator(L, support)
+                breaks = [t for t in shifts if lam0 < t < lam1]
+                slow = integrate(lambda lam: evaluate([max(lam - t, 0.0) for t in shifts]), lam0, lam1, breaks, tol=1e-12)
+                fast, _ = model.twist_integrals(L, support, shifts, lam0, lam1)
+                assert abs(fast - slow) <= 1e-9 * max(1.0, abs(slow)), (model.name, L, support, shifts, lam0, lam1)
+
 
 def _tied_shifts(rng, size):
     """Shifts in [0, 2]: uniform floats, with quarters and repeats mixed in."""
@@ -270,7 +290,8 @@ class TestWalkWork:
     none past a point where vol is exactly 0, so no search fails (`leaves`
     is 0 throughout).  A support with one non-trivial valuation searches
     none: its S integrates the chambers that the gamma walk recorded, one
-    per piece and per wall."""
+    per piece and per wall, kept as the walk of relative shifts (0,).  A
+    kept walk serves S again at the same shifts and at their translates."""
 
     @pytest.mark.parametrize(
         "name, L, valuations, shifts, pieces, walls, leaves",
@@ -291,19 +312,28 @@ class TestWalkWork:
         ],
     )
     def test_searches_per_walk(self, searches, name, L, valuations, shifts, pieces, walls, leaves):
-        model = ds.bundled_model(name)
+        model = ds.models._BUILDERS[name]()
+        L = model.divisor(L)
         support = tuple(ds.TRIVIAL_VALUATION if v is None else model.named_valuations[v] for v in valuations)
+        # vol L and the thresholds, so that S searches only in its walk
+        model.volume(L)
+        for v in support:
+            if not v.is_trivial:
+                ds.gamma_threshold(model, L, v)
         spec = FiltrationSpec(support, shifts)
-        expected_order_S_grad(model, model.divisor(L), spec)  # compiles the problem: gamma, vol
-        del searches[:]
-        value, _ = expected_order_S_grad(model, model.divisor(L), spec)
+        value, _ = expected_order_S_grad(model, L, spec)
         if sum(v is not None for v in valuations) == 1:
             assert searches == []
-            assert len(model._compiled(model.divisor(L), support)._chambers) == pieces + walls
+            assert len(model._compiled(L, support)._kept[0.0,][0]) == pieces + walls
         else:
             assert len(searches) == pieces + walls + leaves
             assert [x for x, failed in searches if failed] == []
-        assert value == pytest.approx(float(reference.surface_S_grad(model, model.divisor(L), support, shifts)[0]))
+        assert value == pytest.approx(float(reference.surface_S_grad(model, L, support, shifts)[0]))
+        del searches[:]
+        assert expected_order_S_grad(model, L, spec)[0] == value
+        # least shift 0: S = vol-integral / vol L, and the translate adds 3/8 exactly
+        assert expected_order_S_grad(model, L, spec.shifted(0.375))[0] == value + 0.375
+        assert searches == []
 
 
 class TestOneValuationClosedForm:
@@ -318,13 +348,14 @@ class TestOneValuationClosedForm:
 
     @staticmethod
     def walked(problem, shifts):
-        """(S, dS/dt_v) from one walk of the range, for the one non-trivial v."""
+        """(S, dS/dt_v) from one walk of the range, in lam - t0, for the one
+        non-trivial v."""
         ts = [float(s) for s in shifts]
         (i,), (gamma,) = problem._nontrivial, problem.thresholds()
         t0, lam_max = min(ts), min([ts[i] + gamma] + [t for j, t in enumerate(ts) if j != i])
         if lam_max <= t0:
             return t0, 0.0
-        iv, _, (ie,) = _integrate(problem.walk([ts[i]], t0, lam_max), lam_max, [], [ts[i]])
+        iv, _, (ie,) = _integrate(problem.walk([ts[i]], t0, lam_max), lam_max - t0, [], [ts[i] - t0])
         return t0 + iv / problem.volume, 2.0 * ie / problem.volume
 
     @staticmethod
