@@ -34,9 +34,7 @@ class FiltrationSpec:
 
     @staticmethod
     def make(pairs: Sequence[tuple[Valuation, object]]) -> "FiltrationSpec":
-        return FiltrationSpec(
-            tuple(v for v, _ in pairs), tuple(t for _, t in pairs)
-        )
+        return FiltrationSpec(tuple([v for v, _ in pairs]), tuple([t for _, t in pairs]))
 
     def __post_init__(self):
         if not self.support:
@@ -45,12 +43,11 @@ class FiltrationSpec:
             raise GeometryError("support and shift vector lengths differ")
         if not all(map(math.isfinite, self.shifts)):
             raise GeometryError(f"shifts must be finite, got {self.shifts}")
-        names = [v.name for v in self.support]
-        if len(set(names)) != len(names):
+        if len({v.name for v in self.support}) != len(self.support):
             raise GeometryError("filtration support contains repeated valuations")
 
     def shifted(self, offset) -> "FiltrationSpec":
-        return FiltrationSpec(self.support, tuple(t + offset for t in self.shifts))
+        return FiltrationSpec(self.support, tuple([t + offset for t in self.shifts]))
 
 
 @dataclass(frozen=True)
@@ -114,17 +111,18 @@ def expected_order_S(
 ) -> float:
     """Expected vanishing order of L along the filtration; translation equivariant.
 
-    With method="auto", S is the value of `expected_order_S_grad`, from the
-    one exact evaluation of each backend.  method="quadrature" is the
-    reference: it runs adaptive composite Gauss-Legendre to `tol`, seeded at
-    the shift and threshold breakpoints, over the model's `twist_evaluator`
-    on one atom per centre; `tol` has no other use.
+    With method="auto", S is the backend's one exact evaluation on one atom
+    per centre, the value of `expected_order_S_grad`.  method="quadrature"
+    is the reference: it runs adaptive composite Gauss-Legendre to `tol`,
+    seeded at the shift and threshold breakpoints, over the model's
+    `twist_evaluator` on one atom per centre; `tol` has no other use.
     """
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}; expected 'auto' or 'quadrature'")
+    support, shifts, _ = one_per_centre(spec.support, spec.shifts)
     if method == "auto":
-        return expected_order_S_grad(model, L, spec)[0]
-    spec = FiltrationSpec(*one_per_centre(spec.support, spec.shifts)[:2])
+        return float(model.expected_order(L, support, shifts)[0])
+    spec = FiltrationSpec(support, shifts)
     # built first: it resolves the realization, so a mixed support raises for every t
     evaluator = model.twist_evaluator(L, [v for v in spec.support if not v.is_trivial])
     vol_L = model.volume(L)

@@ -9,16 +9,18 @@ One routine, `SurfaceModel._chamber`, finds the Zariski chamber of b + lam d
 right of a point, where P is linear and vol = P^2 quadratic in lam, and the
 pairings of P that give its walls.  It runs fraction-free on int tuples over
 one positive scale, with no tolerance: points and walls are int pairs, so
-the threshold walk builds one Fraction, the threshold.  One loop, `_walk`,
-walks the chambers of a path for gamma and S alike: each ends at its wall,
-at the next shift or at the first root of vol, where the walk stops, so no
-chamber integrates a negative vol.  It emits one record per chamber, vol and
-M P on it in floats with vol's exact quadratic, and one function,
-`_integrate`, integrates any list of records: vol, P . h and P . E_i give S,
-grad S and d_L S.  As S(t + c) = S(t) + c, the chambers depend only on
-the shifts relative to the least non-trivial one, and a compiled problem
-walks each once (`_SurfaceProblem.records`); the gamma walk is the one of a
-lone non-trivial valuation, and its exact quadratics give the root of
+the threshold walk builds one Fraction, the threshold, and a class keeps
+its decomposition as ints, whose Fractions `zariski` builds on first ask.
+One loop, `_walk`, walks the chambers of a path for gamma and S alike: each
+ends at its wall, at the next shift or at the first root of vol, where the
+walk stops, so no chamber integrates a negative vol.  It emits one record
+per chamber, vol and M P on it in floats with vol's exact quadratic, and
+one function, `_integrate`, integrates any list of records: vol, P . h and
+P . E_i give S, grad S and d_L S.  As S(t + c) = S(t) + c, the chambers
+depend only on the shifts relative to the least non-trivial one, and a
+compiled problem walks each once (`_SurfaceProblem.records`), so a later S
+there is one key, one lookup and one integral; the gamma walk is the one of
+a lone non-trivial valuation, and its exact quadratics give the root of
 vol(L - y E) = xi_0 vol L (`SurfaceModel.one_valuation_maximizer`).
 Float shifts are binary rationals, so a walk sits over one int
 denominator.  Each record names its chamber's Zariski support N, on which
@@ -146,28 +148,33 @@ class SurfaceModel(GeometryModel):
 
     def zariski(self, D: DivisorClass) -> ZariskiDecomposition:
         """Unique decomposition D = P + N (P nef against the declared curves,
-        negative-definite N-support orthogonal to P), by iterated support growth.
+        negative-definite N-support orthogonal to P), by iterated support growth;
+        its Fractions are built from the ints of `_decomposition` on first ask.
         """
-        return self._decomposition(D)[0]
+        if (hit := self._decomposition(D))[4] is None:
+            _, support, p0, scale, _ = hit
+            N = tuple([(self.negative_curves[i], Fraction(self._exact.kappa * a, scale)) for i, a, _ in support])
+            hit[4] = ZariskiDecomposition(DivisorClass(tuple([Fraction(c, scale) for c in p0]), self.basis_id), N)
+        return hit[4]
 
     def _decomposition(self, D: DivisorClass):
-        """(Zariski decomposition, vol) of D, kept in the memo of D beside its
-        ints (`_reduced`); off the psef cone, its error message, raised afresh
-        on each query.  A positive part of negative square, which no nef class
-        has (Hodge index), raises GeometryError: a declared curve is missing."""
+        """[vol, support, p0, scale, decomposition] of D, kept in the memo of D
+        beside its ints (`_reduced`): P = p0 / scale, N = sum kappa a C_i /
+        scale over `_chamber`'s support (i, a, _), the decomposition None
+        until `zariski` builds it; off the psef cone, its error message, raised
+        afresh on each query.  A positive part of negative square (no nef class
+        has one: Hodge index) raises GeometryError: a declared curve is missing."""
         memo, lat = self._memo_of(D), self._exact
         ((b,), q), hit = _reduced(memo, D)
         if hit is None:
             try:
                 support, p0, _, scale, _ = self._chamber(lat, b, (0,) * len(b), q, (0, 1))
-                P = DivisorClass(tuple(Fraction(c, scale) for c in p0), self.basis_id)
-                N = tuple((self.negative_curves[i], Fraction(lat.kappa * a, scale)) for i, a, _ in support)
                 square = _dot(p0, _image(lat.matrix, p0))
                 vol = Fraction(square, scale**2 * lat.sigma)
                 if square < 0:
                     raise GeometryError(f"the positive part of class {_shown(D)} has square {vol}: "
                                         f"the declared curves are incomplete")
-                hit = ZariskiDecomposition(P, N), vol
+                hit = [vol, support, p0, scale, None]
             except NotPseudoeffectiveError as e:
                 hit = str(e)
             memo["zariski"] = ((b,), q), hit
@@ -213,9 +220,9 @@ class SurfaceModel(GeometryModel):
             scale = q * g
             # P = (g v - sum a_i C_i) / scale for (v, a) = (b, a0) and (d, a1)
             columns = list(zip(*(curves[i] for i in support)))
-            p0, p1 = (
-                tuple(g * vk - _dot(a, col) for vk, col in zip(v, columns)) for v, a in zip((b, d), (a0, a1))
-            )
+            p0, p1 = [
+                tuple([g * vk - sum(map(mul, a, col)) for vk, col in zip(v, columns)]) for v, a in ((b, a0), (d, a1))
+            ]
         for C, dual in zip(self.sample_curves, duals[n:]):
             c0, c1 = sum(map(mul, p0, dual)), sum(map(mul, p1, dual))
             if (c < 0) if (c := xd * c0 + xn * c1) else (c1 < 0):
@@ -252,7 +259,7 @@ class SurfaceModel(GeometryModel):
 
     def volume(self, D: DivisorClass) -> Fraction:
         try:
-            return self._decomposition(D)[1]
+            return self._decomposition(D)[0]
         except NotPseudoeffectiveError:
             return Fraction(0)
 
@@ -285,11 +292,11 @@ class SurfaceModel(GeometryModel):
             reals.append(r)
         if not reals:
             return self, lambda coeffs: coeffs
-        if len({id(r.model) for r in reals}) > 1:
-            raise GeometryError("valuations realised on different birational models cannot be combined")
-        if len({r.pullback for r in reals}) > 1:
-            raise GeometryError("inconsistent pullback maps among valuations")
         target, mat = reals[0].model, reals[0].pullback
+        if any(r.model is not target for r in reals):
+            raise GeometryError("valuations realised on different birational models cannot be combined")
+        if any(r.pullback != mat for r in reals):
+            raise GeometryError("inconsistent pullback maps among valuations")
         if mat is None:
             if target is not self:
                 raise GeometryError("missing pullback map to the realization model")
@@ -362,9 +369,9 @@ class SurfaceModel(GeometryModel):
         if v.is_trivial:
             raise GeometryError("pseudoeffective threshold undefined for the trivial valuation")
         target, pull = self.resolve_realization([v])
-        (e,), qe = v.order_model.ints
-        (b,), qb = _reduced(memo, L)[0] if v.order_model.pullback is None else _integral((pull(L.coefficients),))
-        chambers, x = _walk(target, tuple(c * qe for c in b), tuple(-c * qb for c in e), qb * qe, (0, 1))
+        (e,), qe = (real := v.order_model).ints
+        (b,), qb = _reduced(memo, L)[0] if real.pullback is None else _integral((pull(L.coefficients),))
+        chambers, x = _walk(target, tuple([c * qe for c in b]), tuple([-c * qb for c in e]), qb * qe, (0, 1))
         if x is None:
             raise GeometryError(f"threshold of {v.name!r} is unbounded: no declared curve bounds it")
         memo["chambers", v] = chambers
@@ -400,10 +407,8 @@ class SurfaceModel(GeometryModel):
     def _compiled(self, L: DivisorClass, support: Sequence[Valuation]) -> "_SurfaceProblem":
         """The compiled problem of (L, support), kept in the memo of L for the
         last support, which is compared, not hashed."""
-        support = tuple(support)
-        memo = self._memo_of(L)
-        problem = memo.get("problem")
-        if problem is None or problem.support != support:
+        memo, support = self._memo_of(L), tuple(support)
+        if (problem := memo.get("problem")) is None or problem.support != support:
             problem = memo["problem"] = _SurfaceProblem(self, L, support)
         return problem
 
@@ -411,7 +416,7 @@ class SurfaceModel(GeometryModel):
 class _SurfaceProblem:
     """One (L, support) on a surface, compiled once for repeated `S` calls.
 
-    Holds vol(L), exact and as a float, and the positive part of L (None
+    Holds vol(L), exact and as a float, P_L as ints (`_decomposition`; None
     unless L is big), the realization of the support, and, from first use
     (`ints`), L pulled back to it with the divisors of the non-trivial
     valuations, as int tuples over one denominator.  Building it resolves
@@ -426,13 +431,14 @@ class _SurfaceProblem:
     def __init__(self, model: SurfaceModel, L: DivisorClass, support: tuple):
         self.model, self.L, self.support = model, L, support
         try:
-            dec, vol = model._decomposition(L)
+            vol, _, p0, scale, _ = model._decomposition(L)
         except NotPseudoeffectiveError:
-            dec, vol = None, 0
+            vol = 0
         self.volume, self._vol = float(vol), vol
-        self.positive = dec.positive_part if self.volume > 0 else None
-        self._nontrivial = [i for i, v in enumerate(support) if not v.is_trivial]
-        self._trivial = [i for i, v in enumerate(support) if v.is_trivial]
+        self._positive = (p0, scale) if self.volume > 0 else None  # P_L, as ints
+        self._nontrivial = tuple([i for i, v in enumerate(support) if not v.is_trivial])
+        self._trivial = tuple([i for i, v in enumerate(support) if v.is_trivial])
+        self._free = self._trivial or tuple(range(len(support)))  # the gradient rule's candidates
         self._gammas = self._ints = None  # set on first use
         self._kept, self._projections = {}, {}
         self.target, self._pull = model.resolve_realization(support)
@@ -456,40 +462,42 @@ class _SurfaceProblem:
         `gamma_threshold`, is kept as the uncapped walk of relative shifts
         (0,) (`records`): later, another class may have replaced that memo."""
         if self._gammas is None:
-            gammas = [gamma_threshold(self.model, self.L, self.support[i]) for i in self._nontrivial]
-            if len(gammas) == 1:
-                self._kept[0.0,] = self.model._memo_of(self.L)["chambers", self.support[self._nontrivial[0]]], None
-            self._gammas = [float(g) for g in gammas]
+            model, L, live = self.model, self.L, [self.support[i] for i in self._nontrivial]
+            self._gammas = [float(gamma_threshold(model, L, v)) for v in live]
+            if len(live) == 1:
+                self._kept[0.0,] = model._memo_of(L)["chambers", live[0]], None
         return self._gammas
 
     def records(self, ts):
-        """(t0, chambers, hi, live) at the float shifts `ts`, t0 the least:
+        """(t0, chambers, hi, rel) at the float shifts `ts`, t0 the least:
         the chambers of the range in lam - a up to hi = min(tau - a, gamma_i
         + t_i - a), a the least non-trivial shift and tau the least trivial
-        one, and the `_integrate` arguments that give the integrals of P .
-        E_i.  The walk depends on the relative shifts t_i - a alone, exact
-        dyadic rationals: floats where the difference is exact (math.fsum),
+        one, and the relative shifts rel = t_i - a, which key the walk: 0.0
+        for the least, floats where the difference is exact (math.fsum),
         else Fractions, which equal and hash as such a float would.  The last
-        two walks are kept by them, each with the cap tau - a it reached
-        (None where vol vanished first), and serve any cap at or below it.
-        With no non-trivial valuation, or tau <= a, the range is empty."""
-        gammas, at = self.thresholds(), list(map(ts.__getitem__, self._nontrivial))
-        a = min(at, default=math.inf)
+        two walks are kept, each with the cap tau - a it reached (None where
+        vol vanished first), and serve any cap at or below it, formed only
+        to be compared.  With no non-trivial valuation, or tau <= a, the
+        range is empty."""
+        gammas = self._gammas if self._gammas is not None else self.thresholds()
+        at = [ts[i] for i in self._nontrivial]
+        a = min(at) if at else math.inf
         rel = [t - a for t in at]
         # a trivial valuation admits no section past its shift: hard cutoff
-        tau = min(map(ts.__getitem__, self._trivial), default=math.inf)
-        t0, hi = min(a, tau), min([tau - a, *map(add, gammas, rel)])
+        tau = min([ts[i] for i in self._trivial]) if self._trivial else math.inf
+        t0, hi = a if a <= tau else tau, min([tau - a, *map(add, gammas, rel)])
         if not hi > 0:
-            return t0, [], hi, (rel, self.ints)
-        key = tuple([r if not math.fsum((t, -a, -r)) else Fraction(t) - Fraction(a) for t, r in zip(at, rel)])
-        # only the trivial cap ends a walk before the first root of vol
-        found, cap = self._kept.get(key), None if tau == math.inf else _difference(tau, a, 1)
-        if found is None or found[1] is not None and (cap is None or found[1][0] * cap[1] < cap[0] * found[1][1]):
-            chambers = self.walk(at, a, tau)
-            if key not in self._kept and len(self._kept) > 1:  # keep the last two
-                del self._kept[next(iter(self._kept))]
-            self._kept[key] = found = chambers, None if chambers and _vanishes(chambers[-1][-1]) else cap
-        return t0, found[0], hi, (rel, self.ints)
+            return t0, [], hi, rel
+        key = tuple(rel if len(rel) < 2 else [r if not r or not math.fsum((t, -a, -r))
+                                              else Fraction(t) - Fraction(a) for t, r in zip(at, rel)])
+        if (found := self._kept.get(key)) is None or found[1] is not None:  # uncapped: serves every cap
+            cap = None if tau == math.inf else _difference(tau, a, 1)
+            if found is None or cap is None or found[1][0] * cap[1] < cap[0] * found[1][1]:
+                chambers = self.walk(at, a, tau)
+                if key not in self._kept and len(self._kept) > 1:  # keep the last two
+                    del self._kept[next(iter(self._kept))]
+                self._kept[key] = found = chambers, None if chambers and _vanishes(chambers[-1][-1]) else cap
+        return t0, found[0], hi, rel
 
     def expected_order(self, shifts):
         """(S, grad S) at these shifts, dS/dt_i = (2 / vol L) times the
@@ -501,12 +509,12 @@ class _SurfaceProblem:
         if vol <= 0:
             raise GeometryError("expected vanishing order requires a big class")
         ts = list(map(float, shifts))
-        t0, chambers, hi, live = self.records(ts)
-        iv, _, ie = _integrate(chambers, hi, (), *live)
+        t0, chambers, hi, rel = self.records(ts)
+        iv, _, ie = _integrate(chambers, hi, (), rel, self.ints)
         grad = [0.0] * len(ts)
         for i, x in zip(self._nontrivial, ie):
             grad[i] = 2.0 * x / vol
-        free = min(self._trivial or range(len(ts)), key=ts.__getitem__)
+        free = self._free[0] if len(self._free) < 2 else min(self._free, key=ts.__getitem__)
         grad[free] = 0.0
         grad[free] = 1.0 - math.fsum(grad)
         return t0 + iv / vol, grad
@@ -618,10 +626,11 @@ class _SurfaceProblem:
         _, chambers, hi, _ = self.records(list(map(float, shifts)))
         if not chambers:
             return 0.0
-        vol = self.volume
         iv, (ih,), _ = _integrate(chambers, hi, self.pulled([H]), ())
-        # P_L . H from the decomposition the problem kept: L is not decomposed again
-        plh = float(self.model.pairing(self.positive, H))
+        # P_L . H from the ints the problem kept, rounded once, as a Fraction's
+        self.model._check_basis(H)
+        (p0, scale), lat, ((h,), qh) = self._positive, self.model._exact, _integral((H.coefficients,))
+        plh, vol = _dot(p0, _image(lat.matrix, h)) / (scale * qh * lat.sigma), self.volume
         return (2.0 / vol) * (ih - (plh / vol) * iv)
 
     def walk(self, ts, lam0, lam1):
@@ -672,8 +681,9 @@ def _difference(x, y, D):
 
 def _integral(vectors):
     """(int tuples, q): rational tuples over their least common denominator q."""
-    q = math.lcm(*(c.denominator for v in vectors for c in v))
-    return tuple(tuple(c.numerator * (q // c.denominator) for c in v) for v in vectors), q
+    ratios = [[c.as_integer_ratio() for c in v] for v in vectors]
+    q = math.lcm(*[d for v in ratios for _, d in v])
+    return tuple([tuple([n * (q // d) for n, d in v]) for v in ratios]), q
 
 
 def _reduced(memo, D):
@@ -774,7 +784,7 @@ def _walk(target, b, d, q, x, events=(), D=1):
         if k < n and (wall is None or events[k][0] * wall[1] <= wall[0]):
             wall = events[k][0], 1
         # P = (p0 + mu p1) / scale, mu = D lam: D divides scale, so s1 = scale / D is an int
-        k0, k1, k2 = coeffs = _dot(p0, Mp0), 2 * _dot(p0, Mp1), _dot(p1, Mp1)
+        k0, k1, k2 = coeffs = sum(map(mul, p0, Mp0)), 2 * sum(map(mul, p0, Mp1)), sum(map(mul, p1, Mp1))
         den, s1 = scale * lat.sigma, scale // D
         unit, den1 = scale * den, s1 * lat.sigma
         root = _first_root(k0, k1, k2, unit, x, wall)
@@ -794,14 +804,15 @@ def _integrate(chambers, hi, rows, ts, ints=None):
     Mp1, den0, den1, N, exact) up to hi: vol = c0 + c1 x + c2 x^2 and M P = Mp0
     / den0 + x Mp1 / den1 on [start, end].  -d vol / dx = 2 P . E, E the sum
     of the live E_i, and vol is flat before the least shift: the first
-    least-shifted E_i takes half the fall of vol less the others, which pair
-    with M P where live: M P is integrated for `rows` or where two or more
-    E_i are live, and only then is `ints` (`_SurfaceProblem.ints`) asked
-    for the E_i as int tuples over q (no ts: no E_i)."""
+    least-shifted E_i takes half the fall of vol less the others (a lone one
+    all of it, with no list of others), which pair with M P where live: M P
+    is integrated for `rows` or where two or more E_i are live, and only
+    then is `ints` (`_SurfaceProblem.ints`) asked for the E_i as int tuples
+    over q (no ts: no E_i)."""
     total_v = rise = 0.0
     total_h, total_e = [0.0] * len(rows), [0.0] * len(ts)
-    first = ts.index(min(ts)) if ts else 0
-    others = [(i, t) for i, t in enumerate(ts) if i != first]
+    first = ts.index(min(ts)) if len(ts) > 1 else 0
+    others = [(i, t) for i, t in enumerate(ts) if i != first] if len(ts) > 1 else ()
     (_, *divs), q = ints() if others else ((None,), 1)
     for start, end, c0, c1, c2, Mp0, Mp1, den0, den1, _, _ in chambers:
         if hi <= start:

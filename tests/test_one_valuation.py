@@ -141,7 +141,7 @@ def test_order_derivative_matches_the_walk():
                 continue
             # the walk's records run in lam - t0
             iv, (ih,), _ = _integrate(problem.walk(ts[:1], t0, lam_max), lam_max - t0, problem.pulled([H]), ())
-            plh = float(model.pairing(problem.positive, H))
+            plh = float(model.pairing(model.zariski(L).positive_part, H))
             walked = (2.0 / problem.volume) * (ih - (plh / problem.volume) * iv)
             assert abs(closed - walked) <= 1e-12 * (1 + abs(walked))
             seen += 1

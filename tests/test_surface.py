@@ -10,7 +10,7 @@ import divstab as ds
 from divstab.filtrations import FiltrationSpec, expected_order_S, expected_order_S_grad
 from divstab.surface import SurfaceModel, _integrate
 
-from _cases import random_big_class, random_support, surface_models
+from _cases import AMPLE, random_big_class, random_support, surface_models
 
 p2 = ds.bundled_model("p2")
 blp2 = ds.bundled_model("blp2")
@@ -642,6 +642,42 @@ class TestDecompositionMemo:
         assert abs(expected_order_S(model, L, FiltrationSpec((e,), (0.0,))) - 16 / 3) < 1e-12
         assert model.zariski(L).positive_part.coefficients == (5, 0)
         assert len(calls) == 1
+
+    def test_fresh_classes_build_no_decomposition(self, monkeypatch):
+        # volume, gamma and S read the ints the memo keeps; the Fractions of
+        # P and N are built when zariski asks, once, and equal the reference
+        # and the decomposition of a model that asked zariski first
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return ds.ZariskiDecomposition(*args)
+
+        monkeypatch.setattr(ds.surface, "ZariskiDecomposition", counting)
+        rng = random.Random(35)
+        for name in ds.SURFACE_MODEL_NAMES:
+            model, first = ds.models._BUILDERS[name](), ds.models._BUILDERS[name]()
+            pool = sorted(model.named_valuations)
+            for _ in range(500):
+                L = model.divisor([0] * model.class_rank)
+                for gen in AMPLE[name]:
+                    L = L + Fraction(rng.randint(300, 8000), 1000) * model.divisor(gen)
+                if model.negative_curves and rng.random() < 0.4:
+                    L = L + Fraction(rng.randint(1, 3), 2) * model.negative_curves[0]
+                v = model.named_valuations[rng.choice(pool)]
+                support = (v, ds.TRIVIAL_VALUATION) if rng.random() < 0.5 else (v,)
+                before = len(built)
+                assert model.volume(L) > 0
+                ds.gamma_threshold(model, L, v)
+                expected_order_S(model, L, FiltrationSpec(support, tuple(rng.uniform(0, 2) for _ in support)))
+                assert len(built) == before, (name, L)
+                dec = model.zariski(L)
+                assert model.zariski(L) is dec and len(built) == before + 1
+                P, N = reference.surface_zariski(model, L)
+                assert dec.positive_part.coefficients == P
+                assert [(model.negative_curves.index(c), a) for c, a in dec.negative_part] == list(N)
+                assert first.zariski(L) == dec
+                assert len(model._memo[1]) <= 4
 
     def test_beta_decomposes_its_class_once(self, monkeypatch):
         # the Danskin term pairs H with the positive part the compiled problem
