@@ -46,7 +46,6 @@ from .core import (
     NotPseudoeffectiveError,
     Valuation,
     _dot,
-    _solve,
     as_fraction,
     gamma_threshold,
 )
@@ -60,7 +59,8 @@ class SurfaceRealization:
     `divisor` its class there, and `pullback` the rational matrix sending
     base-lattice coordinates to `model`'s lattice (None = identity, i.e. the
     valuation is realised on the base surface itself).  `ints` (`_integral`)
-    are the coefficients of `divisor`, kept from construction.  `centre`
+    are the coefficients of `divisor`, and `pull_ints` the rows of
+    `pullback` (None for the identity), kept from construction.  `centre`
     (`Valuation.centre`) keys `model`, `pullback` and `divisor` if the divisor
     has negative square, so is the only effective divisor in its class; else None.
     """
@@ -72,6 +72,7 @@ class SurfaceRealization:
 
     def __post_init__(self):
         object.__setattr__(self, "ints", _integral((self.divisor.coefficients,)))
+        object.__setattr__(self, "pull_ints", None if self.pullback is None else _integral(self.pullback))
         # a str key: it hashes once, so merging atoms costs one set per S
         rigid = self.model.pairing(self.divisor, self.divisor) < 0
         key = f"{id(self.model)} {self.pullback} {self.divisor.coefficients}"
@@ -368,9 +369,10 @@ class SurfaceModel(GeometryModel):
         memo = self._memo_of(L)
         if v.is_trivial:
             raise GeometryError("pseudoeffective threshold undefined for the trivial valuation")
-        target, pull = self.resolve_realization([v])
-        (e,), qe = (real := v.order_model).ints
-        (b,), qb = _reduced(memo, L)[0] if real.pullback is None else _integral((pull(L.coefficients),))
+        target, _ = self.resolve_realization([v])
+        (e,), qe = v.order_model.ints
+        (b,), qb = _reduced(memo, L)[0]
+        b, qb = _pulled(v.order_model, b, qb)
         chambers, x = _walk(target, tuple([c * qe for c in b]), tuple([-c * qb for c in e]), qb * qe, (0, 1))
         if x is None:
             raise GeometryError(f"threshold of {v.name!r} is unbounded: no declared curve bounds it")
@@ -452,8 +454,12 @@ class _SurfaceProblem:
         non-trivial valuations as int tuples over one denominator q, built
         on first use."""
         if self._ints is None:
-            divs = (self.support[i].order_model.divisor.coefficients for i in self._nontrivial)
-            self._ints = _integral((self._pull(self.L.coefficients), *divs))
+            reals = [self.support[i].order_model for i in self._nontrivial]
+            (b,), qb = _integral((self.L.coefficients,))
+            b, qb = _pulled(reals[0], b, qb) if reals else (b, qb)
+            q = math.lcm(qb, *[r.ints[1] for r in reals])
+            divs = [tuple([c * (q // qe) for c in e]) for (e,), qe in (r.ints for r in reals)]
+            self._ints = (tuple([c * (q // qb) for c in b]), *divs), q
         return self._ints
 
     def thresholds(self) -> list:
@@ -686,6 +692,18 @@ def _integral(vectors):
     return tuple([tuple([n * (q // d) for n, d in v]) for v in ratios]), q
 
 
+def _pulled(real, b, q):
+    """The int tuple b over q of a base class pulled back by the realization
+    `real` (`pull_ints`), over its least denominator: the ints `_integral`
+    gives of the pulled Fractions."""
+    if real.pull_ints is None:
+        return b, q
+    rows, p = real.pull_ints
+    ints = [_dot(row, b) for row in rows]
+    g = math.gcd(p * q, *ints)
+    return tuple([c // g for c in ints]), p * q // g
+
+
 def _reduced(memo, D):
     """D's record in `memo`, its memo: (`_integral` of D, `_decomposition`'s result or None)."""
     if "zariski" not in memo:
@@ -722,17 +740,26 @@ def _signature(m) -> tuple[int, int]:
 
 def _solve_negative_definite(gram, columns):
     """(g, xs) with g > 0 and gram x = g c for each column c and its x in xs;
-    None unless the int matrix gram is negative definite: its leading minors,
-    each the d of one `_solve`, alternate in sign.  gram is symmetric, so row
-    i of g gram^-1 is (-1)^n y_i for `_solve(gram, e_i) = (det, y_i)`, in
-    ints, and x keeps the type of c."""
-    n = len(gram)
-    minors = [(-1) ** k * _solve([row[:k] for row in gram[:k]], [0] * k)[0] for k in range(1, n + 1)]
-    if min(minors) <= 0:
-        return None
+    None unless the int matrix gram is negative definite.  One fraction-free
+    (Bareiss) Gauss-Jordan pass on [gram | I] without row exchanges: its
+    k-th pivot is the leading minor of order k, which must have the sign
+    (-1)^k, and its right block ends as det(gram) gram^-1, so (-1)^n times it
+    is g gram^-1 for g = |det gram|, in ints; x keeps the type of c."""
+    n, prev = len(gram), 1
+    m = [list(row) + [int(r == i) for r in range(n)] for i, row in enumerate(gram)]
+    for k in range(n):
+        pivot, row = m[k][k], m[k]
+        if pivot == 0 or (pivot > 0) == (k % 2 == 0):
+            return None
+        for r in m:
+            if r is not row:
+                f = r[k]
+                for j in range(k + 1, 2 * n):
+                    r[j] = (r[j] * pivot - f * row[j]) // prev
+        prev = pivot
     sign = (-1) ** n
-    ginv = [[sign * y for y in _solve(gram, [int(r == i) for r in range(n)])[1]] for i in range(n)]
-    return minors[-1], [[_dot(row, c) for row in ginv] for c in columns]
+    ginv = [[sign * y for y in r[n:]] for r in m]
+    return sign * prev, [[_dot(row, c) for row in ginv] for c in columns]
 
 
 def _first_root(q0, q1, q2, unit, x, wall):

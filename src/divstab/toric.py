@@ -2,17 +2,18 @@
 
 Divisor classes are ray-coefficient vectors a_rho; the section polytope is
 P_D = {m : <m, v_rho> >= -a_rho}.  Volumes are n! times the Euclidean volume
-of P_D.  One kernel, `ToricModel._polytope`, finds the vertices of P_D, one
-fraction-free solve each, or those of a cell cut from P_L, seeded by the
-vertices of P_L, as int points over one denominator and triangulates it, all
-in ints; volumes, thresholds and S derive from it, one Fraction per result.
-Valuations are monomial: primitive lattice vectors w, whose order function is
-linear on the monomial basis, anchored so that min over P_L is order 0; their
-orders at level k are kept with the lattice points of k P_L.  The Hessian of
-S in the shifts is that of semi-discrete optimal transport (Kitagawa-
-Merigot-Thibert): the flux between two cells, the (n-1)-volume of the facet
-they share over |w_i - w_j|, is rational, read from the triangulation of the
-cell in the same kernel, and formed only when the Hessian is asked for.
+of P_D.  One kernel, `ToricModel._polytope`, finds the vertices of P_L, or of
+a cell cut from it and seeded with P_L's vertices and tight masks, as int
+points over one denominator, and triangulates it on those masks, all in
+ints; L keeps one record of them for volumes, thresholds, S and lattice
+points, one Fraction per result.  Valuations are monomial: primitive lattice
+vectors w, whose order function is linear on the monomial basis, anchored so
+that min over P_L is order 0; their orders at level k are kept with the
+lattice points of k P_L.  The Hessian of S in the shifts is that of
+semi-discrete optimal transport (Kitagawa-Merigot-Thibert): the flux between
+two cells, the (n-1)-volume of the facet they share over |w_i - w_j|, is
+rational, read from the triangulation of the cell in the same kernel, and
+formed only when the Hessian is asked for.
 """
 from __future__ import annotations
 
@@ -66,7 +67,16 @@ class ToricModel(GeometryModel):
             if math.gcd(*(abs(x) for x in r)) != 1:
                 raise GeometryError(f"ray {r} is not primitive")
         self.class_rank = len(self.rays)
+        # `_polytope`'s ray bases: per n-subset of rays, A its rows, d = det A and if d, the ints d A^-1
+        unit = np.eye(self.dimension, dtype=int).tolist()
+        self._bases = tuple((d, [*zip(*(_solve(A, e)[1] for e in unit))] if d else None)
+                            for A in itertools.combinations(self.rays, self.dimension) for d in [_solve(A, unit[0])[0]])
         self._check_complete()
+        # `_box_points`' int64 fan, fixed in size: max l1 norm, rays but the last entry, rays by its
+        # sign, where 0 leaves out the axes +-e_i, whose constraints the bounding box keeps
+        rays, ends = np.array(self.rays, dtype=np.int64), np.array([r[-1] for r in self.rays], dtype=np.int64)
+        up, down, flat = (np.flatnonzero(s) for s in (ends > 0, ends < 0, (ends == 0) & (abs(rays).sum(axis=1) > 1)))
+        self._fan = int(abs(rays).sum(axis=1).max()), rays[:, :-1].T.copy(), up, ends[up], down, ends[down], flat
         # -K has coefficient 1 on every ray
         self.canonical_class = self.divisor([-1] * self.class_rank)
 
@@ -117,129 +127,135 @@ class ToricModel(GeometryModel):
         return [(ray, -a) for ray, a in zip(self.rays, D.coefficients)]
 
     def _polytope(self, halfspaces, seeds=None, facets=None):
-        """(points, common, mass, first moment) of {m : <m, normal> >= rhs},
-        for integer normals and rational rhs, in Python ints.
+        """(points, common, mass, moment, tight) of {m : <m, normal> >= rhs},
+        the rays' first, for integer normals and rational rhs, in Python ints.
 
-        The rhs are scaled to one denominator; each n-subset of halfspaces is
-        solved by one `_solve`, the point kept in lowest homogeneous form
-        (y, q) with m = y / q if it is feasible, with its tight constraints.
-        `seeds`, the (points, common) of the polytope P of the first len(rays)
-        halfspaces, replace their subsets, whose feasible points are P's vertices.
-        The polytope is triangulated by coning each face from its first
-        vertex over its facets, the maximal proper sets of face vertices
-        tight at one constraint; simplices of fewer than n + 1 points (a flat
-        polytope) are dropped.  The vertices are the int tuples `points` over
-        one denominator `common`, in the order they are found.
-        With `facets`, halfspace indices, a fifth entry holds the flux
-        through each: the (n-1)-volume of the facet tight at it over the
-        length of its normal a, the sum of |det(edges, a)| / ((n - 1)! |a|^2)
-        over the simplices of the facet's triangulation.
-        """
-        n = self.dimension
+        Each n-subset is solved in ints, of rays alone by `_bases`, else by
+        `_solve`, its point kept as (y, q), m = y / q in lowest terms, if
+        feasible: `tight` maps it to the bitmask of its tight halfspaces.
+        `seeds`, the `tight` of the polytope P of the rays, stand for the ray
+        subsets: the cuts are tested on P's vertices only, and n - 1 rays with
+        one cut give the point where it strictly crosses the edge of P they
+        are tight on.  `points` are the vertices over one denominator
+        `common`.  Each face, a bitmask of vertices, is coned from its first
+        vertex over its facets, the maximal proper sets of its vertices tight
+        at one halfspace; simplices of fewer than n + 1 points (flat) are
+        dropped.  n! vol = mass / common^n, moment / (common^(n+1) n! (n + 1))
+        is the integral of m, and with `facets` a sixth entry holds the int
+        flux through each: (n-1)-vol / |a| = flux / (common^(n-1) (n-1)! |a|^2)."""
+        n, fixed = self.dimension, -1 if seeds is None else len(self.rays)
         den = math.lcm(*(r.denominator for _, r in halfspaces))
         normals = [a for a, _ in halfspaces]
         rhs = [r.numerator * (den // r.denominator) for _, r in halfspaces]
-        pairs, fixed = ([], -1) if seeds is None else ([(p, seeds[1]) for p in seeds[0]], len(self.rays))
+
+        def slack(y, q, start):
+            return [den * _dot(a, y) - r * q for a, r in zip(normals[start:], rhs[start:])]
+
+        def meets(slacks, start, mask):  # with the halfspaces from `start` on at slack 0; None if one is < 0
+            return None if min(slacks, default=0) < 0 else mask | sum(1 << start + i for i, s in enumerate(slacks) if not s)
+
+        at_seeds = {key: slack(*key, fixed) for key in seeds or ()}  # the cuts at each vertex of P
+        tight = {key: meets(cuts, fixed, seeds[key]) for key, cuts in at_seeds.items()}
+        bases = iter(self._bases)  # the subsets of rays alone come in their order
         for subset in itertools.combinations(range(len(normals)), n):
-            if subset[-1] >= fixed:
+            start, mask = 0, 0
+            if subset[-1] < len(self.rays):
+                d, adj = next(bases)
+                if seeds is not None or not d:
+                    continue
+                y, q = [_dot(row, b) for b in [[rhs[i] for i in subset]] for row in adj], d * den
+            elif n > 1 and subset[-2] < fixed:
+                rays, cut = sum(1 << i for i in subset[:-1]), subset[-1] - fixed
+                ends = [(key, at_seeds[key][cut]) for key, m in seeds.items() if m & rays == rays]
+                if len(ends) != 2 or ends[0][1] * ends[1][1] >= 0:
+                    continue
+                ((yu, qu), su), ((yv, qv), sv) = ends  # the cut's slack s is 0 at (s_u v - s_v u) / (s_u - s_v)
+                y, q = [su * b - sv * a for a, b in zip(yu, yv)], su * qv - sv * qu
+                start, mask = fixed, seeds[yu, qu] & seeds[yv, qv]
+            else:
                 d, y = _solve([normals[i] for i in subset], [rhs[i] for i in subset])
-                if d:
-                    pairs.append((y, d * den))
-        tight = {}
-        for y, q in pairs:
-            g = math.gcd(q, *y) * (1 if q > 0 else -1)
-            key = tuple(x // g for x in y), q // g
-            if key not in tight:
-                y, q = key
-                slack = [den * _dot(a, y) - r * q for a, r in zip(normals, rhs)]
-                feasible = min(slack) >= 0
-                tight[key] = frozenset(i for i, s in enumerate(slack) if s == 0) if feasible else None
-        verts = [key for key, t in tight.items() if t is not None]
-        common = math.lcm(*(q for _, q in verts))
-        points = [tuple(x * (common // q) for x in y) for y, q in verts]
+                q = d * den
+            if q:
+                g = math.gcd(q, *y) * (1 if q > 0 else -1)
+                key = tuple([x // g for x in y]), q // g
+                if key not in tight:
+                    tight[key] = meets(slack(*key, start), start, mask)
+        tight = {key: mask for key, mask in tight.items() if mask is not None}
+        common = math.lcm(*(q for _, q in tight))
+        points = [tuple([x * (common // q) for x in y]) for y, q in tight]
+        # the vertices tight at each halfspace
+        on = [sum(1 << v for v, mask in enumerate(tight.values()) if mask >> i & 1) for i in range(len(normals))]
         faces = {}
 
         def simplices(face):
-            if len(face) == 1:
-                return [face]
+            low = face & -face
+            if face & (face - 1) & (face - 2 * low) == 0:  # at most two vertices: no face between
+                return [tuple(v for v in range(face.bit_length()) if face >> v & 1)]
             if face not in faces:
-                by_constraint = {}
-                for v in face:
-                    for i in tight[verts[v]]:
-                        by_constraint.setdefault(i, []).append(v)
-                facets = []
-                for f in sorted({tuple(f) for f in by_constraint.values() if len(f) < len(face)},
-                                key=len, reverse=True):
-                    if not any(set(f) <= set(g) for g in facets):
-                        facets.append(f)
-                faces[face] = [(face[0],) + s for f in facets if face[0] not in f for s in simplices(f)]
+                cut = {face & f for f in on} - {0, face}
+                faces[face] = [(low.bit_length() - 1,) + s for f in cut
+                               if not f & low and not any(f | g == g != f for g in cut) for s in simplices(f)]
             return faces[face]
 
-        # points are ints over `common`: a simplex has volume |d| / (common^n n!)
-        # and centroid the mean of its n + 1 points; divide once at the end
+        def det(s, *rows):  # |det| of the edges of the simplex s from its first point, and `rows`
+            return abs(_solve([[a - b for a, b in zip(points[i], points[s[0]])] for i in s[1:]] + list(rows), [0] * n)[0])
+
         mass, moment = 0, [0] * n
-        for s in simplices(tuple(range(len(verts)))):
+        for s in simplices((1 << len(points)) - 1):
             if len(s) == n + 1:
-                p0 = points[s[0]]
-                d = abs(_solve([[a - b for a, b in zip(points[i], p0)] for i in s[1:]], [0] * n)[0])
+                d = det(s)
                 mass += d
-                for r in range(n):
-                    moment[r] += d * sum(points[i][r] for i in s)
-        scale = common**n * math.factorial(n)
-        found = points, common, Fraction(mass, scale), tuple(Fraction(m, scale * common * (n + 1)) for m in moment)
-        if facets is None:
-            return found
-        fluxes = []
-        for k in facets:
-            a, flux = normals[k], 0
-            for s in simplices(tuple(v for v, key in enumerate(verts) if k in tight[key])):
-                if len(s) == n:
-                    p0 = points[s[0]]
-                    flux += abs(_solve([[x - y for x, y in zip(points[i], p0)] for i in s[1:]] + [a], [0] * n)[0])
-            fluxes.append(Fraction(flux, common ** (n - 1) * math.factorial(n - 1) * _dot(a, a)))
-        return (*found, fluxes)
+                moment = [m + d * x for m, x in zip(moment, map(sum, zip(*[points[i] for i in s])))]
+        found = points, common, mass, moment, tight
+        return found if facets is None else (*found, [sum(det(s, normals[k]) for s in simplices(on[k]) if len(s) == n) for k in facets])
+
+    def _record(self, L: DivisorClass):
+        """(`_polytope` of P_L, its halfspaces, {w: `_anchor`}): L's one record in its memo."""
+        memo = self._memo_of(L)
+        if "polytope" not in memo:
+            memo["polytope"] = self._polytope(halfspaces := self._halfspaces(L)), halfspaces, {}
+        return memo["polytope"]
+
+    @staticmethod
+    def _anchor(record, w) -> int:
+        """min over P_L of <., w>, as an int over the `common` of P_L."""
+        (points, *_), _, anchors = record
+        if w not in anchors:
+            if not points:
+                raise GeometryError("empty section polytope has no order anchor")
+            anchors[w] = min(_dot(w, p) for p in points)
+        return anchors[w]
 
     def polytope_vertices(self, D: DivisorClass) -> list[tuple[Fraction, ...]]:
-        points, common = self._section_polytope(D)[:2]
+        points, common = self._record(D)[0][:2]
         return sorted(tuple(Fraction(x, common) for x in p) for p in points)
 
-    def _section_polytope(self, L: DivisorClass):
-        """`_polytope` of P_L, kept in the memo of L."""
-        memo = self._memo_of(L)
-        hit = memo.get("polytope")
-        if hit is None:
-            hit = memo["polytope"] = self._polytope(self._halfspaces(L))
-        return hit
-
-    def _cell(self, L: DivisorClass, cuts, facets=None):
-        """`_polytope` of P_L cut by `cuts`, seeded with the vertices of P_L;
-        with `facets`, indices into `cuts`, the fluxes through them too."""
-        return self._polytope(self._halfspaces(L) + cuts, self._section_polytope(L)[:2],
-                              None if facets is None else [len(self.rays) + k for k in facets])
+    def _cell(self, record, cuts, facets=None):
+        """`_polytope` of P_L cut by `cuts`, seeded from L's `record`, with fluxes through `facets` in `cuts`."""
+        (*_, seeds), halfspaces, _ = record
+        return self._polytope(halfspaces + cuts, seeds, None if facets is None else [len(self.rays) + k for k in facets])
 
     # -- GeometryModel contract --------------------------------------------
 
     def volume(self, D: DivisorClass) -> Fraction:
-        return math.factorial(self.dimension) * self._section_polytope(D)[2]
+        _, common, mass, *_ = self._record(D)[0]
+        return Fraction(mass, common**self.dimension)
 
     def order_anchor(self, L: DivisorClass, w: Sequence[int]) -> Fraction:
         """min over P_L of <., w>; vanishing orders along w are measured from it."""
-        memo = self._memo_of(L)
-        hit = memo.get(("anchor", tuple(w)))
-        if hit is None:
-            points, common = self._section_polytope(L)[:2]
-            if not points:
-                raise GeometryError("empty section polytope has no order anchor")
-            memo["anchor", tuple(w)] = hit = Fraction(min(_dot(w, p) for p in points), common)
-        return hit
+        record = self._record(L)
+        return Fraction(self._anchor(record, tuple(w)), record[0][1])
 
     def constrained_volume(self, L: DivisorClass, constraints) -> Fraction:
         """n! vol of P_L cut by <m, w_i> - min_{P_L}<., w_i> >= c_i."""
-        cuts = []
+        record = self._record(L)
+        common, cuts = record[0][1], []
         for w, c in constraints:
             w = _lattice_vector(w, "valuation vector")
-            cuts.append((w, self.order_anchor(L, w) + as_fraction(c)))
-        return math.factorial(self.dimension) * self._cell(L, cuts)[2]
+            anchor, (p, q) = self._anchor(record, w), as_fraction(c).as_integer_ratio()
+            cuts.append((w, Fraction(anchor * q + p * common, common * q)))
+        _, common, mass, *_ = self._cell(record, cuts)
+        return Fraction(mass, common**self.dimension)
 
     def _valuation_vector(self, v: Valuation) -> tuple[int, ...]:
         w = v.order_model
@@ -276,21 +292,23 @@ class ToricModel(GeometryModel):
 
         The first piece integrates over all of P_L; every other piece i adds
         the integral of f_i - f_1 over its cell, where f_i is least, and the
-        first cell is what they leave.  Each integral is exact from a (mass,
-        first moment) pair.
-        """
-        pieces = self._pieces(L, support, shifts)
-        mass, moment = self._section_polytope(L)[2:4]
-        (w1, c1), *rest = pieces
-        total = _dot(w1, moment) + c1 * mass
-        grad = [Fraction(int(i == 0)) for i in range(len(support))]
-        for i, (wi, ci) in enumerate(rest, 1):
-            cell_mass, cell_moment = self._cell(L, _cuts(pieces, i))[2:4]
-            diff = [a - b for a, b in zip(wi, w1)]
-            total += _dot(diff, cell_moment) + (ci - c1) * cell_mass
-            grad[i] = cell_mass / mass
-            grad[0] -= grad[i]
-        return total / mass, grad
+        first cell is what they leave: int masses and moments, with the f_i
+        over one D (`_pieces`), give one Fraction per value."""
+        record = self._record(L)
+        _, common, mass, moment, _ = record[0]
+        pieces, D = self._pieces(record, support, shifts)
+        n, (w1, g1), scale = self.dimension, pieces[0], common**self.dimension
+        # S = num / (den D (n + 1) mass); the cells' n! volumes sum to part / whole
+        num, den, part, whole, grad = D * _dot(w1, moment) + g1 * (n + 1) * common * mass, common, 0, 1, [None]
+        for i, (wi, gi) in enumerate(pieces[1:], 1):
+            _, c, cell_mass, cell_moment, _ = self._cell(record, _cuts(pieces, i, D))
+            top, unit = c ** (n + 1), c**n
+            diff = scale * (D * _dot([a - b for a, b in zip(wi, w1)], cell_moment) + (gi - g1) * (n + 1) * c * cell_mass)
+            num, den = num * top + diff * den, den * top
+            part, whole = part * unit + cell_mass * whole, whole * unit
+            grad.append(Fraction(cell_mass * scale, unit * mass))
+        grad[0] = Fraction(mass * whole - scale * part, mass * whole)
+        return Fraction(num, den * D * (n + 1) * mass), grad
 
     def order_hessian(self, L: DivisorClass, support, shifts) -> list:
         """The exact Hessian of S in the shifts: for i != j, the flux between
@@ -299,30 +317,30 @@ class ToricModel(GeometryModel):
         each row sums to 0.  Cell i gives the facets it shares with the
         cells before it, as `_polytope`'s fluxes through its cuts, formed
         here only: each cell is cut again."""
-        pieces = self._pieces(L, support, shifts)
-        mass = self._section_polytope(L)[2]
-        H = [[Fraction(0)] * len(pieces) for _ in pieces]
+        record = self._record(L)
+        _, common, mass, *_ = record[0]
+        pieces, D = self._pieces(record, support, shifts)
+        n, H = self.dimension, [[Fraction(0)] * len(pieces) for _ in pieces]
         for i in range(1, len(pieces)):
-            # the cut of piece j < i is the j-th of `_cuts`
-            for j, flux in enumerate(self._cell(L, _cuts(pieces, i), range(i))[4]):
-                H[i][j] = H[j][i] = flux / mass
+            # the cut of piece j < i is the j-th of `_cuts`, its normal w_j - w_i
+            _, c, *_, fluxes = self._cell(record, _cuts(pieces, i, D), range(i))
+            for j, flux in enumerate(fluxes):
+                a = [x - y for x, y in zip(pieces[j][0], pieces[i][0])]
+                H[i][j] = H[j][i] = Fraction(flux * common**n * n, c ** (n - 1) * _dot(a, a) * mass)
         for i, row in enumerate(H):
             row[i] = -sum(row)
         return [[float(h) for h in row] for row in H]
 
-    def _pieces(self, L, support, shifts):
-        """(w, c) per atom: f = <., w> + c is its order function at its
-        shift, w = 0 for a trivial valuation.  L must be big."""
-        if self._section_polytope(L)[2] <= 0:
+    def _pieces(self, record, support, shifts):
+        """((w, g) per atom, D): f = <., w> + g / D is its order function at its shift, w = 0 if
+        trivial, D the `common` of P_L times the least denominator of the shifts.  L must be big."""
+        _, common, mass, *_ = record[0]
+        if not mass:
             raise GeometryError("expected vanishing order requires a big class")
-        pieces = []
-        for v, t in zip(support, shifts):
-            if v.is_trivial:
-                pieces.append(((0,) * self.dimension, Fraction(t)))
-            else:
-                w = self._valuation_vector(v)
-                pieces.append((w, Fraction(t) - self.order_anchor(L, w)))
-        return pieces
+        ratios = [Fraction(t).as_integer_ratio() for t in shifts]
+        D = common * math.lcm(*(q for _, q in ratios))
+        ws = [(0,) * self.dimension if v.is_trivial else self._valuation_vector(v) for v in support]
+        return [(w, p * (D // q) - self._anchor(record, w) * (D // common)) for w, (p, q) in zip(ws, ratios)], D
 
     def order_derivative(self, L: DivisorClass, support, shifts, H: DivisorClass) -> float:
         """d/ds S_{L+sH}(t) at s = 0: Richardson-extrapolated central
@@ -342,34 +360,36 @@ class ToricModel(GeometryModel):
         return list(zip(*self.lattice_points(L, k).T.tolist()))
 
     def lattice_points(self, L: DivisorClass, k: int) -> np.ndarray:
-        """`section_basis(L, k)` as one read-only int64 array, kept in the memo
-        of L for the last level k with the orders read on it (`_level_orders`)."""
-        _check_level(k)
-        memo = self._memo_of(L)
+        """`section_basis(L, k)` as one read-only int64 array (`_level`)."""
+        return self._level(L, k)[1]
+
+    def _level(self, L: DivisorClass, k: int):
+        """(k, read-only lattice points of k P_L, {w: orders}) in L's memo, for the last k asked."""
+        k, memo = _check_level(k), self._memo_of(L)
         if memo.get("points", (None,))[0] != k:
             memo["points"] = k, self._box_points(L, k), {}
             memo["points"][1].flags.writeable = False
-        return memo["points"][1]
+        return memo["points"]
 
     def _level_orders(self, L: DivisorClass, k: int, v: Valuation) -> np.ndarray:
         """`monomial_orders` along v of `lattice_points(L, k)`, read once per
         valuation vector (None if trivial) and kept read-only with that basis."""
-        basis, w = self.lattice_points(L, k), None if v.is_trivial else self._valuation_vector(v)
-        orders = self._memo_of(L)["points"][2]
+        _, basis, orders = self._level(L, k)
+        w = None if v.is_trivial else self._valuation_vector(v)
         if w not in orders:
-            orders[w] = self.monomial_orders(L, k, v, basis)
+            orders[w] = self._orders(L, k, basis, w)
             orders[w].flags.writeable = False
         return orders[w]
 
     def _box_points(self, L: DivisorClass, k: int) -> np.ndarray:
         """The lattice points of k P_L, scanned over its bounding box, which
         comes in ints from the vertex points over their denominator."""
-        points, common = self._section_polytope(L)[:2]
+        points, common = self._record(L)[0][:2]
         if not points:
             return np.empty((0, self.dimension), dtype=np.int64)
-        coeffs = [k * a for a in L.coefficients]
-        if any(c.denominator != 1 for c in coeffs):
+        if any(k * a.numerator % a.denominator for a in L.coefficients):
             raise GeometryError(f"{k} L is not an integral class")
+        coeffs = [k * a.numerator // a.denominator for a in L.coefficients]
         # ceil(k min), floor(k max): hi >= lo - 1, so an axis with no integer scans nothing
         lo = [-(-k * min(x) // common) for x in zip(*points)]
         hi = [k * max(x) // common for x in zip(*points)]
@@ -378,92 +398,93 @@ class ToricModel(GeometryModel):
         shape = [b - a + 1 for a, b in zip(lo[:-1], hi[:-1])]
         if math.prod(shape) > MAX_LEVEL_POINTS:
             raise GeometryError(f"level k = {k} scans {math.prod(shape)} box prefixes, over {MAX_LEVEL_POINTS}")
+        reach, heads, up, c_up, down, c_down, flat = self._fan
         # int64 must hold the prefixes, k a and the ray products m[:-1] . ray[:-1] (up to 2**62), and need (linear in
         # m, so extreme at the box corners) and the last axis (below 2**62); a box far below 2**61 skips the corners
-        if max(map(abs, (*lo, *hi, *(c.numerator for c in coeffs)))) * max(sum(map(abs, r)) for r in self.rays) >= 2**61:
+        if max(map(abs, (*lo, *hi, *coeffs))) * reach >= 2**61:
             prods = [[x * y for x, y in zip(m, r)] for m in itertools.product(*zip(lo[:-1], hi[:-1])) for r in self.rays]
             sizes = [*lo[:-1], *hi[:-1], *coeffs, *(sum(map(abs, t)) for t in prods)]
             needs = [lo[-1], hi[-1], *(c + sum(t) for t, c in zip(prods, itertools.cycle(coeffs)))]
             if max(map(abs, sizes)) > 2**62 or max(map(abs, needs)) >= 2**62:
                 raise GeometryError(f"level k = {k} puts the box of k P_L past int64")
-        prefix = np.indices(shape, dtype=np.int64).reshape(len(shape), math.prod(shape)).T
-        prefix += np.array(lo[:-1], dtype=np.int64)
-        rays = np.array(self.rays, dtype=np.int64)
-        bound = np.array([-int(c) for c in coeffs], dtype=np.int64)
-        need = bound - prefix @ rays[:, :-1].T
-        c = rays[:, -1]
-        up, down = c > 0, c < 0
-        first = (-(-need[:, up] // c[up])).max(axis=1, initial=lo[-1])
-        last = (need[:, down] // c[down]).min(axis=1, initial=hi[-1])
-        last[(need[:, c == 0] > 0).any(axis=1)] = lo[-1] - 1
+        prefix = np.indices(shape, dtype=np.int64).reshape(len(shape), math.prod(shape)).T + np.array(lo[:-1], dtype=np.int64)
+        need = np.array([-c for c in coeffs], dtype=np.int64) - prefix @ heads
+        first = (-(-need[:, up] // c_up)).max(axis=1, initial=lo[-1])
+        last = (need[:, down] // c_down).min(axis=1, initial=hi[-1])
+        if flat.size:
+            last[(need[:, flat] > 0).any(axis=1)] = lo[-1] - 1
         counts = np.maximum(last - first + 1, 0)
         # each count first: the prefixes are at most MAX_LEVEL_POINTS, so the sum then fits int64
-        if counts.max(initial=0) > MAX_LEVEL_POINTS or counts.sum() > MAX_LEVEL_POINTS:
+        if counts.max(initial=0) > MAX_LEVEL_POINTS or (total := counts.sum()) > MAX_LEVEL_POINTS:
             raise GeometryError(f"level k = {k} has over {MAX_LEVEL_POINTS} lattice points")
         # prefix i repeated counts[i] times, with m[-1] running first..last
         starts = np.repeat(first - np.cumsum(counts) + counts, counts)
-        tail = starts + np.arange(counts.sum(), dtype=np.int64)
+        tail = starts + np.arange(total, dtype=np.int64)
         return np.column_stack((np.repeat(prefix, counts, axis=0), tail))
 
-    def _monomials(self, k: int, basis) -> np.ndarray:
-        """`basis` as an integer array whose rows are monomials at level k."""
-        _check_level(k)
+    def _monomials(self, k: int, basis) -> tuple[int, np.ndarray]:
+        """(k, `basis`) as an int and an int64 array whose rows are monomials at level k."""
+        k = _check_level(k)
         basis = np.asarray(basis)
         if basis.dtype.kind not in "iu":
             raise GeometryError("monomials must be integer lattice points")
         if basis.ndim != 2 or basis.shape[1] != self.dimension:
             raise GeometryError(f"monomials must be rows of length {self.dimension}")
-        return basis
+        return k, basis.astype(np.int64, copy=False)
 
     def _order_numerators(self, L: DivisorClass, k: int, w, basis):
-        """(n, q) with n / q the exact orders along w of the rows of `basis` at
-        level k: <m, w> - k min_{P_L}<., w> over the common denominator q of
-        the anchor.  n is int64 while every |n| and q stay below 2^53, so a
-        float division of n by q is correctly rounded; Python ints otherwise.
-        """
-        basis = self._monomials(k, basis)
-        p, q = (k * self.order_anchor(L, w)).as_integer_ratio()
-        dots = basis.astype(np.int64, copy=False) @ np.array(w, dtype=np.int64)
+        """(n, q) with n / q the exact orders along w of the rows of the
+        integer array `basis` at level k: <m, w> - k min_{P_L}<., w> over its
+        least denominator q.  n is int64 while every |n| and q stay below
+        2^53, so n / q is correctly rounded; Python ints otherwise."""
+        record = self._record(L)
+        anchor, common = k * self._anchor(record, w), record[0][1]
+        p, q = anchor // math.gcd(anchor, common), common // math.gcd(anchor, common)
+        dots = basis @ np.array(w, dtype=np.int64)
         top = int(np.abs(dots).max(initial=0)) * q + abs(p)
         if max(top, q) >= 2**53:
             dots = dots.astype(object)
         return dots * q - p, q
 
+    def _orders(self, L: DivisorClass, k: int, basis, w) -> np.ndarray:
+        """Orders along w (None if trivial) of the rows of `basis` at level k, equal to float(Fraction)."""
+        if w is None:
+            return np.zeros(len(basis))
+        n, q = self._order_numerators(L, k, w, basis)
+        return np.asarray(n / q, dtype=float)
+
     def monomial_orders(self, L: DivisorClass, k: int, v: Valuation, basis) -> np.ndarray:
         """Vanishing orders along v of the monomial sections in the rows of the
         integer array `basis` at level k, as floats equal to float(Fraction)."""
-        if v.is_trivial:
-            return np.zeros(len(self._monomials(k, basis)))
-        n, q = self._order_numerators(L, k, self._valuation_vector(v), basis)
-        return np.asarray(n / q, dtype=float)
+        w = None if v.is_trivial else self._valuation_vector(v)
+        return self._orders(L, *self._monomials(k, basis), w)
 
     def monomial_order(self, L: DivisorClass, k: int, v: Valuation, m: Sequence[int]) -> Fraction:
         """Vanishing order along v of the monomial section m at level k."""
-        if v.is_trivial:
-            self._monomials(k, [m])
-            return Fraction(0)
-        n, q = self._order_numerators(L, k, self._valuation_vector(v), [m])
+        w = None if v.is_trivial else self._valuation_vector(v)
+        k, basis = self._monomials(k, [m])
+        n, q = ((0,), 1) if w is None else self._order_numerators(L, k, w, basis)
         return Fraction(int(n[0]), q)
 
     def closed_form_threshold(self, L: DivisorClass, v: Valuation) -> Fraction:
         """max - min of <., w> over the vertices of P_L, in ints over their
         denominator: past it the cut <m, w> - min >= g leaves no interior."""
-        w = self._valuation_vector(v)
-        anchor = self.order_anchor(L, w)  # first: it rejects an empty P_L
-        points, common = self._section_polytope(L)[:2]
-        return Fraction(max(_dot(w, p) for p in points), common) - anchor
+        w, record = self._valuation_vector(v), self._record(L)
+        anchor, (points, common) = self._anchor(record, w), record[0][:2]  # the anchor first: it rejects an empty P_L
+        return Fraction(max(_dot(w, p) for p in points) - anchor, common)
 
 
-def _cuts(pieces, i):
+def _cuts(pieces, i, D):
     """The cell of piece i: f_j - f_i >= 0 for every other piece j, in order."""
-    wi, ci = pieces[i]
-    return [(tuple(a - b for a, b in zip(wj, wi)), ci - cj) for j, (wj, cj) in enumerate(pieces) if j != i]
+    wi, gi = pieces[i]
+    return [(tuple(a - b for a, b in zip(wj, wi)), Fraction(gi - gj, D)) for j, (wj, gj) in enumerate(pieces) if j != i]
 
 
-def _check_level(k):
-    """Levels are positive ints, numpy integers included, not booleans."""
+def _check_level(k) -> int:
+    """k as an int: levels are positive ints, numpy integers included, not booleans."""
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k <= 0:
         raise GeometryError("level k must be a positive integer")
+    return int(k)
 
 
 def _order_polygon(vectors):
@@ -481,4 +502,3 @@ def _order_polygon(vectors):
         return -1 if cross > 0 else (1 if cross < 0 else 0)
 
     return sorted(vectors, key=cmp_to_key(compare))
-

@@ -746,3 +746,28 @@ class TestNegativeDefiniteSolve:
                 scale = max(1.0, *(abs(float(w)) for w in want))
                 assert max(abs(v / g - float(w)) for v, w in zip(x, want)) <= 1e-12 * scale
         assert solved["definite"] == 400 and solved["indefinite"] >= 20, solved
+
+    def test_pivots_are_the_leading_minors(self):
+        # one elimination gives both: None iff a leading minor of order k has
+        # not the sign (-1)^k, else g = |det gram| and x = g gram^-1 c, each
+        # against the Fraction determinant and solve
+        from divstab.surface import _solve_negative_definite
+
+        rng = random.Random(36)
+        kinds = {"definite": 0, "indefinite": 0}
+        for case in range(800):
+            n, kind = rng.randint(1, 4), ("definite", "indefinite")[case % 2]
+            gram = self.gram_of(rng, n, kind)
+            exact = [[Fraction(a) for a in row] for row in gram]
+            minors = [reference.det_exact([row[:k] for row in exact[:k]]) for k in range(1, n + 1)]
+            cols = [tuple(rng.randint(-50, 50) for _ in range(n)) for _ in range(2)]
+            sol = _solve_negative_definite(gram, cols)
+            if any((-1) ** k * d <= 0 for k, d in enumerate(minors, 1)):
+                assert sol is None
+                continue
+            kinds[kind] += 1
+            g, xs = sol
+            assert g == (-1) ** n * minors[-1]
+            for col, x in zip(cols, xs):
+                assert [Fraction(v) for v in x] == [g * y for y in reference.solve_exact(exact, list(map(Fraction, col)))]
+        assert kinds["definite"] == 400 and kinds["indefinite"] >= 10, kinds

@@ -9,7 +9,7 @@ import pytest
 
 import divstab as ds
 from divstab.core import Valuation
-from divstab.filtrations import FiltrationSpec, expected_order_S
+from divstab.filtrations import FiltrationSpec, expected_order_S, filtration_volume_finite_k
 from divstab.toric import ToricModel
 
 import _reference as reference
@@ -239,11 +239,19 @@ EXTRA_MODELS = {
 }
 
 
+def as_fractions(model, polytope):
+    """A `_polytope` result read as Fractions: its int points over one
+    denominator as the sorted vertices, its int mass and moment over their
+    scales as the Euclidean volume and first moment."""
+    points, common, mass, moment = polytope[:4]
+    n = model.dimension
+    scale = common**n * math.factorial(n)
+    return (sorted(tuple(Fraction(x, common) for x in p) for p in points), Fraction(mass, scale),
+            tuple(Fraction(m, scale * common * (n + 1)) for m in moment))
+
+
 def fraction_kernel(model, halfspaces):
-    """`_polytope` with its int points over one denominator read as the
-    sorted Fraction vertices."""
-    points, common, mass, moment = model._polytope(halfspaces)
-    return sorted(tuple(Fraction(x, common) for x in p) for p in points), mass, moment
+    return as_fractions(model, model._polytope(halfspaces))
 
 
 def p3_model():
@@ -371,6 +379,22 @@ class TestIntVerticesMatchReference:
                 negative += any(k * x < 0 and (k * x).denominator > 1 for p in verts for x in p)
         assert scanned >= 150 and negative >= 30, (scanned, negative)
 
+    def test_a_ray_ending_in_zero_off_the_axes(self):
+        # on P^2 x P^1 the ray (-1, -1, 0) ends in 0 and is no axis +-e_i: its
+        # constraint x + y <= k a_3 cuts prefixes off the (x, y) box, which
+        # the scan must drop; the axes' constraints the box keeps itself
+        model = ToricModel("p2xp1", [[1, 0, 0], [0, 1, 0], [-1, -1, 0], [0, 0, 1], [0, 0, -1]])
+        rng = random.Random(36)
+        cut = 0
+        for _ in range(60):
+            a = [Fraction(rng.randint(-1, 3), rng.choice((1, 1, 2))) for _ in model.rays]
+            L = model.divisor(a)
+            verts = reference.vertices(3, model._halfspaces(L))
+            for k in (2, 4) if verts else ():
+                assert model.section_basis(L, k) == self.box_scan(model, verts, a, k)
+                cut += math.floor(k * max(v[0] for v in verts)) + math.floor(k * max(v[1] for v in verts)) > k * a[2]
+        assert cut >= 20, cut
+
     def test_lattice_free_polytopes_have_no_points(self):
         # every small integral class on a fan where a nonempty k P_L can miss
         # the lattice, even along one coordinate
@@ -456,10 +480,39 @@ class TestCompleteness:
             assert ToricModel("fan", rays).rays == tuple(map(tuple, rays))
 
 
+class TestClassRecord:
+    def test_a_class_keeps_one_record(self):
+        # volume, each threshold, S and finite_k with three valuations leave the
+        # class record, one threshold per valuation and the level record, and
+        # grow no attribute of the model, class after class
+        model = ToricModel("p2_fresh", [[1, 0], [0, 1], [-1, -1]])
+        vals = [model.monomial_valuation(n, w) for n, w in (("e1", (1, 0)), ("e2", (0, 1)), ("diag", (1, 1)))]
+        sizes = {name: len(x) for name, x in vars(model).items() if hasattr(x, "__len__")}
+        for a in ([0, 0, 3], [1, 0, 2], [0, Fraction(1, 2), 3]):
+            L = model.divisor(a)
+            spec = FiltrationSpec(tuple(vals), (0.0, 0.25, 0.5))
+            model.volume(L)
+            gammas = [ds.gamma_threshold(model, L, v) for v in vals]
+            value = expected_order_S(model, L, spec)
+            profile = filtration_volume_finite_k(model, L, spec, 4)
+            key, memo = model._memo
+            assert key == L.coefficients
+            assert set(memo) == {"polytope", "points", *(("gamma", v) for v in vals)}, set(memo)
+            assert {name: len(x) for name, x in vars(model).items() if hasattr(x, "__len__")} == sizes
+            assert gammas == [gamma_of(model, L, v) for v in vals] and 0 < value < max(gammas) + 0.5
+            assert abs(profile.volume / 4 - value) < 0.5
+
+
+def gamma_of(model, L, v):
+    values = [sum(map(mul, v.order_model, p)) for p in model.polytope_vertices(L)]
+    return max(values) - min(values)
+
+
 class TestSeededCells:
-    """A cell seeded with the vertices of P_L equals the unseeded `_polytope`
-    of the same halfspaces, on empty, flat, non-nef and full P_L cut by 1-3
-    halfspaces, some through a vertex of P_L."""
+    """A cell seeded with the vertices of P_L and their tight masks equals
+    the unseeded `_polytope` of the same halfspaces, masks included, on
+    empty, flat, non-nef and full P_L cut by 1-3 halfspaces, some through a
+    vertex of P_L."""
 
     # F1 is the one fan here with non-nef classes: it weighs 8x
     MODELS = TestIntVerticesMatchReference.MODELS + 7 * [f1t]
@@ -494,11 +547,11 @@ class TestSeededCells:
                     rhs = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                 cuts.append((w, rhs))
             halfspaces = model._halfspaces(L) + cuts
-            expected = fraction_kernel(model, halfspaces)
-            seeded = model._polytope(halfspaces, (points, common))
-            assert sorted(tuple(Fraction(x, seeded[1]) for x in p) for p in seeded[0]) == expected[0]
-            assert seeded[2:] == expected[1:]
-            assert model._cell(L, cuts)[2:] == expected[1:]
+            unseeded = model._polytope(halfspaces)
+            expected = as_fractions(model, unseeded)
+            seeded = model._polytope(halfspaces, base[4])
+            assert as_fractions(model, seeded) == expected and seeded[4] == unseeded[4]
+            assert as_fractions(model, model._cell(model._record(L), cuts)) == expected
             tight_rays = {i for p in points for i, (r, c) in enumerate(model._halfspaces(L))
                           if Fraction(_dot(r, p), common) == c}
             if not points:
