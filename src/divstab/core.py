@@ -10,11 +10,14 @@ sees them.
 Class coordinates and intersection-theoretic quantities are exact rationals
 (`fractions.Fraction`); only integrals, suprema over shift vectors and
 irrational surface thresholds use floating point, each with an explicit
-tolerance or a stated rounding.  What a model derives from a class depends
-on that class alone, so a model keeps one memo: that of the last class asked.
+tolerance or a stated rounding; every exact linear solve is one
+fraction-free elimination, `_eliminate`.  What a model derives from a class
+depends on that class alone, so a model keeps one memo: that of the last
+class asked.
 """
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -287,23 +290,50 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
-def _solve(rows, b) -> tuple[int, list[int] | None]:
-    """(d, y) with d = det(rows) and y = d x for the solution of rows x = b,
-    by fraction-free (Bareiss) Gauss-Jordan elimination on the augmented
-    integer matrix; (0, None) when singular.  Every division is exact."""
-    m = [list(r) + [c] for r, c in zip(rows, b)]
-    n, prev, sign = len(m), 1, 1
+def _integral(vectors):
+    """(int tuples, q): rational tuples, or floats, over their least common denominator q."""
+    ratios = [[c.as_integer_ratio() for c in v] for v in vectors]
+    q = math.lcm(*[d for v in ratios for _, d in v])
+    return tuple([tuple([n * (q // d) for n, d in v]) for v in ratios]), q
+
+
+def _eliminate(m):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination, in place, on the int
+    rows m = [A | B] of a square A, taking the first nonzero entry below a
+    zero pivot: (pivots, exchanges), the leading minors of order 0, 1, ...,
+    n of A with its rows exchanged and how many rows were exchanged, B ending
+    as det(A) A^-1 B up to the sign (-1)^exchanges; None when A is singular.
+    Every division is exact."""
+    n, pivots, exchanges = len(m), [1], 0
     for k in range(n):
-        if m[k][k] == 0:
+        row, prev = m[k], pivots[-1]
+        if row[k] == 0:
             swap = next((i for i in range(k + 1, n) if m[i][k]), None)
             if swap is None:
-                return 0, None
-            m[k], m[swap], sign = m[swap], m[k], -sign
-        pivot, row = m[k][k], m[k]
+                return None
+            m[k], m[swap], exchanges = m[swap], row, exchanges + 1
+            row = m[k]
+        pivot, columns = row[k], range(k + 1, len(row))
         for r in m:
             if r is not row:
                 f = r[k]
-                for j in range(k + 1, n + 1):
+                for j in columns:
                     r[j] = (r[j] * pivot - f * row[j]) // prev
-        prev = pivot
-    return sign * prev, [sign * r[n] for r in m]
+        pivots.append(pivot)
+    return pivots, exchanges
+
+
+def _solve(rows, *columns) -> tuple:
+    """(d, y_1, ...) with d = det(rows) and y_i = d x for the solution of
+    rows x = columns[i], by `_eliminate` on the int matrix augmented by the
+    columns; (0, None, ...) when singular.  `_solve(rows)` is (det(rows),)."""
+    m = [list(row) for row in rows]
+    for b in columns:
+        for r, c in zip(m, b):
+            r.append(c)
+    found = _eliminate(m)
+    if found is None:
+        return (0,) + (None,) * len(columns)
+    pivots, exchanges = found
+    sign, n = -1 if exchanges % 2 else 1, len(m)
+    return (sign * pivots[-1], *[[sign * r[j] for r in m] for j in range(n, n + len(columns))])

@@ -36,6 +36,7 @@ from .core import (
     GeometryModel,
     Valuation,
     _dot,
+    _integral,
     _solve,
     gamma_threshold,
 )
@@ -177,23 +178,22 @@ class _Planes:
         dual feasibility.
         """
         n, dim = len(self.slopes), len(self.slopes[0])
-        ints, scales = zip(*map(_ints, zip(*self.slopes)))
+        ints, scales = zip(*[(row, q) for (row,), q in (_integral([s]) for s in zip(*self.slopes))])
         units = [(i, sign * scale) for sign in (1, -1) for i, scale in enumerate(scales)]
         columns = list(zip(*ints, [1] * n)) + [tuple(e * (j == i) for j in range(dim)) + (0,) for i, e in units]
-        cost, den = _ints(self.offsets + [self.hi] * (2 * dim))
+        (cost,), den = _integral([self.offsets + [self.hi] * (2 * dim)])
         k = min(range(n), key=lambda k: self.offsets[k] + self.hi * sum(map(abs, self.slopes[k])))
         # e_i carries -s_ki for a slope below 0, -e_i for one above
         basis = [k] + [n + i + dim * (self.slopes[k][i] > 0) for i in range(dim)]
         while True:
-            # x, y, step: d = det B (either sign) times the basic solution, the
-            # multipliers, the direction; Bland: the least improving column enters
+            # y, x, step: d = det B (either sign) times the multipliers, the
+            # basic solution, the direction; Bland: the least improving column enters
             B = [columns[j] for j in basis]
-            d, x = _solve(list(zip(*B)), [0] * dim + [1])
-            y = _solve(B, [cost[j] for j in basis])[1]
+            d, y = _solve(B, [cost[j] for j in basis])
             entering = next((j for j, a in enumerate(columns) if (cost[j] * d - _dot(a, y)) * d < 0), None)
             if entering is None:
                 break
-            step = _solve(list(zip(*B)), columns[entering])[1]
+            _, x, step = _solve(list(zip(*B)), [0] * dim + [1], columns[entering])
             # the dual holds u = 0, so the LP is bounded and some row leaves:
             # of the rows that leave first, the least basic index
             rows = [i for i in range(dim + 1) if step[i] * d > 0]
@@ -202,13 +202,6 @@ class _Planes:
         top = Fraction(y[-1], d * den)
         self.lower(float(top) if float(top) >= top else math.nextafter(float(top), math.inf))
         return tuple(float(Fraction(-scale * v, d * den)) for scale, v in zip(scales, y))
-
-
-def _ints(xs):
-    """(ints, den): the finite floats xs as ints over one power-of-two denominator."""
-    ratios = [x.as_integer_ratio() for x in xs]
-    den = max(q for _, q in ratios)
-    return [p * (den // q) for p, q in ratios], den
 
 
 def _ascend(planes, u, hi, hessian=None):

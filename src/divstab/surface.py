@@ -46,6 +46,8 @@ from .core import (
     NotPseudoeffectiveError,
     Valuation,
     _dot,
+    _eliminate,
+    _integral,
     as_fraction,
     gamma_threshold,
 )
@@ -685,13 +687,6 @@ def _difference(x, y, D):
     return D * (xn * yd - yn * xd), xd * yd
 
 
-def _integral(vectors):
-    """(int tuples, q): rational tuples over their least common denominator q."""
-    ratios = [[c.as_integer_ratio() for c in v] for v in vectors]
-    q = math.lcm(*[d for v in ratios for _, d in v])
-    return tuple([tuple([n * (q // d) for n, d in v]) for v in ratios]), q
-
-
 def _pulled(real, b, q):
     """The int tuple b over q of a base class pulled back by the realization
     `real` (`pull_ints`), over its least denominator: the ints `_integral`
@@ -740,26 +735,20 @@ def _signature(m) -> tuple[int, int]:
 
 def _solve_negative_definite(gram, columns):
     """(g, xs) with g > 0 and gram x = g c for each column c and its x in xs;
-    None unless the int matrix gram is negative definite.  One fraction-free
-    (Bareiss) Gauss-Jordan pass on [gram | I] without row exchanges: its
-    k-th pivot is the leading minor of order k, which must have the sign
-    (-1)^k, and its right block ends as det(gram) gram^-1, so (-1)^n times it
-    is g gram^-1 for g = |det gram|, in ints; x keeps the type of c."""
-    n, prev = len(gram), 1
+    None unless the int matrix gram is negative definite: `_eliminate` on
+    [gram | I] exchanges no row and its k-th pivot, the leading minor of
+    order k, has the sign (-1)^k.  Its right block ends as det(gram)
+    gram^-1, so (-1)^n times it is g gram^-1 for g = |det gram|, in ints; x
+    keeps the type of c."""
+    n = len(gram)
     m = [list(row) + [int(r == i) for r in range(n)] for i, row in enumerate(gram)]
-    for k in range(n):
-        pivot, row = m[k][k], m[k]
-        if pivot == 0 or (pivot > 0) == (k % 2 == 0):
-            return None
-        for r in m:
-            if r is not row:
-                f = r[k]
-                for j in range(k + 1, 2 * n):
-                    r[j] = (r[j] * pivot - f * row[j]) // prev
-        prev = pivot
+    # a singular gram has no pivots; else those of even order must be > 0, of odd order < 0
+    pivots, exchanges = _eliminate(m) or ([0], 0)
+    if exchanges or min(pivots[::2]) <= 0 or max(pivots[1::2], default=-1) >= 0:
+        return None
     sign = (-1) ** n
     ginv = [[sign * y for y in r[n:]] for r in m]
-    return sign * prev, [[_dot(row, c) for row in ginv] for c in columns]
+    return sign * pivots[-1], [[_dot(row, c) for row in ginv] for c in columns]
 
 
 def _first_root(q0, q1, q2, unit, x, wall):

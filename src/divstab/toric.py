@@ -6,10 +6,12 @@ of P_D.  One kernel, `ToricModel._polytope`, finds the vertices of P_L, or of
 a cell cut from it and seeded with P_L's vertices and tight masks, as int
 points over one denominator, and triangulates it on those masks, all in
 ints; L keeps one record of them for volumes, thresholds, S and lattice
-points, one Fraction per result.  Valuations are monomial: primitive lattice
-vectors w, whose order function is linear on the monomial basis, anchored so
-that min over P_L is order 0; their orders at level k are kept with the
-lattice points of k P_L.  The Hessian of S in the shifts is that of
+points, one Fraction per result.  The fan keeps d A^-1 for each basis A of
+rays, which the kernel solves with, and reads completeness and its cones
+from them.  Valuations are monomial: primitive lattice vectors w, whose
+order function is linear on the monomial basis, anchored so that min over
+P_L is order 0; their orders at level k are kept with the lattice points of
+k P_L.  The Hessian of S in the shifts is that of
 semi-discrete optimal transport (Kitagawa-Merigot-Thibert): the flux between
 two cells, the (n-1)-volume of the facet they share over |w_i - w_j|, is
 rational, read from the triangulation of the cell in the same kernel, and
@@ -21,7 +23,6 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,7 +45,7 @@ MAX_LEVEL_POINTS = 10**6
 def _lattice_vector(xs, what: str) -> tuple[int, ...]:
     """xs as ints, numpy ints too; a float, str or bool entry is a GeometryError."""
     try:
-        if not any(isinstance(x, bool) for x in xs):
+        if bool not in map(type, xs):
             return tuple(map(operator.index, xs))
     except TypeError:
         pass
@@ -61,16 +62,18 @@ class ToricModel(GeometryModel):
         if not self.rays:
             raise GeometryError("a toric model needs at least one ray")
         self.dimension = len(self.rays[0])
-        for r in self.rays:
+        for i, r in enumerate(self.rays):
             if len(r) != self.dimension:
                 raise GeometryError("rays of mixed dimension")
             if math.gcd(*(abs(x) for x in r)) != 1:
                 raise GeometryError(f"ray {r} is not primitive")
+            if r in self.rays[:i]:
+                raise GeometryError(f"ray {r} is repeated")
         self.class_rank = len(self.rays)
-        # `_polytope`'s ray bases: per n-subset of rays, A its rows, d = det A and if d, the ints d A^-1
-        unit = np.eye(self.dimension, dtype=int).tolist()
-        self._bases = tuple((d, [*zip(*(_solve(A, e)[1] for e in unit))] if d else None)
-                            for A in itertools.combinations(self.rays, self.dimension) for d in [_solve(A, unit[0])[0]])
+        # per n-subset of rays, A its rows: d = det A and if d, the rows of the ints d A^-1
+        unit = [tuple(int(i == j) for j in range(self.dimension)) for i in range(self.dimension)]
+        self._bases = tuple((d, [*zip(*columns)] if d else None)
+                            for A in itertools.combinations(self.rays, self.dimension) for d, *columns in [_solve(A, *unit)])
         self._check_complete()
         # `_box_points`' int64 fan, fixed in size: max l1 norm, rays but the last entry, rays by its
         # sign, where 0 leaves out the axes +-e_i, whose constraints the bounding box keeps
@@ -82,14 +85,12 @@ class ToricModel(GeometryModel):
 
     def _check_complete(self):
         """Section polytopes are bounded iff the rays positively span the
-        lattice, that is iff the cone {u : <u, rho> >= 0 for every ray} is
-        {0}: cut by the box -1 <= u_i <= 1, its only vertex is then 0."""
-        n = self.dimension
-        box = [(tuple(sign * (i == j) for j in range(n)), -1) for i in range(n) for sign in (1, -1)]
-        if self._polytope([(ray, 0) for ray in self.rays] + box)[0] != [(0,) * n]:
-            raise GeometryError(
-                "rays do not positively span the lattice; section polytopes unbounded"
-            )
+        lattice, that is (Caratheodory) iff each +-e_i is in the cone of some
+        ray basis: its coordinates there, row i of d A^-1 over d, are >= 0."""
+        for i in range(self.dimension):
+            for sign in (1, -1):
+                if not any(d and all(sign * d * c >= 0 for c in adj[i]) for d, adj in self._bases):
+                    raise GeometryError("rays do not positively span the lattice; section polytopes unbounded")
 
     # -- valuations ---------------------------------------------------------
 
@@ -97,26 +98,28 @@ class ToricModel(GeometryModel):
         w = _lattice_vector(w, "valuation vector")
         return self.add_valuation(Valuation(name, self.log_discrepancy(w), order_model=w))
 
-    def _maximal_cones(self) -> list[tuple[tuple[int, ...], ...]]:
-        """The maximal cones as ray tuples: angularly adjacent pairs in 2-d,
-        every n-subset of n + 1 rays; no other fan is fixed by its rays."""
-        if self.dimension == 2:
-            ordered = _order_polygon(self.rays)
-            return list(zip(ordered, ordered[1:] + ordered[:1]))
-        if len(self.rays) != self.dimension + 1:
-            raise GeometryError(f"the cones of {self.name!r} are not determined by its rays")
-        return list(itertools.combinations(self.rays, self.dimension))
+    def _vector(self, w, nonzero=False) -> tuple[int, ...]:
+        """w as a lattice vector of the fan's dimension, nonzero if asked; else a GeometryError."""
+        w = _lattice_vector(w, "valuation vector")
+        if len(w) != self.dimension or nonzero and not any(w):
+            raise GeometryError(f"valuation vector {w} is not a nonzero vector of length {self.dimension}")
+        return w
 
     def log_discrepancy(self, w: Sequence[int]) -> Fraction:
-        """Sum of the coordinates of w != 0 in the smooth cone of the fan holding it."""
-        w = _lattice_vector(w, "valuation vector")
-        if len(w) != self.dimension or not any(w):
-            raise GeometryError(f"valuation vector {w} is not a nonzero vector of length {self.dimension}")
-        for cone in self._maximal_cones():
-            # the coordinates c of w = sum c_j ray_j, over d = +-det = +-1
-            d, y = _solve(list(zip(*cone)), w)
-            if abs(d) == 1 and all(d * c >= 0 for c in y):
-                return Fraction(d * sum(y))
+        """Sum of the coordinates of w != 0 in the smooth cone of the fan
+        holding it: of the unimodular ray bases, the one whose cone holds w
+        and no other ray, that is the angularly adjacent pairs in 2-d and
+        every n-subset of n + 1 rays; no other fan is fixed by its rays."""
+        w, n = self._vector(w, nonzero=True), self.dimension
+        if n > 2 and len(self.rays) != n + 1:
+            raise GeometryError(f"the cones of {self.name!r} are not determined by its rays")
+        for d, adj in self._bases:
+            if abs(d) == 1:
+                # the coordinates c of u = sum c_j ray_j are u d A^-1 times d = +-1
+                cols = [*zip(*adj)]
+                y = [d * _dot(w, col) for col in cols]
+                if min(y) >= 0 and sum(min(d * _dot(r, col) for col in cols) >= 0 for r in self.rays) == n:
+                    return Fraction(sum(y))
         raise GeometryError(f"vector {w} lies in no declared smooth cone")
 
     # -- polytope machinery -------------------------------------------------
@@ -198,7 +201,7 @@ class ToricModel(GeometryModel):
             return faces[face]
 
         def det(s, *rows):  # |det| of the edges of the simplex s from its first point, and `rows`
-            return abs(_solve([[a - b for a, b in zip(points[i], points[s[0]])] for i in s[1:]] + list(rows), [0] * n)[0])
+            return abs(_solve([[a - b for a, b in zip(points[i], points[s[0]])] for i in s[1:]] + list(rows))[0])
 
         mass, moment = 0, [0] * n
         for s in simplices((1 << len(points)) - 1):
@@ -244,24 +247,23 @@ class ToricModel(GeometryModel):
     def order_anchor(self, L: DivisorClass, w: Sequence[int]) -> Fraction:
         """min over P_L of <., w>; vanishing orders along w are measured from it."""
         record = self._record(L)
-        return Fraction(self._anchor(record, tuple(w)), record[0][1])
+        return Fraction(self._anchor(record, self._vector(w)), record[0][1])
 
     def constrained_volume(self, L: DivisorClass, constraints) -> Fraction:
         """n! vol of P_L cut by <m, w_i> - min_{P_L}<., w_i> >= c_i."""
         record = self._record(L)
         common, cuts = record[0][1], []
         for w, c in constraints:
-            w = _lattice_vector(w, "valuation vector")
+            w = self._vector(w)
             anchor, (p, q) = self._anchor(record, w), as_fraction(c).as_integer_ratio()
             cuts.append((w, Fraction(anchor * q + p * common, common * q)))
         _, common, mass, *_ = self._cell(record, cuts)
         return Fraction(mass, common**self.dimension)
 
     def _valuation_vector(self, v: Valuation) -> tuple[int, ...]:
-        w = v.order_model
-        if not (isinstance(w, tuple) and all(isinstance(x, int) for x in w)):
+        if not isinstance(v.order_model, tuple):
             raise GeometryError(f"valuation {v.name!r} is not a monomial valuation")
-        return w
+        return self._vector(v.order_model)
 
     def twisted_volume(self, L: DivisorClass, constraints) -> Fraction:
         cuts = []
@@ -485,20 +487,3 @@ def _check_level(k) -> int:
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k <= 0:
         raise GeometryError("level k must be a positive integer")
     return int(k)
-
-
-def _order_polygon(vectors):
-    """Counterclockwise ordering of 2-d vectors by exact angular comparison
-    about the origin."""
-
-    def half(p):
-        return 0 if (p[1] > 0 or (p[1] == 0 and p[0] > 0)) else 1
-
-    def compare(p, q):
-        hp, hq = half(p), half(q)
-        if hp != hq:
-            return -1 if hp < hq else 1
-        cross = p[0] * q[1] - q[0] * p[1]
-        return -1 if cross > 0 else (1 if cross < 0 else 0)
-
-    return sorted(vectors, key=cmp_to_key(compare))

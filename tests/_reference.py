@@ -6,6 +6,9 @@ the angularly ordered polygon in 2-d and scipy's Delaunay in higher
 dimension.  The Delaunay route decides flatness with a float rank test
 (tolerance 1e-9), so it is only trustworthy for polytopes of about unit size.
 
+Toric fans: the log discrepancy of a monomial valuation on the maximal
+cones found by exact angle comparison, and completeness by HiGHS.
+
 Norm engine: the cutting-plane LP by HiGHS.
 
 Surface: the Zariski chamber walk on `Fraction`s, with elimination on the
@@ -140,6 +143,65 @@ def kelley_lp(slopes, offsets, hi):
     if res.status != 0:
         raise AssertionError(f"HiGHS failed: {res.message}")
     return -res.fun
+
+
+def order_rays(vectors):
+    """Counterclockwise ordering of 2-d vectors by exact angular comparison
+    about the origin."""
+
+    def half(p):
+        return 0 if (p[1] > 0 or (p[1] == 0 and p[0] > 0)) else 1
+
+    def compare(p, q):
+        hp, hq = half(p), half(q)
+        if hp != hq:
+            return -1 if hp < hq else 1
+        cross = p[0] * q[1] - q[0] * p[1]
+        return -1 if cross > 0 else (1 if cross < 0 else 0)
+
+    return sorted(vectors, key=cmp_to_key(compare))
+
+
+def log_discrepancy(name, rays, w):
+    """The sum of the coordinates of w in the unimodular maximal cone holding
+    it, by Fraction elimination, with the errors of `ToricModel`: the cones
+    are the angularly adjacent pairs of rays in 2-d and every n-subset of
+    n + 1 rays; no other fan is fixed by its rays."""
+    n = len(w)
+    if n == 2:
+        ordered = order_rays(rays)
+        cones = list(zip(ordered, ordered[1:] + ordered[:1]))
+    elif len(rays) == n + 1:
+        cones = list(itertools.combinations(rays, n))
+    else:
+        raise GeometryError(f"the cones of {name!r} are not determined by its rays")
+    for cone in cones:
+        columns = [[Fraction(r[i]) for r in cone] for i in range(n)]
+        if abs(det_exact(columns)) == 1:
+            c = solve_exact(columns, [Fraction(x) for x in w])
+            if min(c) >= 0:
+                return sum(c)
+    raise GeometryError(f"vector {tuple(w)} lies in no declared smooth cone")
+
+
+def positively_spans(rays):
+    """True iff the rays positively span R^n: over the cone <u, ray> >= 0
+    cut by the box |u_i| <= 1, the maximum of each +-u_i is 0, by HiGHS."""
+    n = len(rays[0])
+    for i in range(n):
+        for sign in (1, -1):
+            res = linprog(
+                [-sign * (j == i) for j in range(n)],
+                A_ub=-np.array(rays, dtype=float),
+                b_ub=np.zeros(len(rays)),
+                bounds=[(-1, 1)] * n,
+                method="highs",
+            )
+            if res.status != 0:
+                raise AssertionError(f"HiGHS failed: {res.message}")
+            if -res.fun > 1e-9:
+                return False
+    return True
 
 
 # -- surface: the Zariski chamber walk on Fractions ---------------------------

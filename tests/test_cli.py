@@ -480,6 +480,9 @@ class TestMalformedToricInput:
         rays = [[True, False], [0, 1], [-1, -1]]
         assert self.run(tmp_path, rays, [1, 1]) == (2, "model.rays[0]")
 
+    def test_repeated_ray_named(self, tmp_path):
+        assert self.run(tmp_path, [[1, 0], [1, 0], [0, 1], [-1, -1]], [1, 1]) == (2, "model")
+
     @pytest.mark.parametrize("k", [True, 2.0, 0])
     def test_bad_level_named(self, tmp_path, k):
         tasks = [{"kind": "volume"}, {"kind": "finite_k", "support": ["e1"], "shifts": [0], "k": k}]

@@ -379,3 +379,35 @@ class TestSolveDeterminant:
                 assert [Fraction(c, d) for c in y] == x
                 negative += d < 0
         assert negative >= 300, negative
+
+
+class TestSolveColumns:
+    def test_any_number_of_right_hand_sides(self):
+        # random int systems of size 1-5, about a third singular, with zero,
+        # one and three right-hand sides: (d, y_1, ...) with d the signed
+        # determinant and each y_i = d x_i, or (0, None, ...) when singular
+        from divstab.core import _solve
+
+        import _reference as reference
+
+        rng = random.Random(40)
+        singular = 0
+        for _ in range(1500):
+            n = rng.randint(1, 5)
+            rows = [[rng.randint(-3, 3) if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.25:
+                rows[rng.randrange(n)] = [rng.choice((-1, 2)) * x for x in rows[rng.randrange(n)]]
+            columns = [[rng.randint(-2**40, 2**40) for _ in range(n)] for _ in range(rng.choice((0, 1, 3)))]
+            exact = [[Fraction(x) for x in r] for r in rows]
+            det = reference.det_exact(exact)
+            found = _solve(rows, *columns)
+            assert len(found) == 1 + len(columns) and found[0] == det
+            if not det:
+                assert found[1:] == (None,) * len(columns)
+                singular += 1
+                continue
+            for b, y in zip(columns, found[1:]):
+                assert all(type(c) is int for c in y)
+                assert [Fraction(c, det) for c in y] == reference.solve_exact(exact, [Fraction(v) for v in b])
+        assert 300 <= singular <= 900, singular
+

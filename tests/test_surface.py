@@ -771,3 +771,15 @@ class TestNegativeDefiniteSolve:
             for col, x in zip(cols, xs):
                 assert [Fraction(v) for v in x] == [g * y for y in reference.solve_exact(exact, list(map(Fraction, col)))]
         assert kinds["definite"] == 400 and kinds["indefinite"] >= 10, kinds
+
+
+class TestNegativeDefiniteExchanges:
+    def test_exchanged_rows_are_counted(self):
+        # blockdiag([[0, -1], [-1, 0]], [[0, -1], [-1, 0]]) is indefinite, yet
+        # its elimination exchanges rows twice and its pivots -1, 1, -1, 1
+        # have the signs (-1)^k: a test on the parity of the exchanges passes it
+        from divstab.surface import _solve_negative_definite
+
+        block = [[0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]]
+        assert _solve_negative_definite(block, [(1, 2, 3, 4)]) is None
+        assert _solve_negative_definite([[0, -1], [-1, 0]], [(1, 2)]) is None

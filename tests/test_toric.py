@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from operator import mul
 
@@ -51,6 +52,11 @@ class TestModelValidation:
         model = ToricModel("p2_numpy", np.array([[1, 0], [0, 1], [-1, -1]]))
         assert all(type(x) is int for ray in model.rays for x in ray)
         assert model.monomial_valuation("diag", np.array([1, 1])).log_discrepancy == 2
+
+    def test_repeated_ray_rejected(self):
+        # once accepted, with a class group of rank 4 and a phantom divisor in -K
+        with pytest.raises(ds.GeometryError, match=r"^ray \(1, 0\) is repeated$"):
+            ToricModel("dup", [[1, 0], [1, 0], [0, 1], [-1, -1]])
 
 
 class TestPolytopeVolume:
@@ -585,6 +591,98 @@ class TestMalformedInput:
 
     def test_numpy_integer_level_accepted(self):
         assert p2t.section_basis(L3H, np.int64(2)) == p2t.section_basis(L3H, 2)
+
+
+class TestVectorLength:
+    """A vector of another length than the fan's is an error wherever a
+    valuation vector is read, not a dot product over the shorter one."""
+
+    WRONG = r"^valuation vector \(1, 1, 0\) is not a nonzero vector of length 2$"
+
+    def test_valuation_of_another_fan_rejected(self):
+        # P^3's e12 once gave S 2.0 and gamma 3 on p2_toric, those of (1, 1)
+        p3 = ToricModel("p3", EXTRA_MODELS["p3"])
+        e12 = p3.monomial_valuation("e12", (1, 1, 0))
+        spec = FiltrationSpec((e12,), (0.0,))
+        for ask in (lambda: expected_order_S(p2t, L3H, spec), lambda: ds.gamma_threshold(p2t, L3H, e12),
+                    lambda: filtration_volume_finite_k(p2t, L3H, spec, 2)):
+            with pytest.raises(ds.GeometryError, match=self.WRONG):
+                ask()
+
+    @pytest.mark.parametrize("w", [(1,), (1, 1, 0)])
+    def test_constraint_of_wrong_length_rejected(self, w):
+        # both once returned 4, the volume cut by the first coordinate >= 1
+        with pytest.raises(ds.GeometryError, match=f"^valuation vector {re.escape(str(w))} is not a nonzero vector"):
+            p2t.constrained_volume(L3H, [(w, 1)])
+
+    @pytest.mark.parametrize("w", [(1.0, 0), (1, 0.5), (1, 0, 0)])
+    def test_order_anchor_checks_its_vector(self, w):
+        # (1.0, 0) once returned 0 and (1, 0.5) raised a TypeError
+        with pytest.raises(ds.GeometryError, match="^valuation vector .* is not an? (integer|nonzero) vector"):
+            p2t.order_anchor(L3H, w)
+        assert p2t.order_anchor(L3H, np.array([1, 0])) == 0
+
+
+def _fans(rng):
+    """(kind, rays): smooth complete 2-d fans by star subdivision of p2,
+    p1xp1, f1 and F2, the same with rays dropped, fans in a half-plane, 3-d
+    fans of four rays and of five, P^1 and the cube, each in a random order."""
+    starts = [[(1, 0), (0, 1), (-1, -1)], [(1, 0), (-1, 0), (0, 1), (0, -1)],
+              [(1, 0), (0, 1), (-1, 1), (0, -1)], [(1, 0), (0, 1), (-1, 2), (0, -1)]]
+    for _ in range(60):
+        rays = list(rng.choice(starts))
+        for _ in range(rng.randint(0, 4)):
+            ordered = reference.order_rays(rays)
+            i = rng.randrange(len(ordered))
+            rays.append(tuple(map(sum, zip(ordered[i], ordered[i - 1]))))
+        yield "smooth", rays
+        yield "dropped", [r for r in rays if r not in rng.sample(rays, rng.randint(1, 2))]
+    for _ in range(20):
+        rays = {(rng.randint(-3, 3), rng.randint(0, 3)) for _ in range(rng.randint(2, 5))}
+        yield "half-plane", [r for r in rays if math.gcd(*r) == 1 and r[1] >= 0]
+    for _ in range(40):
+        last = tuple(-rng.randint(0, 3) for _ in range(3))
+        rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1)] + ([last] if math.gcd(*last) == 1 else [(-1, -1, -1)])
+        yield "3-d", rays
+        yield "3-d, five rays", rays + [(1, 1, 0)]
+    yield "1-d", [(1,), (-1,)]
+    yield "cube", EXTRA_MODELS["cube"]
+
+
+class TestFanOracles:
+    """Completeness against HiGHS and log discrepancies against the cones
+    found by exact angle comparison (`tests/_reference.py`): the same
+    acceptance, and at random w the same value or the same error."""
+
+    @staticmethod
+    def outcome(ask):
+        try:
+            return ask()
+        except ds.GeometryError as exc:
+            return str(exc)
+
+    def test_fans_match_the_oracles(self):
+        rng = random.Random(40)
+        kinds = {"incomplete": 0, "value": 0, "no smooth cone": 0, "not determined": 0}
+        for kind, rays in _fans(rng):
+            rng.shuffle(rays)
+            if not reference.positively_spans(rays):
+                with pytest.raises(ds.GeometryError, match="^rays do not positively span the lattice"):
+                    ToricModel("fan", rays)
+                kinds["incomplete"] += 1
+                continue
+            assert kind != "half-plane"
+            model = ToricModel("fan", rays)
+            for _ in range(20):
+                w = tuple(rng.randint(-4, 4) for _ in rays[0])
+                if any(w):
+                    got = self.outcome(lambda: model.log_discrepancy(w))
+                    assert got == self.outcome(lambda: reference.log_discrepancy("fan", rays, w)), (rays, w)
+                    if isinstance(got, Fraction):
+                        kinds["value"] += 1
+                    else:
+                        kinds["no smooth cone" if got.endswith("smooth cone") else "not determined"] += 1
+        assert min(kinds.values()) >= 30, kinds
 
 
 class TestMonomialOrderInput:
