@@ -242,6 +242,11 @@ class GeometryModel(ABC):
         self.named_valuations[v.name] = v
         return v
 
+    def __reduce_ex__(self, protocol):  # a bundled model (valuations read-only) pickles as its name
+        from .models import bundled_model
+        shared = isinstance(self.named_valuations, MappingProxyType)
+        return (bundled_model, (self.name,)) if shared else super().__reduce_ex__(protocol)
+
     def _check_basis(self, D: DivisorClass) -> None:
         if D.basis_id != self.basis_id:
             raise BasisMismatchError(

@@ -175,18 +175,10 @@ def expected_order_hessian(model: GeometryModel, L: DivisorClass, spec: Filtrati
 
 
 def _jumping_values(model, L, spec: FiltrationSpec, k: int) -> np.ndarray:
-    """min over the support of order + k t, per lattice point of k P_L, on a
-    toric model, from the orders kept with that basis (`ToricModel._level_orders`)."""
+    """min over the support of order + k t per lattice point of k P_L, on a toric model (`ToricModel._jumping_values`)."""
     if not isinstance(model, ToricModel):
         raise GeometryError("finite-level jumping numbers need a toric model")
-    if not len(model.lattice_points(L, k)):
-        raise GeometryError("no sections at this level")
-    values = None
-    for v, t in zip(spec.support, spec.shifts):
-        lam = model._level_orders(L, k, v) + k * float(t)
-        # np.minimum returns its second argument on ties, like min() its first
-        values = lam if values is None else np.minimum(lam, values)
-    return values
+    return model._jumping_values(L, k, spec.support, spec.shifts)
 
 
 def filtration_volume_finite_k(
@@ -196,7 +188,7 @@ def filtration_volume_finite_k(
     Each valuation's orders are read once per (L, k), kept with the basis;
     numpy sorts as sorted(reverse=True) would, as no value is NaN or -0.0."""
     values = np.sort(_jumping_values(model, L, spec, k))[::-1].tolist()
-    return JumpingProfile(k, tuple(values), sum(values) / len(values))
+    return JumpingProfile(int(k), tuple(values), sum(values) / len(values))
 
 
 def d_infinity(

@@ -1,21 +1,21 @@
 """Smooth projective toric backend: rational section polytopes + monomial valuations.
 
 Divisor classes are ray-coefficient vectors a_rho; the section polytope is
-P_D = {m : <m, v_rho> >= -a_rho}.  Volumes are n! times the Euclidean volume
-of P_D.  One kernel, `ToricModel._polytope`, finds the vertices of P_L, or of
-a cell cut from it and seeded with P_L's vertices and tight masks, as int
-points over one denominator, and triangulates it on those masks, all in
-ints; L keeps one record of them for volumes, thresholds, S and lattice
-points, one Fraction per result.  The fan keeps d A^-1 for each basis A of
-rays, which the kernel solves with, and reads completeness and its cones
-from them.  Valuations are monomial: primitive lattice vectors w, whose
-order function is linear on the monomial basis, anchored so that min over
-P_L is order 0; their orders at level k are kept with the lattice points of
-k P_L.  The Hessian of S in the shifts is that of
-semi-discrete optimal transport (Kitagawa-Merigot-Thibert): the flux between
-two cells, the (n-1)-volume of the facet they share over |w_i - w_j|, is
-rational, read from the triangulation of the cell in the same kernel, and
-formed only when the Hessian is asked for.
+P_D = {m : <m, v_rho> >= -a_rho}.  Volumes are n! times the Euclidean volume of P_D.  One
+kernel, `ToricModel._polytope`, finds the vertices of P_L, or of a cell cut from it and
+seeded with P_L's vertices and tight masks, as int points over one denominator, and
+triangulates it on those masks, all in ints; L keeps one record of them for volumes,
+thresholds, S and lattice points, one Fraction per result.  The triangulation depends on
+the masks alone, and the ample classes of a fan share its combinatorial type, so a model
+keeps those of the last 8 patterns, keyed by the masks in vertex order and the halfspace
+count.  The fan keeps d A^-1 for each nonsingular basis A of rays, which the kernel
+solves with, and reads completeness and its cones from them.  Valuations are monomial:
+primitive lattice vectors w, whose order function is linear on the monomial basis,
+anchored so that min over P_L is order 0; their orders at level k are kept with the
+lattice points of k P_L.  The Hessian of S in the shifts is that of semi-discrete optimal
+transport (Kitagawa-Merigot-Thibert): the flux between two cells, the (n-1)-volume of the
+facet they share over |w_i - w_j|, is rational, read from the triangulation of the cell
+in the same kernel, and formed only when the Hessian is asked for.
 """
 from __future__ import annotations
 
@@ -33,6 +33,7 @@ from .core import (
     GeometryModel,
     Valuation,
     _dot,
+    _eliminate,
     _solve,
     as_fraction,
 )
@@ -70,16 +71,21 @@ class ToricModel(GeometryModel):
             if r in self.rays[:i]:
                 raise GeometryError(f"ray {r} is repeated")
         self.class_rank = len(self.rays)
-        # per n-subset of rays, A its rows: d = det A and if d, the rows of the ints d A^-1
+        # per nonsingular n-subset of rays, A its rows: (it, its bitmask, d = det A, the rows of the ints d A^-1)
         unit = [tuple(int(i == j) for j in range(self.dimension)) for i in range(self.dimension)]
-        self._bases = tuple((d, [*zip(*columns)] if d else None)
-                            for A in itertools.combinations(self.rays, self.dimension) for d, *columns in [_solve(A, *unit)])
+        self._bases = tuple((subset, sum(1 << i for i in subset), d, [*zip(*columns)])
+                            for subset in itertools.combinations(range(self.class_rank), self.dimension)
+                            for d, *columns in [_solve([self.rays[i] for i in subset], *unit)] if d)
         self._check_complete()
-        # `_box_points`' int64 fan, fixed in size: max l1 norm, rays but the last entry, rays by its
-        # sign, where 0 leaves out the axes +-e_i, whose constraints the bounding box keeps
-        rays, ends = np.array(self.rays, dtype=np.int64), np.array([r[-1] for r in self.rays], dtype=np.int64)
-        up, down, flat = (np.flatnonzero(s) for s in (ends > 0, ends < 0, (ends == 0) & (abs(rays).sum(axis=1) > 1)))
-        self._fan = int(abs(rays).sum(axis=1).max()), rays[:, :-1].T.copy(), up, ends[up], down, ends[down], flat
+        # the bitmasks of the (n-1)-subsets of rays, where a polytope of the rays has its edges; `_polytope`'s ring
+        self._edges = tuple(sum(1 << i for i in h) for h in itertools.combinations(range(self.class_rank), self.dimension - 1))
+        self._ring = ((None,),) * 8
+        # `_box_points`' int64 fan, fixed in size: max l1 norm, then of the rays but the axes +-e_i (the bounding box keeps
+        # those), last entry > 0 first, then < 0, then 0: indices, other entries as rows, counts > 0 and != 0, -|last entries|
+        scan = [i for *_, i in sorted((r[-1] <= 0, r[-1] == 0, i) for i, r in enumerate(self.rays) if sum(map(abs, r)) > 1)]
+        rays = np.array([self.rays[i] for i in scan], dtype=np.int64).reshape(len(scan), self.dimension)
+        up, ends = sum(self.rays[i][-1] > 0 for i in scan), sum(self.rays[i][-1] != 0 for i in scan)
+        self._fan = max(sum(map(abs, r)) for r in self.rays), scan, rays[:, :-1].T.copy(), up, ends, -abs(rays[:ends, -1])
         # -K has coefficient 1 on every ray
         self.canonical_class = self.divisor([-1] * self.class_rank)
 
@@ -89,7 +95,7 @@ class ToricModel(GeometryModel):
         ray basis: its coordinates there, row i of d A^-1 over d, are >= 0."""
         for i in range(self.dimension):
             for sign in (1, -1):
-                if not any(d and all(sign * d * c >= 0 for c in adj[i]) for d, adj in self._bases):
+                if not any(all(sign * d * c >= 0 for c in adj[i]) for *_, d, adj in self._bases):
                     raise GeometryError("rays do not positively span the lattice; section polytopes unbounded")
 
     # -- valuations ---------------------------------------------------------
@@ -113,7 +119,7 @@ class ToricModel(GeometryModel):
         w, n = self._vector(w, nonzero=True), self.dimension
         if n > 2 and len(self.rays) != n + 1:
             raise GeometryError(f"the cones of {self.name!r} are not determined by its rays")
-        for d, adj in self._bases:
+        for *_, d, adj in self._bases:
             if abs(d) == 1:
                 # the coordinates c of u = sum c_j ray_j are u d A^-1 times d = +-1
                 cols = [*zip(*adj)]
@@ -133,84 +139,67 @@ class ToricModel(GeometryModel):
         """(points, common, mass, moment, tight) of {m : <m, normal> >= rhs},
         the rays' first, for integer normals and rational rhs, in Python ints.
 
-        Each n-subset is solved in ints, of rays alone by `_bases`, else by
-        `_solve`, its point kept as (y, q), m = y / q in lowest terms, if
-        feasible: `tight` maps it to the bitmask of its tight halfspaces.
-        `seeds`, the `tight` of the polytope P of the rays, stand for the ray
-        subsets: the cuts are tested on P's vertices only, and n - 1 rays with
-        one cut give the point where it strictly crosses the edge of P they
-        are tight on.  `points` are the vertices over one denominator
-        `common`.  Each face, a bitmask of vertices, is coned from its first
-        vertex over its facets, the maximal proper sets of its vertices tight
-        at one halfspace; simplices of fewer than n + 1 points (flat) are
-        dropped.  n! vol = mass / common^n, moment / (common^(n+1) n! (n + 1))
-        is the integral of m, and with `facets` a sixth entry holds the int
-        flux through each: (n-1)-vol / |a| = flux / (common^(n-1) (n-1)! |a|^2)."""
-        n, fixed = self.dimension, -1 if seeds is None else len(self.rays)
-        den = math.lcm(*(r.denominator for _, r in halfspaces))
-        normals = [a for a, _ in halfspaces]
-        rhs = [r.numerator * (den // r.denominator) for _, r in halfspaces]
+        Each vertex is kept as (y, q), m = y / q in lowest terms, if feasible (tested up to the first negative
+        slack): `tight` maps it to the bitmask of its tight halfspaces.  Unseeded, the ray subsets are the bases of
+        `_bases`; `seeds`, the `tight` of the polytope P of the rays, stand for them: the cuts are tested on P's
+        vertices, and n - 1 rays with one cut give the point where it strictly crosses the edge of P they are tight
+        on.  Other n-subsets are solved by `_solve`.  `points` are the vertices over one denominator `common`.  A
+        ring keeps the simplices (`_triangulate`) of the last 8 patterns, keyed by the masks in vertex order and the
+        halfspace count, so a pattern met again only forms determinants.  n! vol = mass / common^n, moment /
+        (common^(n+1) n! (n + 1)) is the integral of m, and with `facets` a sixth entry holds the int flux through
+        each: (n-1)-vol / |a| = flux / (common^(n-1) (n-1)! |a|^2)."""
+        n, rays, count = self.dimension, len(self.rays), len(halfspaces)
+        ratios = [r.as_integer_ratio() for _, r in halfspaces]
+        den = math.lcm(*(q for _, q in ratios))
+        normals, rhs = [a for a, _ in halfspaces], [p * (den // q) for p, q in ratios]
 
-        def slack(y, q, start):
-            return [den * _dot(a, y) - r * q for a, r in zip(normals[start:], rhs[start:])]
+        def keep(y, q, mask, start):  # y / q, q != 0, tight at `mask`, if no halfspace from `start` on is violated there
+            g = math.gcd(q, *y) * (1 if q > 0 else -1)
+            if (key := (tuple([x // g for x in y]), q // g)) not in tight:
+                for i in range(start, count):
+                    s = not mask >> i & 1 and den * _dot(normals[i], key[0]) - rhs[i] * key[1]  # False where known tight
+                    if s < 0:
+                        mask = None
+                        break
+                    mask |= (s == 0) << i
+                tight[key] = mask
 
-        def meets(slacks, start, mask):  # with the halfspaces from `start` on at slack 0; None if one is < 0
-            return None if min(slacks, default=0) < 0 else mask | sum(1 << start + i for i, s in enumerate(slacks) if not s)
-
-        at_seeds = {key: slack(*key, fixed) for key in seeds or ()}  # the cuts at each vertex of P
-        tight = {key: meets(cuts, fixed, seeds[key]) for key, cuts in at_seeds.items()}
-        bases = iter(self._bases)  # the subsets of rays alone come in their order
-        for subset in itertools.combinations(range(len(normals)), n):
-            start, mask = 0, 0
-            if subset[-1] < len(self.rays):
-                d, adj = next(bases)
-                if seeds is not None or not d:
-                    continue
-                y, q = [_dot(row, b) for b in [[rhs[i] for i in subset]] for row in adj], d * den
-            elif n > 1 and subset[-2] < fixed:
-                rays, cut = sum(1 << i for i in subset[:-1]), subset[-1] - fixed
-                ends = [(key, at_seeds[key][cut]) for key, m in seeds.items() if m & rays == rays]
-                if len(ends) != 2 or ends[0][1] * ends[1][1] >= 0:
-                    continue
-                ((yu, qu), su), ((yv, qv), sv) = ends  # the cut's slack s is 0 at (s_u v - s_v u) / (s_u - s_v)
-                y, q = [su * b - sv * a for a, b in zip(yu, yv)], su * qv - sv * qu
-                start, mask = fixed, seeds[yu, qu] & seeds[yv, qv]
-            else:
-                d, y = _solve([normals[i] for i in subset], [rhs[i] for i in subset])
-                q = d * den
-            if q:
-                g = math.gcd(q, *y) * (1 if q > 0 else -1)
-                key = tuple([x // g for x in y]), q // g
-                if key not in tight:
-                    tight[key] = meets(slack(*key, start), start, mask)
+        if seeds is None:
+            tight = {}
+            for subset, mask, d, adj in self._bases:
+                keep([_dot(row, b) for b in [[rhs[i] for i in subset]] for row in adj], d * den, mask, 0)
+        else:  # the cuts at each vertex of P
+            at_seeds = {(y, q): [den * _dot(a, y) - r * q for a, r in zip(normals[rays:], rhs[rays:])] for y, q in seeds}
+            tight = {key: None if min(cuts, default=0) < 0 else seeds[key] | sum(1 << rays + i for i, s in enumerate(cuts) if not s)
+                     for key, cuts in at_seeds.items()}
+        for last in range(rays, count):
+            for edge in self._edges if seeds is not None else ():
+                ends = [(key, at_seeds[key][last - rays]) for key, m in seeds.items() if m & edge == edge]
+                if len(ends) == 2 and ends[0][1] * ends[1][1] < 0:
+                    ((yu, qu), su), ((yv, qv), sv) = ends  # the cut's slack s is 0 at (s_u v - s_v u) / (s_u - s_v)
+                    keep([su * b - sv * a for a, b in zip(yu, yv)], su * qv - sv * qu, seeds[yu, qu] & seeds[yv, qv] | 1 << last, rays)
+            for head in itertools.combinations(range(last), n - 1):
+                if seeds is None or head and head[-1] >= rays:
+                    if (solved := _solve([normals[i] for i in (*head, last)], [rhs[i] for i in (*head, last)]))[0]:
+                        keep(solved[1], solved[0] * den, sum(1 << i for i in (*head, last)), 0)
         tight = {key: mask for key, mask in tight.items() if mask is not None}
         common = math.lcm(*(q for _, q in tight))
         points = [tuple([x * (common // q) for x in y]) for y, q in tight]
-        # the vertices tight at each halfspace
-        on = [sum(1 << v for v, mask in enumerate(tight.values()) if mask >> i & 1) for i in range(len(normals))]
-        faces = {}
+        if (entry := next((e for e in self._ring if e[0] == (pattern := (count, *tight.values()))), None)) is None:
+            entry = pattern, *_triangulate([*tight.values()], count, n)
+            self._ring = (entry, *self._ring[:-1])
 
-        def simplices(face):
-            low = face & -face
-            if face & (face - 1) & (face - 2 * low) == 0:  # at most two vertices: no face between
-                return [tuple(v for v in range(face.bit_length()) if face >> v & 1)]
-            if face not in faces:
-                cut = {face & f for f in on} - {0, face}
-                faces[face] = [(low.bit_length() - 1,) + s for f in cut
-                               if not f & low and not any(f | g == g != f for g in cut) for s in simplices(f)]
-            return faces[face]
-
-        def det(s, *rows):  # |det| of the edges of the simplex s from its first point, and `rows`
-            return abs(_solve([[a - b for a, b in zip(points[i], points[s[0]])] for i in s[1:]] + list(rows))[0])
+        def det(s, *rows):  # |det| of the edges of the simplex s from its first point, and `rows`; 0 if singular
+            found = _eliminate([[a - b for a, b in zip(points[i], points[s[0]])] for i in s[1:]] + [[*r] for r in rows])
+            return abs(found[0][-1]) if found else 0
 
         mass, moment = 0, [0] * n
-        for s in simplices((1 << len(points)) - 1):
-            if len(s) == n + 1:
-                d = det(s)
-                mass += d
-                moment = [m + d * x for m, x in zip(moment, map(sum, zip(*[points[i] for i in s])))]
+        for s in entry[1]:
+            d = det(s)
+            mass += d
+            moment = [m + d * x for m, x in zip(moment, map(sum, zip(*[points[i] for i in s])))]
         found = points, common, mass, moment, tight
-        return found if facets is None else (*found, [sum(det(s, normals[k]) for s in simplices(on[k]) if len(s) == n) for k in facets])
+        return found if facets is None else (*found, [sum(det(s, normals[k]) for s in entry[2][k]) for k in facets])
 
     def _record(self, L: DivisorClass):
         """(`_polytope` of P_L, its halfspaces, {w: `_anchor`}): L's one record in its memo."""
@@ -244,6 +233,9 @@ class ToricModel(GeometryModel):
         _, common, mass, *_ = self._record(D)[0]
         return Fraction(mass, common**self.dimension)
 
+    def is_big(self, D: DivisorClass) -> bool:
+        return self._record(D)[0][2] > 0
+
     def order_anchor(self, L: DivisorClass, w: Sequence[int]) -> Fraction:
         """min over P_L of <., w>; vanishing orders along w are measured from it."""
         record = self._record(L)
@@ -260,7 +252,13 @@ class ToricModel(GeometryModel):
         _, common, mass, *_ = self._cell(record, cuts)
         return Fraction(mass, common**self.dimension)
 
+    def add_valuation(self, v: Valuation) -> Valuation:
+        self._valuation_vector(v)  # once: a valuation held under its name is not checked again
+        return super().add_valuation(v)
+
     def _valuation_vector(self, v: Valuation) -> tuple[int, ...]:
+        if self.named_valuations.get(v.name) is v:
+            return v.order_model
         if not isinstance(v.order_model, tuple):
             raise GeometryError(f"valuation {v.name!r} is not a monomial valuation")
         return self._vector(v.order_model)
@@ -339,7 +337,7 @@ class ToricModel(GeometryModel):
         _, common, mass, *_ = record[0]
         if not mass:
             raise GeometryError("expected vanishing order requires a big class")
-        ratios = [Fraction(t).as_integer_ratio() for t in shifts]
+        ratios = [(t if isinstance(t, float) else Fraction(t)).as_integer_ratio() for t in shifts]
         D = common * math.lcm(*(q for _, q in ratios))
         ws = [(0,) * self.dimension if v.is_trivial else self._valuation_vector(v) for v in support]
         return [(w, p * (D // q) - self._anchor(record, w) * (D // common)) for w, (p, q) in zip(ws, ratios)], D
@@ -373,15 +371,25 @@ class ToricModel(GeometryModel):
             memo["points"][1].flags.writeable = False
         return memo["points"]
 
-    def _level_orders(self, L: DivisorClass, k: int, v: Valuation) -> np.ndarray:
-        """`monomial_orders` along v of `lattice_points(L, k)`, read once per
+    def _level_orders(self, L: DivisorClass, k: int, v: Valuation, level=None) -> np.ndarray:
+        """`monomial_orders` along v of `lattice_points(L, k)` (`level`, if read), read once per
         valuation vector (None if trivial) and kept read-only with that basis."""
-        _, basis, orders = self._level(L, k)
+        _, basis, orders = level or self._level(L, k)
         w = None if v.is_trivial else self._valuation_vector(v)
         if w not in orders:
             orders[w] = self._orders(L, k, basis, w)
             orders[w].flags.writeable = False
         return orders[w]
+
+    def _jumping_values(self, L: DivisorClass, k: int, support, shifts) -> np.ndarray:
+        """min over the support of order + k t per lattice point of k P_L, the level record read once."""
+        level = (k, basis, _) = self._level(L, k)
+        if not len(basis):
+            raise GeometryError("no sections at this level")
+        values, *rest = [self._level_orders(L, k, v, level) + k * float(t) for v, t in zip(support, shifts)]
+        for lam in rest:  # np.minimum returns its second argument on ties, like min() its first
+            values = np.minimum(lam, values)
+        return values
 
     def _box_points(self, L: DivisorClass, k: int) -> np.ndarray:
         """The lattice points of k P_L, scanned over its bounding box, which
@@ -395,12 +403,12 @@ class ToricModel(GeometryModel):
         # ceil(k min), floor(k max): hi >= lo - 1, so an axis with no integer scans nothing
         lo = [-(-k * min(x) // common) for x in zip(*points)]
         hi = [k * max(x) // common for x in zip(*points)]
-        # every prefix m[:-1] of the box, in product order; <m, ray> >= -a
-        # solved for m[-1] turns each ray into a bound c m[-1] >= need
+        # every prefix m[:-1] of the box, in product order; <m, ray> >= -a solved for m[-1] turns each ray into a
+        # bound c m[-1] >= need: m[-1] >= ceil(need / c) = -(need // -c) if c > 0, <= need // c if c < 0, need <= 0 if 0
         shape = [b - a + 1 for a, b in zip(lo[:-1], hi[:-1])]
         if math.prod(shape) > MAX_LEVEL_POINTS:
             raise GeometryError(f"level k = {k} scans {math.prod(shape)} box prefixes, over {MAX_LEVEL_POINTS}")
-        reach, heads, up, c_up, down, c_down, flat = self._fan
+        reach, scan, heads, up, ends, divisors = self._fan
         # int64 must hold the prefixes, k a and the ray products m[:-1] . ray[:-1] (up to 2**62), and need (linear in
         # m, so extreme at the box corners) and the last axis (below 2**62); a box far below 2**61 skips the corners
         if max(map(abs, (*lo, *hi, *coeffs))) * reach >= 2**61:
@@ -409,20 +417,24 @@ class ToricModel(GeometryModel):
             needs = [lo[-1], hi[-1], *(c + sum(t) for t, c in zip(prods, itertools.cycle(coeffs)))]
             if max(map(abs, sizes)) > 2**62 or max(map(abs, needs)) >= 2**62:
                 raise GeometryError(f"level k = {k} puts the box of k P_L past int64")
-        prefix = np.indices(shape, dtype=np.int64).reshape(len(shape), math.prod(shape)).T + np.array(lo[:-1], dtype=np.int64)
-        need = np.array([-c for c in coeffs], dtype=np.int64) - prefix @ heads
-        first = (-(-need[:, up] // c_up)).max(axis=1, initial=lo[-1])
-        last = (need[:, down] // c_down).min(axis=1, initial=hi[-1])
-        if flat.size:
-            last[(need[:, flat] > 0).any(axis=1)] = lo[-1] - 1
-        counts = np.maximum(last - first + 1, 0)
+        axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo[:-1], hi[:-1])]
+        columns = axes if len(axes) < 2 else [x[i] for x, i in zip(axes, np.unravel_index(np.arange(math.prod(shape)), shape))]
+        need = np.array([[-coeffs[i] for i in scan]], dtype=np.int64) - sum(x[:, None] * h for x, h in zip(columns, heads))
+        bound = need[:, :ends] // divisors
+        low = bound[:, :up].min(axis=1, initial=-lo[-1]) if up else -lo[-1]  # -first
+        last = bound[:, up:].min(axis=1, initial=hi[-1])
+        if need.shape[1] > ends:
+            last[(need[:, ends:] > 0).any(axis=1)] = lo[-1] - 1
+        counts = np.maximum(last + low + 1, 0)
         # each count first: the prefixes are at most MAX_LEVEL_POINTS, so the sum then fits int64
         if counts.max(initial=0) > MAX_LEVEL_POINTS or (total := counts.sum()) > MAX_LEVEL_POINTS:
             raise GeometryError(f"level k = {k} has over {MAX_LEVEL_POINTS} lattice points")
         # prefix i repeated counts[i] times, with m[-1] running first..last
-        starts = np.repeat(first - np.cumsum(counts) + counts, counts)
-        tail = starts + np.arange(total, dtype=np.int64)
-        return np.column_stack((np.repeat(prefix, counts, axis=0), tail))
+        points = np.empty((total, self.dimension), dtype=np.int64)
+        for i, x in enumerate(columns):
+            points[:, i] = x.repeat(counts)
+        points[:, -1] = np.arange(total, dtype=np.int64) - (low + counts.cumsum() - counts).repeat(counts)
+        return points
 
     def _monomials(self, k: int, basis) -> tuple[int, np.ndarray]:
         """(k, `basis`) as an int and an int64 array whose rows are monomials at level k."""
@@ -480,6 +492,25 @@ def _cuts(pieces, i, D):
     """The cell of piece i: f_j - f_i >= 0 for every other piece j, in order."""
     wi, gi = pieces[i]
     return [(tuple(a - b for a, b in zip(wj, wi)), Fraction(gi - gj, D)) for j, (wj, gj) in enumerate(pieces) if j != i]
+
+
+def _triangulate(masks, count, n):
+    """(n-simplices, per halfspace of `count` the (n-1)-simplices on it) from the vertices' tight masks in order: each face,
+    a bitmask of vertices, is coned from its first vertex over its facets, its maximal proper sets tight at one halfspace."""
+    on = [sum(1 << v for v, mask in enumerate(masks) if mask >> i & 1) for i in range(count)]
+    faces = {}
+
+    def simplices(face):
+        low = face & -face
+        if face & (face - 1) & (face - 2 * low) == 0:  # at most two vertices: no face between
+            return [tuple(v for v in range(face.bit_length()) if face >> v & 1)]
+        if face not in faces:
+            cut = {face & f for f in on} - {0, face}
+            faces[face] = [(low.bit_length() - 1,) + s for f in cut
+                           if not f & low and not any(f | g == g != f for g in cut) for s in simplices(f)]
+        return faces[face]
+
+    return [s for s in simplices((1 << len(masks)) - 1) if len(s) == n + 1], [[s for s in simplices(f) if len(s) == n] for f in on]
 
 
 def _check_level(k) -> int:

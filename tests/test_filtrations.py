@@ -390,6 +390,18 @@ class TestRestrictionInequality:
             assert ok
 
 
+class TestNumpyLevel:
+    def test_numpy_int_level_gives_an_int_k_that_serializes(self):
+        # k once came back as numpy.int64, and the report of it raised a TypeError
+        from divstab import cli
+
+        spec = FiltrationSpec((E1, E2), (0.0, 0.5))
+        L = p2t.divisor([0, 0, 3])
+        profile = filtration_volume_finite_k(p2t, L, spec, np.int64(3))
+        assert type(profile.k) is int and profile == filtration_volume_finite_k(p2t, L, spec, 3)
+        assert json.loads(json.dumps(cli._jsonify(profile)))["k"] == 3
+
+
 class TestKeptLevelOrders:
     def test_read_only_equal_to_monomial_orders_and_replaced_with_k(self):
         model = ds.ToricModel("p2_fresh", [[1, 0], [0, 1], [-1, -1]])

@@ -10,7 +10,8 @@ import pytest
 
 import divstab as ds
 from divstab.core import Valuation
-from divstab.filtrations import FiltrationSpec, expected_order_S, filtration_volume_finite_k
+from divstab import toric
+from divstab.filtrations import FiltrationSpec, d_infinity, expected_order_S, filtration_volume_finite_k
 from divstab.toric import ToricModel
 
 import _reference as reference
@@ -570,6 +571,81 @@ class TestSeededCells:
         assert min(kinds.values()) >= 30, kinds
 
 
+class TestTriangulationRing:
+    """A model keeps the simplices of the last 8 tight-mask patterns
+    `_polytope` met: on a model warmed by other classes, every result equals
+    that of a fresh model, whose ring is empty."""
+
+    FANS = {"p2_toric": p2t.rays, "p1xp1_toric": ppt.rays, "f1_toric": f1t.rays, **EXTRA_MODELS}
+
+    @staticmethod
+    def read(polytope):
+        points, common, mass, moment, tight, *fluxes = polytope
+        return points, common, mass, moment, list(tight.items()), fluxes
+
+    def test_warm_equals_fresh(self, monkeypatch):
+        rng = random.Random(4141)
+        warm = {name: ToricModel(name, rays) for name, rays in self.FANS.items()}
+        misses, triangulate = [], toric._triangulate
+        monkeypatch.setattr(toric, "_triangulate", lambda *args: misses.append(args) or triangulate(*args))
+        kinds, warm_calls, warm_misses = {"empty": 0, "flat": 0, "non-nef": 0, "nef": 0}, 0, 0
+        for _ in range(500):
+            name = rng.choice([*self.FANS] + 3 * ["f1_toric"])
+            model, fresh = warm[name], ToricModel(name, self.FANS[name])
+            n = model.dimension
+            if rng.random() < 0.15:  # a point
+                m0 = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+                a = [-_dot(m0, r) for r in model.rays]
+            else:
+                a = [Fraction(rng.randint(-2, 4), rng.choice((1, 1, 1, 2))) for _ in model.rays]
+                if rng.random() < 0.3:  # one loose ray inequality: L is not nef
+                    a[rng.randrange(len(a))] += rng.randint(3, 6)
+            L = model.divisor(a)
+            halfspaces = model._halfspaces(L)
+            cuts = [(tuple(rng.randint(-2, 2) for _ in range(n)), Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+                    for _ in range(rng.randint(1, 3))]
+            asked, every = range(len(cuts)), range(len(halfspaces) + len(cuts))
+            # P_L, L's record and a cell seeded from it, and the unseeded cell, each with its fluxes
+            expected = [self.read(fresh._polytope(halfspaces)), self.read(fresh._cell(fresh._record(L), cuts, asked)),
+                        self.read(fresh._polytope(halfspaces + cuts, None, every))]
+            start = len(misses)
+            got = [self.read(model._polytope(halfspaces)), self.read(model._cell(model._record(L), cuts, asked)),
+                   self.read(model._polytope(halfspaces + cuts, None, every))]
+            assert got == expected
+            warm_calls, warm_misses = warm_calls + 4, warm_misses + len(misses) - start
+            base = model._record(L)[0]
+            tight = {i for mask in base[4].values() for i in range(len(model.rays)) if mask >> i & 1}
+            kinds["empty" if not base[0] else "flat" if not base[2] else "nef" if len(tight) == len(model.rays) else "non-nef"] += 1
+        assert min(kinds.values()) >= 30, kinds
+        # the warm models met most patterns before
+        assert warm_misses < warm_calls / 2, (warm_misses, warm_calls)
+
+    def test_the_ring_keeps_its_length(self):
+        rng = random.Random(8)
+        model = ToricModel("p3_fresh", EXTRA_MODELS["p3"])
+        for _ in range(200):
+            L = model.divisor([rng.randint(-1, 4) for _ in model.rays])
+            cuts = [(tuple(rng.randint(-2, 2) for _ in range(3)), Fraction(rng.randint(-3, 3))) for _ in range(rng.randint(1, 3))]
+            model._cell(model._record(L), cuts, range(len(cuts)))
+            assert len(model._ring) == 8
+        # full of distinct patterns, none left over from the start
+        assert len({entry[0] for entry in model._ring} - {None}) == 8
+
+    def test_a_repeated_pattern_runs_no_face_recursion(self, monkeypatch):
+        model = ToricModel("p3_fresh", EXTRA_MODELS["p3"])
+        e1, e12 = model.monomial_valuation("e1", (1, 0, 0)), model.monomial_valuation("e12", (1, 1, 0))
+        spec = FiltrationSpec((e1, e12), (0.0, 0.25))
+        calls, triangulate = [], toric._triangulate
+        monkeypatch.setattr(toric, "_triangulate", lambda *args: calls.append(args) or triangulate(*args))
+        value = expected_order_S(model, model.divisor([0, 0, 0, 3]), spec)
+        assert len(calls) == 2  # P_L and the cell
+        # translates of one class: the same tight masks in the same order
+        for a in ([1, 0, 0, 2], [0, 2, -1, 2], [-1, 0, 1, 3]):
+            L = model.divisor(a)
+            assert model.volume(L) == 27 and expected_order_S(model, L, spec) == value
+        assert len(calls) == 2
+
+
 def _dot(a, b):
     return sum(map(mul, a, b))
 
@@ -621,6 +697,32 @@ class TestVectorLength:
         with pytest.raises(ds.GeometryError, match="^valuation vector .* is not an? (integer|nonzero) vector"):
             p2t.order_anchor(L3H, w)
         assert p2t.order_anchor(L3H, np.array([1, 0])) == 0
+
+    def test_a_valuation_under_a_held_name_is_checked_on_every_read(self):
+        # only the very valuation a model holds under its name skips the check
+        impostor = Valuation("e1", 1, order_model=(1, 1, 0))
+        spec = FiltrationSpec((impostor,), (0.0,))
+        for _ in range(2):
+            for ask in (lambda: ds.gamma_threshold(p2t, L3H, impostor), lambda: expected_order_S(p2t, L3H, spec),
+                        lambda: filtration_volume_finite_k(p2t, L3H, spec, 2)):
+                with pytest.raises(ds.GeometryError, match=self.WRONG):
+                    ask()
+
+    def test_a_vector_is_checked_when_added_not_when_read(self, monkeypatch):
+        model = ToricModel("p2_fresh", [[1, 0], [0, 1], [-1, -1]])
+        with pytest.raises(ds.GeometryError, match=self.WRONG):
+            model.add_valuation(Valuation("bad", 1, order_model=(1, 1, 0)))
+        with pytest.raises(ds.GeometryError, match="^valuation 'curve' is not a monomial valuation$"):
+            model.add_valuation(Valuation("curve", 1))
+        assert model.named_valuations == {}
+        e1, e2 = model.monomial_valuation("e1", (1, 0)), model.monomial_valuation("e2", (0, 1))
+        checked, vector = [], ToricModel._vector
+        monkeypatch.setattr(ToricModel, "_vector", lambda self, w, *a: checked.append(w) or vector(self, w, *a))
+        L, spec = model.divisor([0, 0, 3]), FiltrationSpec((e1, e2), (0.0, 0.5))
+        ds.gamma_threshold(model, L, e2)
+        expected_order_S(model, L, spec)
+        d_infinity(model, L, spec, FiltrationSpec((e1, e2), (0.5, 0.0)), 3)
+        assert checked == []
 
 
 def _fans(rng):
