@@ -44,7 +44,6 @@ from .stability import (
     divisorial_stability_probe,
     ma_solve,
     norm,
-    norm_enlarged_support_check,
 )
 from .models import SURFACE_MODEL_NAMES, bundled_model, bundled_model_names
 
@@ -84,7 +83,6 @@ __all__ = [
     "is_big",
     "ma_solve",
     "norm",
-    "norm_enlarged_support_check",
     "restriction_inequality_check",
     "zariski",
 ]

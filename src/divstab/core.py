@@ -2,8 +2,8 @@
 
 The filtration and stability layers read a model only through `GeometryModel`:
 `volume`, `closed_form_threshold`, `expected_order`, `order_derivative`,
-`order_hessian`, and the optional `one_valuation_maximizer`, a closed-form
-start for norms.
+`order_hessian`, the optional `one_valuation_maximizer`, a closed-form
+start for norms, and the optional `jumping_values` of a finite level.
 Which atoms are one valuation is a property of the valuation, its `centre`,
 not of a model: `filtrations.one_per_centre` merges them before any backend
 sees them.
@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -62,10 +63,6 @@ class DivisorClass:
     @staticmethod
     def make(coeffs: Sequence, basis_id: str) -> "DivisorClass":
         return DivisorClass(tuple(as_fraction(c) for c in coeffs), basis_id)
-
-    @property
-    def rank(self) -> int:
-        return len(self.coefficients)
 
     def _check(self, other: "DivisorClass") -> None:
         if self.basis_id != other.basis_id:
@@ -115,7 +112,8 @@ class Valuation:
     of negative square), else v itself: two curves in one moving class differ.
 
     Valuations key the thresholds in a model's memo, so the hash of the
-    fields, like the centre, is computed once, here, not on every lookup.
+    fields, like the centre, is computed once, on first use: unpickling
+    builds a surface valuation before its realization is filled in.
     """
 
     name: str
@@ -129,10 +127,15 @@ class Valuation:
             raise GeometryError(f"log discrepancy of {self.name!r} is negative")
         if self.is_trivial and self.log_discrepancy != 0:
             raise GeometryError("the trivial valuation has log discrepancy 0")
-        object.__setattr__(self, "_hash", hash((self.name, self.log_discrepancy, self.is_trivial, self.order_model)))
-        model = self.order_model
-        centre = model if isinstance(model, tuple) else getattr(model, "centre", None) or self
-        object.__setattr__(self, "centre", None if self.is_trivial else centre)
+
+    @cached_property
+    def _hash(self):
+        return hash((self.name, self.log_discrepancy, self.is_trivial, self.order_model))
+
+    @cached_property
+    def centre(self):
+        m = self.order_model
+        return None if self.is_trivial else m if isinstance(m, tuple) else getattr(m, "centre", None) or self
 
     def __hash__(self):
         return self._hash
@@ -233,6 +236,11 @@ class GeometryModel(ABC):
         has no closed form; the norm engine then searches from 0."""
         return None
 
+    def jumping_values(self, L: DivisorClass, k: int, support: Sequence[Valuation], shifts):
+        """min over the support of order + k t per section of a level-k basis,
+        one float array; the default raises: toric models have such a basis."""
+        raise GeometryError("finite-level jumping numbers need a toric model")
+
     def is_big(self, D: DivisorClass) -> bool:
         return self.volume(D) > 0
 
@@ -246,6 +254,9 @@ class GeometryModel(ABC):
         from .models import bundled_model
         shared = isinstance(self.named_valuations, MappingProxyType)
         return (bundled_model, (self.name,)) if shared else super().__reduce_ex__(protocol)
+
+    def __getstate__(self):  # the memo is derived data, and holds closures
+        return {**self.__dict__, "_memo": (None, {})}
 
     def _check_basis(self, D: DivisorClass) -> None:
         if D.basis_id != self.basis_id:

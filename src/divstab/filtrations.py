@@ -9,8 +9,8 @@ with t0 = min t_i and lam_max = min_i (gamma_i + t_i).  Each backend
 evaluates S and its gradient in the shifts in one call
 (`GeometryModel.expected_order`), and its Hessian in another
 (`GeometryModel.order_hessian`), on one atom per centre (`one_per_centre`).
-The same quantity is approximated at finite level k from jumping numbers of
-toric monomial bases.
+The same quantity is approximated at finite level k from the jumping numbers
+a backend gives (`GeometryModel.jumping_values`), on toric monomial bases.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ import numpy as np
 
 from .core import GeometryError, GeometryModel, DivisorClass, Valuation, gamma_threshold
 from .quadrature import integrate
-from .toric import ToricModel
 
 
 @dataclass(frozen=True)
@@ -174,20 +173,13 @@ def expected_order_hessian(model: GeometryModel, L: DivisorClass, spec: Filtrati
     return full
 
 
-def _jumping_values(model, L, spec: FiltrationSpec, k: int) -> np.ndarray:
-    """min over the support of order + k t per lattice point of k P_L, on a toric model (`ToricModel._jumping_values`)."""
-    if not isinstance(model, ToricModel):
-        raise GeometryError("finite-level jumping numbers need a toric model")
-    return model._jumping_values(L, k, spec.support, spec.shifts)
-
-
 def filtration_volume_finite_k(
     model: GeometryModel, L: DivisorClass, spec: FiltrationSpec, k: int
 ) -> JumpingProfile:
     """Jumping numbers of the level-k sections; k^{-1} volume converges to S.
     Each valuation's orders are read once per (L, k), kept with the basis;
     numpy sorts as sorted(reverse=True) would, as no value is NaN or -0.0."""
-    values = np.sort(_jumping_values(model, L, spec, k))[::-1].tolist()
+    values = np.sort(model.jumping_values(L, k, spec.support, spec.shifts))[::-1].tolist()
     return JumpingProfile(int(k), tuple(values), sum(values) / len(values))
 
 
@@ -200,8 +192,7 @@ def d_infinity(
 ) -> float:
     """Max gap of jumping values over the shared monomial basis at level k,
     each valuation's orders read once per (L, k) for both filtrations."""
-    va = _jumping_values(model, L, spec_a, k)
-    vb = _jumping_values(model, L, spec_b, k)
+    va, vb = (model.jumping_values(L, k, spec.support, spec.shifts) for spec in (spec_a, spec_b))
     return float(np.abs(va - vb).max())
 
 

@@ -129,8 +129,8 @@ def bundled_model_names() -> list[str]:
 def bundled_model(name: str) -> GeometryModel:
     """The model `name`, built once per process and shared by every caller,
     so its valuations are read-only.  It pickles as its name, so it and its
-    valuations unpickle as the shared ones; a valuation of a fresh surface
-    model does not pickle (its realization holds the model)."""
+    valuations unpickle as the shared ones; a model built fresh pickles
+    with its valuations, and each of them with the model."""
     model = _SHARED.get(name)
     if model is None:
         try:

@@ -62,10 +62,6 @@ class OptimizerOptions:
     tol: float = 1e-9
 
 
-# looser tolerance for large randomized property sweeps
-FAST_OPTIONS = OptimizerOptions(tol=1e-8)
-
-
 @dataclass(frozen=True)
 class NormResult:
     """The norm `value`, g at the one reported maximizer (min t_i = 0), and
@@ -388,27 +384,6 @@ def _closed_form_start(model, L, mu):
         return None
     t = [y if w.is_trivial else 0.0 for w in mu.support]
     return tuple(x - t[0] for x in t[1:])
-
-
-def norm_enlarged_support_check(
-    model: GeometryModel,
-    L: DivisorClass,
-    mu: DivisorialMeasure,
-    extra: Sequence[Valuation],
-    options: OptimizerOptions = OptimizerOptions(),
-) -> bool:
-    """The norm is unchanged, within 1e-6, by adding zero-mass valuations to
-    the support."""
-    names = {v.name for v in mu.support}
-    for v in extra:
-        if v.name in names:
-            raise GeometryError(f"valuation {v.name!r} already supports the measure")
-    base = norm(model, L, mu, options=options)
-    if not extra:
-        return True
-    enlarged = DivisorialMeasure(mu.atoms + tuple((v, Fraction(0)) for v in extra))
-    big = norm(model, L, enlarged, options=options)
-    return abs(base.value - big.value) <= 1e-6
 
 
 # -- Danskin derivatives ----------------------------------------------------

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from operator import add, mul, sub
 from typing import NamedTuple, Optional, Sequence
@@ -64,7 +65,8 @@ class SurfaceRealization:
     are the coefficients of `divisor`, and `pull_ints` the rows of
     `pullback` (None for the identity), kept from construction.  `centre`
     (`Valuation.centre`) keys `model`, `pullback` and `divisor` if the divisor
-    has negative square, so is the only effective divisor in its class; else None.
+    has negative square, so is the only effective divisor in its class; else
+    None.  It keys the model by id: it is computed on first use, not pickled.
     """
 
     model: "SurfaceModel"
@@ -75,10 +77,14 @@ class SurfaceRealization:
     def __post_init__(self):
         object.__setattr__(self, "ints", _integral((self.divisor.coefficients,)))
         object.__setattr__(self, "pull_ints", None if self.pullback is None else _integral(self.pullback))
-        # a str key: it hashes once, so merging atoms costs one set per S
+
+    @cached_property
+    def centre(self):  # a str key: it hashes once, so merging atoms costs one set per S
         rigid = self.model.pairing(self.divisor, self.divisor) < 0
-        key = f"{id(self.model)} {self.pullback} {self.divisor.coefficients}"
-        object.__setattr__(self, "centre", key if rigid else None)
+        return f"{id(self.model)} {self.pullback} {self.divisor.coefficients}" if rigid else None
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "centre"}
 
 
 @dataclass(frozen=True)
@@ -420,26 +426,21 @@ class SurfaceModel(GeometryModel):
 class _SurfaceProblem:
     """One (L, support) on a surface, compiled once for repeated `S` calls.
 
-    Holds vol(L), exact and as a float, P_L as ints (`_decomposition`; None
-    unless L is big), the realization of the support, and, from first use
-    (`ints`), L pulled back to it with the divisors of the non-trivial
-    valuations, as int tuples over one denominator.  Building it resolves
-    the realization, so a support realised on several birational models
-    raises here, whatever the shifts.  The thresholds gamma_i are computed
-    on first use (`thresholds`), which needs L big.  `records` picks the
-    chambers of each call from a walk kept by its shifts relative to the
-    least non-trivial one; `_integrate` integrates them for `S`, its
-    gradient and its derivative in L, and `order_hessian` reads them.
+    Holds vol(L), exact and as a float, the realization of the support,
+    and, from first use (`ints`), L pulled back to it with the divisors of
+    the non-trivial valuations, as int tuples over one denominator.
+    Building it resolves the realization, so a support realised on several
+    birational models raises here, whatever the shifts.  The thresholds
+    gamma_i are computed on first use (`thresholds`), which needs L big.
+    `records` picks each call's chambers from a walk kept by its shifts
+    relative to the least non-trivial one, which `_integrate` integrates
+    for `S`, its gradient and its derivative in L, and `order_hessian` reads.
     """
 
     def __init__(self, model: SurfaceModel, L: DivisorClass, support: tuple):
         self.model, self.L, self.support = model, L, support
-        try:
-            vol, _, p0, scale, _ = model._decomposition(L)
-        except NotPseudoeffectiveError:
-            vol = 0
-        self.volume, self._vol = float(vol), vol
-        self._positive = (p0, scale) if self.volume > 0 else None  # P_L, as ints
+        self._vol = vol = model.volume(L)
+        self.volume = float(vol)
         self._nontrivial = tuple([i for i, v in enumerate(support) if not v.is_trivial])
         self._trivial = tuple([i for i, v in enumerate(support) if v.is_trivial])
         self._free = self._trivial or tuple(range(len(support)))  # the gradient rule's candidates
@@ -467,13 +468,13 @@ class _SurfaceProblem:
     def thresholds(self) -> list:
         """The float thresholds gamma_i of the non-trivial valuations, computed
         once.  With one, its gamma walk, in the memo of L right after
-        `gamma_threshold`, is kept as the uncapped walk of relative shifts
-        (0,) (`records`): later, another class may have replaced that memo."""
+        `gamma_threshold`, is kept as the walk of relative shifts (0,)
+        (`records`): later, another class may have replaced that memo."""
         if self._gammas is None:
             model, L, live = self.model, self.L, [self.support[i] for i in self._nontrivial]
             self._gammas = [float(gamma_threshold(model, L, v)) for v in live]
             if len(live) == 1:
-                self._kept[0.0,] = model._memo_of(L)["chambers", live[0]], None
+                self._kept[0.0,] = model._memo_of(L)["chambers", live[0]]
         return self._gammas
 
     def records(self, ts):
@@ -482,11 +483,10 @@ class _SurfaceProblem:
         + t_i - a), a the least non-trivial shift and tau the least trivial
         one, and the relative shifts rel = t_i - a, which key the walk: 0.0
         for the least, floats where the difference is exact (math.fsum),
-        else Fractions, which equal and hash as such a float would.  The last
-        two walks are kept, each with the cap tau - a it reached (None where
-        vol vanished first), and serve any cap at or below it, formed only
-        to be compared.  With no non-trivial valuation, or tau <= a, the
-        range is empty."""
+        else Fractions, which equal and hash as such a float would.  A new
+        key is walked once, to the end of vol, whatever tau, and the last
+        two walks are kept: `_integrate` and `order_hessian` clip them.
+        With no non-trivial valuation, or tau <= a, the range is empty."""
         gammas = self._gammas if self._gammas is not None else self.thresholds()
         at = [ts[i] for i in self._nontrivial]
         a = min(at) if at else math.inf
@@ -498,14 +498,11 @@ class _SurfaceProblem:
             return t0, [], hi, rel
         key = tuple(rel if len(rel) < 2 else [r if not r or not math.fsum((t, -a, -r))
                                               else Fraction(t) - Fraction(a) for t, r in zip(at, rel)])
-        if (found := self._kept.get(key)) is None or found[1] is not None:  # uncapped: serves every cap
-            cap = None if tau == math.inf else _difference(tau, a, 1)
-            if found is None or cap is None or found[1][0] * cap[1] < cap[0] * found[1][1]:
-                chambers = self.walk(at, a, tau)
-                if key not in self._kept and len(self._kept) > 1:  # keep the last two
-                    del self._kept[next(iter(self._kept))]
-                self._kept[key] = found = chambers, None if chambers and _vanishes(chambers[-1][-1]) else cap
-        return t0, found[0], hi, rel
+        if (chambers := self._kept.get(key)) is None:
+            if len(self._kept) > 1:  # keep the last two
+                del self._kept[next(iter(self._kept))]
+            chambers = self._kept[key] = self.walk(at, a, math.inf)
+        return t0, chambers, hi, rel
 
     def expected_order(self, shifts):
         """(S, grad S) at these shifts, dS/dt_i = (2 / vol L) times the
@@ -557,7 +554,7 @@ class _SurfaceProblem:
         tau = min(self._trivial, key=ts.__getitem__, default=None)
         cap = None if tau is None else _difference(ts[tau], a, D)
         # the terms (i, j, n, d) of the entries i < j: n / d, d != 0
-        terms, last, on = [], None, 0
+        terms, on = [], 0
         for record in chambers:
             exact = record[-1]
             an, ad = exact[2]
@@ -576,8 +573,6 @@ class _SurfaceProblem:
                     a, b = pi[k][l]
                     terms.append((i, j, sn * a, sd * b) if i < j else (j, i, sn * a, sd * b))
             last = record, bn, bd, x
-        if last is None:  # the cap is at or below the least shift
-            return H
         (_, _, _, _, _, Mp0, Mp1, den0, _, _, exact), bn, bd, x = last
         (_, *divs), q = self.ints()
         # P . E_i at mu = bn / bd over one denominator: M P = (Mp0 + mu Mp1) / den0
@@ -590,8 +585,6 @@ class _SurfaceProblem:
                 terms += [(i, j, D * pe[i] * pe[j], fall * den) for i, j in combinations(sorted(pe), 2)]
         elif x is None or cap is not None and bn * cap[1] == cap[0] * bd:
             terms += [(min(i, tau), max(i, tau), D * p, den) for i, p in pe.items()]
-        if not terms:
-            return H
         # over one denominator, 2 / (D vol L) times each entry, and the
         # diagonal minus the sum of its row
         common, off, rows = math.lcm(*[d for *_, d in terms]), {}, [0] * len(ts)
@@ -635,10 +628,7 @@ class _SurfaceProblem:
         if not chambers:
             return 0.0
         iv, (ih,), _ = _integrate(chambers, hi, self.pulled([H]), ())
-        # P_L . H from the ints the problem kept, rounded once, as a Fraction's
-        self.model._check_basis(H)
-        (p0, scale), lat, ((h,), qh) = self._positive, self.model._exact, _integral((H.coefficients,))
-        plh, vol = _dot(p0, _image(lat.matrix, h)) / (scale * qh * lat.sigma), self.volume
+        plh, vol = float(self.model.positive_product_against(self.L, H)), self.volume
         return (2.0 / vol) * (ih - (plh / vol) * iv)
 
     def walk(self, ts, lam0, lam1):
@@ -647,8 +637,8 @@ class _SurfaceProblem:
         `_integrate` records (`_walk`) in lam - lam0.  Floats are binary
         rationals: over their common denominator D, the shifts and lam1 are
         ints mu = D (lam - lam0), and the class is (b + mu d) / (q D) for int
-        tuples b, d, which E_i joins at its mu; lam1 caps the walk unless it
-        is inf."""
+        tuples b, d, which E_i joins at its mu.  lam1 caps the walk unless it
+        is inf, as only `twist_integrals` asks; `records` walks to the end."""
         (base, *divs), q = self.ints()
         if lam1 <= lam0:
             return []

@@ -381,7 +381,7 @@ class ToricModel(GeometryModel):
             orders[w].flags.writeable = False
         return orders[w]
 
-    def _jumping_values(self, L: DivisorClass, k: int, support, shifts) -> np.ndarray:
+    def jumping_values(self, L: DivisorClass, k: int, support, shifts) -> np.ndarray:
         """min over the support of order + k t per lattice point of k P_L, the level record read once."""
         level = (k, basis, _) = self._level(L, k)
         if not len(basis):

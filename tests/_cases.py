@@ -1,8 +1,12 @@
-"""Random but reproducible case generators over the bundled surface models."""
+"""Random but reproducible case generators over the bundled surface models,
+and the norm checks the property suites share."""
 from fractions import Fraction
 
 import divstab as ds
 from divstab.core import TRIVIAL_VALUATION
+
+# looser tolerance for large randomized property sweeps
+FAST_OPTIONS = ds.OptimizerOptions(tol=1e-8)
 
 # ample generators per bundled surface, in each model's own basis
 AMPLE = {
@@ -62,3 +66,18 @@ def random_measure(model, rng, allow_trivial=True, max_size=2):
     return ds.DivisorialMeasure.make(
         list(zip(support, random_masses(rng, len(support))))
     )
+
+
+def norm_enlarged_support_check(model, L, mu, extra, options=ds.OptimizerOptions()):
+    """The norm is unchanged, within 1e-6, by adding zero-mass valuations to
+    the support; a valuation that already supports mu is a GeometryError."""
+    names = {v.name for v in mu.support}
+    for v in extra:
+        if v.name in names:
+            raise ds.GeometryError(f"valuation {v.name!r} already supports the measure")
+    base = ds.norm(model, L, mu, options=options)
+    if not extra:
+        return True
+    enlarged = ds.DivisorialMeasure(mu.atoms + tuple((v, Fraction(0)) for v in extra))
+    big = ds.norm(model, L, enlarged, options=options)
+    return abs(base.value - big.value) <= 1e-6

@@ -20,9 +20,9 @@ from divstab.filtrations import (
     filtration_volume_finite_k,
     restriction_inequality_check,
 )
-from divstab.stability import FAST_OPTIONS
-
 from _cases import (
+    FAST_OPTIONS,
+    norm_enlarged_support_check,
     random_big_class,
     random_masses,
     random_measure,
@@ -191,7 +191,7 @@ def test_criterion_5_property_suite_200_cases():
         ]
         check(
             "support_enlargement", i,
-            ds.norm_enlarged_support_check(
+            norm_enlarged_support_check(
                 model, L, mu, extras[:1], options=FAST_OPTIONS
             ),
         )

@@ -74,3 +74,55 @@ def test_a_valuation_unpickles_in_a_fresh_process():
     out = subprocess.run([sys.executable, "-c", code], input=pickle.dumps([(m.name, v) for m, v in zip(models, vals)]),
                          capture_output=True, check=True, timeout=60, env=env)
     assert out.stdout.decode().split() == [str(ds.gamma_threshold(m, -m.canonical_class, v)) for m, v in zip(models, vals)]
+
+
+def _blp2_like():
+    """A surface model built here, not bundled: its valuations pickle with it."""
+    model = ds.SurfaceModel("blp2_like", [[1, 0], [0, -1]], negative_curves=[[0, 1]],
+                            canonical_class=[-3, 1], sample_curves=[[1, 0], [1, -1]])
+    return model, model.curve_valuation("e", [0, 1]), model.curve_valuation("e_again", [0, 1])
+
+
+def test_a_valuation_of_a_fresh_model_pickles():
+    model = ds.SurfaceModel("x", [[1]], sample_curves=[[1]], canonical_class=[-3])
+    line = model.curve_valuation("line", [1])
+    back = pickle.loads(pickle.dumps(line))
+    copy = back.order_model.model
+    assert copy.named_valuations["line"] is back
+    assert ds.gamma_threshold(copy, copy.divisor([3]), back) == 3
+
+
+@pytest.mark.parametrize("used", [False, True])
+def test_one_rigid_curve_named_twice_merges_after_unpickling(used):
+    # E named twice is one valuation: S of the pair at 3H is S of E, 2, on
+    # the copy too, whether or not the model had computed before pickling
+    model, e, e_again = _blp2_like()
+    L = model.divisor([3, 0])
+    if used:
+        assert ds.expected_order_S(model, L, ds.FiltrationSpec((e, e_again), (0.0, 0.0))) == 2
+    back, back_again = pickle.loads(pickle.dumps((e, e_again)))
+    copy = back.order_model.model
+    assert copy is back_again.order_model.model is not model
+    held = copy.named_valuations["e"]
+    assert held is back and hash(held) == hash(back)
+    L = copy.divisor([3, 0])
+    assert ds.gamma_threshold(copy, L, back) == 3
+    assert ds.expected_order_S(copy, L, ds.FiltrationSpec((back, back_again), (0.0, 0.0))) == 2
+    # a valuation built on the copy after unpickling is the same curve
+    fresh = copy.curve_valuation("e_fresh", [0, 1])
+    assert fresh.centre == back.centre
+    assert ds.expected_order_S(copy, L, ds.FiltrationSpec((back, fresh), (0.0, 0.0))) == 2
+
+
+def test_a_valuation_of_a_fresh_model_unpickles_in_a_fresh_process():
+    code = ("import pickle, sys, divstab as ds\n"
+            "e, e_again = pickle.loads(sys.stdin.buffer.read())\n"
+            "m = e.order_model.model\n"
+            "L = m.divisor([3, 0])\n"
+            "assert hash(m.named_valuations['e']) == hash(e)\n"
+            "print(ds.gamma_threshold(m, L, e), ds.expected_order_S(m, L, ds.FiltrationSpec((e, e_again), (0.0, 0.0))))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ds.__file__))}
+    _, e, e_again = _blp2_like()
+    out = subprocess.run([sys.executable, "-c", code], input=pickle.dumps((e, e_again)),
+                         capture_output=True, check=True, timeout=60, env=env)
+    assert out.stdout.decode().split() == ["3", "2.0"]

@@ -277,6 +277,24 @@ class TestSchemaErrors:
         assert result.exit_code == 0
         assert abs(report["tasks"][0]["outputs"]["S"] - 1.0) < 1e-8
 
+    @pytest.mark.parametrize(
+        "task, path",
+        [
+            # masses 1/2 + 1/3 do not sum to 1
+            ({"kind": "norm", "measure": {"atoms": [{"valuation": "line", "mass": "1/2"},
+                                                    {"valuation": "conic", "mass": "1/3"}]}},
+             "tasks[0].measure"),
+            ({"kind": "S", "support": ["line", "line"], "shifts": [0, 0]}, "tasks[0]"),
+            ({"kind": "S", "support": ["line"], "shifts": [True]}, "tasks[0].shifts[0]"),
+        ],
+        ids=["masses", "repeated-support", "boolean-shift"],
+    )
+    def test_ill_posed_task_named_at_its_path(self, tmp_path, task, path):
+        cfg = self.write(tmp_path, {"model": {"name": "p2"}, "line_bundle": [3], "tasks": [task]})
+        result = run_cli(["run", cfg])
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["error"]["path"] == path
+
 
 PLANE = {
     "type": "surface",
@@ -369,6 +387,22 @@ class TestRuntimeErrors:
         result, report = run_to_report(tmp_path, [cfg])
         assert result.exit_code == 3
         assert report["tasks"][0]["error"]["type"] == "GeometryError"
+
+    def test_finite_k_on_a_surface_exits_3(self, tmp_path):
+        cfg = self.write(
+            tmp_path,
+            {
+                "model": {"name": "p2"},
+                "line_bundle": [3],
+                "tasks": [{"kind": "finite_k", "support": ["line"], "shifts": [0], "k": 2}],
+            },
+        )
+        result, report = run_to_report(tmp_path, [cfg])
+        assert result.exit_code == 3
+        assert report["tasks"][0]["error"] == {
+            "type": "GeometryError",
+            "message": "finite-level jumping numbers need a toric model",
+        }
 
     def test_unbounded_threshold_exits_3(self, tmp_path):
         # no declared curve bounds 3H + g H, so the chamber walk names the valuation

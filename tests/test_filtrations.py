@@ -454,8 +454,6 @@ def _hex_sorted_descending(values):
 class TestNumpySortedJumpingValues:
     def test_bundled_configs(self):
         from divstab import cli
-        from divstab.filtrations import _jumping_values
-
         seen = 0
         for path in (resources.files("divstab") / "configs").iterdir():
             model, L, tasks, _, _ = cli.parse_config(json.loads(path.read_text()))
@@ -463,14 +461,12 @@ class TestNumpySortedJumpingValues:
                 if task["kind"] != "finite_k":
                     continue
                 prof = filtration_volume_finite_k(model, L, task["spec"], task["k"])
-                raw = _jumping_values(model, L, task["spec"], task["k"])
+                raw = model.jumping_values(L, task["k"], task["spec"].support, task["spec"].shifts)
                 assert [x.hex() for x in prof.jumping_values] == _hex_sorted_descending(raw)
                 seen += 1
         assert seen >= 3
 
     def test_random_cases_with_ties(self):
-        from divstab.filtrations import _jumping_values
-
         rng = random.Random(917)
         ties = 0
         for _ in range(60):
@@ -483,7 +479,7 @@ class TestNumpySortedJumpingValues:
             # shifts on a grid of halves and thirds, so many values tie
             spec = FiltrationSpec(tuple(support), tuple(rng.choice((0.0, 0.5, 1 / 3, 1.0, -0.5)) for _ in support))
             k = rng.randint(1, 6)
-            raw = _jumping_values(model, L, spec, k)
+            raw = model.jumping_values(L, k, spec.support, spec.shifts)
             prof = filtration_volume_finite_k(model, L, spec, k)
             assert [x.hex() for x in prof.jumping_values] == _hex_sorted_descending(raw)
             ties += len(set(raw.tolist())) < len(raw)

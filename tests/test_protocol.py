@@ -93,3 +93,40 @@ def _imports(module):
 def test_layers_import_no_backend():
     assert not {"surface", "toric"} & _imports("stability")
     assert "surface" not in _imports("filtrations")
+
+
+def test_filtrations_import_no_backend():
+    assert not {"surface", "toric"} & _imports("filtrations")
+
+
+class ForwardingLevels(Forwarding):
+    def jumping_values(self, L, k, support, shifts):
+        return self.inner.jumping_values(L, k, support, shifts)
+
+
+def _level_specs(model):
+    e1, e2, diag = (model.named_valuations[v] for v in ("e1", "e2", "diag"))
+    return ds.FiltrationSpec((e1, diag), (0.0, 0.5)), ds.FiltrationSpec((e2,), (0.25,))
+
+
+def test_finite_levels_read_the_protocol_alone():
+    # a model that forwards `jumping_values` gets the toric model's results
+    model = models._BUILDERS["p2_toric"]()
+    wrapped, L, (spec, other) = ForwardingLevels(model), model.divisor([0, 0, 3]), _level_specs(model)
+    assert ds.filtration_volume_finite_k(wrapped, L, spec, 4) == ds.filtration_volume_finite_k(model, L, spec, 4)
+    assert ds.d_infinity(wrapped, L, spec, other, 4) == ds.d_infinity(model, L, spec, other, 4)
+
+
+@pytest.mark.parametrize(
+    "make, L",
+    [(lambda: Forwarding(models._BUILDERS["p2_toric"]()), [0, 0, 3]), (lambda: models._BUILDERS["p2"](), [3])],
+    ids=["forwarding", "surface"],
+)
+def test_finite_levels_need_jumping_values(make, L):
+    # the protocol's default raises: a model that forwards the rest of the
+    # protocol, and a surface, have no finite levels
+    model, (spec, other) = make(), _level_specs(models._BUILDERS["p2_toric"]())
+    with pytest.raises(ds.GeometryError, match="^finite-level jumping numbers need a toric model$"):
+        ds.filtration_volume_finite_k(model, model.divisor(L), spec, 4)
+    with pytest.raises(ds.GeometryError, match="^finite-level jumping numbers need a toric model$"):
+        ds.d_infinity(model, model.divisor(L), spec, other, 4)

@@ -10,9 +10,14 @@ import divstab as ds
 from divstab.core import TRIVIAL_VALUATION, DivisorialMeasure
 from divstab.filtrations import FiltrationSpec, expected_order_S
 from divstab import stability
-from divstab.stability import FAST_OPTIONS
-
-from _cases import random_big_class, random_masses, random_measure, surface_models
+from _cases import (
+    FAST_OPTIONS,
+    norm_enlarged_support_check,
+    random_big_class,
+    random_masses,
+    random_measure,
+    surface_models,
+)
 
 p2 = ds.bundled_model("p2")
 blp2 = ds.bundled_model("blp2")
@@ -191,19 +196,19 @@ class TestEngine:
 
 class TestEnlargedSupport:
     def test_disjoint_extra_valuation(self):
-        assert ds.norm_enlarged_support_check(p2, L3, dirac(LINE), [p2.named_valuations["conic"]])
+        assert norm_enlarged_support_check(p2, L3, dirac(LINE), [p2.named_valuations["conic"]])
 
     def test_empty_extra(self):
-        assert ds.norm_enlarged_support_check(p2, L3, dirac(LINE), [])
+        assert norm_enlarged_support_check(p2, L3, dirac(LINE), [])
 
     def test_blowup_case(self):
-        assert ds.norm_enlarged_support_check(
+        assert norm_enlarged_support_check(
             blp2, LBL, dirac(ORD_E), [blp2.named_valuations["ord_line_p"]]
         )
 
     def test_overlap_rejected(self):
         with pytest.raises(ds.GeometryError):
-            ds.norm_enlarged_support_check(p2, L3, dirac(LINE), [LINE])
+            norm_enlarged_support_check(p2, L3, dirac(LINE), [LINE])
 
 
 class TestDanskin:

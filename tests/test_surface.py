@@ -8,7 +8,7 @@ import pytest
 import _reference as reference
 import divstab as ds
 from divstab.filtrations import FiltrationSpec, expected_order_S, expected_order_S_grad
-from divstab.surface import SurfaceModel, _integrate
+from divstab.surface import SurfaceModel, _SurfaceProblem, _integrate
 
 from _cases import AMPLE, random_big_class, random_support, surface_models
 
@@ -324,7 +324,7 @@ class TestWalkWork:
         value, _ = expected_order_S_grad(model, L, spec)
         if sum(v is not None for v in valuations) == 1:
             assert searches == []
-            assert len(model._compiled(L, support)._kept[0.0,][0]) == pieces + walls
+            assert len(model._compiled(L, support)._kept[0.0,]) == pieces + walls
         else:
             assert len(searches) == pieces + walls + leaves
             assert [x for x, failed in searches if failed] == []
@@ -334,6 +334,24 @@ class TestWalkWork:
         # least shift 0: S = vol-integral / vol L, and the translate adds 3/8 exactly
         assert expected_order_S_grad(model, L, spec.shifted(0.375))[0] == value + 0.375
         assert searches == []
+
+    def test_a_larger_trivial_shift_walks_nothing(self, monkeypatch):
+        # a walk runs to the end of vol, whatever the trivial shift: the one
+        # of (0, 1/2) made under the trivial cap 3/4 serves the cap 5/4
+        walks = []
+        walk = _SurfaceProblem.walk
+        monkeypatch.setattr(_SurfaceProblem, "walk", lambda self, *a: walks.append(a) or walk(self, *a))
+
+        def S(model, shifts):
+            support = tuple(model.named_valuations[v] for v in ("ord_line_p", "ord_e")) + (ds.TRIVIAL_VALUATION,)
+            return expected_order_S_grad(model, model.divisor([3, -1]), FiltrationSpec(support, shifts))
+
+        model = ds.models._BUILDERS["blp2"]()
+        S(model, (0.0, 0.5, 0.75))
+        del walks[:]
+        value = S(model, (0.0, 0.5, 1.25))
+        assert walks == []
+        assert value == S(ds.models._BUILDERS["blp2"](), (0.0, 0.5, 1.25)) == (0.841796875, (0.5546875, 0.09375, 0.3515625))
 
 
 class TestOneValuationClosedForm:
