@@ -29,7 +29,7 @@ from .core import (
     Valuation,
     gamma_threshold,
 )
-from .models import bundled_model, bundled_model_names
+from .models import bundled_model
 from .surface import SurfaceModel
 from .toric import ToricModel
 

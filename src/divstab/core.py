@@ -12,8 +12,8 @@ Class coordinates and intersection-theoretic quantities are exact rationals
 irrational surface thresholds use floating point, each with an explicit
 tolerance or a stated rounding; every exact linear solve is one
 fraction-free elimination, `_eliminate`.  What a model derives from a class
-depends on that class alone, so a model keeps one memo: that of the last
-class asked.
+depends on that class alone, so a model keeps the memos of its last 8
+classes asked, under the recency rule of every bounded cache, `_recent`.
 """
 from __future__ import annotations
 
@@ -74,17 +74,11 @@ class DivisorClass:
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._check(other)
-        return DivisorClass(
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients)),
-            self.basis_id,
-        )
+        return DivisorClass(tuple(a + b for a, b in zip(self.coefficients, other.coefficients)), self.basis_id)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         self._check(other)
-        return DivisorClass(
-            tuple(a - b for a, b in zip(self.coefficients, other.coefficients)),
-            self.basis_id,
-        )
+        return DivisorClass(tuple(a - b for a, b in zip(self.coefficients, other.coefficients)), self.basis_id)
 
     def __neg__(self) -> "DivisorClass":
         return DivisorClass(tuple(-a for a in self.coefficients), self.basis_id)
@@ -181,8 +175,8 @@ class DivisorialMeasure:
 
 
 class GeometryModel(ABC):
-    """The backend protocol against a concrete variety model, with one memo
-    (`_memo_of`): the results derived from the last class asked, by name."""
+    """The backend protocol against a concrete variety model, with the memos
+    (`_memo_of`) of its last 8 classes asked: the results derived from each, by name."""
 
     name: str
     dimension: int
@@ -192,7 +186,7 @@ class GeometryModel(ABC):
 
     def __init__(self):
         self.named_valuations = {}
-        self._memo: tuple[tuple | None, dict] = (None, {})
+        self._memo, self._classes = (None, None), ((None, (None, None)),) * 8  # (key, _memo) per class kept
 
     @property
     def basis_id(self) -> str:
@@ -255,26 +249,37 @@ class GeometryModel(ABC):
         shared = isinstance(self.named_valuations, MappingProxyType)
         return (bundled_model, (self.name,)) if shared else super().__reduce_ex__(protocol)
 
-    def __getstate__(self):  # the memo is derived data, and holds closures
-        return {**self.__dict__, "_memo": (None, {})}
+    def __getstate__(self):  # the kept classes are derived data, and hold closures
+        return {**self.__dict__, "_memo": (None, None), "_classes": ((None, (None, None)),) * 8}
 
     def _check_basis(self, D: DivisorClass) -> None:
         if D.basis_id != self.basis_id:
-            raise BasisMismatchError(
-                f"class in lattice {D.basis_id!r} queried against model {self.basis_id!r}"
-            )
+            raise BasisMismatchError(f"class in lattice {D.basis_id!r} queried against model {self.basis_id!r}")
         if len(D.coefficients) != self.class_rank:
-            raise BasisMismatchError(
-                f"class of rank {len(D.coefficients)} queried against model {self.basis_id!r} of rank {self.class_rank}"
-            )
+            raise BasisMismatchError(f"class of rank {len(D.coefficients)} queried against model {self.basis_id!r} "
+                                     f"of rank {self.class_rank}")
 
     def _memo_of(self, L: DivisorClass) -> dict:
-        """The memo of L, emptied first unless L was the last class asked, in
-        this lattice: its rank was checked when it was asked first."""
+        """The memo of L, of the last 8 classes asked in `_classes`, `_memo` the last."""
         if self._memo[0] != L.coefficients or L.basis_id != self.basis_id:
-            self._check_basis(L)
-            self._memo = L.coefficients, {}
+            self._memo = self._kept_class(L)
         return self._memo[1]
+
+    def _kept_class(self, L: DivisorClass) -> tuple:
+        """(coefficients, memo) of L, moved to the front of `_classes` (`_recent`), keyed by its lattice
+        and the int ratios of its coefficients, which compare in C, unlike Fractions; a class enters once checked."""
+        key = (L.basis_id, *[c.as_integer_ratio() for c in L.coefficients])
+        self._classes = _recent(self._classes, key, 8, lambda: self._check_basis(L) or (L.coefficients, {}))
+        return self._classes[0][1]
+
+
+def _recent(entries: tuple, key, size: int, build, *args) -> tuple:
+    """`entries`, (key, value) pairs compared (not hashed) by key, newest first, with that of `key`
+    in front: moved there if kept, else (key, build(*args)) put there and the oldest dropped past `size`."""
+    for i, entry in enumerate(entries):
+        if entry[0] == key:
+            return entries if not i else (entry, *entries[:i], *entries[i + 1:])
+    return ((key, build(*args)), *entries[:size - 1])
 
 
 def is_big(model: GeometryModel, D: DivisorClass) -> bool:

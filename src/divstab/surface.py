@@ -49,6 +49,7 @@ from .core import (
     _dot,
     _eliminate,
     _integral,
+    _recent,
     as_fraction,
     gamma_threshold,
 )
@@ -106,17 +107,12 @@ class SurfaceModel(GeometryModel):
     ):
         super().__init__()
         self.name = name
-        self.matrix = tuple(
-            tuple(as_fraction(x) for x in row) for row in intersection_matrix
-        )
+        self.matrix = tuple(tuple(as_fraction(x) for x in row) for row in intersection_matrix)
         self.class_rank = len(self.matrix)
-        for row in self.matrix:
-            if len(row) != self.class_rank:
-                raise GeometryError("intersection matrix is not square")
-        for i in range(self.class_rank):
-            for j in range(self.class_rank):
-                if self.matrix[i][j] != self.matrix[j][i]:
-                    raise GeometryError("intersection matrix is not symmetric")
+        if any(len(row) != self.class_rank for row in self.matrix):
+            raise GeometryError("intersection matrix is not square")
+        if self.matrix != tuple(zip(*self.matrix)):
+            raise GeometryError("intersection matrix is not symmetric")
         matrix, sigma = _integral(self.matrix)
         signature = _signature(matrix)
         if signature != (1, self.class_rank - 1):
@@ -136,9 +132,7 @@ class SurfaceModel(GeometryModel):
                 if gram[i][j] < 0:
                     raise GeometryError(f"declared negative curves {_shown(self.negative_curves[j])} and {_shown(C)} "
                                         f"meet negatively: they are not two distinct curves")
-        if canonical_class is None:
-            canonical_class = [0] * self.class_rank
-        self.canonical_class = self.divisor(canonical_class)
+        self.canonical_class = self.divisor([0] * self.class_rank if canonical_class is None else canonical_class)
 
         self._exact = _Lattice(curves, duals, gram, matrix, sigma, kappa)
 
@@ -221,10 +215,9 @@ class SurfaceModel(GeometryModel):
             gram = [[lat.gram[i][j] for j in support] for i in support]
             sol = _solve_negative_definite(gram, list(zip(*(first[i] for i in support))))
             if sol is None:
-                raise NotPseudoeffectiveError(
-                    f"no Zariski decomposition: Gram submatrix of curves "
-                    f"{[self.negative_curves[i].coefficients for i in support]} is not negative definite"
-                )
+                raise NotPseudoeffectiveError(f"no Zariski decomposition: Gram submatrix of curves "
+                                              f"{[self.negative_curves[i].coefficients for i in support]} "
+                                              f"is not negative definite")
             g, (a0, a1) = sol
             scale = q * g
             # P = (g v - sum a_i C_i) / scale for (v, a) = (b, a0) and (d, a1)
@@ -235,18 +228,14 @@ class SurfaceModel(GeometryModel):
         for C, dual in zip(self.sample_curves, duals[n:]):
             c0, c1 = sum(map(mul, p0, dual)), sum(map(mul, p1, dual))
             if (c < 0) if (c := xd * c0 + xn * c1) else (c1 < 0):
-                raise NotPseudoeffectiveError(
-                    f"candidate positive part pairs negatively with declared curve "
-                    f"{C.coefficients}"
-                )
+                raise NotPseudoeffectiveError(f"candidate positive part pairs negatively with declared curve "
+                                              f"{C.coefficients}")
             lines.append((c0, c1))
         if not support:
             return [], p0, p1, scale, lines
         signs = [c if (c := xd * u + xn * w) else w for u, w in zip(a0, a1)]
         if any(s < 0 for s in signs):
-            raise NotPseudoeffectiveError(
-                "a negative-part coefficient is forced negative; class is not pseudoeffective"
-            )
+            raise NotPseudoeffectiveError("a negative-part coefficient is forced negative; class is not pseudoeffective")
         return [(i, u, w) for i, u, w, s in zip(support, a0, a1, signs) if s > 0], p0, p1, scale, lines
 
     def _step(self, lat, b, d, q, x):
@@ -294,10 +283,8 @@ class SurfaceModel(GeometryModel):
             if not isinstance(r, SurfaceRealization):
                 raise GeometryError(f"valuation {v.name!r} is not a surface valuation")
             if r.base_id != self.basis_id:
-                raise BasisMismatchError(
-                    f"valuation {v.name!r} is declared over base {r.base_id!r}, "
-                    f"not {self.basis_id!r}"
-                )
+                raise BasisMismatchError(f"valuation {v.name!r} is declared over base {r.base_id!r}, "
+                                         f"not {self.basis_id!r}")
             reals.append(r)
         if not reals:
             return self, lambda coeffs: coeffs
@@ -416,11 +403,11 @@ class SurfaceModel(GeometryModel):
 
     def _compiled(self, L: DivisorClass, support: Sequence[Valuation]) -> "_SurfaceProblem":
         """The compiled problem of (L, support), kept in the memo of L for the
-        last support, which is compared, not hashed."""
+        last 4 supports (`_recent`), which are compared, not hashed."""
         memo, support = self._memo_of(L), tuple(support)
-        if (problem := memo.get("problem")) is None or problem.support != support:
-            problem = memo["problem"] = _SurfaceProblem(self, L, support)
-        return problem
+        if not (kept := memo.get("problems")) or kept[0][0] != support:
+            kept = memo["problems"] = _recent(kept or (), support, 4, _SurfaceProblem, self, L, support)
+        return kept[0][1]
 
 
 class _SurfaceProblem:
@@ -469,7 +456,7 @@ class _SurfaceProblem:
         """The float thresholds gamma_i of the non-trivial valuations, computed
         once.  With one, its gamma walk, in the memo of L right after
         `gamma_threshold`, is kept as the walk of relative shifts (0,)
-        (`records`): later, another class may have replaced that memo."""
+        (`records`): later, the class may have left the model's kept classes."""
         if self._gammas is None:
             model, L, live = self.model, self.L, [self.support[i] for i in self._nontrivial]
             self._gammas = [float(gamma_threshold(model, L, v)) for v in live]

@@ -5,14 +5,15 @@ P_D = {m : <m, v_rho> >= -a_rho}.  Volumes are n! times the Euclidean volume of 
 kernel, `ToricModel._polytope`, finds the vertices of P_L, or of a cell cut from it and
 seeded with P_L's vertices and tight masks, as int points over one denominator, and
 triangulates it on those masks, all in ints; L keeps one record of them for volumes,
-thresholds, S and lattice points, one Fraction per result.  The triangulation depends on
-the masks alone, and the ample classes of a fan share its combinatorial type, so a model
-keeps those of the last 8 patterns, keyed by the masks in vertex order and the halfspace
-count.  The fan keeps d A^-1 for each nonsingular basis A of rays, which the kernel
+thresholds, S and lattice points, one Fraction per result, in its memo.  The triangulation
+depends on the masks alone, and the ample classes of a fan share its combinatorial type, so
+a model keeps those of the last 8 patterns, keyed by the masks in vertex order and the
+halfspace count.  The fan keeps d A^-1 for each nonsingular basis A of rays, which the kernel
 solves with, and reads completeness and its cones from them.  Valuations are monomial:
 primitive lattice vectors w, whose order function is linear on the monomial basis,
 anchored so that min over P_L is order 0; their orders at level k are kept with the
-lattice points of k P_L.  The Hessian of S in the shifts is that of semi-discrete optimal
+lattice points of k P_L, for the last 4 levels of L, at most MAX_LEVEL_POINTS points in all
+per model.  The Hessian of S in the shifts is that of semi-discrete optimal
 transport (Kitagawa-Merigot-Thibert): the flux between two cells, the (n-1)-volume of the
 facet they share over |w_i - w_j|, is rational, read from the triangulation of the cell
 in the same kernel, and formed only when the Hessian is asked for.
@@ -34,12 +35,14 @@ from .core import (
     Valuation,
     _dot,
     _eliminate,
+    _recent,
     _solve,
     as_fraction,
 )
 
 # the most rows `_box_points` builds for one level k, in the prefixes of the
-# bounding box of k P_L and in its lattice points; a larger k is rejected
+# bounding box of k P_L and in its lattice points; a larger k is rejected.
+# The levels a model keeps hold at most as many points in all
 MAX_LEVEL_POINTS = 10**6
 
 
@@ -145,7 +148,7 @@ class ToricModel(GeometryModel):
         vertices, and n - 1 rays with one cut give the point where it strictly crosses the edge of P they are tight
         on.  Other n-subsets are solved by `_solve`.  `points` are the vertices over one denominator `common`.  A
         ring keeps the simplices (`_triangulate`) of the last 8 patterns, keyed by the masks in vertex order and the
-        halfspace count, so a pattern met again only forms determinants.  n! vol = mass / common^n, moment /
+        halfspace count (`_recent`), so a pattern met again only forms determinants.  n! vol = mass / common^n, moment /
         (common^(n+1) n! (n + 1)) is the integral of m, and with `facets` a sixth entry holds the int flux through
         each: (n-1)-vol / |a| = flux / (common^(n-1) (n-1)! |a|^2)."""
         n, rays, count = self.dimension, len(self.rays), len(halfspaces)
@@ -185,21 +188,21 @@ class ToricModel(GeometryModel):
         tight = {key: mask for key, mask in tight.items() if mask is not None}
         common = math.lcm(*(q for _, q in tight))
         points = [tuple([x * (common // q) for x in y]) for y, q in tight]
-        if (entry := next((e for e in self._ring if e[0] == (pattern := (count, *tight.values()))), None)) is None:
-            entry = pattern, *_triangulate([*tight.values()], count, n)
-            self._ring = (entry, *self._ring[:-1])
+        pattern = count, *tight.values()
+        self._ring = _recent(self._ring, pattern, 8, _triangulate, pattern[1:], count, n)
+        simplices, faces = self._ring[0][1]
 
         def det(s, *rows):  # |det| of the edges of the simplex s from its first point, and `rows`; 0 if singular
             found = _eliminate([[a - b for a, b in zip(points[i], points[s[0]])] for i in s[1:]] + [[*r] for r in rows])
             return abs(found[0][-1]) if found else 0
 
         mass, moment = 0, [0] * n
-        for s in entry[1]:
+        for s in simplices:
             d = det(s)
             mass += d
             moment = [m + d * x for m, x in zip(moment, map(sum, zip(*[points[i] for i in s])))]
         found = points, common, mass, moment, tight
-        return found if facets is None else (*found, [sum(det(s, normals[k]) for s in entry[2][k]) for k in facets])
+        return found if facets is None else (*found, [sum(det(s, normals[k]) for s in faces[k]) for k in facets])
 
     def _record(self, L: DivisorClass):
         """(`_polytope` of P_L, its halfspaces, {w: `_anchor`}): L's one record in its memo."""
@@ -272,14 +275,10 @@ class ToricModel(GeometryModel):
         return self.constrained_volume(L, cuts)
 
     def twist_evaluator(self, L, valuations) -> Callable[[Sequence[float]], float]:
-        vecs = [
-            None if v.is_trivial else self._valuation_vector(v) for v in valuations
-        ]
+        vecs = [None if v.is_trivial else self._valuation_vector(v) for v in valuations]
 
         def evaluate(cs: Sequence[float]) -> float:
-            cuts = [
-                (w, c) for w, c in zip(vecs, cs) if w is not None and c > 0
-            ]
+            cuts = [(w, c) for w, c in zip(vecs, cs) if w is not None and c > 0]
             return float(self.constrained_volume(L, cuts))
 
         return evaluate
@@ -361,20 +360,26 @@ class ToricModel(GeometryModel):
 
     def lattice_points(self, L: DivisorClass, k: int) -> np.ndarray:
         """`section_basis(L, k)` as one read-only int64 array (`_level`)."""
-        return self._level(L, k)[1]
+        return self._level(L, k)[1][0]
 
     def _level(self, L: DivisorClass, k: int):
-        """(k, read-only lattice points of k P_L, {w: orders}) in L's memo, for the last k asked."""
+        """(k, (read-only lattice points of k P_L, {w: orders})), of the last 4 levels of L in its
+        memo (`_recent`).  A level read anew is kept, then the kept classes, the last first, keep
+        their levels, newest first, while they hold at most MAX_LEVEL_POINTS points in all."""
         k, memo = _check_level(k), self._memo_of(L)
-        if memo.get("points", (None,))[0] != k:
-            memo["points"] = k, self._box_points(L, k), {}
-            memo["points"][1].flags.writeable = False
-        return memo["points"]
+        if not (levels := memo.get("points")) or levels[0][0] != k:
+            memo["points"] = levels = _recent(levels or (), k, 4, lambda: (self._box_points(L, k), {}))
+            if (points := levels[0][1][0]).flags.writeable:  # just read: L and k come first
+                points.flags.writeable = False
+                room = MAX_LEVEL_POINTS
+                for kept in [m for _, (_, m) in self._classes if m and "points" in m]:
+                    kept["points"] = tuple([level for level in kept["points"] if (room := room - len(level[1][0])) >= 0])
+        return levels[0]
 
     def _level_orders(self, L: DivisorClass, k: int, v: Valuation, level=None) -> np.ndarray:
         """`monomial_orders` along v of `lattice_points(L, k)` (`level`, if read), read once per
         valuation vector (None if trivial) and kept read-only with that basis."""
-        _, basis, orders = level or self._level(L, k)
+        _, (basis, orders) = level or self._level(L, k)
         w = None if v.is_trivial else self._valuation_vector(v)
         if w not in orders:
             orders[w] = self._orders(L, k, basis, w)
@@ -383,7 +388,7 @@ class ToricModel(GeometryModel):
 
     def jumping_values(self, L: DivisorClass, k: int, support, shifts) -> np.ndarray:
         """min over the support of order + k t per lattice point of k P_L, the level record read once."""
-        level = (k, basis, _) = self._level(L, k)
+        level = (k, (basis, _)) = self._level(L, k)
         if not len(basis):
             raise GeometryError("no sections at this level")
         values, *rest = [self._level_orders(L, k, v, level) + k * float(t) for v, t in zip(support, shifts)]

@@ -83,6 +83,34 @@ def _blp2_like():
     return model, model.curve_valuation("e", [0, 1]), model.curve_valuation("e_again", [0, 1])
 
 
+def _answers(model, classes, levels):
+    """Volume, each threshold and S of each class, Zariski on a surface, and
+    finite_k of the first class at each level on a toric model."""
+    vals = sorted(model.named_valuations.values(), key=lambda v: v.name)
+    spec = ds.FiltrationSpec((vals[0], ds.TRIVIAL_VALUATION), (0.0, 0.5))
+    out = [(model.volume(L), [ds.gamma_threshold(model, L, v) for v in vals], ds.expected_order_S(model, L, spec),
+            model.zariski(L) if isinstance(model, ds.SurfaceModel) else None) for L in classes]
+    return out + [ds.filtration_volume_finite_k(model, classes[0], spec, k) for k in levels]
+
+
+@pytest.mark.parametrize("kind", ["surface", "toric"])
+def test_a_model_unpickles_with_no_kept_class(kind):
+    # a model that answered 10 classes (and 3 levels) keeps records of them;
+    # it pickles without any, and the copy answers the same, bit for bit
+    if kind == "surface":
+        model = _blp2_like()[0]
+        classes = [model.divisor([3 + i, -1 - i % 3]) for i in range(10)]
+    else:
+        model = ds.models._BUILDERS["p2_toric"]()
+        classes = [model.divisor([i % 2, i % 3, 3 + i]) for i in range(10)]
+    levels = () if kind == "surface" else (2, 5, 7)
+    answers = _answers(model, classes, levels)
+    assert model._memo[0] is not None
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy._memo == (None, None) and {entry for entry in copy._classes} == {(None, (None, None))}
+    assert repr(_answers(copy, classes, levels)) == repr(answers)
+
+
 def test_a_valuation_of_a_fresh_model_pickles():
     model = ds.SurfaceModel("x", [[1]], sample_curves=[[1]], canonical_class=[-3])
     line = model.curve_valuation("line", [1])

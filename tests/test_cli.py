@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -8,7 +9,7 @@ from click.testing import CliRunner
 import divstab
 from divstab.cli import ConfigError, _jsonify, main, parse_config
 from divstab.core import DivisorialMeasure
-from divstab.filtrations import FiltrationSpec
+from divstab.filtrations import FiltrationSpec, filtration_volume_finite_k
 from divstab.stability import NormResult
 
 CONFIG_NAMES = [
@@ -66,6 +67,33 @@ class TestHappyPath:
         result, report = run_to_report(tmp_path, [str(cfg)])
         assert result.exit_code == 0
         assert report["tasks"] == []
+
+
+class TestWarmReruns:
+    def test_warm_reruns_reproduce_the_committed_reports(self):
+        # a bundled model keeps its last classes, and each class its last
+        # supports and levels, from run to run in one process: in order,
+        # reversed and in order again, with another class and another level
+        # asked between runs, each report is the committed one
+        reports = Path(__file__).parent / "reports"
+        for name in CONFIG_NAMES + CONFIG_NAMES[::-1] + CONFIG_NAMES:
+            result = run_cli(["run", config_path(name)])
+            assert result.exit_code == 0, result.output
+            report = json.loads(result.stdout)
+            del report["version"]
+            for task in report["tasks"]:
+                del task["wall_time_s"]
+            assert report == json.loads((reports / name).read_text()), name
+            config = json.loads((resources.files("divstab") / "configs" / name).read_text())
+            model = divstab.bundled_model(config["model"]["name"])
+            L = model.divisor(config["line_bundle"])
+            other = L - model.canonical_class
+            assert model.volume(other) > model.volume(L) > 0
+            if isinstance(model, divstab.SurfaceModel):
+                assert model.zariski(other).positive_part == other
+            else:
+                spec = FiltrationSpec((model.named_valuations["e1"],), (0.0,))
+                assert filtration_volume_finite_k(model, L, spec, 7).k == 7
 
 
 class TestReportContents:

@@ -286,7 +286,8 @@ class TestGammaCache:
     )
     def test_fresh_classes_leave_one_record(self, model, valuation):
         # everything derived from 1,000 fresh classes: the model keeps the
-        # record of the last one, and no container grows beside it
+        # records of the last 8, the last one first, and no container grows
+        # beside them
         v = model.named_valuations[valuation]
         spec = ds.FiltrationSpec((v, TRIVIAL_VALUATION), (0.0, 0.5))
         for i in range(1000):
@@ -307,6 +308,8 @@ class TestGammaCache:
         key, memo = model._memo
         assert key == L.coefficients
         assert len(memo) <= 4
+        assert len(model._classes) == 8 and model._classes[0][1] is model._memo
+        assert all(len(kept) <= 4 for _, (_, kept) in model._classes)
 
 
 class TestBundledModelsReadOnly:

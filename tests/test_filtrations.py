@@ -416,12 +416,17 @@ class TestKeptLevelOrders:
                     kept[0] = 99.0
                 assert model._level_orders(L, k, v) is kept
                 assert kept.tolist() == model.monomial_orders(L, k, v, basis).tolist()
-            assert model._memo[1]["points"][0] == k
-        # another level takes the record; the orders come back equal, anew
+            assert model._memo[1]["points"][0][0] == k
+        # a kept level comes back as the same object; one pushed out past the
+        # last 4 levels of L is read again, and its orders come back equal
         six = model._level_orders(L, 6, e1)
         model.lattice_points(L, 3)
+        assert model._level_orders(L, 6, e1) is six
+        for k in (9, 12, 15, 3):
+            model.lattice_points(L, k)
         again = model._level_orders(L, 6, e1)
         assert again is not six and again.tolist() == six.tolist()
+        assert [level[0] for level in model._memo[1]["points"]] == [6, 3, 15, 12]
 
     def test_finite_k_then_d_infinity_read_each_valuation_once(self, monkeypatch):
         model = ds.ToricModel("p2_fresh", [[1, 0], [0, 1], [-1, -1]])

@@ -102,3 +102,22 @@ def test_cli_reports_a_point_count_past_int64_as_a_task_error(tmp_path):
     (task,) = json.loads(out.read_text())["tasks"]
     assert task["error"]["type"] == "GeometryError"
     assert "level k = 1 " in task["error"]["message"]
+
+
+def test_kept_levels_hold_at_most_the_limit_in_all(monkeypatch):
+    # each class keeps its last 4 levels, and the levels a model keeps over
+    # its classes hold at most MAX_LEVEL_POINTS points in all, the newest
+    # always among them; a level pushed out is read again, equal
+    monkeypatch.setattr(ds.toric, "MAX_LEVEL_POINTS", 300)
+    model = ds.models._BUILDERS["p2_toric"]()
+    classes = [model.divisor([0, 0, d]) for d in (1, 2, 3)]
+    first = model.lattice_points(classes[0], 7)
+    for k in range(1, 7):
+        for L in classes:
+            points = model.lattice_points(L, k)
+            kept = [level for _, (_, memo) in model._classes if memo and "points" in memo for level in memo["points"]]
+            assert model._memo[1]["points"][0][1][0] is points
+            assert sum(len(level[1][0]) for level in kept) <= 300
+    assert len(kept) < 4 * len(classes)
+    again = model.lattice_points(classes[0], 7)
+    assert again is not first and again.tolist() == first.tolist()

@@ -43,3 +43,16 @@ def test_the_zariski_function_is_the_method():
     blp2 = ds.bundled_model("blp2")
     D = blp2.divisor([1, 2])
     assert ds.zariski(blp2, D) == blp2.zariski(D)
+
+
+@pytest.mark.parametrize("model", [ds.models._BUILDERS["p2"](), ds.models._BUILDERS["p2_toric"]()], ids=["surface", "toric"])
+def test_a_kept_class_in_another_lattice(model):
+    # a model keeps its last classes by lattice and coefficients: the same
+    # coefficients in another lattice are rejected, whether or not they are
+    # the class asked last
+    kept = [model.divisor([0] * (model.class_rank - 1) + [d]) for d in (3, 4)]
+    for L in kept + kept[:1]:
+        assert model.volume(L) > 0
+        for other in kept:
+            with pytest.raises(ds.BasisMismatchError, match="^class in lattice 'other' queried against model "):
+                model.volume(DivisorClass(other.coefficients, "other"))

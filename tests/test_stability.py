@@ -432,7 +432,7 @@ class TestProbe:
 class TestProbeChecksBignessOnce:
     @pytest.fixture
     def walks(self, monkeypatch):
-        # gamma walks on blp2, from an empty memo
+        # gamma walks on blp2, from an empty memo: no class kept
         calls = []
         threshold = ds.SurfaceModel.closed_form_threshold
 
@@ -441,7 +441,8 @@ class TestProbeChecksBignessOnce:
             return threshold(self, L, v)
 
         monkeypatch.setattr(ds.SurfaceModel, "closed_form_threshold", counting)
-        monkeypatch.setattr(blp2, "_memo", ((), {}))
+        monkeypatch.setattr(blp2, "_memo", (None, None))
+        monkeypatch.setattr(blp2, "_classes", ())
         return calls
 
     def test_each_valuation_walked_once_per_probe(self, walks):

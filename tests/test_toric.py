@@ -509,6 +509,25 @@ class TestClassRecord:
             assert gammas == [gamma_of(model, L, v) for v in vals] and 0 < value < max(gammas) + 0.5
             assert abs(profile.volume / 4 - value) < 0.5
 
+    def test_a_probe_builds_the_polytope_of_its_class_once(self, monkeypatch):
+        # the Danskin term of each measure visits L +- H/1000 and L +- H/2000,
+        # classes that leave the record of L kept: over three measures, the
+        # unseeded kernel runs once on the halfspaces of L
+        model = ds.models._BUILDERS["p2_toric"]()
+        L = model.divisor([0, 0, 3])
+        halfspaces, built, polytope = model._halfspaces(L), [], ToricModel._polytope
+
+        def counting(self, cuts, seeds=None, facets=None):
+            built.append(seeds is None and cuts == halfspaces)
+            return polytope(self, cuts, seeds, facets)
+
+        monkeypatch.setattr(ToricModel, "_polytope", counting)
+        e1, e2, diag = (model.named_valuations[n] for n in ("e1", "e2", "diag"))
+        measures = [ds.DivisorialMeasure.make([(e1, 1)]), ds.DivisorialMeasure.make([(e2, 1)]),
+                    ds.DivisorialMeasure.make([(e1, Fraction(1, 2)), (diag, Fraction(1, 2))])]
+        report = ds.divisorial_stability_probe(model, L, measures)
+        assert len(report.entries) == 3 and sum(built) == 1
+
 
 def gamma_of(model, L, v):
     values = [sum(map(mul, v.order_model, p)) for p in model.polytope_vertices(L)]
