@@ -114,8 +114,8 @@ def _parse_number(value, path: str) -> float:
 
 def _parse_rational_vector(value, path: str, rank: Optional[int] = None):
     _expect(isinstance(value, list), path, "expected an array")
-    if rank is not None:
-        _expect(len(value) == rank, path, f"expected {rank} entries, got {len(value)}")
+    if rank is not None and len(value) != rank:
+        raise ConfigError(path, f"expected {rank} entries, got {len(value)}")
     return [_parse_rational(x, f"{path}[{i}]") for i, x in enumerate(value)]
 
 
@@ -202,11 +202,8 @@ def _lookup_valuation(model: GeometryModel, name, path: str) -> Valuation:
     if name == "trivial":
         return TRIVIAL_VALUATION
     v = model.named_valuations.get(name)
-    _expect(
-        v is not None,
-        path,
-        f"unknown valuation {name!r}; known: {sorted(model.named_valuations)} + ['trivial']",
-    )
+    if v is None:
+        raise ConfigError(path, f"unknown valuation {name!r}; known: {sorted(model.named_valuations)} + ['trivial']")
     return v
 
 
@@ -264,8 +261,8 @@ def parse_config(payload, overrides=None, seed_override=None):
     for given, path in ((tol_payload, "tolerances.{}"), (overrides or {}, "--tolerance-override {}")):
         for key, value in given.items():
             where = path.format(key)
-            _expect(key in DEFAULT_TOLERANCES, where,
-                    f"unknown tolerance {key!r}; known: {sorted(DEFAULT_TOLERANCES)}")
+            if key not in DEFAULT_TOLERANCES:
+                raise ConfigError(where, f"unknown tolerance {key!r}; known: {sorted(DEFAULT_TOLERANCES)}")
             tolerances[key] = _parse_number(value, where)
             _expect(tolerances[key] > 0, where, f"expected a positive tolerance, got {value!r}")
     seed = payload.get("seed", 0)
@@ -279,7 +276,8 @@ def parse_config(payload, overrides=None, seed_override=None):
         tp = f"tasks[{i}]"
         _expect(isinstance(task, dict), tp, "expected an object")
         kind = task.get("kind")
-        _expect(kind in TASK_KINDS, f"{tp}.kind", f"unknown task kind {kind!r}; known: {list(TASK_KINDS)}")
+        if kind not in TASK_KINDS:
+            raise ConfigError(f"{tp}.kind", f"unknown task kind {kind!r}; known: {list(TASK_KINDS)}")
         _expect_fields(task, ("kind", *TASK_FIELDS[kind]), tp)
         tasks.append(_parse_task(model, line_bundle, task, tp))
     return model, line_bundle, tasks, tolerances, seed
@@ -376,7 +374,14 @@ def run_task(model, line_bundle, task, tolerances, seed):
 
 
 def _jsonify(obj):
-    # containers and JSON scalars first: they are most of the nodes of a report
+    # containers and JSON scalars first, by exact type: they are most of the nodes of a report
+    kind = type(obj)
+    if kind is dict:
+        return {k: _jsonify(v) for k, v in obj.items()}
+    if kind is list or kind is tuple:
+        return [_jsonify(x) for x in obj]
+    if obj is None or kind is str or kind is int or kind is float:
+        return obj
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -487,7 +492,7 @@ def run(config_path, out, tolerance_overrides, seed):
         start = time.perf_counter()
         try:
             outputs = run_task(model, line_bundle, task, tolerances, used_seed)
-        except GeometryError as exc:
+        except (GeometryError, OverflowError) as exc:
             report["tasks"].append({
                 "kind": task["kind"],
                 "inputs": _task_inputs(task),

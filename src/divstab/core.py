@@ -13,7 +13,9 @@ irrational surface thresholds use floating point, each with an explicit
 tolerance or a stated rounding; every exact linear solve is one
 fraction-free elimination, `_eliminate`.  What a model derives from a class
 depends on that class alone, so a model keeps the memos of its last 8
-classes asked, under the recency rule of every bounded cache, `_recent`.
+classes asked, under the recency rule of every bounded cache, `_recent`;
+a memo holds the class's thresholds, the backend's records and the last 8
+norms `stability` solved on it.
 """
 from __future__ import annotations
 

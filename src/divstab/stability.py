@@ -19,6 +19,9 @@ one centre, at the exact maximizer if the backend solves for it
 and certifies alone, else the ascent goes on from that point.
 The evaluations, the ascent and the single-plane bounds run on Python
 floats; the Kelley LP is solved exactly on their ints (`core._solve`).
+A solve, the result and the exact gradient of S at its maximizer, is kept
+in the memo of L by (measure, options) (`_kept_norm`): `norm`, `ma_solve`,
+`beta`, `danskin_derivative` and the probe read it, and none solves again.
 """
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ from .core import (
     Valuation,
     _dot,
     _integral,
+    _recent,
     _solve,
     gamma_threshold,
 )
@@ -316,6 +320,20 @@ def norm(
     options: OptimizerOptions = OptimizerOptions(),
 ) -> NormResult:
     """sup over shifts t of S_L(t) - <xi, t>; nonnegative, zero on the trivial measure."""
+    return _kept_norm(model, L, mu, options)[0]
+
+
+def _kept_norm(model, L, mu, options) -> tuple[NormResult, tuple[float, ...]]:
+    """(the norm of mu, the exact gradient of S at its maximizer), kept in the
+    memo of L for the last 8 (measure, options) asked (`_recent`); an error,
+    such as L not big, is kept by no memo and raised again on every call."""
+    memo = model._memo_of(L)
+    kept = memo["norms"] = _recent(memo.get("norms", ()), (mu, options), 8, _maximize, model, L, mu, options)
+    return kept[0][1]
+
+
+def _maximize(model, L, mu, options):
+    """(NormResult, grad S), grad S from the evaluation of S that gave the value."""
     if not model.is_big(L):
         raise GeometryError("norm requires a big class")
     support = mu.support
@@ -325,7 +343,7 @@ def norm(
 
     def g(spec):
         s, grad = expected_order_S_grad(model, L, spec)
-        return s - _dot(xi, spec.shifts), list(map(sub, grad, xi))
+        return s - _dot(xi, spec.shifts), grad
 
     def lowest_at_zero(u):
         # 0.0 - low, not -low: the least shift is +0.0, and so is any other zero
@@ -340,8 +358,8 @@ def norm(
     def reduced(u):
         spec = FiltrationSpec(support, lowest_at_zero(u))
         value, grad = g(spec)
-        evaluated[u] = value, spec
-        return value, grad[1:]
+        evaluated[u] = value, spec, grad
+        return value, list(map(sub, grad[1:], xi[1:]))
 
     def curvature(u):
         # the Hessian of g is that of S, in the coordinates of u
@@ -352,22 +370,16 @@ def norm(
     if len(xi) > 1:
         start = _closed_form_start(model, L, mu)
         u, bound = _certified_max(reduced, len(xi) - 1, hi, options.tol, start, curvature)
-        value, spec = evaluated[u]
+        value, spec, grad = evaluated[u]
         t = spec.shifts
         # past hi above the least shift a valuation is inactive, and lowering
         # its shift to hi does not lower g
         if max(t) > hi:
             t, value = tuple(min(x, hi) for x in t), None
     if value is None:
-        value = g(FiltrationSpec(support, t))[0]
+        value, grad = g(FiltrationSpec(support, t))
     gap = max(bound - value, 0.0)
-    return NormResult(
-        value=value,
-        maximizers=(t,),
-        box_bound=hi,
-        gap=gap,
-        converged=gap <= options.tol,
-    )
+    return NormResult(value=value, maximizers=(t,), box_bound=hi, gap=gap, converged=gap <= options.tol), grad
 
 
 def _closed_form_start(model, L, mu):
@@ -397,7 +409,7 @@ def _danskin(model, L, mu, H, side, options) -> tuple[NormResult, float]:
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     sign = 1 if side == "right" else -1
-    result = norm(model, L, mu, options=options)
+    result = _kept_norm(model, L, mu, options)[0]
     support, t, _ = one_per_centre(mu.support, result.maximizers[0])
     return result, sign * model.order_derivative(L, support, t, sign * H)
 
@@ -473,17 +485,18 @@ def ma_solve(
 ) -> MASolution:
     """Prescribe mu as the gradient measure of S at the variational optimum.
 
-    Maximizes the same functional as `norm`; the output measure is the exact
-    supergradient of S at the reported maximizer, from one evaluation.  S
-    sees atoms of one valuation, one `Valuation.centre`, only through their
-    least shift, so S has a kink where their shifts tie: their coordinates
-    are flagged, and the group's mass is split in proportion to mu, an
-    element of the superdifferential at the tie.
+    Reads the kept solve of `norm`; the output measure is the exact
+    supergradient of S at the reported maximizer, from the evaluation that
+    gave the norm's value.  S sees atoms of one valuation, one
+    `Valuation.centre`, only through their least shift, so S has a kink
+    where their shifts tie: their coordinates are flagged, and the group's
+    mass is split in proportion to mu, an element of the superdifferential
+    at the tie.
     """
-    result = norm(model, L, mu, options=options)
+    result, grad = _kept_norm(model, L, mu, options)
     (t_star,) = result.maximizers
     xi = [float(m) for m in mu.masses]
-    measure = list(expected_order_S_grad(model, L, FiltrationSpec(mu.support, t_star))[1])
+    measure = list(grad)
     groups: dict[object, list[int]] = {}
     for i, v in enumerate(mu.support):
         groups.setdefault(v.centre, []).append(i)

@@ -262,10 +262,13 @@ class SurfaceModel(GeometryModel):
             return Fraction(0)
 
     def positive_product_against(self, D: DivisorClass, H: DivisorClass) -> Fraction:
-        """<D> . H = positive part of D paired with H.  Requires D big."""
+        """<D> . H = positive part of D paired with H, kept in the memo of D
+        for the last 4 H asked (`_recent`).  Requires D big."""
         if not self.is_big(D):
             raise GeometryError("positive product requires a big class")
-        return self.pairing(self.zariski(D).positive_part, H)
+        memo = self._memo_of(D)
+        kept = memo["products"] = _recent(memo.get("products", ()), H, 4, lambda: self.pairing(self.zariski(D).positive_part, H))
+        return kept[0][1]
 
     # -- realization plumbing ---------------------------------------------
 
@@ -432,7 +435,7 @@ class _SurfaceProblem:
         self._trivial = tuple([i for i, v in enumerate(support) if v.is_trivial])
         self._free = self._trivial or tuple(range(len(support)))  # the gradient rule's candidates
         self._gammas = self._ints = None  # set on first use
-        self._kept, self._projections = {}, {}
+        self._kept, self._projections = (), {}
         self.target, self._pull = model.resolve_realization(support)
 
     def pulled(self, classes) -> list:
@@ -455,13 +458,14 @@ class _SurfaceProblem:
     def thresholds(self) -> list:
         """The float thresholds gamma_i of the non-trivial valuations, computed
         once.  With one, its gamma walk, in the memo of L right after
-        `gamma_threshold`, is kept as the walk of relative shifts (0,)
-        (`records`): later, the class may have left the model's kept classes."""
+        `gamma_threshold`, is put in front of the kept walks as that of the
+        relative shifts (0,) (`records`): later, the class may have left the
+        model's kept classes."""
         if self._gammas is None:
             model, L, live = self.model, self.L, [self.support[i] for i in self._nontrivial]
             self._gammas = [float(gamma_threshold(model, L, v)) for v in live]
             if len(live) == 1:
-                self._kept[0.0,] = model._memo_of(L)["chambers", live[0]]
+                self._kept = _recent(self._kept, (0.0,), 2, lambda: model._memo_of(L)["chambers", live[0]])
         return self._gammas
 
     def records(self, ts):
@@ -472,7 +476,8 @@ class _SurfaceProblem:
         for the least, floats where the difference is exact (math.fsum),
         else Fractions, which equal and hash as such a float would.  A new
         key is walked once, to the end of vol, whatever tau, and the last
-        two walks are kept: `_integrate` and `order_hessian` clip them.
+        two walks asked are kept (`_recent`): `_integrate` and
+        `order_hessian` clip them.
         With no non-trivial valuation, or tau <= a, the range is empty."""
         gammas = self._gammas if self._gammas is not None else self.thresholds()
         at = [ts[i] for i in self._nontrivial]
@@ -485,11 +490,9 @@ class _SurfaceProblem:
             return t0, [], hi, rel
         key = tuple(rel if len(rel) < 2 else [r if not r or not math.fsum((t, -a, -r))
                                               else Fraction(t) - Fraction(a) for t, r in zip(at, rel)])
-        if (chambers := self._kept.get(key)) is None:
-            if len(self._kept) > 1:  # keep the last two
-                del self._kept[next(iter(self._kept))]
-            chambers = self._kept[key] = self.walk(at, a, math.inf)
-        return t0, chambers, hi, rel
+        if not (kept := self._kept) or kept[0][0] != key:
+            kept = self._kept = _recent(kept, key, 2, self.walk, at, a, math.inf)
+        return t0, kept[0][1], hi, rel
 
     def expected_order(self, shifts):
         """(S, grad S) at these shifts, dS/dt_i = (2 / vol L) times the

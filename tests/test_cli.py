@@ -452,6 +452,17 @@ class TestRuntimeErrors:
         assert report["tasks"][0]["error"]["type"] == "GeometryError"
         assert "'minus_h'" in report["tasks"][0]["error"]["message"]
 
+    def test_float_overflow_exits_3(self, tmp_path):
+        # a class of 10^200 overflows the float stages of the gamma walk: a
+        # task error of type OverflowError after the tasks before it, no traceback
+        payload = json.loads(Path(config_path("blp2_instability.json")).read_text())
+        payload["line_bundle"] = ["3" + "0" * 200, "-1" + "0" * 200]
+        result, report = run_to_report(tmp_path, [self.write(tmp_path, payload)])
+        assert result.exit_code == 3
+        assert [t["kind"] for t in report["tasks"]] == ["volume", "zariski", "gamma"]
+        error = report["tasks"][-1]["error"]
+        assert error["type"] == "OverflowError" and "too large for a float" in error["message"]
+
     def test_zariski_on_toric_model_exits_3(self, tmp_path):
         cfg = self.write(
             tmp_path,

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ import divstab as ds
 from divstab.core import TRIVIAL_VALUATION, DivisorialMeasure
 from divstab.filtrations import FiltrationSpec, expected_order_S
 from divstab import stability
+from divstab.cli import _jsonify
 from _cases import (
     FAST_OPTIONS,
     norm_enlarged_support_check,
@@ -107,6 +110,10 @@ class TestNormWork:
 
     @pytest.fixture
     def evaluations(self, monkeypatch):
+        # from models with no kept class: a norm solved earlier is not kept
+        for model in (p2, blp2, ds.bundled_model("p2_toric")):
+            monkeypatch.setattr(model, "_memo", (None, None))
+            monkeypatch.setattr(model, "_classes", ())
         calls = []
         primitive = stability.expected_order_S_grad
 
@@ -475,3 +482,94 @@ class TestProbeChecksBignessOnce:
             ds.divisorial_stability_probe(blp2, L, [dirac(ORD_E)])
         with pytest.raises(ds.GeometryError, match="^norm requires a big class$"):
             ds.beta(blp2, L, dirac(ORD_E))
+
+
+class TestKeptSolves:
+    """A class keeps its last 8 solved norms, by measure and options, and on
+    a surface its last 4 positive products: norm, ma_solve, beta, the
+    Danskin derivatives and the probe read one solve, bit for bit."""
+
+    READERS = (
+        lambda m, L, H, mu, o: ds.norm(m, L, mu, o),
+        lambda m, L, H, mu, o: ds.ma_solve(m, L, mu, o),
+        lambda m, L, H, mu, o: ds.beta(m, L, mu, o),
+        lambda m, L, H, mu, o: ds.danskin_derivative(m, L, mu, H, "left", o),
+        lambda m, L, H, mu, o: ds.danskin_derivative(m, L, mu, H, "right", o),
+        lambda m, L, H, mu, o: ds.divisorial_stability_probe(m, L, [mu], options=o),
+    )
+
+    @staticmethod
+    def half_line(model):
+        return DivisorialMeasure.make([(TRIVIAL_VALUATION, Fraction(1, 2)), (model.named_valuations["line"], Fraction(1, 2))])
+
+    @classmethod
+    def answers(cls, model, options=stability.OptimizerOptions(), readers=None):
+        """Each reader's output at 3H, H the line class, as report JSON:
+        floats by repr, so -0.0 and 0.0 differ."""
+        L, H, mu = model.divisor([3]), model.divisor([1]), cls.half_line(model)
+        return [json.dumps(_jsonify(read(model, L, H, mu, options)), sort_keys=True) for read in readers or cls.READERS]
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        primitive = stability.expected_order_S_grad
+        monkeypatch.setattr(stability, "expected_order_S_grad", lambda *a: calls.append(a[2].shifts) or primitive(*a))
+        return calls
+
+    def test_one_solve_serves_every_reader(self, evaluations):
+        model = ds.models._BUILDERS["p2"]()
+        ds.norm(model, model.divisor([3]), self.half_line(model))
+        assert evaluations
+        del evaluations[:]
+        answers = self.answers(model)
+        assert evaluations == []
+        # each reader alone on a fresh model solves, and gives the same bits
+        assert [self.answers(ds.models._BUILDERS["p2"](), readers=[read])[0] for read in self.READERS] == answers
+        assert evaluations
+
+    def test_bounds(self):
+        model = ds.models._BUILDERS["p2"]()
+        L, line = model.divisor([3]), model.named_valuations["line"]
+        measures = [DivisorialMeasure.make([(TRIVIAL_VALUATION, Fraction(k, 21)), (line, 1 - Fraction(k, 21))])
+                    for k in range(1, 21)]
+        results = [ds.norm(model, L, mu) for mu in measures]
+        kept = model._memo_of(L)["norms"]
+        assert [key for key, _ in kept] == [(mu, stability.OptimizerOptions()) for mu in measures[:-9:-1]]
+        assert [value[0] for _, value in kept] == results[:-9:-1]
+        blp2_fresh = ds.models._BUILDERS["blp2"]()
+        D = blp2_fresh.divisor([3, -1])
+        products = [blp2_fresh.positive_product_against(D, blp2_fresh.divisor([k, 1])) for k in range(10)]
+        assert [value for _, value in blp2_fresh._memo_of(D)["products"]] == products[:-5:-1]
+        # a product pushed out is formed again, equal
+        assert blp2_fresh.positive_product_against(D, blp2_fresh.divisor([0, 1])) == products[0]
+
+    def test_another_tolerance_is_another_solve(self, evaluations):
+        model = ds.models._BUILDERS["p2"]()
+        L, mu = model.divisor([3]), self.half_line(model)
+        loose = stability.OptimizerOptions(tol=1e-6)
+        ds.norm(model, L, mu)
+        del evaluations[:]
+        ds.norm(model, L, mu, loose)
+        assert evaluations
+        del evaluations[:]
+        ds.norm(model, L, mu)
+        ds.norm(model, L, mu, stability.OptimizerOptions(tol=1e-6))
+        assert evaluations == []
+        assert self.answers(model, loose) == self.answers(ds.models._BUILDERS["p2"](), loose)
+
+    def test_not_big_is_raised_again(self):
+        model = ds.models._BUILDERS["p2"]()
+        mu = self.half_line(model)
+        for _ in range(2):
+            with pytest.raises(ds.GeometryError, match="big"):
+                ds.norm(model, model.divisor([-1]), mu)
+            with pytest.raises(ds.GeometryError, match="big"):
+                ds.ma_solve(model, model.divisor([-1]), mu)
+        assert "norms" not in model._memo_of(model.divisor([-1]))
+
+    def test_unpickles_with_no_kept_solve(self):
+        model = ds.models._BUILDERS["p2"]()
+        answers = self.answers(model)
+        back = pickle.loads(pickle.dumps(model))
+        assert all(key is None for key, _ in back._classes) and back._memo == (None, None)
+        assert self.answers(back) == answers

@@ -324,7 +324,7 @@ class TestWalkWork:
         value, _ = expected_order_S_grad(model, L, spec)
         if sum(v is not None for v in valuations) == 1:
             assert searches == []
-            assert len(model._compiled(L, support)._kept[0.0,]) == pieces + walls
+            assert len(model._compiled(L, support).records(list(shifts))[1]) == pieces + walls
         else:
             assert len(searches) == pieces + walls + leaves
             assert [x for x, failed in searches if failed] == []
