@@ -355,22 +355,41 @@ def run_task(model, line_bundle, task, tolerances, seed):
             model, line_bundle, task["measures"], epsilon=task["epsilon"], options=opts
         )}
     if kind == "finite_k":
-        profile = filtrations.filtration_volume_finite_k(
-            model, line_bundle, task["spec"], task["k"]
-        )
+        # the profile's values and mean (`filtration_volume_finite_k`), read
+        # off the sorted array: only the values a report prints become floats
+        k = task["k"]
+        values, volume = filtrations._level_values(model, line_bundle, task["spec"], k)
         return {
-            "k": profile.k,
-            "dim": len(profile.jumping_values),
-            "volume": profile.volume,
-            "normalized_volume": profile.volume / profile.k,
-            "jumping_values": list(profile.jumping_values)
-            if len(profile.jumping_values) <= 64
-            else None,
+            "k": k,
+            "dim": len(values),
+            "volume": volume,
+            "normalized_volume": volume / k,
+            "jumping_values": values.tolist() if len(values) <= 64 else None,
         }
     raise AssertionError(f"unhandled task kind {kind}")
 
 
 # -- serialization ----------------------------------------------------------
+
+
+def _fraction(q) -> str:
+    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+
+
+# the library's own types by exact type; a subclass goes through the
+# isinstance chain of `_jsonify`, which gives the same
+_CONVERTERS = {
+    Fraction: _fraction,
+    DivisorClass: lambda D: {"basis": D.basis_id, "coefficients": [_jsonify(c) for c in D.coefficients]},
+    Valuation: lambda v: v.name,
+    DivisorialMeasure: lambda mu: {"atoms": [{"valuation": v.name, "mass": _jsonify(m)} for v, m in mu.atoms]},
+    filtrations.FiltrationSpec: lambda spec: {
+        "support": [v.name for v in spec.support],
+        "shifts": [float(t) for t in spec.shifts],
+    },
+}
+# the field names of each dataclass met, read once per class
+_FIELD_NAMES = {}
 
 
 def _jsonify(obj):
@@ -382,33 +401,24 @@ def _jsonify(obj):
         return [_jsonify(x) for x in obj]
     if obj is None or kind is str or kind is int or kind is float:
         return obj
+    convert = _CONVERTERS.get(kind)
+    if convert is not None:
+        return convert(obj)
+    names = _FIELD_NAMES.get(kind)
+    if names is not None:
+        return {name: _jsonify(getattr(obj, name)) for name in names}
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(x) for x in obj]
-    if obj is None or isinstance(obj, (str, int, float)):
+    if isinstance(obj, (str, int, float)):
         return obj
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}" if obj.denominator != 1 else str(obj.numerator)
-    if isinstance(obj, DivisorClass):
-        return {"basis": obj.basis_id, "coefficients": [_jsonify(c) for c in obj.coefficients]}
-    if isinstance(obj, Valuation):
-        return obj.name
-    if isinstance(obj, DivisorialMeasure):
-        return {
-            "atoms": [
-                {"valuation": v.name, "mass": _jsonify(m)} for v, m in obj.atoms
-            ]
-        }
-    if isinstance(obj, filtrations.FiltrationSpec):
-        return {
-            "support": [v.name for v in obj.support],
-            "shifts": [float(t) for t in obj.shifts],
-        }
+    for base, convert in _CONVERTERS.items():
+        if isinstance(obj, base):
+            return convert(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: _jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)
-        }
+        names = _FIELD_NAMES[kind] = tuple([f.name for f in dataclasses.fields(obj)])
+        return {name: _jsonify(getattr(obj, name)) for name in names}
     return obj
 
 

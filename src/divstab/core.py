@@ -155,17 +155,20 @@ class DivisorialMeasure:
         return DivisorialMeasure(tuple((v, as_fraction(m)) for v, m in pairs))
 
     def __post_init__(self):
-        total = Fraction(0)
-        seen = set()
+        # on the ints of each mass, the total n / d over the lcm d of their
+        # denominators; a Fraction only for the message
+        n, d, seen = 0, 1, set()
         for v, m in self.atoms:
-            if m < 0 or m > 1:
+            p, q = m.numerator, m.denominator
+            if p < 0 or p > q:
                 raise GeometryError(f"mass {m} of {v.name!r} outside [0, 1]")
             if v.name in seen:
                 raise GeometryError(f"valuation {v.name!r} repeated in measure")
             seen.add(v.name)
-            total += m
-        if total != 1:
-            raise GeometryError(f"masses sum to {total}, expected 1")
+            common = math.lcm(d, q)
+            n, d = n * (common // d) + p * (common // q), common
+        if n != d:
+            raise GeometryError(f"masses sum to {Fraction(n, d)}, expected 1")
 
     @property
     def support(self) -> tuple[Valuation, ...]:

@@ -178,9 +178,20 @@ def filtration_volume_finite_k(
 ) -> JumpingProfile:
     """Jumping numbers of the level-k sections; k^{-1} volume converges to S.
     Each valuation's orders are read once per (L, k), kept with the basis;
-    numpy sorts as sorted(reverse=True) would, as no value is NaN or -0.0."""
-    values = np.sort(model.jumping_values(L, k, spec.support, spec.shifts))[::-1].tolist()
-    return JumpingProfile(int(k), tuple(values), sum(values) / len(values))
+    the values and their mean are those of `_level_values`."""
+    values, mean = _level_values(model, L, spec, k)
+    return JumpingProfile(int(k), tuple(values.tolist()), mean)
+
+
+def _level_values(model: GeometryModel, L: DivisorClass, spec: FiltrationSpec, k: int):
+    """(values, mean): the jumping values of level k in descending order, one
+    read-only float array from one numpy sort, which orders as
+    sorted(reverse=True) would, as no value is NaN or -0.0; and their mean,
+    the left-to-right sum of that order (one sequential accumulate, not a
+    pairwise or compensated sum) over its length."""
+    values = np.sort(model.jumping_values(L, k, spec.support, spec.shifts))[::-1]
+    values.flags.writeable = False
+    return values, float(np.add.accumulate(values)[-1]) / len(values)
 
 
 def d_infinity(

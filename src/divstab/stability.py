@@ -22,6 +22,8 @@ floats; the Kelley LP is solved exactly on their ints (`core._solve`).
 A solve, the result and the exact gradient of S at its maximizer, is kept
 in the memo of L by (measure, options) (`_kept_norm`): `norm`, `ma_solve`,
 `beta`, `danskin_derivative` and the probe read it, and none solves again.
+The two one-sided Danskin derivatives agree at the one reported maximizer:
+both are the backend's derivative of S along H there (`order_derivative`).
 """
 from __future__ import annotations
 
@@ -405,13 +407,15 @@ def _danskin(model, L, mu, H, side, options) -> tuple[NormResult, float]:
     """The norm of mu and its one-sided derivative along H, on one atom per
     centre (`one_per_centre`).  No check that L +- sH stays big is needed:
     the big cone is open, so once `norm` has found L big, L + sH is big for
-    all small enough |s|."""
+    all small enough |s|.  At the one reported maximizer both sides are the
+    backend's derivative along H itself: -d(-H) is d(H) bit for bit on both
+    backends (the surface one is linear in H and negates exactly, the toric
+    central differences swap their two sides), up to the sign of a zero."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    sign = 1 if side == "right" else -1
     result = _kept_norm(model, L, mu, options)[0]
     support, t, _ = one_per_centre(mu.support, result.maximizers[0])
-    return result, sign * model.order_derivative(L, support, t, sign * H)
+    return result, model.order_derivative(L, support, t, H)
 
 
 def danskin_derivative(
@@ -423,7 +427,9 @@ def danskin_derivative(
     options: OptimizerOptions = OptimizerOptions(),
 ) -> float:
     """One-sided derivative of ||mu||_{L+sH} at s=0: `model.order_derivative`
-    at the one reported maximizer, exact when the argmax is that point."""
+    at the one reported maximizer, exact when the argmax is that point.  Both
+    sides agree there: each is the backend's one derivative along H at that
+    point, as -d(-H) is d(H) bit for bit; `side` is still checked."""
     return _danskin(model, L, mu, H, side, options)[1]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 from importlib import resources
@@ -7,8 +8,8 @@ import pytest
 from click.testing import CliRunner
 
 import divstab
-from divstab.cli import ConfigError, _jsonify, main, parse_config
-from divstab.core import DivisorialMeasure
+from divstab.cli import ConfigError, _jsonify, main, parse_config, run_task
+from divstab.core import TRIVIAL_VALUATION, DivisorialMeasure
 from divstab.filtrations import FiltrationSpec, filtration_volume_finite_k
 from divstab.stability import NormResult
 
@@ -614,3 +615,71 @@ class TestNonPositiveTolerances:
         assert result.exit_code == 0
         assert report["tolerances"]["optimizer"] == 1e-6
         assert report["tasks"][0]["outputs"]["norm"]["converged"]
+
+
+class TestFiniteKTask:
+    """The CLI finite_k task reads the sorted level array; its outputs are
+    those of the library profile, bit for bit."""
+
+    @pytest.mark.parametrize("k, dim", [(1, 10), (2, 28), (3, 55), (4, 91)])
+    def test_task_equals_the_profile(self, k, dim):
+        model = divstab.bundled_model("p2_toric")
+        L = model.divisor([0, 0, 3])
+        e1, e2, diag = (model.named_valuations[n] for n in ("e1", "e2", "diag"))
+        specs = [
+            FiltrationSpec((e1,), (0.5,)),
+            FiltrationSpec((diag,), (-0.25,)),
+            FiltrationSpec((e1, e2), (0.25, 1 / 3)),
+            FiltrationSpec((diag, TRIVIAL_VALUATION), (0.75, 1.5)),
+        ]
+        for spec in specs:
+            out = run_task(model, L, {"kind": "finite_k", "spec": spec, "k": k}, {"optimizer": 1e-8}, 0)
+            prof = filtration_volume_finite_k(model, L, spec, k)
+            assert out["k"] == prof.k == k and type(out["k"]) is int
+            assert out["dim"] == len(prof.jumping_values) == dim and type(out["dim"]) is int
+            assert out["volume"].hex() == prof.volume.hex()
+            assert out["normalized_volume"].hex() == (prof.volume / k).hex()
+            if dim <= 64:
+                assert type(out["jumping_values"]) is list
+                assert [x.hex() for x in out["jumping_values"]] == [x.hex() for x in prof.jumping_values]
+                assert all(type(x) is float for x in out["jumping_values"])
+            else:
+                assert out["jumping_values"] is None
+
+
+class _Rational(Fraction):
+    pass
+
+
+@dataclasses.dataclass(frozen=True)
+class _NotedNorm(NormResult):
+    note: str = "extra"
+
+
+class TestJsonifySubclasses:
+    """Subclasses of the handled types serialize as their bases do, through
+    the isinstance chain; a dataclass subclass with its own fields."""
+
+    def test_subclasses(self):
+        p2 = divstab.bundled_model("p2")
+        line = p2.named_valuations["line"]
+        norm = dict(value=0.25, maximizers=((0.0, 1.5),), box_bound=4.0, gap=1e-12, converged=True)
+        cases = [
+            (_Rational(6, 4), "3/2"),
+            (_Rational(-5), "-5"),
+            ([_Rational(1, 3), {"x": (_Rational(2),)}], ["1/3", {"x": ["2"]}]),
+            (
+                _NotedNorm(**norm),
+                {"value": 0.25, "maximizers": [[0.0, 1.5]], "box_bound": 4.0, "gap": 1e-12,
+                 "converged": True, "note": "extra"},
+            ),
+            (
+                _NotedNorm(**{**norm, "value": _Rational(1, 4)}, note="again"),
+                {"value": "1/4", "maximizers": [[0.0, 1.5]], "box_bound": 4.0, "gap": 1e-12,
+                 "converged": True, "note": "again"},
+            ),
+            (NormResult(**norm), {key: _jsonify(value) for key, value in norm.items()}),
+            (FiltrationSpec((line,), (_Rational(1, 2),)), {"support": ["line"], "shifts": [0.5]}),
+        ]
+        for value, expected in cases:
+            assert json.dumps(_jsonify(value), sort_keys=True) == json.dumps(expected, sort_keys=True)

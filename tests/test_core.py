@@ -414,3 +414,34 @@ class TestSolveColumns:
                 assert [Fraction(c, det) for c in y] == reference.solve_exact(exact, [Fraction(v) for v in b])
         assert 300 <= singular <= 900, singular
 
+
+
+class TestMeasureValidationMessages:
+    """The masses are checked on their ints; the messages are those of the
+    Fraction arithmetic they replace."""
+
+    line, conic = p2.named_valuations["line"], p2.named_valuations["conic"]
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(line, Fraction(3, 2)), (TRIVIAL_VALUATION, Fraction(-1, 2))], "mass 3/2 of 'line' outside [0, 1]"),
+        ([(line, Fraction(-1, 3)), (conic, Fraction(4, 3))], "mass -1/3 of 'line' outside [0, 1]"),
+        ([(line, Fraction(1, 2)), (line, Fraction(1, 2))], "valuation 'line' repeated in measure"),
+        ([(line, Fraction(1, 3)), (conic, Fraction(1, 2))], "masses sum to 5/6, expected 1"),
+        ([(line, Fraction(2, 3)), (conic, Fraction(3, 4))], "masses sum to 17/12, expected 1"),
+        ([(line, 0), (conic, 0)], "masses sum to 0, expected 1"),
+    ])
+    def test_messages(self, pairs, message):
+        with pytest.raises(ds.GeometryError) as err:
+            ds.DivisorialMeasure.make(pairs)
+        assert str(err.value) == message
+
+    def test_exact_sums_accepted(self):
+        rng = random.Random(5)
+        valuations = [self.line, self.conic, TRIVIAL_VALUATION]
+        for _ in range(200):
+            cuts = sorted(Fraction(rng.randint(0, 60), rng.randint(1, 60)) % 1 for _ in valuations[1:])
+            masses = [b - a for a, b in zip([Fraction(0), *cuts], [*cuts, Fraction(1)])]
+            mu = ds.DivisorialMeasure.make(list(zip(valuations, masses)))
+            assert sum(mu.masses) == 1
+        # ints, as a direct construction may hold them, are masses too
+        assert ds.DivisorialMeasure(((self.line, 1), (self.conic, 0))).masses == (1, 0)

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import json
+import operator
 import random
 from importlib import resources
 from fractions import Fraction
@@ -489,3 +491,29 @@ class TestNumpySortedJumpingValues:
             assert [x.hex() for x in prof.jumping_values] == _hex_sorted_descending(raw)
             ties += len(set(raw.tolist())) < len(raw)
         assert ties >= 50, ties
+
+
+class TestSequentialMean:
+    def test_mean_is_the_left_to_right_sum(self):
+        # the profile's mean is the left-to-right sum of its descending values
+        # over their number, whatever the interpreter's sum() does
+        cases = [
+            ("p2_toric", [0, 0, 3], (0.0, 0.25, 1 / 3)),
+            ("p1xp1_toric", [1, 1, 1, 1], (0.0, 0.5, 0.2)),
+            ("f1_toric", [1, 1, 2, 0], (0.0, 0.375, 0.1)),
+        ]
+        seen = 0
+        for name, coefficients, shifts in cases:
+            model = ds.bundled_model(name)
+            L = model.divisor(coefficients)
+            valuations = [*model.named_valuations.values(), TRIVIAL_VALUATION]
+            for size in (1, 2, 3):
+                support = tuple(valuations[:size])
+                spec = FiltrationSpec(support, shifts[:size])
+                for k in range(1, 7):
+                    prof = filtration_volume_finite_k(model, L, spec, k)
+                    n = len(prof.jumping_values)
+                    expected = functools.reduce(operator.add, prof.jumping_values, 0.0) / n
+                    assert prof.volume.hex() == expected.hex(), (name, size, k)
+                    seen += 1
+        assert seen == 54

@@ -10,7 +10,7 @@ import pytest
 
 import divstab as ds
 from divstab.core import TRIVIAL_VALUATION, DivisorialMeasure
-from divstab.filtrations import FiltrationSpec, expected_order_S
+from divstab.filtrations import FiltrationSpec, expected_order_S, one_per_centre
 from divstab import stability
 from divstab.cli import _jsonify
 from _cases import (
@@ -573,3 +573,48 @@ class TestKeptSolves:
         back = pickle.loads(pickle.dumps(model))
         assert all(key is None for key, _ in back._classes) and back._memo == (None, None)
         assert self.answers(back) == answers
+
+
+class TestDanskinAlongH:
+    """Both sides of `danskin_derivative` are the backend's derivative along H
+    at the one reported maximizer, bit for bit, and equal the negated
+    derivative along -H, up to the sign of an exact zero."""
+
+    @staticmethod
+    def toric_big_class(model, rng):
+        # every ray divisor with a positive coefficient: at least a multiple of -K
+        return model.divisor([Fraction(rng.randint(1, 8), rng.randint(1, 3)) for _ in range(model.class_rank)])
+
+    @pytest.mark.parametrize("name", ds.bundled_model_names())
+    def test_both_sides_are_the_derivative_along_H(self, name):
+        model = ds.bundled_model(name)
+        rng = random.Random(f"danskin-{name}")
+        toric = isinstance(model, ds.ToricModel)
+        zeros = 0
+        for _ in range(20):
+            if toric:
+                L = self.toric_big_class(model, rng)
+                pool = [*model.named_valuations.values(), TRIVIAL_VALUATION]
+                support = rng.sample(pool, rng.randint(1, 2))
+                mu = DivisorialMeasure.make(list(zip(support, random_masses(rng, len(support)))))
+            else:
+                L, mu = random_big_class(model, rng), random_measure(model, rng)
+            if rng.random() < 0.5:
+                H = model.canonical_class
+            else:
+                H = model.divisor([Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(model.class_rank)])
+            left, right = (
+                ds.danskin_derivative(model, L, mu, H, side=side, options=FAST_OPTIONS)
+                for side in ("left", "right")
+            )
+            t = ds.norm(model, L, mu, options=FAST_OPTIONS).maximizers[0]
+            support, shifts, _ = one_per_centre(mu.support, t)
+            along = model.order_derivative(L, support, shifts, H)
+            assert left.hex() == right.hex() == along.hex()
+            negated = -model.order_derivative(L, support, shifts, -H)
+            assert negated == along
+            if along:
+                assert negated.hex() == along.hex()
+            zeros += not along
+        # an exact zero, where the negated derivative along -H read -0.0, is met on every model but f1 and p1xp1
+        assert zeros or name in ("f1", "p1xp1")
