@@ -316,6 +316,15 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
+def _float_sum(xs) -> float:
+    """The floats xs summed left to right, each step rounded, so the same
+    bits on every interpreter: CPython 3.12's `sum` of floats is compensated."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 def _integral(vectors):
     """(int tuples, q): rational tuples, or floats, over their least common denominator q."""
     ratios = [[c.as_integer_ratio() for c in v] for v in vectors]

@@ -31,7 +31,7 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Optional, Sequence
 
 from .core import (
@@ -41,6 +41,7 @@ from .core import (
     GeometryModel,
     Valuation,
     _dot,
+    _float_sum,
     _integral,
     _recent,
     _solve,
@@ -151,14 +152,14 @@ class _Planes:
     def __call__(self, u):
         value, grad = self.g(u)
         grad = tuple(map(float, grad))
-        offset = value - _dot(grad, u)
+        offset = value - _float_sum(map(mul, grad, u))
         self.us.append(u)
         self.values.append(value)
         self.slopes.append(grad)
         self.offsets.append(offset)
         if value > self.values[self.best]:
             self.best = len(self.values) - 1
-        self.lower(offset + self.hi * sum(map(abs, grad)))
+        self.lower(offset + self.hi * _float_sum(map(abs, grad)))
         return value, grad
 
     def lower(self, top):
@@ -184,7 +185,7 @@ class _Planes:
         units = [(i, sign * scale) for sign in (1, -1) for i, scale in enumerate(scales)]
         columns = list(zip(*ints, [1] * n)) + [tuple(e * (j == i) for j in range(dim)) + (0,) for i, e in units]
         (cost,), den = _integral([self.offsets + [self.hi] * (2 * dim)])
-        k = min(range(n), key=lambda k: self.offsets[k] + self.hi * sum(map(abs, self.slopes[k])))
+        k = min(range(n), key=lambda k: self.offsets[k] + self.hi * _float_sum(map(abs, self.slopes[k])))
         # e_i carries -s_ki for a slope below 0, -e_i for one above
         basis = [k] + [n + i + dim * (self.slopes[k][i] > 0) for i in range(dim)]
         while True:
@@ -229,10 +230,10 @@ def _ascend(planes, u, hi, hessian=None):
         free = [i for i, (x, si) in enumerate(zip(u, s)) if not ((x <= -hi and si < 0) or (x >= hi and si > 0))]
         step = _damped_newton(hessian(u) if hessian else None, s, free)
         p = tuple(min(max(x + d, -hi), hi) - x for x, d in zip(u, step))
-        if _dot(s, p) <= 0:
+        if _float_sum(map(mul, s, p)) <= 0:
             return
         while True:
-            slope = _dot(s, p)
+            slope = _float_sum(map(mul, s, p))
             trial = tuple(map(add, u, p))
             new, s_new = planes(trial)
             if new >= value + 1e-4 * slope:
@@ -240,7 +241,7 @@ def _ascend(planes, u, hi, hessian=None):
             if len(planes.us) >= _ASCENT_EVALS:
                 return
             # the secant root is past 0.5 of the step when the drop is below 2 slope
-            shrink = max(slope / max(slope - _dot(s_new, p), 2.0 * slope), 0.1)
+            shrink = max(slope / max(slope - _float_sum(map(mul, s_new, p)), 2.0 * slope), 0.1)
             p = tuple(shrink * x for x in p)
             # below this scale the Armijo test compares values that differ
             # by the rounding of S; the Kelley steps take over
@@ -290,7 +291,7 @@ def _solve_definite(A, rho):
     x = [0.0] * n
     for k in reversed(range(n)):
         row = m[k]
-        x[k] = (row[n] - sum([row[j] * x[j] for j in range(k + 1, n)])) / row[k]
+        x[k] = (row[n] - _float_sum([row[j] * x[j] for j in range(k + 1, n)])) / row[k]
     return x
 
 
@@ -345,7 +346,7 @@ def _maximize(model, L, mu, options):
 
     def g(spec):
         s, grad = expected_order_S_grad(model, L, spec)
-        return s - _dot(xi, spec.shifts), grad
+        return s - _float_sum(map(mul, xi, spec.shifts)), grad
 
     def lowest_at_zero(u):
         # 0.0 - low, not -low: the least shift is +0.0, and so is any other zero

@@ -48,6 +48,7 @@ from .core import (
     Valuation,
     _dot,
     _eliminate,
+    _float_sum,
     _integral,
     _recent,
     as_fraction,
@@ -238,23 +239,6 @@ class SurfaceModel(GeometryModel):
             raise NotPseudoeffectiveError("a negative-part coefficient is forced negative; class is not pseudoeffective")
         return [(i, u, w) for i, u, w, s in zip(support, a0, a1, signs) if s > 0], p0, p1, scale, lines
 
-    def _step(self, lat, b, d, q, x):
-        """(p0, p1, M p0, M p1, scale, wall, N) on the chamber of (b + lam d)
-        / q right of x (`_chamber`), M = lat.matrix, wall the least root past
-        x of an N-coefficient or of a pairing in `lines` (None: no wall): the
-        int pair (c0, -c1) of the least -c0 / c1, by cross-multiplication, and
-        N `_chamber`'s support.  None when the class is not psef at x+."""
-        try:
-            support, p0, p1, scale, lines = self._chamber(lat, b, d, q, x)
-        except NotPseudoeffectiveError:
-            return None
-        wall = None
-        for c0, c1 in lines + [(u, w) for _, u, w in support]:
-            if c1 < 0 and (wall is None or c0 * wall[1] < -c1 * wall[0]):
-                wall = c0, -c1
-        Mp0, Mp1 = zip(*[(sum(map(mul, row, p0)), sum(map(mul, row, p1))) for row in lat.matrix])
-        return p0, p1, Mp0, Mp1, scale, wall, support
-
     def volume(self, D: DivisorClass) -> Fraction:
         try:
             return self._decomposition(D)[0]
@@ -329,30 +313,22 @@ class SurfaceModel(GeometryModel):
     # -- S and its derivatives -----------------------------------------------
 
     def volume_float(self, vec) -> float:
-        """vol of the class with these float coordinates, binary rationals:
-        the exact `_step` at d = 0, rounded once, and kept in no memo.  A
-        positive part of negative square raises GeometryError, as in `volume`."""
-        lat, ((b,), q) = self._exact, _integral((tuple(Fraction(float(c)) for c in vec),))
-        step = self._step(lat, b, (0,) * len(b), q, (0, 1))
-        if step is None:
-            return 0.0
-        vol = _dot(step[0], step[2]) / (step[4] ** 2 * lat.sigma)
-        if vol < 0:
-            raise GeometryError(f"the positive part of class {list(map(float, vec))} has square {vol}: "
-                                f"the declared curves are incomplete")
-        return vol
+        """vol of the class with these float coordinates: the exact volume
+        (`volume`), rounded once."""
+        return float(self.volume(self.divisor(vec)))
 
     def twist_integrals(self, L, valuations, shifts, lam0, lam1, direction=None):
         """Exact integrals along lam -> L - sum max(lam - t_i, 0) D_i over [lam0, lam1].
 
         Returns (integral of vol, integral of P . direction); the second is 0
-        when no direction is given.  Stops early once the path leaves the
-        pseudoeffective cone (vol is then identically 0 onward).
+        when no direction is given.  The walk (`_SurfaceProblem.walk`) runs
+        from lam0 to the first root of vol, past which vol is identically 0,
+        and `_integrate` clips it at lam1.
         """
         problem = self._compiled(L, valuations)
         ts = [float(t) for v, t in zip(valuations, shifts) if not v.is_trivial]
         rows = [] if direction is None else problem.pulled([direction])
-        iv, ih, _ = _integrate(problem.walk(ts, lam0, lam1), float(lam1 - lam0), rows, ())
+        iv, ih, _ = _integrate(problem.walk(ts, lam0), float(lam1 - lam0), rows, ())
         return iv, ih[0] if rows else 0.0
 
     def closed_form_threshold(self, L: DivisorClass, v: Valuation):
@@ -371,7 +347,7 @@ class SurfaceModel(GeometryModel):
         (e,), qe = v.order_model.ints
         (b,), qb = _reduced(memo, L)[0]
         b, qb = _pulled(v.order_model, b, qb)
-        chambers, x = _walk(target, tuple([c * qe for c in b]), tuple([-c * qb for c in e]), qb * qe, (0, 1))
+        chambers, x = _walk(target, tuple([c * qe for c in b]), tuple([-c * qb for c in e]), qb * qe)
         if x is None:
             raise GeometryError(f"threshold of {v.name!r} is unbounded: no declared curve bounds it")
         memo["chambers", v] = chambers
@@ -491,7 +467,7 @@ class _SurfaceProblem:
         key = tuple(rel if len(rel) < 2 else [r if not r or not math.fsum((t, -a, -r))
                                               else Fraction(t) - Fraction(a) for t, r in zip(at, rel)])
         if not (kept := self._kept) or kept[0][0] != key:
-            kept = self._kept = _recent(kept, key, 2, self.walk, at, a, math.inf)
+            kept = self._kept = _recent(kept, key, 2, self.walk, at, a)
         return t0, kept[0][1], hi, rel
 
     def expected_order(self, shifts):
@@ -621,24 +597,20 @@ class _SurfaceProblem:
         plh, vol = float(self.model.positive_product_against(self.L, H)), self.volume
         return (2.0 / vol) * (ih - (plh / vol) * iv)
 
-    def walk(self, ts, lam0, lam1):
-        """The chambers crossed on [lam0, lam1] by lam -> L - sum max(lam -
-        t_i, 0) E_i, `ts` the shifts of the non-trivial valuations, as
-        `_integrate` records (`_walk`) in lam - lam0.  Floats are binary
-        rationals: over their common denominator D, the shifts and lam1 are
-        ints mu = D (lam - lam0), and the class is (b + mu d) / (q D) for int
-        tuples b, d, which E_i joins at its mu.  lam1 caps the walk unless it
-        is inf, as only `twist_integrals` asks; `records` walks to the end."""
+    def walk(self, ts, lam0):
+        """The chambers crossed from lam0 to the first root of vol by lam ->
+        L - sum max(lam - t_i, 0) E_i, `ts` the shifts of the non-trivial
+        valuations, as `_integrate` records (`_walk`) in lam - lam0, which
+        clips them.  Floats are binary rationals: over their common
+        denominator D, the shifts are ints mu = D (lam - lam0), and the
+        class is (b + mu d) / (q D) for int tuples b, d, which E_i joins at
+        its mu."""
         (base, *divs), q = self.ints()
-        if lam1 <= lam0:
-            return []
-        capped = lam1 < math.inf
-        ratios = [x.as_integer_ratio() for x in [lam0, *ts] + [lam1] * capped]
+        ratios = [x.as_integer_ratio() for x in (lam0, *ts)]
         D = math.lcm(*[r for _, r in ratios])
         m0, *ms = [n * (D // r) for n, r in ratios]
-        m1 = ms.pop() - m0 if capped else math.inf
-        events = sorted([(m - m0, e) for m, e in zip(ms, divs) if m - m0 < m1]) + [(m1, None)] * capped
-        return _walk(self.target, tuple([D * c for c in base]), (0,) * len(base), q * D, (0, 1), events, D)[0]
+        events = sorted([(m - m0, e) for m, e in zip(ms, divs)])
+        return _walk(self.target, tuple([D * c for c in base]), (0,) * len(base), q * D, events, D)[0]
 
 
 class _Lattice(NamedTuple):
@@ -754,43 +726,45 @@ def _first_root(q0, q1, q2, unit, x, wall):
     return (-q1 / unit - s) / (2 * q2 / unit) if q1 > 0 else 2 * q0 / unit / (-q1 / unit + s)
 
 
-def _walk(target, b, d, q, x, events=(), D=1):
-    """(records, end): the chambers of (b + mu d) / q on `target` from the int
-    pair mu = x on, one `_integrate` record each in lam = mu / D, the last
-    end an int pair but for an irrational root (None: a chamber with
-    neither wall nor root).  At each sorted event (m, e) the int tuple e
-    joins the path at mu = m (b += m e, d -= e); e None, last, caps it.  A
-    chamber (`SurfaceModel._step`) ends at the least of its wall, the next
-    event and the first root of vol (`_first_root`), and its record ends
-    with its support N, `_chamber`'s, and the exact ((k0, k1, k2), unit,
-    start, end, D) of vol = (k0 + k1 mu + k2 mu^2) / unit on it.  The walk
-    stops at a root, at the cap, or where the class is not psef: the path
-    only subtracts effective divisors, so vol stays 0 past its first root,
-    and no record holds a negative vol."""
-    lat, chambers, k, n, end = target._exact, [], 0, len(events), x[0] / (x[1] * D)
+def _walk(target, b, d, q, events=(), D=1):
+    """(records, end): the chambers of (b + mu d) / q on `target` from mu =
+    0 on, one `_integrate` record each in lam = mu / D, the last end an int
+    pair but for an irrational root (None: the last chamber has neither
+    wall nor root, and its record ends at inf).  At each sorted event (m,
+    e) the int tuple e joins the path at mu = m (b += m e, d -= e).  A
+    chamber (`SurfaceModel._chamber`) ends at the least of the next event,
+    its wall and the first root of vol (`_first_root`): the wall is the
+    least root past its start of an N-coefficient or of a pairing in its
+    lines, the int pair (c0, -c1) of the least -c0 / c1, by
+    cross-multiplication.  Its record ends with its support N and the
+    exact ((k0, k1, k2), unit, start, end, D) of vol = (k0 + k1 mu + k2
+    mu^2) / unit on it.  The walk stops at a root or where the class is
+    not psef: the path only subtracts effective divisors, so vol stays 0
+    past its first root, and no record holds a negative vol."""
+    lat, chambers, k, n, x, end = target._exact, [], 0, len(events), (0, 1), 0.0
     while True:
         while k < n and events[k][0] * x[1] <= x[0]:
             m, e = events[k]
-            if e is None:
-                return chambers, x
             b, d, k = tuple([u + m * w for u, w in zip(b, e)]), tuple(map(sub, d, e)), k + 1
-        if (step := target._step(lat, b, d, q, x)) is None:
+        try:
+            support, p0, p1, scale, lines = target._chamber(lat, b, d, q, x)
+        except NotPseudoeffectiveError:
             return chambers, x
-        p0, p1, Mp0, Mp1, scale, wall, support = step
-        if k < n and (wall is None or events[k][0] * wall[1] <= wall[0]):
-            wall = events[k][0], 1
+        wall = (events[k][0], 1) if k < n else None
+        for c0, c1 in lines + [(u, w) for _, u, w in support]:
+            if c1 < 0 and (wall is None or c0 * wall[1] < -c1 * wall[0]):
+                wall = c0, -c1
+        Mp0, Mp1 = _image(lat.matrix, p0), _image(lat.matrix, p1)
         # P = (p0 + mu p1) / scale, mu = D lam: D divides scale, so s1 = scale / D is an int
         k0, k1, k2 = coeffs = sum(map(mul, p0, Mp0)), 2 * sum(map(mul, p0, Mp1)), sum(map(mul, p1, Mp1))
         den, s1 = scale * lat.sigma, scale // D
         unit, den1 = scale * den, s1 * lat.sigma
         root = _first_root(k0, k1, k2, unit, x, wall)
-        if root is None and wall is None:
-            return chambers, None
         start, x, lo = x, wall if root is None else root, end
-        end = x / D if isinstance(x, float) else x[0] / (x[1] * D)
+        end = math.inf if x is None else x / D if isinstance(x, float) else x[0] / (x[1] * D)
         chambers.append((lo, end, k0 / unit, k1 / (scale * den1), k2 / (s1 * den1),
                          Mp0, Mp1, den, den1, support, (coeffs, unit, start, x, D)))
-        if root is not None:
+        if root is not None or x is None:
             return chambers, x
 
 
@@ -822,9 +796,9 @@ def _integrate(chambers, hi, rows, ts, ints=None):
             # the integral of M P over the chamber, in floats
             r = [a / den0 * span + b / den1 * half for a, b in zip(Mp0, Mp1)]
             for j, h in enumerate(rows):
-                total_h[j] += sum(map(mul, h, r))
+                total_h[j] += _float_sum(map(mul, h, r))
             for i in live:
-                total_e[i] += (pe := sum(map(mul, divs[i], r)) / q)
+                total_e[i] += (pe := _float_sum(map(mul, divs[i], r)) / q)
                 rise += pe
     if ts:
         total_e[first] -= rise

@@ -30,6 +30,9 @@ def test_a_class_of_the_wrong_rank_is_an_error(name, coeffs):
         ds.gamma_threshold(model, D, v)
     with pytest.raises(ds.BasisMismatchError, match=ranks):
         ds.expected_order_S(model, D, ds.FiltrationSpec((v,), (0.0,)))
+    if isinstance(model, ds.SurfaceModel):
+        with pytest.raises(ds.BasisMismatchError, match=ranks):
+            model.volume_float(tuple(map(float, coeffs)))
 
 
 def test_a_canonical_class_of_the_wrong_rank_is_an_error():

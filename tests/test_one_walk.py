@@ -47,6 +47,16 @@ def test_an_unbounded_threshold_still_raises():
         expected_order_S_grad(model, L, FiltrationSpec((e, neg), (0, 0)))
 
 
+def test_twist_integrals_along_an_unbounded_path():
+    # -H is no effective curve: L - lam (-H) never leaves the psef cone, so
+    # the walk's last chamber has no end, and the integrals clip it at lam1;
+    # past the shift 1/2, vol = (1 + s)^2 and P . H = 1 + s in s = lam - 1/2
+    model = open_lattice()
+    H = model.divisor([1, 0])
+    neg = model.curve_valuation("neg", [-1, 0])
+    assert model.twist_integrals(H, [neg], [0.5], 0.0, 2.0, direction=H) == (5.375, 3.125)
+
+
 def test_gamma_and_S_walk_the_same_chambers():
     """The gamma walk kept in the memo of L against `_SurfaceProblem.walk`
     of the same path, lam in [0, gamma] at shift 0: the walk of S runs over
@@ -60,7 +70,7 @@ def test_gamma_and_S_walk_the_same_chambers():
         for v in model.named_valuations.values():
             gamma = ds.gamma_threshold(model, L, v)
             kept = model._memo_of(L)["chambers", v]
-            walked = model._compiled(L, (v,)).walk([0.0], 0.0, float(gamma))
+            walked = model._compiled(L, (v,)).walk([0.0], 0.0)
             assert len(kept) == len(walked), (model.name, L, v.name)
             for a, b in zip(kept, walked):
                 assert a[:5] == b[:5], (model.name, L, v.name)
