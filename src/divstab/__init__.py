@@ -47,6 +47,12 @@ from .stability import (
 )
 from .models import SURFACE_MODEL_NAMES, bundled_model, bundled_model_names
 
+# No library code integrates by quadrature: the module stays loaded for
+# perfbench/tracer.py, which wraps quadrature.integrate beside
+# filtrations.integration_range, SurfaceModel.volume_float, twisted_volume,
+# twist_integrals and ToricModel.twist_evaluator (ROADMAP item 0).
+from . import quadrature  # noqa: F401
+
 __all__ = [
     "BasisMismatchError",
     "BetaReport",

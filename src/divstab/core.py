@@ -152,11 +152,12 @@ class DivisorialMeasure:
 
     @staticmethod
     def make(pairs: Sequence[tuple[Valuation, object]]) -> "DivisorialMeasure":
-        return DivisorialMeasure(tuple((v, as_fraction(m)) for v, m in pairs))
+        return DivisorialMeasure(tuple(pairs))
 
     def __post_init__(self):
-        # on the ints of each mass, the total n / d over the lcm d of their
-        # denominators; a Fraction only for the message
+        # each mass an exact rational (`as_fraction`); on their ints, the total
+        # n / d over the lcm d of their denominators; a Fraction only for the message
+        object.__setattr__(self, "atoms", tuple((v, as_fraction(m)) for v, m in self.atoms))
         n, d, seen = 0, 1, set()
         for v, m in self.atoms:
             p, q = m.numerator, m.denominator

@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import GeometryError, GeometryModel, DivisorClass, Valuation, gamma_threshold
-from .quadrature import integrate
 
 
 @dataclass(frozen=True)
@@ -101,44 +100,13 @@ def integration_range(
     return t0, lam_max, nontrivial, breaks
 
 
-def expected_order_S(
-    model: GeometryModel,
-    L: DivisorClass,
-    spec: FiltrationSpec,
-    tol: float = 1e-9,
-    method: str = "auto",
-) -> float:
-    """Expected vanishing order of L along the filtration; translation equivariant.
-
-    With method="auto", S is the backend's one exact evaluation on one atom
-    per centre, the value of `expected_order_S_grad`.  method="quadrature"
-    is the reference: it runs adaptive composite Gauss-Legendre to `tol`,
-    seeded at the shift and threshold breakpoints, over the model's
-    `twist_evaluator` on one atom per centre; `tol` has no other use.
-    """
-    if method not in ("auto", "quadrature"):
-        raise ValueError(f"unknown method {method!r}; expected 'auto' or 'quadrature'")
+def expected_order_S(model: GeometryModel, L: DivisorClass, spec: FiltrationSpec) -> float:
+    """Expected vanishing order of L along the filtration; translation
+    equivariant: the backend's one exact evaluation on one atom per centre
+    (`one_per_centre`), rounded to float, the value of
+    `expected_order_S_grad`."""
     support, shifts, _ = one_per_centre(spec.support, spec.shifts)
-    if method == "auto":
-        return float(model.expected_order(L, support, shifts)[0])
-    spec = FiltrationSpec(support, shifts)
-    # built first: it resolves the realization, so a mixed support raises for every t
-    evaluator = model.twist_evaluator(L, [v for v in spec.support if not v.is_trivial])
-    vol_L = model.volume(L)
-    if vol_L <= 0:
-        raise GeometryError("expected vanishing order requires a big class")
-
-    t0, lam_max, nontrivial, breaks = integration_range(model, L, spec)
-    if not nontrivial or lam_max <= t0:
-        return t0
-
-    shifts = [t for _, t in nontrivial]
-
-    def integrand(lam: float) -> float:
-        return evaluator([max(lam - t, 0.0) for t in shifts])
-
-    value = integrate(integrand, t0, lam_max, breaks, tol=tol)
-    return t0 + value / float(vol_L)
+    return float(model.expected_order(L, support, shifts)[0])
 
 
 def expected_order_S_grad(

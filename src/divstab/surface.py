@@ -296,20 +296,6 @@ class SurfaceModel(GeometryModel):
             cls = cls - as_fraction(c) * v.order_model.divisor
         return target.volume(cls)
 
-    def twist_evaluator(self, L, valuations):
-        target, pull = self.resolve_realization(valuations)
-        base = tuple(map(float, pull(L.coefficients)))
-        divs = [None if v.is_trivial else tuple(map(float, v.order_model.divisor.coefficients)) for v in valuations]
-
-        def evaluate(cs: Sequence[float]) -> float:
-            vec = base
-            for c, e in zip(cs, divs):
-                if c and e:
-                    vec = tuple(u - c * w for u, w in zip(vec, e))
-            return target.volume_float(vec)
-
-        return evaluate
-
     # -- S and its derivatives -----------------------------------------------
 
     def volume_float(self, vec) -> float:

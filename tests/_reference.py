@@ -16,17 +16,24 @@ Gram matrix of the support, read off a model's declared intersection matrix
 and curves; it gives the Zariski decomposition, the volume, the
 pseudoeffective threshold, and `S` with its gradient in the shifts for
 rational shifts.
+
+`S` on either backend: adaptive composite Gauss-Legendre (`integrate`) to a
+tolerance, cut at the shift and threshold breakpoints, over a float twist
+closure (`twist_volume`) that asks the backend only for the volume of one
+class (surface) or of one cut polytope (toric) at a time (`quadrature_S`).
+The library computes `S` exactly and has no route of its own like this.
 """
 import itertools
 import math
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import Delaunay
 
-from divstab import GeometryError, NotPseudoeffectiveError
+from divstab import ConvergenceError, GeometryError, NotPseudoeffectiveError, SurfaceModel, gamma_threshold
+from divstab.filtrations import one_per_centre
 
 
 def solve_exact(matrix, rhs):
@@ -397,3 +404,90 @@ def _first_root(q0, q1, q2, x, wall):
         return (-q1 - Fraction(rn, rd)) / (2 * q2)
     s = math.sqrt(disc)
     return (-q1 - s) / (2 * q2) if q1 > 0 else 2 * q0 / (-q1 + s)
+
+
+# -- S by adaptive Gauss-Legendre, in floats -------------------------------
+
+
+@cache
+def _nodes(order):
+    return np.polynomial.legendre.leggauss(order)
+
+
+def _gauss(f, a, b, order):
+    x, w = _nodes(order)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return half * sum(wi * f(mid + half * xi) for xi, wi in zip(x, w))
+
+
+def _adaptive(f, a, b, tol, order, depth):
+    whole = _gauss(f, a, b, order)
+    mid = 0.5 * (a + b)
+    split = _gauss(f, a, mid, order) + _gauss(f, mid, b, order)
+    if abs(split - whole) <= tol:
+        return split
+    if depth <= 0:
+        raise ConvergenceError(f"quadrature on [{a}, {b}] did not reach tolerance {tol}")
+    return _adaptive(f, a, mid, tol / 2, order, depth - 1) + _adaptive(f, mid, b, tol / 2, order, depth - 1)
+
+
+def integrate(f, a, b, breakpoints=(), tol=1e-9, order=12, max_depth=40):
+    """Integral of f over [a, b] by composite Gauss-Legendre of this order,
+    cut at the interior breakpoints, each piece bisected until two halves
+    agree with the whole to its share of tol."""
+    if b <= a:
+        return 0.0
+    cuts = sorted({a, b} | {p for p in breakpoints if a < p < b})
+    total = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        share = max(tol * (hi - lo) / (b - a), 1e-300)
+        total += _adaptive(f, lo, hi, share, order, max_depth)
+    return total
+
+
+def twist_volume(model, L, valuations):
+    """cs -> float vol(L - sum c_i E_i) over these non-trivial valuations.
+    On a surface, L pulled to the valuations' realization and the E_i
+    subtracted in floats, then the exact `volume` of that class rounded once;
+    on a toric model, the exact `constrained_volume` with one cut per c_i > 0,
+    rounded once."""
+    if isinstance(model, SurfaceModel):
+        target, pull = model.resolve_realization(valuations)
+        base = tuple(map(float, pull(L.coefficients)))
+        divs = [tuple(map(float, v.order_model.divisor.coefficients)) for v in valuations]
+
+        def evaluate(cs):
+            vec = base
+            for c, e in zip(cs, divs):
+                if c:
+                    vec = tuple(u - c * w for u, w in zip(vec, e))
+            return float(target.volume(target.divisor(vec)))
+
+        return evaluate
+    vecs = [v.order_model for v in valuations]
+    return lambda cs: float(model.constrained_volume(L, [(w, c) for w, c in zip(vecs, cs) if c > 0]))
+
+
+def quadrature_S(model, L, spec, tol=1e-9):
+    """S of L along the filtration, integrated to `tol` by `integrate` over
+    `twist_volume` on one atom per centre: t0 plus the integral from t0 to
+    lam_max of vol over vol L, where lam_max is the least gamma_i + t_i over
+    the non-trivial atoms, capped by the least trivial shift, and the pieces
+    are cut at the shifts and at each gamma_i + t_i."""
+    support, shifts, _ = one_per_centre(spec.support, spec.shifts)
+    nontrivial = [(v, float(t)) for v, t in zip(support, shifts) if not v.is_trivial]
+    # built first: it resolves the realization, so a mixed support raises for every t
+    evaluate = twist_volume(model, L, [v for v, _ in nontrivial])
+    vol_L = model.volume(L)
+    if vol_L <= 0:
+        raise GeometryError("expected vanishing order requires a big class")
+    t0 = min(float(t) for t in shifts)
+    if not nontrivial:
+        return t0
+    ends = [float(gamma_threshold(model, L, v)) + t for v, t in nontrivial]
+    lam_max = min(ends + [float(t) for v, t in zip(support, shifts) if v.is_trivial])
+    if lam_max <= t0:
+        return t0
+    ts = [t for _, t in nontrivial]
+    value = integrate(lambda lam: evaluate([max(lam - t, 0.0) for t in ts]), t0, lam_max, set(ts) | set(ends), tol=tol)
+    return t0 + value / float(vol_L)

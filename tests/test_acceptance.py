@@ -60,12 +60,10 @@ def test_criterion_2_expected_order_integrals():
     line = p2.named_valuations["line"]
     ord_e = blp2.named_valuations["ord_e"]
     start = time.perf_counter()
-    s1 = expected_order_S(p2, p2.divisor([3]), FiltrationSpec((line,), (0.0,)), tol=1e-9)
+    s1 = expected_order_S(p2, p2.divisor([3]), FiltrationSpec((line,), (0.0,)))
     t1 = time.perf_counter() - start
     start = time.perf_counter()
-    s2 = expected_order_S(
-        blp2, blp2.divisor([3, -1]), FiltrationSpec((ord_e,), (0.0,)), tol=1e-9
-    )
+    s2 = expected_order_S(blp2, blp2.divisor([3, -1]), FiltrationSpec((ord_e,), (0.0,)))
     t2 = time.perf_counter() - start
     assert abs(s1 - 1.0) < 1e-9, s1
     assert abs(s2 - 7.0 / 6.0) < 1e-9, s2

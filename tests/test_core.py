@@ -90,6 +90,22 @@ class TestDivisorialMeasure:
                 [(line, Fraction(3, 2)), (TRIVIAL_VALUATION, Fraction(-1, 2))]
             )
 
+    @pytest.mark.parametrize("masses, exact", [
+        ((1.0,), (1,)),
+        (("1/2", "1/2"), (Fraction(1, 2), Fraction(1, 2))),
+        ((0.25, 0.75), (Fraction(1, 4), Fraction(3, 4))),
+    ])
+    def test_constructor_holds_exact_masses(self, masses, exact):
+        # the constructor coerces each mass as `make` does, and holds Fractions
+        support = (TRIVIAL_VALUATION, p2.named_valuations["line"])
+        mu = ds.DivisorialMeasure(tuple(zip(support, masses)))
+        assert mu == ds.DivisorialMeasure.make(list(zip(support, exact)))
+        assert all(type(m) is Fraction for m in mu.masses)
+
+    def test_constructor_rejects_a_mass_that_is_no_number(self):
+        with pytest.raises(TypeError, match="^cannot interpret None as an exact rational$"):
+            ds.DivisorialMeasure(((TRIVIAL_VALUATION, None),))
+
 
 class TestIsBig:
     def test_ample_is_big(self):
@@ -192,7 +208,7 @@ class TestExactSurfaceThreshold:
         def no_volume(*args, **kwargs):
             raise AssertionError("surface threshold evaluated a volume")
 
-        for attr in ("twist_evaluator", "volume_float", "twisted_volume"):
+        for attr in ("volume_float", "twisted_volume"):
             monkeypatch.setattr(ds.SurfaceModel, attr, no_volume)
         L = m.divisor([3, 2])
         assert [ds.gamma_threshold(m, L, v) for v in vals] == [3, 2, 2]

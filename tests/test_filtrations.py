@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import _reference as reference
 import divstab as ds
 from divstab.core import TRIVIAL_VALUATION
 from divstab.filtrations import (
@@ -73,15 +74,15 @@ class TestExpectedOrder:
         with pytest.raises(ds.GeometryError):
             expected_order_S(p2, p2.divisor([-1]), FiltrationSpec((LINE,), (0.0,)))
 
-    @pytest.mark.parametrize("method", ["auto", "quadrature"])
-    def test_least_trivial_shift_caps_the_range(self, method):
+    @pytest.mark.parametrize("route", [expected_order_S, reference.quadrature_S], ids=["auto", "quadrature"])
+    def test_least_trivial_shift_caps_the_range(self, route):
         # no section survives past the smallest trivial shift, whatever the order
         triv_a = ds.Valuation("triv_a", 0, is_trivial=True)
         triv_b = ds.Valuation("triv_b", 0, is_trivial=True)
         L = p2.divisor([3])
 
         def S(support, t):
-            return expected_order_S(p2, L, FiltrationSpec(support, t), method=method)
+            return route(p2, L, FiltrationSpec(support, t))
 
         ab = S((LINE, triv_a, triv_b), (0.0, 0.5, 5.0))
         ba = S((LINE, triv_b, triv_a), (0.0, 5.0, 0.5))
@@ -185,11 +186,6 @@ class TestExpectedOrder:
         s = expected_order_S(p2t, L3H, FiltrationSpec((E1,), (0.0,)))
         assert abs(s - 1.0) < 1e-8
 
-    @pytest.mark.parametrize("method", ["Auto", "exact", "chamber"])
-    def test_unknown_method_rejected(self, method):
-        with pytest.raises(ValueError, match="'auto'.*'quadrature'"):
-            expected_order_S(p2, p2.divisor([3]), FiltrationSpec((LINE,), (0.0,)), method=method)
-
 
 class TestToricCells:
     def test_two_valuations_exact(self):
@@ -213,8 +209,7 @@ class TestToricCells:
         for t in [(0.1, 0.6, 1.3), (0.5, 0.2, 0.9)]:
             spec = FiltrationSpec((P3_E1, P3_E12, TRIVIAL_VALUATION), t)
             cells = expected_order_S(P3, L, spec)
-            reference = expected_order_S(P3, L, spec, method="quadrature")
-            assert abs(cells - reference) < 1e-8
+            assert abs(cells - reference.quadrature_S(P3, L, spec)) < 1e-8
 
     def test_two_trivial_atoms_in_either_order(self):
         triv_a = ds.Valuation("triv_a", 0, is_trivial=True)

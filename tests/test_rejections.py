@@ -3,10 +3,38 @@ error it names."""
 import pytest
 
 import divstab as ds
-from divstab.core import DivisorClass
+from divstab.core import DivisorClass, Valuation
+from divstab.surface import SurfaceRealization
 
 p2 = ds.bundled_model("p2")
 p2t = ds.bundled_model("p2_toric")
+
+
+def _S_on_p2(*valuations):
+    ds.expected_order_S(p2, p2.divisor([3]), ds.FiltrationSpec(valuations, (0.0,) * len(valuations)))
+
+
+def _on_the_blowup(name, pullback):
+    """A valuation of p2 along the exceptional curve of blp2, mapped there by
+    this pullback."""
+    blp2 = p2.named_valuations["point_blowup"].order_model.model
+    return Valuation(name, 2, order_model=SurfaceRealization(blp2, blp2.divisor([0, 1]), "p2", pullback))
+
+
+@pytest.mark.parametrize("ask, error, message", [
+    (lambda: _S_on_p2(p2t.named_valuations["e1"]), ds.GeometryError, "^valuation 'e1' is not a surface valuation$"),
+    (lambda: _S_on_p2(ds.bundled_model("blp2").named_valuations["ord_e"]), ds.BasisMismatchError,
+     "^valuation 'ord_e' is declared over base 'blp2', not 'p2'$"),
+    (lambda: _S_on_p2(p2.named_valuations["point_blowup"], _on_the_blowup("other", ((1,), (1,)))), ds.GeometryError,
+     "^inconsistent pullback maps among valuations$"),
+    (lambda: _S_on_p2(_on_the_blowup("unmapped", None)), ds.GeometryError,
+     "^missing pullback map to the realization model$"),
+    (lambda: ds.delta_anticanonical(ds.SurfaceModel("noK", [[1]], sample_curves=[[1]]), [p2.named_valuations["line"]]),
+     ds.GeometryError, "^the anticanonical class is not big$"),
+], ids=["toric_valuation", "other_base", "two_pullbacks", "no_pullback", "anticanonical_not_big"])
+def test_a_valuation_or_model_a_query_cannot_use(ask, error, message):
+    with pytest.raises(error, match=message):
+        ask()
 
 
 def test_a_level_without_sections():

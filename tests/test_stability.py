@@ -83,6 +83,18 @@ class TestNorm:
         assert r.value >= grid_best - 1e-9
         assert abs(r.value - grid_best) < 1e-3
 
+    def test_zero_mass_shifts_lowered_to_the_box(self):
+        # g does not depend on the shift of an atom of mass 0 where that atom
+        # is inactive, so the engine may end with it past box_bound above the
+        # least shift; the norm reports it lowered to box_bound
+        p2t = ds.bundled_model("p2_toric")
+        e1, e2, diag = (p2t.named_valuations[n] for n in ("e1", "e2", "diag"))
+        L = p2t.divisor([4, 2, 3])
+        r = ds.norm(p2t, L, DivisorialMeasure.make([(e2, 0), (diag, 1), (e1, 0)]))
+        assert r.maximizers == ((10.0, 0.0, 10.0),) and r.box_bound == 10.0
+        assert r.value == 6.0 == ds.norm(p2t, L, dirac(diag)).value
+        assert r.converged
+
     def test_requires_big(self):
         with pytest.raises(ds.GeometryError):
             ds.norm(p2, p2.divisor([-1]), dirac(LINE))
