@@ -19,7 +19,7 @@ from typing import Optional
 
 import click
 
-from . import __version__, filtrations, stability
+from . import __version__, core, filtrations, stability
 from .core import (
     TRIVIAL_VALUATION,
     DivisorClass,
@@ -27,26 +27,11 @@ from .core import (
     GeometryError,
     GeometryModel,
     Valuation,
-    gamma_threshold,
 )
 from .models import bundled_model
 from .surface import SurfaceModel
 from .toric import ToricModel
 
-# the fields each task kind reads besides "kind"
-TASK_FIELDS = {
-    "volume": ("divisor",),
-    "zariski": ("divisor",),
-    "gamma": ("valuation",),
-    "S": ("support", "shifts"),
-    "norm": ("measure",),
-    "beta": ("measure",),
-    "delta": ("candidates",),
-    "ma_solve": ("measure",),
-    "probe": ("measures", "epsilon"),
-    "finite_k": ("support", "shifts", "k"),
-}
-TASK_KINDS = tuple(TASK_FIELDS)
 # the fields of an inline model of each type, and of each of its valuations
 MODEL_FIELDS = {
     "surface": ("type", "name", "intersection_matrix", "negative_curves", "canonical_class",
@@ -88,6 +73,18 @@ def _array(payload: dict, key: str, path: str) -> list:
     return value
 
 
+def _nonempty(payload: dict, key: str, path: str) -> list:
+    """payload[key], a nonempty array."""
+    value = payload.get(key)
+    _expect(isinstance(value, list) and value, f"{path}.{key}", "expected a nonempty array")
+    return value
+
+
+def _each(parse, model, payload: dict, key: str, path: str) -> list:
+    """parse(model, item, its path) of each item of the nonempty array payload[key]."""
+    return [parse(model, x, f"{path}.{key}[{i}]") for i, x in enumerate(_nonempty(payload, key, path))]
+
+
 def _parse_rational(value, path: str) -> Fraction:
     if isinstance(value, bool):
         raise ConfigError(path, "expected a rational, got a boolean")
@@ -112,11 +109,16 @@ def _parse_number(value, path: str) -> float:
     return float(value)
 
 
-def _parse_rational_vector(value, path: str, rank: Optional[int] = None):
+def _parse_rational_vector(value, path: str, rank: int):
     _expect(isinstance(value, list), path, "expected an array")
-    if rank is not None and len(value) != rank:
+    if len(value) != rank:
         raise ConfigError(path, f"expected {rank} entries, got {len(value)}")
     return [_parse_rational(x, f"{path}[{i}]") for i, x in enumerate(value)]
+
+
+def _rational_vectors(payload: dict, key: str, path: str, rank: int) -> list:
+    """payload[key], an array of rational vectors of `rank` entries; [] when absent."""
+    return [_parse_rational_vector(c, f"{path}.{key}[{i}]", rank) for i, c in enumerate(_array(payload, key, path))]
 
 
 def _is_int(value) -> bool:
@@ -146,30 +148,19 @@ def _parse_model(payload, path: str) -> GeometryModel:
             matrix = payload.get("intersection_matrix")
             _expect(isinstance(matrix, list), f"{path}.intersection_matrix", "expected an array")
             rank = len(matrix)
-            rows = [
-                _parse_rational_vector(r, f"{path}.intersection_matrix[{i}]", rank)
-                for i, r in enumerate(matrix)
-            ]
             model = SurfaceModel(
                 name,
-                rows,
-                negative_curves=[
-                    _parse_rational_vector(c, f"{path}.negative_curves[{i}]", rank)
-                    for i, c in enumerate(_array(payload, "negative_curves", path))
-                ],
+                _rational_vectors(payload, "intersection_matrix", path, rank),
+                negative_curves=_rational_vectors(payload, "negative_curves", path, rank),
                 canonical_class=_parse_rational_vector(
                     payload.get("canonical_class", [0] * rank),
                     f"{path}.canonical_class",
                     rank,
                 ),
-                sample_curves=[
-                    _parse_rational_vector(c, f"{path}.sample_curves[{i}]", rank)
-                    for i, c in enumerate(_array(payload, "sample_curves", path))
-                ],
+                sample_curves=_rational_vectors(payload, "sample_curves", path, rank),
             )
         else:
-            rays = payload.get("rays")
-            _expect(isinstance(rays, list) and rays, f"{path}.rays", "expected a nonempty array")
+            rays = _nonempty(payload, "rays", path)
             for i, ray in enumerate(rays):
                 _expect(isinstance(ray, list) and all(map(_is_int, ray)), f"{path}.rays[{i}]", "expected an integer vector")
             model = ToricModel(name, rays)
@@ -191,8 +182,6 @@ def _parse_model(payload, path: str) -> GeometryModel:
             except GeometryError as exc:
                 raise ConfigError(f"{vp}.vector", str(exc)) from None
         return model
-    except ConfigError:
-        raise
     except GeometryError as exc:
         raise ConfigError(path, f"invalid model: {exc}") from None
 
@@ -210,10 +199,8 @@ def _lookup_valuation(model: GeometryModel, name, path: str) -> Valuation:
 def _parse_measure(model, payload, path: str) -> DivisorialMeasure:
     _expect(isinstance(payload, dict), path, "expected an object")
     _expect_fields(payload, ("atoms",), path)
-    atoms = payload.get("atoms")
-    _expect(isinstance(atoms, list) and atoms, f"{path}.atoms", "expected a nonempty array")
     pairs = []
-    for i, atom in enumerate(atoms):
+    for i, atom in enumerate(_nonempty(payload, "atoms", path)):
         ap = f"{path}.atoms[{i}]"
         _expect(isinstance(atom, dict), ap, "expected an object")
         _expect_fields(atom, ("valuation", "mass"), ap)
@@ -226,12 +213,15 @@ def _parse_measure(model, payload, path: str) -> DivisorialMeasure:
         raise ConfigError(path, str(exc)) from None
 
 
-def _parse_spec(model, task, path: str) -> filtrations.FiltrationSpec:
-    support = task.get("support")
-    _expect(isinstance(support, list) and support, f"{path}.support", "expected a nonempty array")
-    vals = [
-        _lookup_valuation(model, n, f"{path}.support[{i}]") for i, n in enumerate(support)
-    ]
+def _parse_divisor(model, line_bundle, task, path: str) -> DivisorClass:
+    div = task.get("divisor")
+    if div is None:
+        return line_bundle
+    return model.divisor(_parse_rational_vector(div, f"{path}.divisor", model.class_rank))
+
+
+def _parse_spec(model, line_bundle, task, path: str) -> filtrations.FiltrationSpec:
+    vals = _each(_lookup_valuation, model, task, "support", path)
     shifts = task.get("shifts", [0] * len(vals))
     _expect(
         isinstance(shifts, list) and len(shifts) == len(vals),
@@ -243,6 +233,26 @@ def _parse_spec(model, task, path: str) -> filtrations.FiltrationSpec:
         return filtrations.FiltrationSpec(tuple(vals), ts)
     except GeometryError as exc:
         raise ConfigError(path, str(exc)) from None
+
+
+def _parse_level(model, line_bundle, task, path: str) -> int:
+    k = task.get("k")
+    _expect(_is_int(k) and k > 0, f"{path}.k", "expected a positive integer")
+    return k
+
+
+# each input a task can read: the config fields it reads, and its parser of
+# (model, line bundle, task, task path)
+INPUTS = {
+    "divisor": (("divisor",), _parse_divisor),
+    "valuation": (("valuation",), lambda model, L, task, path: _lookup_valuation(model, task.get("valuation"), f"{path}.valuation")),
+    "spec": (("support", "shifts"), _parse_spec),
+    "measure": (("measure",), lambda model, L, task, path: _parse_measure(model, task.get("measure"), f"{path}.measure")),
+    "candidates": (("candidates",), lambda model, L, task, path: _each(_lookup_valuation, model, task, "candidates", path)),
+    "measures": (("measures",), lambda model, L, task, path: _each(_parse_measure, model, task, "measures", path)),
+    "epsilon": (("epsilon",), lambda model, L, task, path: _parse_number(task.get("epsilon", 0), f"{path}.epsilon")),
+    "k": (("k",), _parse_level),
+}
 
 
 def parse_config(payload, overrides=None, seed_override=None):
@@ -276,97 +286,75 @@ def parse_config(payload, overrides=None, seed_override=None):
         tp = f"tasks[{i}]"
         _expect(isinstance(task, dict), tp, "expected an object")
         kind = task.get("kind")
-        if kind not in TASK_KINDS:
-            raise ConfigError(f"{tp}.kind", f"unknown task kind {kind!r}; known: {list(TASK_KINDS)}")
-        _expect_fields(task, ("kind", *TASK_FIELDS[kind]), tp)
-        tasks.append(_parse_task(model, line_bundle, task, tp))
+        # a kind that is not a string, such as a list, cannot be looked up in the table
+        if not (isinstance(kind, str) and kind in TASKS):
+            raise ConfigError(f"{tp}.kind", f"unknown task kind {kind!r}; known: {list(TASKS)}")
+        _expect_fields(task, _KNOWN_FIELDS[kind], tp)
+        parsed = {"kind": kind}
+        for name in TASKS[kind][0]:
+            parsed[name] = INPUTS[name][1](model, line_bundle, task, tp)
+        tasks.append(parsed)
     return model, line_bundle, tasks, tolerances, seed
-
-
-def _parse_task(model, line_bundle, task, path: str):
-    kind = task["kind"]
-    parsed = {"kind": kind}
-    if kind in ("volume", "zariski"):
-        div = task.get("divisor")
-        parsed["divisor"] = (
-            line_bundle
-            if div is None
-            else model.divisor(_parse_rational_vector(div, f"{path}.divisor", model.class_rank))
-        )
-    elif kind == "gamma":
-        parsed["valuation"] = _lookup_valuation(model, task.get("valuation"), f"{path}.valuation")
-    elif kind == "S":
-        parsed["spec"] = _parse_spec(model, task, path)
-    elif kind in ("norm", "beta", "ma_solve"):
-        parsed["measure"] = _parse_measure(model, task.get("measure"), f"{path}.measure")
-    elif kind == "delta":
-        cands = task.get("candidates")
-        _expect(isinstance(cands, list) and cands, f"{path}.candidates", "expected a nonempty array")
-        parsed["candidates"] = [
-            _lookup_valuation(model, n, f"{path}.candidates[{i}]") for i, n in enumerate(cands)
-        ]
-    elif kind == "probe":
-        ms = task.get("measures")
-        _expect(isinstance(ms, list) and ms, f"{path}.measures", "expected a nonempty array")
-        parsed["measures"] = [
-            _parse_measure(model, m, f"{path}.measures[{i}]") for i, m in enumerate(ms)
-        ]
-        parsed["epsilon"] = _parse_number(task.get("epsilon", 0), f"{path}.epsilon")
-    elif kind == "finite_k":
-        parsed["spec"] = _parse_spec(model, task, path)
-        k = task.get("k")
-        _expect(_is_int(k) and k > 0, f"{path}.k", "expected a positive integer")
-        parsed["k"] = k
-    return parsed
 
 
 # -- task execution ---------------------------------------------------------
 
 
+def _run_zariski(model, L, opts, divisor):
+    if not isinstance(model, SurfaceModel):
+        raise GeometryError("zariski tasks need a surface model")
+    dec = model.zariski(divisor)
+    return {
+        "positive_part": dec.positive_part,
+        "negative_part": [{"curve": c, "coefficient": a} for c, a in dec.negative_part],
+    }
+
+
+def _run_delta(model, L, opts, candidates):
+    value, witness = stability.delta_anticanonical(model, candidates)
+    return {"delta": value, "witness": witness.name}
+
+
+def _run_finite_k(model, L, opts, spec, k):
+    # the profile's values and mean (`filtration_volume_finite_k`), read
+    # off the sorted array: only the values a report prints become floats
+    values, volume = filtrations._level_values(model, L, spec, k)
+    return {
+        "k": k,
+        "dim": len(values),
+        "volume": volume,
+        "normalized_volume": volume / k,
+        "jumping_values": values.tolist() if len(values) <= 64 else None,
+    }
+
+
+# each task kind: the inputs it reads (`INPUTS`), in check order, and its
+# runner of (model, line bundle, optimizer options, its inputs in order).  A
+# runner reaches library functions through their module at call time, so a
+# wrapper put on the module attribute sees the call.
+TASKS = {
+    "volume": (("divisor",), lambda model, L, opts, divisor: {"volume": model.volume(divisor)}),
+    "zariski": (("divisor",), _run_zariski),
+    "gamma": (("valuation",), lambda model, L, opts, valuation: {"gamma": core.gamma_threshold(model, L, valuation)}),
+    "S": (("spec",), lambda model, L, opts, spec: {"S": filtrations.expected_order_S(model, L, spec)}),
+    "norm": (("measure",), lambda model, L, opts, measure: {"norm": stability.norm(model, L, measure, options=opts)}),
+    "beta": (("measure",), lambda model, L, opts, measure: {"beta": stability.beta(model, L, measure, options=opts)}),
+    "delta": (("candidates",), _run_delta),
+    "ma_solve": (("measure",), lambda model, L, opts, measure: {"solution": stability.ma_solve(model, L, measure, options=opts)}),
+    "probe": (("measures", "epsilon"), lambda model, L, opts, measures, epsilon: {
+        "probe": stability.divisorial_stability_probe(model, L, measures, epsilon=epsilon, options=opts)
+    }),
+    "finite_k": (("spec", "k"), _run_finite_k),
+}
+# the config fields each task kind reads, from the fields of its inputs
+_KNOWN_FIELDS = {kind: ("kind", *(field for name in inputs for field in INPUTS[name][0])) for kind, (inputs, _) in TASKS.items()}
+
+
 # `seed` is unused; the signature stays for positional callers (perfbench/workloads.py)
 def run_task(model, line_bundle, task, tolerances, seed):
-    kind = task["kind"]
+    inputs, run = TASKS[task["kind"]]
     opts = stability.OptimizerOptions(tol=tolerances["optimizer"])
-    if kind == "volume":
-        return {"volume": model.volume(task["divisor"])}
-    if kind == "zariski":
-        if not isinstance(model, SurfaceModel):
-            raise GeometryError("zariski tasks need a surface model")
-        dec = model.zariski(task["divisor"])
-        return {
-            "positive_part": dec.positive_part,
-            "negative_part": [
-                {"curve": c, "coefficient": a} for c, a in dec.negative_part
-            ],
-        }
-    if kind == "gamma":
-        return {"gamma": gamma_threshold(model, line_bundle, task["valuation"])}
-    if kind == "S":
-        return {"S": filtrations.expected_order_S(model, line_bundle, task["spec"])}
-    if kind in ("norm", "beta"):
-        return {kind: getattr(stability, kind)(model, line_bundle, task["measure"], options=opts)}
-    if kind == "delta":
-        value, witness = stability.delta_anticanonical(model, task["candidates"])
-        return {"delta": value, "witness": witness.name}
-    if kind == "ma_solve":
-        return {"solution": stability.ma_solve(model, line_bundle, task["measure"], options=opts)}
-    if kind == "probe":
-        return {"probe": stability.divisorial_stability_probe(
-            model, line_bundle, task["measures"], epsilon=task["epsilon"], options=opts
-        )}
-    if kind == "finite_k":
-        # the profile's values and mean (`filtration_volume_finite_k`), read
-        # off the sorted array: only the values a report prints become floats
-        k = task["k"]
-        values, volume = filtrations._level_values(model, line_bundle, task["spec"], k)
-        return {
-            "k": k,
-            "dim": len(values),
-            "volume": volume,
-            "normalized_volume": volume / k,
-            "jumping_values": values.tolist() if len(values) <= 64 else None,
-        }
-    raise AssertionError(f"unhandled task kind {kind}")
+    return run(model, line_bundle, opts, *map(task.__getitem__, inputs))
 
 
 # -- serialization ----------------------------------------------------------
@@ -376,9 +364,21 @@ def _fraction(q) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
-# the library's own types by exact type; a subclass goes through the
-# isinstance chain of `_jsonify`, which gives the same
+def _same(obj):
+    return obj
+
+
+def _listed(obj):
+    return [_jsonify(x) for x in obj]
+
+
+# the converter of each type met, by exact type: these are declared, and a
+# type met first is given, once, the converter of its first base in MRO order
+# that is declared here, else a dataclass's fields, else the value itself
 _CONVERTERS = {
+    dict: lambda d: {k: _jsonify(v) for k, v in d.items()},
+    list: _listed,
+    tuple: _listed,
     Fraction: _fraction,
     DivisorClass: lambda D: {"basis": D.basis_id, "coefficients": [_jsonify(c) for c in D.coefficients]},
     Valuation: lambda v: v.name,
@@ -388,38 +388,19 @@ _CONVERTERS = {
         "shifts": [float(t) for t in spec.shifts],
     },
 }
-# the field names of each dataclass met, read once per class
-_FIELD_NAMES = {}
+_DECLARED = tuple(_CONVERTERS)
 
 
 def _jsonify(obj):
-    # containers and JSON scalars first, by exact type: they are most of the nodes of a report
     kind = type(obj)
-    if kind is dict:
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if kind is list or kind is tuple:
-        return [_jsonify(x) for x in obj]
-    if obj is None or kind is str or kind is int or kind is float:
-        return obj
     convert = _CONVERTERS.get(kind)
-    if convert is not None:
-        return convert(obj)
-    names = _FIELD_NAMES.get(kind)
-    if names is not None:
-        return {name: _jsonify(getattr(obj, name)) for name in names}
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(x) for x in obj]
-    if isinstance(obj, (str, int, float)):
-        return obj
-    for base, convert in _CONVERTERS.items():
-        if isinstance(obj, base):
-            return convert(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        names = _FIELD_NAMES[kind] = tuple([f.name for f in dataclasses.fields(obj)])
-        return {name: _jsonify(getattr(obj, name)) for name in names}
-    return obj
+    if convert is None:
+        convert = next((_CONVERTERS[base] for base in kind.__mro__ if base in _DECLARED), None)
+        if convert is None and dataclasses.is_dataclass(kind):
+            names = tuple([f.name for f in dataclasses.fields(kind)])
+            convert = lambda value: {name: _jsonify(getattr(value, name)) for name in names}
+        _CONVERTERS[kind] = convert = convert or _same
+    return convert(obj)
 
 
 def _task_inputs(task):
@@ -499,24 +480,17 @@ def run(config_path, out, tolerance_overrides, seed):
         "tasks": [],
     }
     for i, task in enumerate(tasks):
+        entry = {"kind": task["kind"], "inputs": _task_inputs(task)}
+        report["tasks"].append(entry)
         start = time.perf_counter()
         try:
-            outputs = run_task(model, line_bundle, task, tolerances, used_seed)
+            entry["outputs"] = run_task(model, line_bundle, task, tolerances, used_seed)
         except (GeometryError, OverflowError) as exc:
-            report["tasks"].append({
-                "kind": task["kind"],
-                "inputs": _task_inputs(task),
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-            })
+            entry["error"] = {"type": type(exc).__name__, "message": str(exc)}
             _emit(report, out)
             click.echo(f"task {i} failed: {exc}", err=True)
             sys.exit(3)
-        report["tasks"].append({
-            "kind": task["kind"],
-            "inputs": _task_inputs(task),
-            "outputs": outputs,
-            "wall_time_s": time.perf_counter() - start,
-        })
+        entry["wall_time_s"] = time.perf_counter() - start
     _emit(report, out)
     sys.exit(0)
 

@@ -219,8 +219,8 @@ class GeometryModel(ABC):
 
     @abstractmethod
     def order_derivative(self, L: DivisorClass, support: Sequence[Valuation], shifts, H: DivisorClass) -> float:
-        """d/ds S_{L+sH}(t) at s = 0 with t fixed; callers pass -H for the
-        left derivative."""
+        """d/ds S_{L+sH}(t) at s = 0 with t fixed: the one derivative along
+        H that both one-sided Danskin derivatives read."""
 
     @abstractmethod
     def order_hessian(self, L: DivisorClass, support: Sequence[Valuation], shifts) -> list:

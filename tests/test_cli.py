@@ -196,23 +196,27 @@ class TestSchemaErrors:
         assert json.loads(result.stderr)["error"]["path"] == "$"
 
     def test_zero_denominator_rational(self, tmp_path):
-        cfg = self.write(tmp_path, {"model": {"name": "p2"}, "line_bundle": ["3/0"]})
-        result = run_cli(["run", cfg])
-        assert result.exit_code == 2
-        assert json.loads(result.stderr)["error"]["path"] == "line_bundle[0]"
+        # and the JSON values that are no rational: a boolean, a float, null
+        for entry in ["3/0", True, 1.5, None]:
+            cfg = self.write(tmp_path, {"model": {"name": "p2"}, "line_bundle": [entry]})
+            result = run_cli(["run", cfg])
+            assert result.exit_code == 2
+            assert json.loads(result.stderr)["error"]["path"] == "line_bundle[0]"
 
     def test_unknown_task_kind_has_field_path(self, tmp_path):
-        cfg = self.write(
-            tmp_path,
-            {
-                "model": {"name": "p2"},
-                "line_bundle": [3],
-                "tasks": [{"kind": "volume"}, {"kind": "volume"}, {"kind": "nope"}],
-            },
-        )
-        result = run_cli(["run", cfg])
-        assert result.exit_code == 2
-        assert json.loads(result.stderr)["error"]["path"] == "tasks[2].kind"
+        # a kind that is not a string is unknown too, not a TypeError
+        for kind in ["nope", [], {"a": 1}, True, None]:
+            cfg = self.write(
+                tmp_path,
+                {
+                    "model": {"name": "p2"},
+                    "line_bundle": [3],
+                    "tasks": [{"kind": "volume"}, {"kind": "volume"}, {"kind": kind}],
+                },
+            )
+            result = run_cli(["run", cfg])
+            assert result.exit_code == 2
+            assert json.loads(result.stderr)["error"]["path"] == "tasks[2].kind"
 
     def test_unknown_bundled_model(self, tmp_path):
         cfg = self.write(tmp_path, {"model": {"name": "p7"}, "line_bundle": [1]})
@@ -656,9 +660,26 @@ class _NotedNorm(NormResult):
     note: str = "extra"
 
 
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Tuple(tuple):
+    pass
+
+
+class _Unknown:
+    pass
+
+
 class TestJsonifySubclasses:
-    """Subclasses of the handled types serialize as their bases do, through
-    the isinstance chain; a dataclass subclass with its own fields."""
+    """Subclasses of the handled types serialize as their bases do, by the
+    converter learned from their MRO; a dataclass subclass with its own
+    fields; an object of no known type as itself."""
 
     def test_subclasses(self):
         p2 = divstab.bundled_model("p2")
@@ -680,6 +701,11 @@ class TestJsonifySubclasses:
             ),
             (NormResult(**norm), {key: _jsonify(value) for key, value in norm.items()}),
             (FiltrationSpec((line,), (_Rational(1, 2),)), {"support": ["line"], "shifts": [0.5]}),
+            (_Dict(a=_Rational(1, 2), b=_List([_Rational(3)])), {"a": "1/2", "b": ["3"]}),
+            (_List([(_Rational(2, 3),), None]), [["2/3"], None]),
+            (_Tuple((_Rational(5, 2), _Dict(c=1))), ["5/2", {"c": 1}]),
         ]
         for value, expected in cases:
             assert json.dumps(_jsonify(value), sort_keys=True) == json.dumps(expected, sort_keys=True)
+        unknown = _Unknown()
+        assert _jsonify(unknown) is unknown

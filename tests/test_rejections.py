@@ -31,7 +31,8 @@ def _on_the_blowup(name, pullback):
      "^missing pullback map to the realization model$"),
     (lambda: ds.delta_anticanonical(ds.SurfaceModel("noK", [[1]], sample_curves=[[1]]), [p2.named_valuations["line"]]),
      ds.GeometryError, "^the anticanonical class is not big$"),
-], ids=["toric_valuation", "other_base", "two_pullbacks", "no_pullback", "anticanonical_not_big"])
+    (lambda: ds.SurfaceModel("x", [[1, 0]]), ds.GeometryError, "^intersection matrix is not square$"),
+], ids=["toric_valuation", "other_base", "two_pullbacks", "no_pullback", "anticanonical_not_big", "not_square"])
 def test_a_valuation_or_model_a_query_cannot_use(ask, error, message):
     with pytest.raises(error, match=message):
         ask()
